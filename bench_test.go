@@ -1,12 +1,12 @@
 package adhocga
 
-// One benchmark per paper table and figure (DESIGN.md §4), plus the
+// One benchmark per paper table and figure, plus the
 // ablation benches for the design choices the paper motivates but does not
 // sweep. Each bench runs the full reproduction pipeline at smoke scale and
 // reports the headline measurement as a custom metric, so `go test
 // -bench=.` both times the harness and shows the reproduced shape.
 //
-// Paper-fidelity expectations (documented in EXPERIMENTS.md):
+// Paper-fidelity expectations (asserted in reproduction_test.go):
 //
 //	Fig 4:  case 1 → ~0.97+, case 2 → ~0.19, case 3 → ~0.53, case 4 → ~0.40
 //	Table 5 per-env (case 3): ~0.99/0.66/0.29/0.20

@@ -64,6 +64,6 @@
 // runner, experiment, baselines, ipdrp, service); this package
 // re-exports the surface a downstream user needs. See README.md for the scenario API and
 // CLI flags, ARCHITECTURE.md for the layer diagram and determinism
-// contract, DESIGN.md for the system inventory, and EXPERIMENTS.md for
-// paper-vs-measured results.
+// contract, DESIGN.md for the system inventory, and cmd/experiments (run)
+// and reproduction_test.go (assertions) for paper-vs-measured results.
 package adhocga

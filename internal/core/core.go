@@ -97,7 +97,7 @@ func TrustOnlyConstraint(b bitstring.Bits) {
 // that with L=1 a sizable fraction of longer-path replicates collapse to
 // all-defection instead of reaching the cooperative quasi-equilibrium the
 // paper reports, while with L=2 every replicate reproduces the paper's
-// Table 5 values (see EXPERIMENTS.md).
+// Table 5 values (reproduction_test.go pins the shape).
 func PaperConfig(envs []tournament.Environment, mode network.PathMode, seed uint64) Config {
 	return Config{
 		PopulationSize: 100,
@@ -370,13 +370,23 @@ func (e *Engine) Reinit(cfg Config) error {
 // generation and environment counts. Engine.Run builds its own; the island
 // engine (internal/island) uses it to accumulate the aggregate view of a
 // sharded run in exactly the serial shape.
+//
+// The up-front capacity is capped at maxPresizedGenerations: the
+// generation count comes from the request, and a run cancelled long
+// before its nominal end must not have reserved memory for all of it.
+// Longer runs grow their series with progress.
 func NewResult(generations, envs int) *Result {
+	generations = min(generations, maxPresizedGenerations)
 	return &Result{
 		CoopSeries:        make([]float64, 0, generations),
 		MeanEnvCoopSeries: make([]float64, 0, generations),
 		CoopPerEnvSeries:  make([][]float64, envs),
 	}
 }
+
+// maxPresizedGenerations bounds the series capacity NewResult reserves:
+// 64 KiB per series, well past the paper's 500 generations.
+const maxPresizedGenerations = 8192
 
 // Record appends one generation's cooperation observables from the
 // collector to the result's series. Environments beyond the result's

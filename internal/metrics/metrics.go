@@ -130,11 +130,8 @@ func (c *Collector) RecordGame(src *game.Player, inters []*game.Player, firstDro
 	}
 
 	// Forwarding requests: every intermediate that received the packet
-	// made a decision. On a drop at k, intermediates 0..k received it.
-	received := len(inters)
-	if !delivered {
-		received = firstDrop + 1
-	}
+	// made a decision. Those before the first drop forwarded, so the only
+	// rejection to attribute is the dropper's own.
 	counts := &c.FromNormal
 	switch src.Type {
 	case game.Selfish:
@@ -142,18 +139,18 @@ func (c *Collector) RecordGame(src *game.Player, inters []*game.Player, firstDro
 	case game.Byzantine:
 		counts = &c.FromByz
 	}
-	for i := 0; i < received; i++ {
-		forwarded := delivered || i < firstDrop
-		switch {
-		case forwarded:
-			counts.Accepted++
-		case inters[i].Type == game.Selfish:
-			counts.RejectedBySelfish++
-		case inters[i].Type == game.Byzantine:
-			counts.RejectedByByzantine++
-		default:
-			counts.RejectedByNormal++
-		}
+	if delivered {
+		counts.Accepted += uint64(len(inters))
+		return
+	}
+	counts.Accepted += uint64(firstDrop)
+	switch inters[firstDrop].Type {
+	case game.Selfish:
+		counts.RejectedBySelfish++
+	case game.Byzantine:
+		counts.RejectedByByzantine++
+	default:
+		counts.RejectedByNormal++
 	}
 }
 

@@ -221,3 +221,48 @@ func TestCollectorAgainstEvaluation(t *testing.T) {
 			accepted, rejected, forwards, discards)
 	}
 }
+
+// RecordGame's request tallies equal the per-decision definition — every
+// intermediate that received the packet decided once: those before the
+// first drop forwarded, the dropper rejected — over random paths mixing
+// all three node types as sources, intermediates and droppers.
+func TestRecordGameMatchesPerDecisionTally(t *testing.T) {
+	r := rng.New(3)
+	pool := []*game.Player{
+		game.NewNormal(0, strategy.AllForward()),
+		game.NewSelfish(1),
+		game.NewByzantine(2, game.AdvFreeRider, strategy.AllDiscard()),
+	}
+	c := NewCollector()
+	var want [3]ResponseCounts
+	for g := 0; g < 5000; g++ {
+		src := pool[r.Intn(len(pool))]
+		inters := make([]*game.Player, 1+r.Intn(network.MaxHops-1))
+		for i := range inters {
+			inters[i] = pool[r.Intn(len(pool))]
+		}
+		firstDrop := r.Intn(len(inters)+1) - 1 // -1: delivered
+		c.RecordGame(src, inters, firstDrop)
+
+		w := &want[src.Type]
+		for i, p := range inters {
+			switch {
+			case firstDrop < 0 || i < firstDrop:
+				w.Accepted++
+				continue
+			case p.Type == game.Selfish:
+				w.RejectedBySelfish++
+			case p.Type == game.Byzantine:
+				w.RejectedByByzantine++
+			default:
+				w.RejectedByNormal++
+			}
+			break
+		}
+	}
+	got := [3]ResponseCounts{}
+	got[game.Normal], got[game.Selfish], got[game.Byzantine] = c.FromNormal, c.FromCSN, c.FromByz
+	if got != want {
+		t.Errorf("request tallies %+v, per-decision definition %+v", got, want)
+	}
+}

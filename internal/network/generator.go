@@ -20,20 +20,20 @@ import (
 // order-preserving — is never materialized: reads go straight to the
 // participants slice through a branchless skip mapping over the two
 // excluded positions. A partial Fisher–Yates of k steps displaces at most
-// k pool entries, so the shuffle state lives in a k-entry (index, value)
-// overlay that a path resets by zeroing its length; participants is never
-// touched. This replaces both the epoch-stamped overlay closure (per-read
-// indirect call) and the per-game pool copy (three-chunk memmove) that
-// earlier versions paid for: path lengths cap at MaxHops, so the overlay
-// scans a handful of L1-resident entries where those paid a call or a
-// memmove.
+// k pool entries; the displaced values sit in a pool-indexed side table
+// whose entries count only while their stamp equals the current path's
+// epoch, so a path resets the table by bumping the epoch and participants
+// is never touched. Every read is one stamp compare: nothing of pool size
+// is copied per game, and no read scans or calls.
 type Generator struct {
 	mode PathMode
 
-	// scratch: the shuffle-displacement overlay and the returned paths
-	oIdx  []int32
-	oVal  []NodeID
-	paths []Path
+	// scratch: the shuffle's displaced values (parked[v] is live while
+	// stamp[v] == epoch) and the returned paths
+	stamp  []uint32
+	parked []NodeID
+	epoch  uint32
+	paths  []Path
 
 	// lastSrcPos remembers where the previous call's source sat in the
 	// participants slice. Tournaments iterate sources in participant
@@ -72,13 +72,23 @@ func (g *Generator) Candidates(r *rng.Source, src NodeID, participants []NodeID)
 	if n < 2 {
 		panic(fmt.Sprintf("network: need at least 2 participants, have %d", n))
 	}
-	hops := g.mode.Lengths.Sample(r)
+	// Every draw of the game comes from a local copy of the engine, stored
+	// back once at the end: the state stays in registers across the
+	// whole route instead of being loaded and stored around each draw. The
+	// draws and their order are exactly those of the Source calls they
+	// replace (Lengths.Sample, Alternates.Sample, then one Intn for the
+	// destination and one per shuffle step).
+	e := r.Engine()
+	var d uint64
+	e, d = e.Next()
+	hops := g.mode.Lengths.hops(d)
 	// Feasibility: destination + (hops-1) intermediates, all distinct, all
 	// different from src → need n-1 ≥ hops.
 	if hops > n-1 {
 		hops = n - 1
 	}
-	count := g.mode.Alternates.Sample(r, hops)
+	e, d = e.Next()
+	count := g.mode.Alternates.count(d, hops)
 
 	// Destination: uniform among participants except the source, drawn by
 	// index arithmetic — equivalent to sampling the order-preserving
@@ -103,7 +113,8 @@ func (g *Generator) Candidates(r *rng.Source, src NodeID, participants []NodeID)
 	if srcPos >= 0 {
 		m = n - 1
 	}
-	dstPos := r.Intn(m)
+	e, d = e.Bounded(uint64(m))
+	dstPos := int(d)
 	if srcPos >= 0 && dstPos >= srcPos {
 		dstPos++
 	}
@@ -113,7 +124,7 @@ func (g *Generator) Candidates(r *rng.Source, src NodeID, participants []NodeID)
 	// participants order: virtual index v holds participants[skip2(v)],
 	// where skip2 jumps over the excluded positions p1 < p2. The partial
 	// Fisher–Yates below acts on virtual indices with its displacements
-	// kept in the (oIdx, oVal) overlay, so its draws and sampled
+	// parked in the epoch-stamped side table, so its draws and sampled
 	// intermediates are identical to shuffling a materialized copy of the
 	// pool — without building or mutating anything of pool size. With src
 	// absent (callers shouldn't, but the old behavior is preserved) only
@@ -129,61 +140,58 @@ func (g *Generator) Candidates(r *rng.Source, src NodeID, participants []NodeID)
 	}
 
 	k := hops - 1
-	if cap(g.oIdx) < k {
-		g.oIdx = make([]int32, k+8)
-		g.oVal = make([]NodeID, k+8)
+	if len(g.stamp) < poolLen {
+		g.stamp = make([]uint32, poolLen)
+		g.parked = make([]NodeID, poolLen)
+		g.epoch = 0
 	}
-	oIdx, oVal := g.oIdx, g.oVal
+	stamp, parked := g.stamp[:poolLen], g.parked[:poolLen]
 	if cap(g.paths) < count {
 		g.paths = make([]Path, count)
 	}
 	paths := g.paths[:count]
-	for i := 0; i < count; i++ {
-		inter := paths[i].Intermediates
+	for i := range paths {
+		// Fill the path in place, field by field: assembling a Path value
+		// and copying it in makes the copy reload stores still in flight.
+		p := &paths[i]
+		p.Src, p.Dst = src, dst
+		inter := p.Intermediates
 		if cap(inter) < k {
 			inter = make([]NodeID, k)
 		}
 		inter = inter[:k]
+		p.Intermediates = inter
+		// Every path shuffles the pristine pool: a fresh epoch retires the
+		// previous path's displacements (a wrapped epoch clears the stamps
+		// so no stale one can match).
+		g.epoch++
+		if g.epoch == 0 {
+			clear(g.stamp)
+			g.epoch = 1
+		}
+		ep := g.epoch
 		// Partial Fisher–Yates on the virtual pool. Step x of the classic
 		// in-place form swaps pool[x] and pool[j] and selects the new
 		// pool[x]; position x is never read after step x, so only the
-		// value parked at j needs recording. The overlay holds those
-		// parked values, newest last; reads scan it backwards (a repeated
-		// j must see the latest parking) and fall through to the pristine
-		// pool. At most k ≤ MaxHops−1 entries, so the scan stays in L1.
-		m := 0
+		// value moved to j needs recording.
 		for x := 0; x < k; x++ {
-			j := x + r.Intn(poolLen-x)
-			vj := NodeID(0)
-			for t := m - 1; ; t-- {
-				if t < 0 {
-					vj = participants[skip2(j, p1, p2)]
-					break
-				}
-				if oIdx[t] == int32(j) {
-					vj = oVal[t]
-					break
-				}
+			e, d = e.Bounded(uint64(poolLen - x))
+			j := x + int(d)
+			vj := participants[skip2(j, p1, p2)]
+			if stamp[j] == ep {
+				vj = parked[j]
 			}
 			if j != x {
-				vx := NodeID(0)
-				for t := m - 1; ; t-- {
-					if t < 0 {
-						vx = participants[skip2(x, p1, p2)]
-						break
-					}
-					if oIdx[t] == int32(x) {
-						vx = oVal[t]
-						break
-					}
+				vx := participants[skip2(x, p1, p2)]
+				if stamp[x] == ep {
+					vx = parked[x]
 				}
-				oIdx[m], oVal[m] = int32(j), vx
-				m++
+				stamp[j], parked[j] = ep, vx
 			}
 			inter[x] = vj
 		}
-		paths[i] = Path{Src: src, Dst: dst, Intermediates: inter}
 	}
+	r.SetEngine(e)
 	g.paths = paths
 	return paths
 }

@@ -58,6 +58,75 @@ func TestCandidatesInvariants(t *testing.T) {
 	}
 }
 
+// referenceCandidates is the route sampler written the direct way: each
+// draw through the Source, the destination picked from a materialized
+// "everyone but src" list, and every path a partial Fisher–Yates over its
+// own copy of the pool.
+func referenceCandidates(r *rng.Source, mode PathMode, src NodeID, participants []NodeID) []Path {
+	hops := min(mode.Lengths.Sample(r), len(participants)-1)
+	count := mode.Alternates.Sample(r, hops)
+	var others []NodeID
+	for _, id := range participants {
+		if id != src {
+			others = append(others, id)
+		}
+	}
+	dst := others[r.Intn(len(others))]
+	var pool []NodeID
+	for _, id := range others {
+		if id != dst {
+			pool = append(pool, id)
+		}
+	}
+	paths := make([]Path, count)
+	for i := range paths {
+		shuffled := append([]NodeID(nil), pool...)
+		inter := make([]NodeID, hops-1)
+		for x := range inter {
+			j := x + r.Intn(len(shuffled)-x)
+			shuffled[x], shuffled[j] = shuffled[j], shuffled[x]
+			inter[x] = shuffled[x]
+		}
+		paths[i] = Path{Src: src, Dst: dst, Intermediates: inter}
+	}
+	return paths
+}
+
+// Candidates keeps the engine in registers and never builds the pool, yet
+// must make exactly the reference's draws and pick exactly its routes:
+// both modes, sources in and out of turn, a source missing from the
+// participants, and sets small enough to clamp the hop count.
+func TestCandidatesMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		mode PathMode
+		n    int
+	}{{ShorterPaths(), 50}, {LongerPaths(), 50}, {LongerPaths(), 5}, {MixedPaths(0.4), 12}, {ShorterPaths(), 2}} {
+		parts := participantSet(tc.n)
+		g := NewGenerator(tc.mode)
+		r, ref := rng.New(uint64(tc.n)), rng.New(uint64(tc.n))
+		pick := rng.New(99)
+		for game := 0; game < 3000; game++ {
+			src := NodeID(game % tc.n)
+			if game%7 == 0 {
+				src = NodeID(pick.Intn(tc.n + 1)) // tc.n: not a participant
+			}
+			got := g.Candidates(r, src, parts)
+			want := referenceCandidates(ref, tc.mode, src, parts)
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d game %d: %d paths, reference %d", tc.mode.Name, tc.n, game, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].String() != want[i].String() {
+					t.Fatalf("%s n=%d game %d path %d: %v, reference %v", tc.mode.Name, tc.n, game, i, got[i], want[i])
+				}
+			}
+			if r.Uint64() != ref.Uint64() {
+				t.Fatalf("%s n=%d game %d: stream position differs from the reference", tc.mode.Name, tc.n, game)
+			}
+		}
+	}
+}
+
 func TestCandidatesClampsHopsForSmallSets(t *testing.T) {
 	r := rng.New(8)
 	g := NewGenerator(LongerPaths())

@@ -89,7 +89,10 @@ func NewLengthDist(probs map[int]float64) (LengthDist, error) {
 }
 
 // Sample draws a hop count.
-func (d LengthDist) Sample(r *rng.Source) int { return MinHops + d.cat.Sample(r) }
+func (d LengthDist) Sample(r *rng.Source) int { return d.hops(r.Uint64()) }
+
+// hops is the hop count Sample picks when the engine step yields draw.
+func (d LengthDist) hops(draw uint64) int { return MinHops + d.cat.Outcome(draw) }
 
 // Prob returns the probability of the given hop count.
 func (d LengthDist) Prob(hops int) float64 {
@@ -99,34 +102,42 @@ func (d LengthDist) Prob(hops int) float64 {
 	return d.cat.Prob(hops - MinHops)
 }
 
-// ShorterPathLengths returns the paper's "shorter paths" (SP) mode hop
-// distribution (Table 2, left column, expanded per hop count): 2 hops 0.2;
-// 3–4 hops 0.3 each; 5–8 hops 0.05 each; 9–10 hops never.
-func ShorterPathLengths() LengthDist {
-	d, err := NewLengthDist(map[int]float64{
+// The paper's tables are built once and shared: a Categorical is immutable,
+// and building one costs a threshold search per outcome.
+var (
+	spLengths = mustLengthDist(map[int]float64{
 		2: 0.20, 3: 0.30, 4: 0.30,
 		5: 0.05, 6: 0.05, 7: 0.05, 8: 0.05,
 	})
+	lpLengths = mustLengthDist(map[int]float64{
+		2: 0.10, 3: 0.10, 4: 0.10,
+		5: 0.10, 6: 0.10, 7: 0.10, 8: 0.10,
+		9: 0.15, 10: 0.15,
+	})
+	table3 = AlternatesDist{
+		short: rng.MustCategorical([]float64{0.5, 0.3, 0.2}),
+		mid:   rng.MustCategorical([]float64{0.6, 0.25, 0.15}),
+		long:  rng.MustCategorical([]float64{0.8, 0.15, 0.05}),
+	}
+)
+
+func mustLengthDist(probs map[int]float64) LengthDist {
+	d, err := NewLengthDist(probs)
 	if err != nil {
 		panic(err)
 	}
 	return d
 }
 
+// ShorterPathLengths returns the paper's "shorter paths" (SP) mode hop
+// distribution (Table 2, left column, expanded per hop count): 2 hops 0.2;
+// 3–4 hops 0.3 each; 5–8 hops 0.05 each; 9–10 hops never.
+func ShorterPathLengths() LengthDist { return spLengths }
+
 // LongerPathLengths returns the paper's "longer paths" (LP) mode hop
 // distribution (Table 2, right column): 2 hops 0.1; 3–4 hops 0.1 each;
 // 5–8 hops 0.1 each; 9–10 hops 0.15 each.
-func LongerPathLengths() LengthDist {
-	d, err := NewLengthDist(map[int]float64{
-		2: 0.10, 3: 0.10, 4: 0.10,
-		5: 0.10, 6: 0.10, 7: 0.10, 8: 0.10,
-		9: 0.15, 10: 0.15,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
+func LongerPathLengths() LengthDist { return lpLengths }
 
 // MixedPathLengths returns a hop-count distribution that linearly blends
 // the SP and LP distributions of Table 2: alpha 0 is exactly
@@ -143,18 +154,13 @@ func MixedPathLengths(alpha float64) LengthDist {
 	if alpha >= 1 {
 		return LongerPathLengths()
 	}
-	sp, lp := ShorterPathLengths(), LongerPathLengths()
 	probs := make(map[int]float64, MaxHops-MinHops+1)
 	for h := MinHops; h <= MaxHops; h++ {
-		if p := (1-alpha)*sp.Prob(h) + alpha*lp.Prob(h); p > 0 {
+		if p := (1-alpha)*spLengths.Prob(h) + alpha*lpLengths.Prob(h); p > 0 {
 			probs[h] = p
 		}
 	}
-	d, err := NewLengthDist(probs)
-	if err != nil {
-		panic(err) // blend of two valid distributions is valid
-	}
-	return d
+	return mustLengthDist(probs) // a blend of two valid distributions is valid
 }
 
 // MixedPaths bundles the blended hop distribution with the Table 3
@@ -200,18 +206,18 @@ type AlternatesDist struct {
 }
 
 // Table3Alternates returns the paper's alternate-path distribution.
-func Table3Alternates() AlternatesDist {
-	return AlternatesDist{
-		short: rng.MustCategorical([]float64{0.5, 0.3, 0.2}),
-		mid:   rng.MustCategorical([]float64{0.6, 0.25, 0.15}),
-		long:  rng.MustCategorical([]float64{0.8, 0.15, 0.05}),
-	}
-}
+func Table3Alternates() AlternatesDist { return table3 }
 
 // Sample draws the number of available paths (1..3) for the given hop
 // count.
 func (d AlternatesDist) Sample(r *rng.Source, hops int) int {
-	return d.row(hops).Sample(r) + 1
+	return d.count(r.Uint64(), hops)
+}
+
+// count is the number of paths Sample picks when the engine step yields
+// draw.
+func (d AlternatesDist) count(draw uint64, hops int) int {
+	return d.row(hops).Outcome(draw) + 1
 }
 
 // Prob returns the probability of exactly n alternate paths at the given

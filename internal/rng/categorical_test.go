@@ -15,6 +15,8 @@ func TestNewCategoricalErrors(t *testing.T) {
 		{"negative", []float64{0.5, -0.1}},
 		{"nan", []float64{math.NaN()}},
 		{"all zero", []float64{0, 0, 0}},
+		{"infinite", []float64{1, math.Inf(1)}},
+		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,4 +126,68 @@ func BenchmarkCategoricalSample(b *testing.B) {
 		sink = c.Sample(s)
 	}
 	_ = sink
+}
+
+// The integer-threshold decision equals the float scan on shapes that
+// stress it: zero weights at either end and in the middle (trailing zeros
+// put the scan's u == total edge on an earlier outcome), a lone outcome,
+// totals far from 1, weights whose cumulative sums round, and more
+// outcomes than the 256-entry guess table can name.
+func TestCategoricalThresholdsMatchScan(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	wide := make([]float64, 300)
+	s := New(40)
+	for i := range wide {
+		if i%7 != 3 {
+			wide[i] = s.Float64()
+		}
+	}
+	tables := map[string][]float64{
+		"zeros":        {0, 1, 0, 2, 0},
+		"trailing":     {1, 2, 0, 0},
+		"leading":      {0, 0, 3},
+		"single":       {7},
+		"tiny-tail":    {1, 1e-300},
+		"huge-total":   {1e300, 3e300, 2e300},
+		"thirds":       {1.0 / 3, 1.0 / 3, 1.0 / 3},
+		"tenths":       {0.1, 0.2, 0.3, 0.4},
+		"unnormalized": {3, 1, 4, 1, 5, 9, 2, 6},
+		"wide":         wide,
+	}
+	for name, w := range tables {
+		CheckExact(t, name, MustCategorical(w), draws)
+	}
+}
+
+// FuzzCategorical checks the integer-threshold decision against the float
+// scan for arbitrary weights (one per byte, in sevenths so cumulative sums
+// round) and an arbitrary engine output, plus the draws around every
+// threshold. The checked-in corpus under testdata/fuzz seeds it.
+func FuzzCategorical(f *testing.F) {
+	f.Add([]byte{2, 3, 3, 0, 1}, uint64(0))
+	f.Add([]byte{1, 2, 0, 0}, ^uint64(0))
+	f.Add([]byte{0, 9}, uint64(1)<<63)
+	f.Fuzz(func(t *testing.T, raw []byte, draw uint64) {
+		weights := make([]float64, len(raw))
+		positive := false
+		for i, b := range raw {
+			weights[i] = float64(b) / 7
+			positive = positive || b > 0
+		}
+		if !positive {
+			if _, err := NewCategorical(weights); err == nil {
+				t.Fatalf("weights %v with no positive entry accepted", raw)
+			}
+			return
+		}
+		c := MustCategorical(weights)
+		x := draw >> (64 - drawBits)
+		if got, want := c.Outcome(draw), c.scan(scaled(x, c.cum[len(c.cum)-1])); got != want {
+			t.Fatalf("weights %v draw %#x: threshold decision %d, float scan %d", raw, draw, got, want)
+		}
+		CheckExact(t, "fuzz", c, 0)
+	})
 }

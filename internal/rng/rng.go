@@ -16,13 +16,68 @@ package rng
 
 import "math/bits"
 
+// Xoshiro is the xoshiro256** engine state as a plain value: the one
+// place the generator's step is defined. Source wraps it; hot loops that
+// make many draws copy it into a local with Source.Engine, step the local,
+// and store it back with Source.SetEngine, so the four state words stay in
+// registers for the whole loop instead of round-tripping through memory on
+// every draw.
+//
+// The methods take and return the state by value. A four-word struct is
+// register-allocatable only while its address is never taken, and a
+// pointer-receiver method would take it; Next and Bounded are small enough
+// to inline (TestEngineStepInlines pins this), so a call such as
+// x, v = x.Next() compiles to the bare engine arithmetic.
+type Xoshiro struct {
+	s0, s1, s2, s3 uint64
+}
+
+// Next advances the engine one step and returns the new state together
+// with the next 64 uniformly distributed bits.
+func (x Xoshiro) Next() (Xoshiro, uint64) {
+	s1 := x.s1
+	x.s2 ^= x.s0
+	x.s3 ^= s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= s1 << 17
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return x, bits.RotateLeft64(s1*5, 7) * 9
+}
+
+// Bounded returns the advanced state and a uniformly distributed value in
+// [0, n), n > 0, using Lemire's nearly-divisionless method: a draw whose
+// low product word falls below (2⁶⁴ − n) mod n is rejected and redrawn.
+// That threshold is less than n, so the first compare settles nearly every
+// draw and the division runs only on the rare low-word hit. Bounded(0)
+// returns 0 without rejecting; Source.Uint64n guards it.
+func (x Xoshiro) Bounded(n uint64) (_ Xoshiro, hi uint64) {
+	for {
+		var lo uint64
+		x, hi = x.Next()
+		hi, lo = bits.Mul64(hi, n)
+		if lo >= n || lo >= -n%n {
+			return x, hi
+		}
+	}
+}
+
 // Source is a deterministic pseudo-random number generator. It is NOT safe
 // for concurrent use; give each goroutine its own Source via Split.
 //
 // The zero value is invalid; use New.
 type Source struct {
-	s [4]uint64
+	x Xoshiro
 }
+
+// Engine returns a copy of the engine state. Drawing from the copy and
+// handing it back with SetEngine replays exactly the stream the same
+// draws made through the Source would have produced.
+func (s *Source) Engine() Xoshiro { return s.x }
+
+// SetEngine replaces the engine state, typically with a copy taken by
+// Engine and advanced since.
+func (s *Source) SetEngine(x Xoshiro) { s.x = x }
 
 // splitmix64 advances the given state and returns the next output. It is
 // used to expand seeds and to derive child streams.
@@ -46,27 +101,22 @@ func New(seed uint64) *Source {
 // New(seed).
 func (s *Source) Reseed(seed uint64) {
 	sm := seed
-	for i := range s.s {
-		s.s[i] = splitmix64(&sm)
-	}
+	x := &s.x
+	x.s0 = splitmix64(&sm)
+	x.s1 = splitmix64(&sm)
+	x.s2 = splitmix64(&sm)
+	x.s3 = splitmix64(&sm)
 	// xoshiro must not start at the all-zero state; SplitMix64 expansion
 	// cannot produce it for any seed, but guard anyway.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
-	return result
+func (s *Source) Uint64() (v uint64) {
+	s.x, v = s.x.Next()
+	return v
 }
 
 // Split derives a new Source whose future stream is statistically
@@ -90,34 +140,13 @@ func (s *Source) Intn(n int) int {
 }
 
 // Uint64n returns a uniformly distributed uint64 in [0, n) using Lemire's
-// nearly-divisionless method. It panics if n == 0.
-//
-// The xoshiro step is written out inline rather than calling Uint64: the
-// engine update costs one node more than the compiler's inline budget, so
-// a Uint64 call never inlines and every bounded draw would pay two call
-// levels from hot loops (Intn inlines into its caller but this function
-// does not). The state update is identical to Uint64's, so interleaving
-// Uint64n with any other draw replays the same stream.
-func (s *Source) Uint64n(n uint64) uint64 {
+// nearly-divisionless method (see Xoshiro.Bounded). It panics if n == 0.
+func (s *Source) Uint64n(n uint64) (v uint64) {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
 	}
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
-	hi, lo := bits.Mul64(result, n)
-	if lo < n {
-		threshold := -n % n
-		for lo < threshold {
-			hi, lo = bits.Mul64(s.Uint64(), n)
-		}
-	}
-	return hi
+	s.x, v = s.x.Bounded(n)
+	return v
 }
 
 // IntRange returns a uniformly distributed int in [lo, hi] inclusive.
@@ -157,24 +186,18 @@ func (s *Source) Bool(p float64) bool {
 // width steps; interleaving BitMask and Uint64 calls replays the same
 // sequence as Uint64 alone.
 func (s *Source) BitMask(width int, threshold uint64) uint64 {
-	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	x := s.x
 	var mask uint64
 	for j := 0; j < width; j++ {
-		result := bits.RotateLeft64(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
+		var draw uint64
+		x, draw = x.Next()
 		// Branchless decision: both operands are < 2⁵³, so the uint64
 		// subtraction borrows — sign bit set — exactly when draw < threshold.
 		// The engine's serial update chain is the latency floor here; a
 		// manual two-step unroll measured no faster.
-		mask |= (result>>11 - threshold) >> 63 << uint(j)
+		mask |= (draw>>11 - threshold) >> 63 << uint(j)
 	}
-	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
+	s.x = x
 	return mask
 }
 

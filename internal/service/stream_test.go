@@ -100,7 +100,9 @@ func TestSSEKeepaliveWithFakeClock(t *testing.T) {
 	longCfg.PopulationSize = 20
 	longCfg.Eval.TournamentSize = 10
 	longCfg.Eval.Tournament.Rounds = 10
-	longCfg.Generations = 1 << 30 // never finishes; cancelled at a generation barrier on cleanup
+	// Outlives the test by minutes, and is cancelled at a generation
+	// barrier on cleanup.
+	longCfg.Generations = 1 << 20
 	hog, err := session.Submit(t.Context(), adhocga.EvolveSpec{Config: longCfg})
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,10 @@
 // (tournament.BuildRegistry panics on gaps or duplicates — see DESIGN.md),
 // so a slice sized to the registry covers every possible peer with one
 // bounds-checked index per lookup and zero steady-state allocations. Each
-// record additionally caches the derived values the hot path needs — the
-// forwarding rate pf/ps and its Fig 1b trust level — refreshed at most
-// once per counter change, lazily at the next read, so game decisions and
-// path ratings never recompute them and pure observation stays
-// integer-only.
+// record additionally caches the Fig 1b trust level its forwarding rate
+// pf/ps maps to, refreshed at most once per counter change, lazily at the
+// next decision, so decisions never recompute it and pure observation
+// stays integer-only.
 package trust
 
 import (
@@ -30,10 +29,10 @@ import (
 // cached trust level derived from them. A node is known iff requests > 0
 // (every code path that touches a record increments requests by ≥ 1).
 //
-// dirty marks a record whose counters changed since level and the rates
-// entry were last derived; readers flush it before use. Keeping the write
-// path to plain integer increments matters because observations outnumber
-// decisions ~k:1 on a k-intermediate path.
+// dirty marks a record whose counters changed since level was last
+// derived; decisions flush it before use. Keeping the write path to plain
+// integer increments matters because observations outnumber decisions
+// ~k:1 on a k-intermediate path.
 //
 // The counters are uint32, which packs a record into 12 bytes instead of
 // 24 — a game touches O(path²) records spread over every participant's
@@ -62,11 +61,10 @@ type record struct {
 type Store struct {
 	rec []record
 
-	// rates is the dense path-rate view: rates[id] is pf/ps for known
-	// nodes and network.UnknownRate for unknown ones, exactly the factor
-	// the §3.1 path rating multiplies per intermediate. It is maintained
-	// in lockstep with rec.
-	rates []float64
+	// view is PathRates' scratch: the dense rate view, rebuilt from rec
+	// on every call. Route rating on the hot path (RatePaths) reads the
+	// counters directly, so no rate array is kept in step with rec.
+	view []float64
 
 	// known counts records with requests > 0.
 	known int
@@ -100,25 +98,19 @@ func (s *Store) EnsureSize(n int) {
 	if n <= len(s.rec) {
 		return
 	}
-	old := len(s.rec)
 	if n <= cap(s.rec) {
+		old := len(s.rec)
 		s.rec = s.rec[:n]
-		s.rates = s.rates[:n]
 		clear(s.rec[old:])
-	} else {
-		c := 2 * cap(s.rec)
-		if c < n {
-			c = n
-		}
-		rec := make([]record, n, c)
-		copy(rec, s.rec)
-		rates := make([]float64, n, c)
-		copy(rates, s.rates)
-		s.rec, s.rates = rec, rates
+		return
 	}
-	for i := old; i < n; i++ {
-		s.rates[i] = network.UnknownRate
+	c := 2 * cap(s.rec)
+	if c < n {
+		c = n
 	}
+	rec := make([]record, n, c)
+	copy(rec, s.rec)
+	s.rec = rec
 }
 
 // Size returns the number of NodeIDs the store currently covers (known or
@@ -130,9 +122,6 @@ func (s *Store) Size() int { return len(s.rec) }
 // (§4.4 step 1).
 func (s *Store) Reset() {
 	clear(s.rec)
-	for i := range s.rates {
-		s.rates[i] = network.UnknownRate
-	}
 	s.known = 0
 	s.forwardsSum = 0
 }
@@ -149,7 +138,7 @@ func (s *Store) SetTable(t Table) {
 	s.table = t
 	for i := range s.rec {
 		if r := &s.rec[i]; r.requests > 0 {
-			s.flushRecord(r, i)
+			s.flushRecord(r)
 		}
 	}
 }
@@ -159,9 +148,9 @@ func (s *Store) TrustTable() Table { return s.table }
 
 // Observe records one watchdog observation about a node: it was asked to
 // forward a packet and either did (forwarded=true) or dropped it. The
-// write path is integer-only — the derived rate and trust level are
-// flushed lazily at the next read (Evaluate or PathRates), so a record
-// observed many times between reads pays for one division, not many.
+// write path is integer-only — the derived trust level is flushed lazily
+// at the next decision (Evaluate), so a record observed many times between
+// decisions pays for one division, not many.
 //
 // The body is split so the in-range case (the only one a pre-sized
 // tournament store ever sees) inlines into the game loop as a few
@@ -231,26 +220,18 @@ func (s *Store) observeSlow(id network.NodeID, forwarded bool) {
 	}
 }
 
-// settle flushes every dirty record — the compaction point of the
-// lazy-flush scheme. Flushing is a pure function of the counters, so
-// settling at any time changes no observable value. Only cold paths
-// (PathRates, notably) settle; the game loop flushes exactly the records
-// it reads, one at a time, and never scans.
-func (s *Store) settle() {
-	for i := range s.rec {
-		if r := &s.rec[i]; r.dirty {
-			s.flushRecord(r, i)
-		}
-	}
+// flushRecord derives the cached Fig 1b trust level from the record's
+// counters. Callers guarantee requests > 0.
+func (s *Store) flushRecord(r *record) {
+	r.level = s.table.Level(r.rate())
+	r.dirty = false
 }
 
-// flushRecord derives the cached rate and Fig 1b trust level from the
-// record's counters. Callers guarantee requests > 0.
-func (s *Store) flushRecord(r *record, id int) {
-	rate := float64(r.forwards) / float64(r.requests)
-	s.rates[id] = rate
-	r.level = s.table.Level(rate)
-	r.dirty = false
+// rate is the §3.1 forwarding rate pf/ps of a known record; every reader
+// derives it with this one expression, so cached levels, path ratings and
+// the rate view all agree bit for bit.
+func (r *record) rate() float64 {
+	return float64(r.forwards) / float64(r.requests)
 }
 
 // Forget erases everything the store knows about one node, in place: the
@@ -272,7 +253,6 @@ func (s *Store) Forget(id network.NodeID) {
 	s.known--
 	s.forwardsSum -= uint64(r.forwards)
 	*r = record{}
-	s.rates[id] = network.UnknownRate
 }
 
 // Known reports whether the store has any data about the node.
@@ -304,8 +284,7 @@ func (s *Store) ForwardingRate(id network.NodeID) (float64, bool) {
 	if !s.Known(id) {
 		return 0, false
 	}
-	r := &s.rec[id]
-	return float64(r.forwards) / float64(r.requests), true
+	return s.rec[id].rate(), true
 }
 
 // MeanForwards returns the average pf over all known nodes — the "av"
@@ -329,46 +308,40 @@ func (s *Store) KnownNodes() []network.NodeID {
 	return ids
 }
 
-// PathRates returns the dense §3.1 rate view the path rater consumes:
-// rates[id] is pf/ps for known nodes and network.UnknownRate for unknown
-// ones; IDs at or beyond len(rates) are unknown too. Pending counter
-// changes are flushed into the view first. The slice is owned by the
-// store and must not be modified; re-fetch it after further observations
-// rather than retaining it.
+// PathRates returns the dense §3.1 rate view: rates[id] is pf/ps for
+// known nodes and network.UnknownRate for unknown ones; IDs at or beyond
+// len(rates) are unknown too. It is exactly the factor network.RatePath
+// multiplies per intermediate, so rating a path over this view equals
+// RatePaths. The slice is owned by the store, rebuilt on every call, and
+// must not be modified; re-fetch it after further observations rather than
+// retaining it.
 func (s *Store) PathRates() []float64 {
-	s.settle()
-	return s.rates
+	if cap(s.view) < len(s.rec) {
+		s.view = make([]float64, len(s.rec))
+	}
+	s.view = s.view[:len(s.rec)]
+	for i := range s.rec {
+		s.view[i] = s.rateOf(i)
+	}
+	return s.view
 }
 
-// RatesForPaths is the route-selection form of PathRates: it returns the
-// dense rate view after refreshing only the entries the given candidate
-// paths' intermediates will actually read, instead of flushing every
-// pending record. The refreshed values are computed by the same expression
-// flushRecord uses, so ratings are bit-identical to rating after a full
-// PathRates flush. The slice is owned by the store and must not be
-// modified or retained.
-func (s *Store) RatesForPaths(paths []network.Path) []float64 {
-	for _, p := range paths {
-		for _, id := range p.Intermediates {
-			if int(id) >= len(s.rec) {
-				continue // unknown to this store; rates in-range read as UnknownRate
-			}
-			if r := &s.rec[id]; r.dirty {
-				s.flushRecord(r, int(id))
-			}
-		}
+// rateOf is the rate-view entry of an in-range ID.
+func (s *Store) rateOf(id int) float64 {
+	if r := &s.rec[id]; r.requests > 0 {
+		return r.rate()
 	}
-	return s.rates
+	return network.UnknownRate
 }
 
 // RatePaths rates every candidate path in one walk: for each path it
-// computes the §3.1 rating — the product over its intermediates of the
-// dense rate view, flushing pending counter changes for exactly the
-// records the product reads — and stores it into ratings, which is grown
-// as needed and returned. The flushes and the multiplication order are
-// identical to calling RatesForPaths followed by network.RatePath per
-// path, so the ratings are bit-identical to that two-walk form; fusing
-// them touches each intermediate's record and rate once instead of twice.
+// computes the §3.1 rating — the product over its intermediates of their
+// forwarding rates, UnknownRate for unknown ones — and stores it into
+// ratings, which is grown as needed and returned. Each factor is derived
+// from the counters where it is read, the same value PathRates reports,
+// so the ratings are bit-identical to network.RatePath over PathRates; the
+// walk touches one record per intermediate and writes nothing to the
+// store.
 func (s *Store) RatePaths(paths []network.Path, ratings []float64) []float64 {
 	if cap(ratings) < len(paths) {
 		ratings = make([]float64, len(paths))
@@ -379,10 +352,7 @@ func (s *Store) RatePaths(paths []network.Path, ratings []float64) []float64 {
 		for _, id := range p.Intermediates {
 			f := network.UnknownRate
 			if int(id) < len(s.rec) {
-				if r := &s.rec[id]; r.dirty {
-					s.flushRecord(r, int(id))
-				}
-				f = s.rates[id]
+				f = s.rateOf(int(id))
 			}
 			rating *= f
 		}
@@ -405,7 +375,7 @@ func (s *Store) Evaluate(id network.NodeID, band float64) (strategy.TrustLevel, 
 		return 0, 0, false
 	}
 	if r.dirty {
-		s.flushRecord(r, int(id))
+		s.flushRecord(r)
 	}
 	// known(id) implies known > 0, so av is well defined. The bounds are
 	// recomputed per call: forwardsSum moves with nearly every observation

@@ -228,9 +228,9 @@ func TestPathRatesFeedPathRating(t *testing.T) {
 }
 
 // TestRatePathsMatchesTwoWalkForm pins the documented equivalence: the
-// fused RatePaths walk and the RatesForPaths + network.RatePath two-walk
-// form produce bit-identical ratings, including for intermediates that
-// are unknown, out of the dense range, or still dirty.
+// fused RatePaths walk and the PathRates + network.RatePath two-walk form
+// produce bit-identical ratings, including for intermediates that are
+// unknown, out of the dense range, or still dirty.
 func TestRatePathsMatchesTwoWalkForm(t *testing.T) {
 	build := func() *Store {
 		s := NewStore()
@@ -249,10 +249,9 @@ func TestRatePathsMatchesTwoWalkForm(t *testing.T) {
 		{Src: 0, Dst: 9, Intermediates: nil},                       // empty product = 1
 	}
 
-	// Two-walk form on one store (flushes exactly the records the paths
-	// read)…
+	// Two-walk form on one store…
 	twoWalk := build()
-	rates := twoWalk.RatesForPaths(paths)
+	rates := twoWalk.PathRates()
 	want := make([]float64, len(paths))
 	for i, p := range paths {
 		want[i] = network.RatePath(p, rates)
