@@ -1,7 +1,6 @@
 package adhocga
 
 import (
-	"context"
 	"io"
 
 	"adhocga/internal/baselines"
@@ -112,15 +111,6 @@ func DefaultEvolutionConfig(envs []Environment, mode PathMode, seed uint64) Evol
 	return core.PaperConfig(envs, mode, seed)
 }
 
-// Evolve runs one evolutionary experiment.
-//
-// Deprecated: use Session.Evolve (or Submit an EvolveSpec) for context
-// cancellation, shared pooling, and streamed events. This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func Evolve(cfg EvolutionConfig) (*EvolutionResult, error) {
-	return DefaultSession().Evolve(context.Background(), cfg)
-}
-
 // IslandConfig parameterizes the island-model evolution engine: the
 // population of EvolutionConfig is sharded into Count subpopulations
 // evolved concurrently, with periodic migration of elite genomes over a
@@ -156,16 +146,6 @@ const (
 	ReplaceWorst  = island.ReplaceWorst
 	ReplaceRandom = island.ReplaceRandom
 )
-
-// EvolveIslands runs one island-model evolutionary experiment. A 1-island
-// configuration is bit-identical to Evolve on the same EvolutionConfig.
-//
-// Deprecated: use Session.EvolveIslands (or Submit an IslandsSpec). This
-// wrapper delegates to DefaultSession and is bit-identical to the Session
-// path.
-func EvolveIslands(cfg IslandConfig) (*IslandResult, error) {
-	return DefaultSession().EvolveIslands(context.Background(), cfg)
-}
 
 // DynamicsConfig parameterizes the environment-perturbation layer
 // (internal/dynamics): population churn with naive immigrants and
@@ -226,17 +206,8 @@ var (
 // CaseResult aggregates one evaluation case over all replications.
 type CaseResult = experiment.CaseResult
 
-// RunOptions tune RunCase.
+// RunOptions tune a scenario batch (Session.RunScenarios, ScenariosSpec).
 type RunOptions = experiment.Options
-
-// RunCase reproduces one evaluation case at the given scale, fanning
-// replications out over a worker pool. Deterministic for a fixed seed.
-//
-// Deprecated: use Session.RunCase (or Submit a CaseSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func RunCase(c Case, sc Scale, opts RunOptions) (*CaseResult, error) {
-	return DefaultSession().RunCase(context.Background(), c, sc, opts)
-}
 
 // ScenarioSpec declaratively describes one evolutionary experiment:
 // environments, path mode, tournament/GA parameters, scale, and seed
@@ -286,32 +257,6 @@ func LoadScenarioFile(path string) ([]ScenarioSpec, error) { return scenario.Loa
 // accepts.
 func SaveScenarios(w io.Writer, specs []ScenarioSpec) error { return scenario.Save(w, specs) }
 
-// RunScenarios runs a batch of scenarios over one shared worker pool —
-// every (scenario × replicate) pair is one work unit in a single queue —
-// and aggregates each scenario into a CaseResult, in input order.
-// Deterministic for fixed seeds regardless of parallelism.
-//
-// Deprecated: use Session.RunScenarios (or Submit a ScenariosSpec). This
-// wrapper delegates to DefaultSession and is bit-identical to the Session
-// path.
-func RunScenarios(runs []ScenarioRun, defaults Scale, opts RunOptions) ([]*CaseResult, error) {
-	return DefaultSession().RunScenarios(context.Background(), runs, defaults, opts)
-}
-
-// SweepPoint is one sample of a CSN sweep: the selfish-node count and the
-// evolved cooperation level.
-type SweepPoint = experiment.SweepPoint
-
-// CSNSweep traces evolved cooperation against the number of constantly
-// selfish nodes in a 50-player tournament — the curve the paper samples at
-// 0, 10, 25 and 30 (Table 1).
-//
-// Deprecated: use Session.CSNSweep (or Submit a SweepSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func CSNSweep(csnCounts []int, mode PathMode, sc Scale, opts RunOptions) ([]SweepPoint, error) {
-	return DefaultSession().CSNSweep(context.Background(), csnCounts, mode, sc, opts)
-}
-
 // Profile is a named fixed (non-evolved) strategy for baseline mixes.
 type Profile = baselines.Profile
 
@@ -331,14 +276,6 @@ var (
 	ProfileTrustThreshold2 = baselines.TrustThreshold2
 )
 
-// RunMix plays one tournament with a fixed population of profiles and CSN.
-//
-// Deprecated: use Session.RunMix (or Submit a MixSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func RunMix(cfg MixConfig) (*MixResult, error) {
-	return DefaultSession().RunMix(context.Background(), cfg)
-}
-
 // GameConfig holds the game rules (payoffs, trust table, activity band).
 type GameConfig = game.Config
 
@@ -356,14 +293,6 @@ type IPDRPResult = ipdrp.Result
 // DefaultIPDRPConfig mirrors the scale of Namikawa and Ishibuchi's
 // experiments (population 100, roulette selection).
 func DefaultIPDRPConfig(seed uint64) IPDRPConfig { return ipdrp.DefaultConfig(seed) }
-
-// RunIPDRP evolves a population of 5-bit IPDRP strategies.
-//
-// Deprecated: use Session.RunIPDRP (or Submit an IPDRPSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func RunIPDRP(cfg IPDRPConfig) (*IPDRPResult, error) {
-	return DefaultSession().RunIPDRP(context.Background(), cfg)
-}
 
 // Checkpoint is a champion checkpoint observed by the engine's
 // OnCheckpoint hook: the best genome of one generation with its fitness

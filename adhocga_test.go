@@ -1,9 +1,19 @@
 package adhocga
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// facadeSession is a small session for the facade smoke tests, closed when
+// the test ends.
+func facadeSession(t *testing.T) *Session {
+	t.Helper()
+	s := NewSession(WithPoolSize(2))
+	t.Cleanup(s.Close)
+	return s
+}
 
 func TestFacadeStrategyRoundtrip(t *testing.T) {
 	s, err := ParseStrategy("010 101 101 111 1")
@@ -52,7 +62,7 @@ func TestFacadeEvolveSmoke(t *testing.T) {
 	cfg.Generations = 3
 	var hooks int
 	cfg.OnGeneration = func(GenerationStats) { hooks++ }
-	res, err := Evolve(cfg)
+	res, err := facadeSession(t).Evolve(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestFacadeEvolveSmoke(t *testing.T) {
 }
 
 func TestFacadeRunMixSmoke(t *testing.T) {
-	res, err := RunMix(MixConfig{
+	res, err := facadeSession(t).RunMix(context.Background(), MixConfig{
 		Groups: []MixGroup{{Profile: ProfileAllCooperate, Count: 10}},
 		CSN:    2,
 		Rounds: 10,
@@ -105,7 +115,7 @@ func TestFacadeScenarioSmoke(t *testing.T) {
 		t.Errorf("saved spec missing name: %s", buf.String())
 	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	results, err := RunScenarios([]ScenarioRun{{Spec: specs[0], Seed: 8}}, sc, RunOptions{})
+	results, err := facadeSession(t).RunScenarios(context.Background(), []ScenarioRun{{Spec: specs[0], Seed: 8}}, sc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +124,20 @@ func TestFacadeScenarioSmoke(t *testing.T) {
 	}
 }
 
+// A Table 4 case is a registry scenario: run it as a one-scenario batch.
 func TestFacadeRunCaseSmoke(t *testing.T) {
-	c, err := CaseByID(1)
+	fam, err := ScenarioFamilyByName("table4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	res, err := RunCase(c, sc, RunOptions{Seed: 4})
+	results, err := facadeSession(t).RunScenarios(context.Background(),
+		[]ScenarioRun{{Spec: fam.Specs()[0], Seed: 4}}, sc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CoopMean) != 2 || res.Census.Total() != 200 {
+	res := results[0]
+	if res.Case.ID != 1 || len(res.CoopMean) != 2 || res.Census.Total() != 200 {
 		t.Errorf("result shape wrong: %d gens, census %d", len(res.CoopMean), res.Census.Total())
 	}
 }

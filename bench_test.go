@@ -35,16 +35,9 @@ var benchScale = experiment.Scale{Name: "bench", Generations: 25, Rounds: 300, R
 
 func benchCase(b *testing.B, id int) *experiment.CaseResult {
 	b.Helper()
-	c, err := experiment.CaseByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var res *experiment.CaseResult
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.RunCase(c, benchScale, experiment.Options{Seed: uint64(40 + id), Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runCase(b, id, benchScale, experiment.Options{Seed: uint64(40 + id), Parallelism: 1})
 	}
 	return res
 }
@@ -258,20 +251,35 @@ func BenchmarkAblationElitism(b *testing.B) {
 	b.ReportMetric(coop*100, "coop%")
 }
 
+// csnRuns is a CSN sweep as a scenario batch: one single-environment,
+// shorter-path spec per selfish-node count, each on its own stream derived
+// from the batch's Options.Seed.
+func csnRuns(counts ...int) []experiment.ScenarioRun {
+	runs := make([]experiment.ScenarioRun, len(counts))
+	for i, csn := range counts {
+		runs[i] = experiment.ScenarioRun{Spec: scenario.Spec{
+			Name:         fmt.Sprintf("bench CSN=%d", csn),
+			Environments: []scenario.EnvSpec{{CSN: csn}},
+		}}
+	}
+	return runs
+}
+
 // BenchmarkCSNSweep traces evolved cooperation against the selfish-node
 // count — the curve the paper samples at 0/10/25/30 (extension).
 func BenchmarkCSNSweep(b *testing.B) {
 	sc := experiment.Scale{Name: "bench", Generations: 20, Rounds: 300, Repetitions: 1}
-	var points []experiment.SweepPoint
+	counts := []int{0, 10, 20, 30, 40}
+	var points []*experiment.CaseResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiment.CSNSweep([]int{0, 10, 20, 30, 40}, ShorterPaths(), sc, experiment.Options{Seed: 59})
+		points, err = experiment.RunScenarios(csnRuns(counts...), sc, experiment.Options{Seed: 59})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, p := range points {
-		b.ReportMetric(p.Cooperation.Mean*100, fmt.Sprintf("csn%d%%", p.CSN))
+	for i, p := range points {
+		b.ReportMetric(p.FinalCoop.Mean*100, fmt.Sprintf("csn%d%%", counts[i]))
 	}
 }
 
@@ -288,7 +296,7 @@ var sweepThroughputCounts = []int{0, 5, 10, 15, 20, 25, 30, 35}
 // sweep. Compare units/s against BenchmarkSweepThroughputBarrier.
 func BenchmarkSweepThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CSNSweep(sweepThroughputCounts, ShorterPaths(),
+		if _, err := experiment.RunScenarios(csnRuns(sweepThroughputCounts...),
 			sweepThroughputScale, experiment.Options{Seed: 60}); err != nil {
 			b.Fatal(err)
 		}
@@ -298,18 +306,14 @@ func BenchmarkSweepThroughput(b *testing.B) {
 }
 
 // BenchmarkSweepThroughputBarrier replays the pre-runner sweep schedule:
-// one worker pool per sweep point with a barrier in between, so only
+// one batch per sweep point with a barrier in between, so only
 // Repetitions cores are busy at a time and the rest idle.
 func BenchmarkSweepThroughputBarrier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for pi, csn := range sweepThroughputCounts {
-			c := experiment.Case{
-				Name:         fmt.Sprintf("barrier CSN=%d", csn),
-				Environments: []tournament.Environment{{Name: "E", CSN: csn}},
-				Mode:         ShorterPaths(),
-			}
-			if _, err := experiment.RunCase(c, sweepThroughputScale,
-				experiment.Options{Seed: uint64(60 + pi)}); err != nil {
+		for pi, run := range csnRuns(sweepThroughputCounts...) {
+			run.Seed = uint64(60 + pi)
+			if _, err := experiment.RunScenarios([]experiment.ScenarioRun{run},
+				sweepThroughputScale, experiment.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -318,28 +322,15 @@ func BenchmarkSweepThroughputBarrier(b *testing.B) {
 	b.ReportMetric(units/b.Elapsed().Seconds(), "units/s")
 }
 
-// sessionThroughputRuns is the workload of the Session-overhead pair: a
-// small scenario batch whose replicate units dominate the wall-clock, so
-// any Submit/event/pool overhead shows directly in units/s.
-func sessionThroughputRuns() []experiment.ScenarioRun {
-	runs := make([]experiment.ScenarioRun, len(sweepThroughputCounts))
-	for i, csn := range sweepThroughputCounts {
-		runs[i] = experiment.ScenarioRun{Spec: scenario.Spec{
-			Name:         fmt.Sprintf("bench CSN=%d", csn),
-			Environments: []scenario.EnvSpec{{CSN: csn}},
-		}}
-	}
-	return runs
-}
-
 // BenchmarkSessionThroughput compares the same scenario batch through the
-// Session/Job API (Submit + event stream drained) and the legacy
-// RunScenarios facade. The two run identical work over the same worker
-// discipline, so the submit/legacy units/s gap is exactly the API's
-// overhead: job bookkeeping plus one event per generation and replicate.
-// Measured locally the gap is under 2% (the event path is append +
-// channel signal, far off the tournament hot path); CI records both
-// series in BENCH_api.json so the trajectory accumulates over PRs.
+// Session/Job API (Submit + event stream drained) and a bare
+// experiment.RunScenarios call, the Session-overhead reference ("legacy").
+// The two run identical work over the same worker discipline, so the
+// submit/legacy units/s gap is exactly the API's overhead: job bookkeeping
+// plus one event per generation and replicate. Measured locally the gap is
+// under 2% (the event path is append + channel signal, far off the
+// tournament hot path); CI gates both series against ci/bench_baseline.txt
+// and records them in BENCH_hotpath.json.
 func BenchmarkSessionThroughput(b *testing.B) {
 	units := float64(len(sweepThroughputCounts) * sweepThroughputScale.Repetitions)
 	b.Run("submit", func(b *testing.B) {
@@ -347,7 +338,7 @@ func BenchmarkSessionThroughput(b *testing.B) {
 		defer session.Close()
 		for i := 0; i < b.N; i++ {
 			job, err := session.Submit(context.Background(), ScenariosSpec{
-				Runs:     sessionThroughputRuns(),
+				Runs:     csnRuns(sweepThroughputCounts...),
 				Defaults: sweepThroughputScale,
 				Opts:     RunOptions{Seed: 61},
 			})
@@ -364,7 +355,7 @@ func BenchmarkSessionThroughput(b *testing.B) {
 	})
 	b.Run("legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunScenarios(sessionThroughputRuns(),
+			if _, err := experiment.RunScenarios(csnRuns(sweepThroughputCounts...),
 				sweepThroughputScale, experiment.Options{Seed: 61}); err != nil {
 				b.Fatal(err)
 			}

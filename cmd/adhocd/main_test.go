@@ -312,25 +312,45 @@ func TestDaemonChampionsFlag(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
+	var harvest struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal(body, &harvest); err != nil {
+		t.Fatal(err)
+	}
 
-	// Champions appear once the job's checkpoints land.
+	// Every checkpoint is archived before its job turns done, so the
+	// champion count is final only then: reading it earlier races the
+	// job's remaining checkpoints.
+	deadline := time.Now().Add(30 * time.Second)
+	for harvest.State != "done" {
+		if harvest.State == "failed" || harvest.State == "cancelled" {
+			t.Fatalf("harvest job ended %q", harvest.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("harvest job stuck in %q", harvest.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if code, body := get(base, "/v1/jobs/"+harvest.ID); code == http.StatusOK {
+			if err := json.Unmarshal(body, &harvest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var champs struct {
 		Count   int    `json:"count"`
 		Archive string `json:"archive"`
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for champs.Count == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no champions harvested")
-		}
-		code, body := get(base, "/v1/champions")
-		if code != http.StatusOK {
-			t.Fatalf("champions: %d %s", code, body)
-		}
-		if err := json.Unmarshal(body, &champs); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	code, body := get(base, "/v1/champions")
+	if code != http.StatusOK {
+		t.Fatalf("champions: %d %s", code, body)
+	}
+	if err := json.Unmarshal(body, &champs); err != nil {
+		t.Fatal(err)
+	}
+	if champs.Count == 0 {
+		t.Fatal("no champions harvested")
 	}
 	if champs.Archive != "file" {
 		t.Fatalf("archive backend %q, want file", champs.Archive)
@@ -381,7 +401,7 @@ func TestDaemonChampionsFlag(t *testing.T) {
 	// Restart on the same data dir: the hall of fame survives.
 	base, stop = startInProcDaemon(t, "-champions", "-store", "file", "-data-dir", dataDir)
 	defer stop()
-	code, body := get(base, "/v1/champions")
+	code, body = get(base, "/v1/champions")
 	if code != http.StatusOK {
 		t.Fatalf("champions after restart: %d %s", code, body)
 	}

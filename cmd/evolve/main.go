@@ -26,14 +26,16 @@
 // parallelism level; -islands 1 and all-zero dynamics are bit-identical to
 // the static serial engine.
 //
-// A scenario batch runs as one job on a Session (the package adhocga
-// Session/Job API): every (scenario × replicate) pair is a work unit on
-// the session's shared pool, so all cores stay busy even when each
-// scenario has fewer replications than cores. SIGINT/SIGTERM cancel the
-// job cooperatively: every replicate stops at its next generation barrier
-// and the partial cooperation series streamed so far is printed with an
-// "interrupted at generation N" marker instead of dying mid-write. At
-// paper scale use -generations 500 -rounds 300 -reps 60 (slow).
+// -case N is shorthand for the table4 registry scenario with ID N, so
+// every invocation is a scenario batch. A batch runs as one job on a
+// Session (the package adhocga Session/Job API): every (scenario ×
+// replicate) pair is a work unit on the session's shared pool, so all
+// cores stay busy even when each scenario has fewer replications than
+// cores. SIGINT/SIGTERM cancel the job cooperatively: every replicate
+// stops at its next generation barrier and the partial cooperation series
+// streamed so far is printed with an "interrupted at generation N" marker
+// instead of dying mid-write. At paper scale use -generations 500
+// -rounds 300 -reps 60 (slow).
 package main
 
 import (
@@ -95,7 +97,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		liars       = fs.Int("liars", 0, "Byzantine gossip liars seated in every tournament (enable -gossip)")
 		onoff       = fs.Int("onoff", 0, "Byzantine on-off attackers seated in every tournament")
 		gossip      = fs.Int("gossip", 0, "rounds between reputation gossip exchanges (unset = off)")
-		seed        = fs.Uint64("seed", 1, "master seed")
+		seed        = fs.Uint64("seed", 1, "master seed; with -case a nonzero seed is the case's own master seed, while 0 (like every -scenario batch) derives one")
 		par         = fs.Int("par", 0, "worker pool size (0 = all cores)")
 		quiet       = fs.Bool("q", false, "suppress progress output")
 		csvPath     = fs.String("csv", "", "write the cooperation series as CSV to this file (single scenario only)")
@@ -266,16 +268,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return nil
 	}
-	specFlags := set["islands"] || set["population"] || set["topology"] ||
-		set["migration-interval"] || set["migrants"] ||
-		set["churn"] || set["churn-interval"] || set["rewire"] ||
-		set["free-riders"] || set["liars"] || set["onoff"] || set["gossip"]
-
-	var results []*experiment.CaseResult
-	var code int
+	// -case N is the Table 4 registry spec with ID N. Its run seed is
+	// pinned to -seed, so a nonzero seed is the case's master seed (0 is
+	// the "derive" sentinel throughout the scenario layer, so -seed 0 runs
+	// on a stream derived from 0, like every -scenario batch).
+	var specs []scenario.Spec
+	var pinned uint64
 	if *scenarioArg != "" {
-		specs, err := scenario.FromArg(*scenarioArg)
-		if err != nil {
+		var err error
+		if specs, err = scenario.FromArg(*scenarioArg); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
@@ -283,60 +284,34 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "-csv/-save need a single scenario; got", len(specs))
 			return 2
 		}
-		runs := make([]experiment.ScenarioRun, len(specs))
-		names := make([]string, len(specs))
-		for i, s := range specs {
-			if err := applyOverrides(&s); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			runs[i] = experiment.ScenarioRun{Spec: s}
-			names[i] = s.Name
-		}
-		// The scenarios job derives a distinct fallback stream per
-		// scenario from the batch seed; a spec's pinned seed still wins.
-		results, code = runJob(ctx, session, adhocga.ScenariosSpec{
-			Runs: runs, Defaults: sc,
-			Opts: experiment.Options{Seed: *seed, Parallelism: *par},
-		}, names, *quiet, stdout, stderr)
-	} else if specFlags {
-		// The island/population/dynamics flags need the case in its
-		// declarative form; the Table 4 registry specs resolve to exactly
-		// what RunCase runs, so this only changes what the flags can
-		// reach.
-		if _, err := experiment.CaseByID(*caseID); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		var spec scenario.Spec
+	} else {
 		for _, s := range scenario.Table4() {
 			if s.ID == *caseID {
-				spec = s
+				specs = append(specs, s)
 			}
 		}
-		if err := applyOverrides(&spec); err != nil {
-			fmt.Fprintln(stderr, err)
+		if len(specs) == 0 {
+			fmt.Fprintf(stderr, "evolve: no evaluation case %d (want 1-4)\n", *caseID)
 			return 2
 		}
-		// Pinning the run seed keeps the replicate streams identical to
-		// the equivalent -case invocation without island flags for any
-		// nonzero -seed (0 is the "derive" sentinel throughout the
-		// scenario layer, so a zero seed runs on a derived stream here).
-		results, code = runJob(ctx, session, adhocga.ScenariosSpec{
-			Runs: []experiment.ScenarioRun{{Spec: spec, Seed: *seed}}, Defaults: sc,
-			Opts: experiment.Options{Seed: *seed, Parallelism: *par},
-		}, []string{spec.Name}, *quiet, stdout, stderr)
-	} else {
-		c, err := experiment.CaseByID(*caseID)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		results, code = runJob(ctx, session, adhocga.CaseSpec{
-			Case: c, Scale: sc,
-			Opts: experiment.Options{Seed: *seed, Parallelism: *par},
-		}, []string{c.Name}, *quiet, stdout, stderr)
+		pinned = *seed
 	}
+	runs := make([]experiment.ScenarioRun, len(specs))
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		if err := applyOverrides(&s); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		runs[i] = experiment.ScenarioRun{Spec: s, Seed: pinned}
+		names[i] = s.Name
+	}
+	// The scenarios job derives a distinct fallback stream per unpinned
+	// scenario from the batch seed; a spec's own pinned seed still wins.
+	results, code := runJob(ctx, session, adhocga.ScenariosSpec{
+		Runs: runs, Defaults: sc,
+		Opts: experiment.Options{Seed: *seed, Parallelism: *par},
+	}, names, *quiet, stdout, stderr)
 	if code >= 0 {
 		return code
 	}
@@ -371,7 +346,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // -1 on success (results valid), interruptedExit after a cooperative
 // cancellation (the partial cooperation series has been printed with its
 // interruption marker), and 1 on failure.
-func runJob(ctx context.Context, session *adhocga.Session, spec adhocga.JobSpec, names []string, quiet bool, stdout, stderr io.Writer) ([]*experiment.CaseResult, int) {
+func runJob(ctx context.Context, session *adhocga.Session, spec adhocga.ScenariosSpec, names []string, quiet bool, stdout, stderr io.Writer) ([]*experiment.CaseResult, int) {
 	job, err := session.Submit(ctx, spec)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -404,15 +379,7 @@ func runJob(ctx context.Context, session *adhocga.Session, spec adhocga.JobSpec,
 		fmt.Fprintln(stderr, err)
 		return nil, 1
 	}
-	switch res := job.Result().(type) {
-	case []*experiment.CaseResult:
-		return res, -1
-	case *experiment.CaseResult:
-		return []*experiment.CaseResult{res}, -1
-	default:
-		fmt.Fprintf(stderr, "evolve: unexpected job result %T\n", res)
-		return nil, 1
-	}
+	return job.Result().([]*experiment.CaseResult), -1
 }
 
 func printResult(w io.Writer, res *experiment.CaseResult) {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +36,36 @@ func TestRunCaseByteIdenticalAtFixedSeed(t *testing.T) {
 	}
 	if !strings.Contains(out1, "final cooperation:") {
 		t.Errorf("output missing the summary line:\n%s", out1)
+	}
+}
+
+// TestCaseMatchesGolden pins -case output byte for byte against files
+// recorded before -case became a table4 scenario batch: stdout and the
+// -csv series of case 3 at seed 7.
+func TestCaseMatchesGolden(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "series.csv")
+	code, out, errOut := runCLI(t, "-case", "3", "-generations", "3", "-rounds", "20",
+		"-reps", "2", "-seed", "7", "-q", "-csv", csvPath)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	wantOut, err := os.ReadFile("testdata/case3-seed7.stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(wantOut) + "cooperation series written to " + csvPath + "\n"; out != want {
+		t.Errorf("stdout differs from golden:\n--- got\n%s\n--- want\n%s", out, want)
+	}
+	gotCSV, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV, err := os.ReadFile("testdata/case3-seed7.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Errorf("-csv differs from golden:\n--- got\n%s\n--- want\n%s", gotCSV, wantCSV)
 	}
 }
 

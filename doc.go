@@ -21,8 +21,7 @@
 // oversubscribing it. cmd/adhocd serves exactly this API over HTTP,
 // SSE, and WebSocket (internal/service).
 //
-// The workload kinds (each a JobSpec, each with a Session convenience
-// method and a deprecated package-level wrapper over DefaultSession):
+// The workload kinds (each a JobSpec with a Session convenience method):
 //
 //   - EvolveSpec / Session.Evolve runs one evolutionary experiment and
 //     returns the cooperation trajectory and final strategy population;
@@ -32,8 +31,6 @@
 //     topology (ring, fully-connected, random-pairs) — deterministic for
 //     a fixed seed at any parallelism level, bit-identical to Evolve
 //     with one island;
-//   - CaseSpec / Session.RunCase reproduces one of the paper's four
-//     evaluation cases over repeated replications at a chosen scale;
 //   - ScenariosSpec / Session.RunScenarios runs any batch of
 //     declarative, JSON-serializable ScenarioSpecs — user-authored or
 //     from the built-in registry (ScenarioFamilies: table4, csn-grid,
@@ -41,13 +38,15 @@
 //     churn-sweep, adversary-grid) — every (scenario × replicate) pair
 //     one work unit on the session pool, bit-identical at any
 //     parallelism level; a spec's "islands" block routes it through the
-//     island-model engine;
-//   - SweepSpec / Session.CSNSweep traces evolved cooperation against
-//     the selfish-node count;
+//     island-model engine. The paper's four evaluation cases are the
+//     table4 family and its CSN sweep is a batch of single-environment
+//     specs, so both run here;
 //   - MixSpec / Session.RunMix plays fixed (non-evolved) behavior mixes
 //     through the same network model for baseline comparisons;
 //   - IPDRPSpec / Session.RunIPDRP evolves the IPDRP substrate the
-//     paper's game generalizes.
+//     paper's game generalizes;
+//   - LeagueJobSpec / Session.RunLeague plays a round-robin league of
+//     archived champions and scripted baselines.
 //
 // The simulation core is dense and allocation-free in steady state:
 // NodeIDs are dense integers (enforced by tournament.BuildRegistry), so

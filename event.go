@@ -8,8 +8,7 @@ import (
 )
 
 // The unified job event model. Every long-running workload — serial and
-// island evolution, case reproduction, scenario batches, CSN sweeps,
-// baseline mixes, IPDRP — reports mid-flight progress as a stream of Event
+// island evolution, scenario batches, baseline mixes, IPDRP — reports mid-flight progress as a stream of Event
 // values on its Job handle, replacing the three incompatible OnGeneration
 // callback shapes the pre-Session facade exposed (core.Config.OnGeneration,
 // island.Config.OnGeneration, ipdrp.Config.OnGeneration) plus the

@@ -24,8 +24,10 @@ func ExampleParseStrategy() {
 
 // Run a fixed-population tournament: 20 unconditional cooperators against
 // 5 constantly selfish nodes.
-func ExampleRunMix() {
-	res, err := adhocga.RunMix(adhocga.MixConfig{
+func ExampleSession_RunMix() {
+	session := adhocga.NewSession()
+	defer session.Close()
+	res, err := session.RunMix(context.Background(), adhocga.MixConfig{
 		Groups: []adhocga.MixGroup{{Profile: adhocga.ProfileAllCooperate, Count: 20}},
 		CSN:    5,
 		Rounds: 50,
@@ -44,13 +46,15 @@ func ExampleRunMix() {
 }
 
 // Evolve strategies in a small CSN-free network for a few generations.
-func ExampleEvolve() {
+func ExampleSession_Evolve() {
+	session := adhocga.NewSession()
+	defer session.Close()
 	cfg := adhocga.DefaultEvolutionConfig(adhocga.PaperEnvironments()[:1], adhocga.ShorterPaths(), 42)
 	cfg.PopulationSize = 20
 	cfg.Eval.TournamentSize = 10
 	cfg.Eval.Tournament.Rounds = 10
 	cfg.Generations = 3
-	res, err := adhocga.Evolve(cfg)
+	res, err := session.Evolve(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +66,7 @@ func ExampleEvolve() {
 }
 
 // Submit an evolution as a job on a Session and stream its unified event
-// feed — the context-aware form of ExampleEvolve.
+// feed — the streaming form of ExampleSession_Evolve.
 func ExampleSession_Submit() {
 	session := adhocga.NewSession(adhocga.WithPoolSize(2))
 	defer session.Close()

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,9 @@ func main() {
 	for i, p := range contenders {
 		groups[i] = adhocga.MixGroup{Profile: p, Count: 10}
 	}
-	res, err := adhocga.RunMix(adhocga.MixConfig{
+	session := adhocga.NewSession()
+	defer session.Close()
+	res, err := session.RunMix(context.Background(), adhocga.MixConfig{
 		Groups: groups,
 		CSN:    10,
 		Rounds: 300,

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,9 @@ func main() {
 			fmt.Printf("generation %2d: cooperation rate %5.1f%%\n", gen, coop*100)
 		}
 	}
-	res, err := adhocga.RunIPDRP(cfg)
+	session := adhocga.NewSession()
+	defer session.Close()
+	res, err := session.RunIPDRP(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

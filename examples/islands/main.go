@@ -3,10 +3,11 @@
 // engine's aggregate view with the serial engine on the same budget.
 //
 // The run is deterministic for the fixed seed at any GOMAXPROCS; one
-// island would be bit-identical to adhocga.Evolve.
+// island would be bit-identical to Session.Evolve.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,9 @@ func main() {
 	cfg.PopulationSize = 200
 	cfg.Generations = 30
 
-	res, err := adhocga.EvolveIslands(adhocga.IslandConfig{
+	session := adhocga.NewSession()
+	defer session.Close()
+	res, err := session.EvolveIslands(context.Background(), adhocga.IslandConfig{
 		Core:     cfg,
 		Count:    4,
 		Topology: adhocga.TopologyRing, // also: TopologyFullyConnected, TopologyRandomPairs

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,19 +17,25 @@ import (
 func main() {
 	sc := adhocga.Scale{Name: "example", Generations: 30, Rounds: 300, Repetitions: 2}
 
-	results := map[int]*adhocga.CaseResult{}
-	for _, id := range []int{3, 4} {
-		c, err := adhocga.CaseByID(id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("running %s...\n", c.Name)
-		res, err := adhocga.RunCase(c, sc, adhocga.RunOptions{Seed: uint64(10 + id)})
-		if err != nil {
-			log.Fatal(err)
-		}
-		results[id] = res
+	// Cases 3 and 4 are the third and fourth scenarios of the paper's
+	// table4 family; run them as one batch on a shared pool, each on its
+	// own pinned seed.
+	table4, err := adhocga.ScenarioFamilyByName("table4")
+	if err != nil {
+		log.Fatal(err)
 	}
+	var runs []adhocga.ScenarioRun
+	for _, spec := range table4.Specs()[2:4] {
+		fmt.Printf("running %s...\n", spec.Name)
+		runs = append(runs, adhocga.ScenarioRun{Spec: spec, Seed: uint64(10 + spec.ID)})
+	}
+	session := adhocga.NewSession()
+	defer session.Close()
+	batch, err := session.RunScenarios(context.Background(), runs, sc, adhocga.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	results := map[int]*adhocga.CaseResult{3: batch[0], 4: batch[1]}
 
 	fmt.Println("\nper-environment cooperation (paper Table 5):")
 	fmt.Println("env   shorter paths   longer paths    paper SP   paper LP")

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,9 @@ func main() {
 		}
 	}
 
-	res, err := adhocga.Evolve(cfg)
+	session := adhocga.NewSession()
+	defer session.Close()
+	res, err := session.Evolve(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,8 +16,12 @@ import (
 )
 
 func main() {
+	session := adhocga.NewSession()
+	defer session.Close()
+	ctx := context.Background()
+
 	// World 1: unconditional forwarders + 30 CSN, no evolution.
-	naive, err := adhocga.RunMix(adhocga.MixConfig{
+	naive, err := session.RunMix(ctx, adhocga.MixConfig{
 		Groups: []adhocga.MixGroup{{Profile: adhocga.ProfileAllCooperate, Count: 20}},
 		CSN:    30,
 		Rounds: 300,
@@ -31,16 +36,19 @@ func main() {
 	fmt.Printf("  normal nodes' delivery: %5.1f%%\n", naive.Cooperation*100)
 	fmt.Printf("  CSN delivery (free riding): %5.1f%%\n\n", naive.CSNDelivery*100)
 
-	// World 2: the same environment, but strategies evolve (case 2).
-	c, err := adhocga.CaseByID(2)
+	// World 2: the same environment, but strategies evolve (case 2, the
+	// second scenario of the paper's table4 family).
+	table4, err := adhocga.ScenarioFamilyByName("table4")
 	if err != nil {
 		log.Fatal(err)
 	}
 	sc := adhocga.Scale{Name: "example", Generations: 30, Rounds: 300, Repetitions: 2}
-	res, err := adhocga.RunCase(c, sc, adhocga.RunOptions{Seed: 7})
+	results, err := session.RunScenarios(ctx,
+		[]adhocga.ScenarioRun{{Spec: table4.Specs()[1], Seed: 7}}, sc, adhocga.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := results[0]
 	fmt.Println("evolved strategies in the same environment (case 2):")
 	fmt.Printf("  normal nodes' delivery: %5.1f%%  (paper: ~19%%)\n", res.FinalCoop.Mean*100)
 	accCSN, rejNP, _ := res.FromCSN.Fractions()

@@ -93,10 +93,6 @@ const (
 	// the oldest ring entry. This is the live-viewer policy: SSE and
 	// WebSocket watchers stay current instead of stalling the job.
 	DropResync
-	// EvictSlow never blocks and never resyncs: a lapped subscriber is
-	// evicted immediately with ErrSlowSubscriber. For viewers that would
-	// rather reconnect than consume a gap.
-	EvictSlow
 )
 
 // ErrSlowSubscriber is the terminal error of a subscription evicted by
@@ -318,7 +314,7 @@ func (h *hub) append(e Event, terminal bool) {
 		if h.total-h.start == len(h.ring) {
 			for s := range h.guarded {
 				if s.err == nil && s.cursor == h.start {
-					if s.policy == EvictSlow || timedOut {
+					if timedOut {
 						h.evictLocked(s)
 					} else {
 						blocker = s

@@ -212,23 +212,6 @@ func TestHubSlowArchivalSubscriberEvicted(t *testing.T) {
 	}
 }
 
-func TestHubEvictSlowNeverWaits(t *testing.T) {
-	j := testJob(HubConfig{RingSize: 8, SubscriberBuffer: 2, BlockDeadline: time.Minute})
-	sub := j.Subscribe(context.Background(), SubscribeOptions{Policy: EvictSlow})
-	for g := 0; g < 40; g++ {
-		j.emit(genEvent(0, g))
-	}
-	j.finish(nil, nil)
-
-	if stats := j.StreamStats(); stats.MaxStall != 0 || stats.Evictions != 1 {
-		t.Errorf("stats %+v, want immediate eviction with zero stall", stats)
-	}
-	drainSub(t, sub)
-	if err := sub.Err(); err != ErrSlowSubscriber {
-		t.Errorf("Err() = %v, want ErrSlowSubscriber", err)
-	}
-}
-
 func TestHubSubscriberDetachOnContextCancel(t *testing.T) {
 	j := testJob(HubConfig{})
 	j.emit(genEvent(0, 0))
@@ -266,7 +249,7 @@ func TestHubConcurrentSubscribeUnsubscribeEvict(t *testing.T) {
 		j.finish(nil, nil)
 	}()
 
-	policies := []Backpressure{BlockWithDeadline, DropResync, EvictSlow}
+	policies := []Backpressure{BlockWithDeadline, DropResync}
 	done := make(chan struct{})
 	for w := 0; w < 12; w++ {
 		go func(w int) {

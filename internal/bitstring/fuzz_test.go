@@ -111,18 +111,6 @@ func FuzzOperators(f *testing.F) {
 		if f1 != f2 || !m1.Equal(m3) || mr1.Uint64() != mr2.Uint64() {
 			t.Fatal("MutateFlip differs from scalar reference (bits, count, or draws)")
 		}
-
-		// Geometric-skip mutation: different draw contract, same
-		// count-equals-Hamming invariant and determinism.
-		g1, g2 := a.Clone(), a.Clone()
-		gf := g1.MutateFlipGeom(rng.New(seedOp+2), mp)
-		if got := g1.Hamming(a); got != gf {
-			t.Fatalf("MutateFlipGeom reported %d flips, Hamming says %d", gf, got)
-		}
-		g2.MutateFlipGeom(rng.New(seedOp+2), mp)
-		if !g1.Equal(g2) {
-			t.Fatal("MutateFlipGeom not deterministic for a fixed seed")
-		}
 	})
 }
 

@@ -186,37 +186,6 @@ func (b Bits) MutateFlip(r *rng.Source, p float64) int {
 	return flips
 }
 
-// MutateFlipGeom is a geometric-skip variant of MutateFlip: instead of one
-// draw per bit it draws the gap to the next flipped bit directly from the
-// geometric distribution, so the expected cost is O(p·len) draws instead of
-// O(len). The flip marginals are identical to MutateFlip's (each bit flips
-// independently with probability p) but the draw sequence is different —
-// one Float64 per flip plus one terminating draw — so results for a fixed
-// seed differ from MutateFlip and the engine keeps MutateFlip wherever
-// goldens pin the stream. See DESIGN.md §"RNG draw-order contract".
-func (b Bits) MutateFlipGeom(r *rng.Source, p float64) int {
-	if p <= 0 || b.n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return b.MutateFlip(r, p)
-	}
-	logq := math.Log1p(-p) // log(1-p) < 0
-	flips := 0
-	for i := 0; ; i++ {
-		// Gap to the next flip: floor(log(1-u)/log(1-p)) with u ∈ [0,1) is
-		// Geometric(p) on {0,1,2,…}; 1-u ∈ (0,1] keeps the log finite.
-		skip := math.Log1p(-r.Float64()) / logq
-		if skip >= float64(b.n-i) { // also catches +Inf
-			break
-		}
-		i += int(skip)
-		b.w[i/64] ^= 1 << (uint(i) % 64)
-		flips++
-	}
-	return flips
-}
-
 // swapBitRange exchanges bits [lo, hi) between the equal-length word
 // vectors x and y with mask-based word splicing. Callers guarantee
 // 0 ≤ lo < hi ≤ 64·len(x).

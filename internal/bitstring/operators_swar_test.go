@@ -139,44 +139,6 @@ func TestCopyFrom(t *testing.T) {
 	New(10).CopyFrom(src)
 }
 
-// MutateFlipGeom has a different draw sequence but the same marginals:
-// each bit flips independently with probability p. Check the aggregate
-// flip rate and the count == Hamming-distance invariant.
-func TestMutateFlipGeomRate(t *testing.T) {
-	r := rng.New(47)
-	const trials = 20000
-	const p = 0.1
-	flips := 0
-	for i := 0; i < trials; i++ {
-		b := New(13)
-		n := b.MutateFlipGeom(r, p)
-		if n != b.OneCount() {
-			t.Fatalf("reported %d flips, genome has %d ones", n, b.OneCount())
-		}
-		flips += n
-	}
-	got := float64(flips) / float64(trials*13)
-	if got < 0.09 || got > 0.11 {
-		t.Errorf("observed flip rate %v, want about %v", got, p)
-	}
-}
-
-func TestMutateFlipGeomEdgeCases(t *testing.T) {
-	r := rng.New(48)
-	b := Random(r, 13)
-	orig := b.Clone()
-	if f := b.MutateFlipGeom(r, 0); f != 0 || !b.Equal(orig) {
-		t.Error("MutateFlipGeom(0) changed the genome")
-	}
-	if f := b.MutateFlipGeom(r, 1); f != 13 || b.Hamming(orig) != 13 {
-		t.Error("MutateFlipGeom(1) did not invert every bit")
-	}
-	// Tiny p on a long genome: flips stay sparse and in range (no panic,
-	// no bias pile-up at word boundaries).
-	long := New(256)
-	long.MutateFlipGeom(r, 1e-9)
-}
-
 // Operator microbenches at the paper's genome length (13), one full word
 // (64) and four words (256): the before/after rows of README's
 // performance table. The *Ref rows keep the scalar baseline measurable in
@@ -213,23 +175,17 @@ func BenchmarkUniformCrossover256(b *testing.B) {
 	benchCrossoverPair(b, 256, UniformCrossover)
 }
 
-func benchMutate(b *testing.B, n int, p float64, geom bool) {
+func benchMutate(b *testing.B, n int, p float64) {
 	r := rng.New(1)
 	x := Random(r, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if geom {
-			x.MutateFlipGeom(r, p)
-		} else {
-			x.MutateFlip(r, p)
-		}
+		x.MutateFlip(r, p)
 	}
 }
 
-func BenchmarkMutateFlip64(b *testing.B)      { benchMutate(b, 64, 0.001, false) }
-func BenchmarkMutateFlip256(b *testing.B)     { benchMutate(b, 256, 0.001, false) }
-func BenchmarkMutateFlipGeom(b *testing.B)    { benchMutate(b, 13, 0.001, true) }
-func BenchmarkMutateFlipGeom256(b *testing.B) { benchMutate(b, 256, 0.001, true) }
+func BenchmarkMutateFlip64(b *testing.B)  { benchMutate(b, 64, 0.001) }
+func BenchmarkMutateFlip256(b *testing.B) { benchMutate(b, 256, 0.001) }
 
 func BenchmarkMutateFlipRef(b *testing.B) {
 	r := rng.New(1)

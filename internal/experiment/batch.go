@@ -11,37 +11,15 @@ import (
 	"adhocga/internal/scenario"
 )
 
-// job is one scenario resolved to a concrete workload. The shared worker
-// pool schedules its repetitions as individual work units; every workload
-// in the package — RunCase, CSNSweep, RunScenarios — flattens to jobs.
+// job is one scenario resolved to a concrete workload: the spec with its
+// scale fields filled in and the master seed its replicate seeds derive
+// from. The shared worker pool schedules its repetitions as individual
+// work units; every batch in the package flattens to jobs.
 type job struct {
+	spec scenario.Spec // resolved: builds each replicate's Config/IslandConfig
 	c    Case
 	sc   Scale
 	seed uint64
-	// config builds one replicate's configuration from its derived seed.
-	config func(repSeed uint64) (core.Config, error)
-	// islands, when non-nil, routes replicates through the island-model
-	// engine; iconfig builds the replicate's island configuration.
-	islands *scenario.IslandSpec
-	iconfig func(repSeed uint64) (island.Config, error)
-	// dyn is the scenario's resolved dynamics block (nil when static);
-	// tsize the resolved tournament size. Both ride through to the
-	// CaseResult for the churn/adversary reporting.
-	dyn   *scenario.DynamicsSpec
-	tsize int
-}
-
-// caseJob wraps a Table 4-style Case in a job. The configuration is the
-// paper's §6.1 parameterization with the scale's generation and round
-// budget — kept byte-for-byte compatible with the pre-runner RunCase so
-// fixed-seed results are unchanged.
-func caseJob(c Case, sc Scale, seed uint64) job {
-	return job{c: c, sc: sc, seed: seed, config: func(repSeed uint64) (core.Config, error) {
-		cfg := core.PaperConfig(c.Environments, c.Mode, repSeed)
-		cfg.Generations = sc.Generations
-		cfg.Eval.Tournament.Rounds = sc.Rounds
-		return cfg, nil
-	}}
 }
 
 // specJob resolves a declarative scenario against the run's default scale
@@ -75,19 +53,15 @@ func specJob(spec scenario.Spec, defaults Scale, fallbackSeed uint64) (job, erro
 			Rounds:      resolved.Rounds,
 			Repetitions: resolved.Repetitions,
 		},
-		seed:    resolved.MasterSeed(fallbackSeed),
-		config:  resolved.Config,
-		islands: resolved.Islands,
-		iconfig: resolved.IslandConfig,
-		dyn:     resolved.Dynamics,
-		tsize:   resolved.TournamentSize,
+		seed: resolved.MasterSeed(fallbackSeed),
+		spec: resolved,
 	}, nil
 }
 
 // runJobs executes a batch of jobs over one shared bounded worker pool:
 // every (job × replicate) pair becomes one work unit in a single queue, so
-// workers cross job boundaries freely and no cores idle between sweep
-// points. Per-replicate seeds are derived up front, in (job, replicate)
+// workers cross job boundaries freely and no cores idle between
+// scenarios. Per-replicate seeds are derived up front, in (job, replicate)
 // order, from each job's own master seed — results are therefore
 // bit-identical at any parallelism level, and identical to running each
 // job alone. Cancellation is cooperative: running replicates stop at their
@@ -107,7 +81,7 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 		}
 		master := rng.New(j.seed)
 		results[ji] = make([]*core.Result, j.sc.Repetitions)
-		if j.islands != nil {
+		if j.spec.Islands != nil {
 			islandResults[ji] = make([]*island.Result, j.sc.Repetitions)
 		}
 		for rep := 0; rep < j.sc.Repetitions; rep++ {
@@ -117,13 +91,13 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 	task := func(i int) error {
 		u := units[i]
 		j := &jobs[u.job]
-		if j.islands != nil {
+		if j.spec.Islands != nil {
 			// Island replicate: the island engine fans its per-generation
 			// evaluation out over its own transient workers. Workers may
 			// briefly oversubscribe the CPU when many replicates run at
 			// once; that affects wall-clock only — results are
 			// deterministic at any parallelism level.
-			icfg, err := j.iconfig(u.seed)
+			icfg, err := j.spec.IslandConfig(u.seed)
 			if err != nil {
 				return err
 			}
@@ -153,7 +127,7 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 			islandResults[u.job][u.rep] = ires
 			return nil
 		}
-		cfg, err := j.config(u.seed)
+		cfg, err := j.spec.Config(u.seed)
 		if err != nil {
 			return err
 		}
@@ -194,15 +168,15 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 	out := make([]*CaseResult, len(jobs))
 	for ji, j := range jobs {
 		out[ji] = Aggregate(j.c, j.sc, results[ji])
-		if j.islands != nil {
-			out[ji].Islands = SummarizeIslands(j.islands, islandResults[ji])
+		if j.spec.Islands != nil {
+			out[ji].Islands = SummarizeIslands(j.spec.Islands, islandResults[ji])
 		}
-		out[ji].TournamentSize = j.tsize
+		out[ji].TournamentSize = j.spec.TournamentSize
 		if out[ji].TournamentSize <= 0 {
 			out[ji].TournamentSize = 50
 		}
-		out[ji].Dynamics = j.dyn
-		if d := j.dyn; d != nil && d.ChurnRate > 0 {
+		out[ji].Dynamics = j.spec.Dynamics
+		if d := j.spec.Dynamics; d != nil && d.ChurnRate > 0 {
 			out[ji].Recovery = SummarizeRecovery(out[ji].CoopMean, d.Interval, 0)
 		}
 	}
@@ -233,8 +207,11 @@ func RunScenarios(runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResu
 	return RunScenariosContext(context.Background(), runs, defaults, opts)
 }
 
-// RunScenariosContext is RunScenarios with cooperative cancellation (see
-// RunCaseContext for the contract).
+// RunScenariosContext is RunScenarios with cooperative cancellation:
+// replicates stop at their next generation barrier and no new replicate
+// starts once ctx is done. On cancellation it returns nil results and an
+// error satisfying errors.Is(err, ctx.Err()); stream partial progress
+// through the Options hooks (or the Session event layer) if you need it.
 func RunScenariosContext(ctx context.Context, runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResult, error) {
 	// One derived fallback per run, consumed unconditionally so that
 	// pinning one scenario's seed never shifts its neighbors' streams.

@@ -1,10 +1,17 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
+	"adhocga/internal/core"
+	"adhocga/internal/island"
+	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 )
 
@@ -37,8 +44,8 @@ func caseResultFingerprint(t *testing.T, res *CaseResult) string {
 }
 
 func TestRunScenariosMatchesRunCase(t *testing.T) {
-	// A batched Table 4 scenario must equal the equivalent standalone
-	// RunCase bit-for-bit: batching is pure scheduling.
+	// A batched Table 4 scenario must equal the same case run alone,
+	// bit-for-bit: batching is pure scheduling.
 	specs := scenario.Table4()
 	runs := []ScenarioRun{
 		{Spec: specs[0], Seed: 11},
@@ -49,18 +56,14 @@ func TestRunScenariosMatchesRunCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, caseID := range []int{1, 3} {
-		c, err := CaseByID(caseID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alone, err := RunCase(c, tinyScale(), Options{Seed: runs[i].Seed, Parallelism: 1})
+		alone, err := runCase(caseID, tinyScale(), Options{Seed: runs[i].Seed, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := caseResultFingerprint(t, batched[i]), caseResultFingerprint(t, alone); got != want {
-			t.Errorf("case %d: batched result differs from standalone RunCase", caseID)
+			t.Errorf("case %d: batched result differs from the standalone run", caseID)
 		}
-		if batched[i].Case.ID != caseID || batched[i].Case.Name != c.Name {
+		if batched[i].Case.ID != caseID || batched[i].Case.Name != Cases()[caseID-1].Name {
 			t.Errorf("case identity lost: %+v", batched[i].Case)
 		}
 	}
@@ -216,21 +219,94 @@ func TestRunScenariosEmptyBatch(t *testing.T) {
 
 func TestDeepEqualAcrossParallelismFullStructure(t *testing.T) {
 	// Beyond the fingerprint: the raw series slices must be deeply equal.
-	c, err := CaseByID(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := tinyScale()
-	a, err := RunCase(c, sc, Options{Seed: 21, Parallelism: 1})
+	a, err := runCase(2, sc, Options{Seed: 21, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCase(c, sc, Options{Seed: 21, Parallelism: 4})
+	b, err := runCase(2, sc, Options{Seed: 21, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.CoopMean, b.CoopMean) || !reflect.DeepEqual(a.CoopStd, b.CoopStd) ||
 		!reflect.DeepEqual(a.MeanEnvCoopMean, b.MeanEnvCoopMean) || !reflect.DeepEqual(a.PerEnv, b.PerEnv) {
 		t.Error("parallelism changed aggregate series")
+	}
+}
+
+// The Options hooks and a shared Pool are observation and scheduling only:
+// a hooked batch on a pool equals the bare batch bit for bit, and every
+// hook fires for both the serial and the island engine.
+func TestRunScenariosHooksAndPoolLeaveResultsUnchanged(t *testing.T) {
+	churn := &scenario.DynamicsSpec{ChurnRate: 0.2, Interval: 1}
+	serial := scenario.Spec{Name: "serial churn", Environments: []scenario.EnvSpec{{CSN: 2}},
+		Checkpoints: 1, Dynamics: churn}
+	islands := islandRun(2).Spec
+	islands.Checkpoints = 1
+	islands.Dynamics = churn
+	runs := []ScenarioRun{{Spec: serial}, {Spec: islands}}
+
+	bare, err := RunScenarios(runs, tinyScale(), Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := map[string][2]int{} // hook → calls per scenario
+	count := func(hook string, scen int) {
+		mu.Lock()
+		c := calls[hook]
+		c[scen]++
+		calls[hook] = c
+		mu.Unlock()
+	}
+	hooked, err := RunScenarios(runs, tinyScale(), Options{
+		Seed: 4,
+		Pool: runner.NewPool(2),
+		OnGeneration: func(scen, _ int, _ core.GenerationStats) {
+			count("generation", scen)
+		},
+		OnIslandGeneration: func(scen, _ int, _ island.GenerationStats) {
+			count("islands", scen)
+		},
+		OnChurn:      func(scen, _, _ int) { count("churn", scen) },
+		OnCheckpoint: func(scen, _ int, _ uint64, _ core.Checkpoint) { count("checkpoint", scen) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if got, want := caseResultFingerprint(t, hooked[i]), caseResultFingerprint(t, bare[i]); got != want {
+			t.Errorf("scenario %d: hooks or pool changed the result", i)
+		}
+	}
+	// tinyScale: 2 generations × 2 replicates per scenario, so one churn
+	// barrier per replicate — fired by each of the 2 islands on its own.
+	want := map[string][2]int{
+		"generation": {4, 0},
+		"islands":    {0, 4},
+		"churn":      {2, 4},
+		"checkpoint": {4, 4},
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("hook calls per scenario = %v, want %v", calls, want)
+	}
+
+	if hooked[0].Recovery == nil {
+		t.Fatal("churning scenario has no recovery summary")
+	}
+	if out := RecoveryTable(hooked[0]).Render(); !strings.Contains(out, "recovery after churn — serial churn") {
+		t.Errorf("recovery table:\n%s", out)
+	}
+	if RecoveryTable(&CaseResult{}) != nil {
+		t.Error("RecoveryTable of a static result is not nil")
+	}
+}
+
+func TestRunScenariosContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := RunScenariosContext(ctx, csnRuns(0), tinyScale(), Options{})
+	if out != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled batch = %v, %v; want nil, context.Canceled", out, err)
 	}
 }

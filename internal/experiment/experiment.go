@@ -1,10 +1,10 @@
 // Package experiment reproduces the paper's evaluation (§6): the four
 // evaluation cases of Table 4, run over repeated replications with
 // independent seeds, aggregated into the numbers behind Fig 4 and
-// Tables 5–9 — and generalizes it to arbitrary batches of declarative
-// scenarios (internal/scenario) via RunScenarios.
+// Tables 5–9. The cases are declarative scenarios (scenario.Table4), so
+// they run like any other batch of specs: through RunScenarios.
 //
-// Every workload flattens to (scenario × replicate) work units on one
+// Every batch flattens to (scenario × replicate) work units on one
 // shared bounded worker pool (internal/runner); each replicate owns an
 // engine and a seed derived up front from its scenario's master seed, so
 // results are deterministic for given seeds regardless of the parallelism
@@ -12,7 +12,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"adhocga/internal/core"
@@ -151,7 +150,7 @@ type CaseResult struct {
 	Recovery *RecoverySummary
 }
 
-// Options tune a RunCase invocation.
+// Options tune a RunScenarios batch.
 type Options struct {
 	Seed        uint64
 	Parallelism int // worker pool size; ≤0 means GOMAXPROCS
@@ -170,7 +169,7 @@ type Options struct {
 	// running batch (the Session/Job event layer is their only intended
 	// consumer). Each may be called concurrently from pool workers; none
 	// consumes engine randomness, so setting them never changes results.
-	// scenario is the index of the scenario/sweep point in the batch, rep
+	// scenario is the index of the scenario in the batch, rep
 	// the replicate index within it.
 
 	// OnGeneration receives every serial replicate's per-generation
@@ -187,26 +186,6 @@ type Options struct {
 	// (scenario.Spec.Checkpoints > 0), with the replicate's master seed —
 	// the provenance a hall-of-fame archive records.
 	OnCheckpoint func(scenario, rep int, seed uint64, cp core.Checkpoint)
-}
-
-// RunCase runs one evaluation case at the given scale and aggregates the
-// results. Deterministic for a fixed (case, scale, seed) regardless of
-// parallelism, and bit-identical to the pre-runner per-case execution.
-func RunCase(c Case, sc Scale, opts Options) (*CaseResult, error) {
-	return RunCaseContext(context.Background(), c, sc, opts)
-}
-
-// RunCaseContext is RunCase with cooperative cancellation: replicates stop
-// at their next generation barrier and no new replicate starts once ctx is
-// done. On cancellation it returns a nil result and an error satisfying
-// errors.Is(err, ctx.Err()); stream partial progress through the Options
-// hooks (or the Session event layer) if you need it.
-func RunCaseContext(ctx context.Context, c Case, sc Scale, opts Options) (*CaseResult, error) {
-	out, err := runJobs(ctx, []job{caseJob(c, sc, opts.Seed)}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // Aggregate folds one scenario's replicate results into a CaseResult: the

@@ -3,7 +3,19 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"adhocga/internal/scenario"
 )
+
+// runCase runs Table 4 case id the way every case now runs: as a
+// one-scenario batch whose master seed is pinned to opts.Seed.
+func runCase(id int, sc Scale, opts Options) (*CaseResult, error) {
+	out, err := RunScenarios([]ScenarioRun{{Spec: scenario.Table4()[id-1], Seed: opts.Seed}}, sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
 
 func TestCasesMatchTable4(t *testing.T) {
 	cases := Cases()
@@ -58,12 +70,8 @@ func TestPaperScaleMatchesSection61(t *testing.T) {
 }
 
 func TestRunCaseSmoke(t *testing.T) {
-	c, err := CaseByID(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := Scale{Name: "tiny", Generations: 3, Rounds: 20, Repetitions: 3}
-	res, err := RunCase(c, sc, Options{Seed: 1, Parallelism: 2})
+	res, err := runCase(1, sc, Options{Seed: 1, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +103,12 @@ func TestRunCaseSmoke(t *testing.T) {
 }
 
 func TestRunCaseDeterministicAcrossParallelism(t *testing.T) {
-	c, err := CaseByID(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 15, Repetitions: 4}
-	seq, err := RunCase(c, sc, Options{Seed: 9, Parallelism: 1})
+	seq, err := runCase(2, sc, Options{Seed: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCase(c, sc, Options{Seed: 9, Parallelism: 4})
+	par, err := runCase(2, sc, Options{Seed: 9, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +124,10 @@ func TestRunCaseDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestRunCaseProgressCallback(t *testing.T) {
-	c, _ := CaseByID(1)
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 3}
 	var calls int
 	var last int
-	_, err := RunCase(c, sc, Options{Seed: 3, Parallelism: 1, OnReplicate: func(done, total int) {
+	_, err := runCase(1, sc, Options{Seed: 3, Parallelism: 1, OnReplicate: func(done, total int) {
 		calls++
 		last = done
 		if total != 3 {
@@ -140,8 +143,7 @@ func TestRunCaseProgressCallback(t *testing.T) {
 }
 
 func TestRunCaseRejectsZeroReps(t *testing.T) {
-	c, _ := CaseByID(1)
-	if _, err := RunCase(c, Scale{Name: "bad"}, Options{}); err == nil {
+	if _, err := runCase(1, Scale{Name: "bad"}, Options{}); err == nil {
 		t.Error("zero repetitions accepted")
 	}
 }
@@ -151,11 +153,7 @@ func smokeResults(t *testing.T) map[int]*CaseResult {
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 15, Repetitions: 2}
 	out := make(map[int]*CaseResult)
 	for id := 1; id <= 4; id++ {
-		c, err := CaseByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunCase(c, sc, Options{Seed: uint64(id)})
+		res, err := runCase(id, sc, Options{Seed: uint64(id)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,6 @@ package experiment
 import (
 	"strconv"
 	"testing"
-
-	"adhocga/internal/network"
 )
 
 // Golden values recorded from the pre-runner, per-case serial execution
@@ -38,12 +36,8 @@ func goldenScale() Scale {
 }
 
 func TestRunCaseGoldenBitIdentical(t *testing.T) {
-	c, err := CaseByID(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, par := range []int{1, 4} {
-		res, err := RunCase(c, goldenScale(), Options{Seed: 42, Parallelism: par})
+		res, err := runCase(3, goldenScale(), Options{Seed: 42, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +97,7 @@ func TestCSNSweepGoldenBitIdentical(t *testing.T) {
 	// Golden values recorded from the pre-runner sweep, which barriered
 	// between points; the flattened single-queue sweep must match exactly.
 	for _, par := range []int{1, 8} {
-		points, err := CSNSweep([]int{0, 10, 25}, network.ShorterPaths(), goldenScale(),
+		points, err := RunScenarios(csnRuns(0, 10, 25), goldenScale(),
 			Options{Seed: 7, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +108,7 @@ func TestCSNSweepGoldenBitIdentical(t *testing.T) {
 			{"0x1.4540b39dffd93p-06", "0x1.83e02f919d3dp-09", "0x1.1bfd44f307826p-06", "0x1.7aa706995f588p-06"},
 		}
 		for i, w := range want {
-			s := points[i].Cooperation
+			s := points[i].FinalCoop
 			if s.N != 3 || s.Mean != hexf(t, w.mean) || s.StdDev != hexf(t, w.std) ||
 				s.Min != hexf(t, w.min) || s.Max != hexf(t, w.max) {
 				t.Errorf("parallelism %d point %d = %+v, want %+v", par, i, s, w)

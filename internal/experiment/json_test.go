@@ -8,12 +8,8 @@ import (
 )
 
 func TestToJSONRoundtrip(t *testing.T) {
-	c, err := CaseByID(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 15, Repetitions: 2}
-	res, err := RunCase(c, sc, Options{Seed: 5})
+	res, err := runCase(2, sc, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 )
 
 // JobSpec describes one workload to Submit to a Session. The concrete spec
-// types cover every long-running entry point of the facade: EvolveSpec,
-// IslandsSpec, CaseSpec, ScenariosSpec, SweepSpec, MixSpec, and IPDRPSpec.
+// types cover every long-running workload: EvolveSpec, IslandsSpec,
+// ScenariosSpec (every batch, the paper's Table 4 cases included),
+// MixSpec, IPDRPSpec, and LeagueJobSpec.
 // The set is closed (the run method is unexported): the Session owns
 // scheduling, event emission, and cancellation for all of them.
 type JobSpec interface {
@@ -236,23 +237,6 @@ func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (an
 	})
 }
 
-// CaseSpec reproduces one Table 4 evaluation case at a scale (the RunCase
-// entry point). A zero Scale falls back to the session default. Result
-// type: *CaseResult. Events: KindGeneration per replicate generation,
-// KindReplicate per finished replicate.
-type CaseSpec struct {
-	Case  Case
-	Scale Scale
-	Opts  RunOptions
-}
-
-// Kind returns "case".
-func (CaseSpec) Kind() string { return "case" }
-
-func (sp CaseSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	return experiment.RunCaseContext(ctx, sp.Case, s.scaleOr(sp.Scale), eventOptions(sp.Opts, s, emit))
-}
-
 // ScenariosSpec runs a batch of declarative scenarios (the RunScenarios
 // entry point). Zero Defaults falls back to the session default scale.
 // Result type: []*CaseResult, in input order. Events: KindGeneration /
@@ -272,23 +256,6 @@ func (sp ScenariosSpec) run(ctx context.Context, s *Session, emit func(Event)) (
 		return nil, fmt.Errorf("adhocga: scenarios job has no scenarios")
 	}
 	return experiment.RunScenariosContext(ctx, sp.Runs, s.scaleOr(sp.Defaults), eventOptions(sp.Opts, s, emit))
-}
-
-// SweepSpec traces evolved cooperation against the CSN count (the
-// CSNSweep entry point). Result type: []SweepPoint. Events: like
-// CaseSpec, with Scenario indexing the sweep point.
-type SweepSpec struct {
-	CSNCounts []int
-	Mode      PathMode
-	Scale     Scale
-	Opts      RunOptions
-}
-
-// Kind returns "sweep".
-func (SweepSpec) Kind() string { return "sweep" }
-
-func (sp SweepSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	return experiment.CSNSweepContext(ctx, sp.CSNCounts, sp.Mode, s.scaleOr(sp.Scale), eventOptions(sp.Opts, s, emit))
 }
 
 // MixSpec plays one fixed-population baseline tournament (the RunMix

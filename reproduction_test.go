@@ -9,22 +9,26 @@ import (
 	"testing"
 
 	"adhocga/internal/experiment"
+	"adhocga/internal/scenario"
 )
+
+// runCase runs Table 4 case id the way every case runs: as a one-scenario
+// batch whose master seed is pinned to opts.Seed.
+func runCase(tb testing.TB, id int, sc experiment.Scale, opts experiment.Options) *experiment.CaseResult {
+	tb.Helper()
+	out, err := experiment.RunScenarios([]experiment.ScenarioRun{{Spec: scenario.Table4()[id-1], Seed: opts.Seed}}, sc, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out[0]
+}
 
 // repro runs one case at a small-but-sufficient scale (paper rounds, 25
 // generations, 2 replicates).
 func repro(t *testing.T, id int, seed uint64) *experiment.CaseResult {
 	t.Helper()
-	c, err := experiment.CaseByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := experiment.Scale{Name: "repro", Generations: 25, Rounds: 300, Repetitions: 2}
-	res, err := experiment.RunCase(c, sc, experiment.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runCase(t, id, sc, experiment.Options{Seed: seed})
 }
 
 func TestReproCase1CooperationEmerges(t *testing.T) {

@@ -21,7 +21,8 @@ import (
 // JobSpecs via Submit and observed through their Job handles: a unified
 // event stream, Wait, and cooperative cancellation checked at generation
 // barriers (so determinism and golden bit-identity are untouched for
-// uncancelled runs — a job's numbers are exactly the legacy facade's).
+// uncancelled runs — a job's numbers are exactly what the engine or
+// experiment layer it wraps computes on its own).
 //
 // A Session is safe for concurrent use. Close cancels everything still
 // running and waits for it to stop; a closed session rejects new
@@ -288,13 +289,8 @@ func (s *Session) archiveCheckpoint(jobID string, spec JobSpec, cp *CheckpointEv
 // checkpointScenarioName resolves the scenario label a checkpoint's
 // Scenario index refers to within the emitting spec.
 func checkpointScenarioName(spec JobSpec, idx int) string {
-	switch sp := spec.(type) {
-	case ScenariosSpec:
-		if idx >= 0 && idx < len(sp.Runs) {
-			return sp.Runs[idx].Spec.Name
-		}
-	case CaseSpec:
-		return sp.Case.Name
+	if sp, ok := spec.(ScenariosSpec); ok && idx >= 0 && idx < len(sp.Runs) {
+		return sp.Runs[idx].Spec.Name
 	}
 	return spec.Kind()
 }
@@ -422,9 +418,8 @@ func (s *Session) StreamTotals() StreamTotals {
 }
 
 // acquireEngine returns an engine initialized for cfg, reusing a parked
-// one when available. The boolean reports whether a parked engine was
-// reused (exposed for observability via EngineReuses; results are
-// identical either way).
+// one when available. Reuses are counted for observability
+// (EngineReuses); results are identical either way.
 func (s *Session) acquireEngine(cfg core.Config) (*core.Engine, error) {
 	s.engMu.Lock()
 	var eng *core.Engine
@@ -517,25 +512,10 @@ func (s *Session) EvolveIslands(ctx context.Context, cfg IslandConfig) (*IslandR
 	return out, err
 }
 
-// RunCase reproduces one Table 4 evaluation case on the session.
-func (s *Session) RunCase(ctx context.Context, c Case, sc Scale, opts RunOptions) (*CaseResult, error) {
-	res, err := s.submitAndWait(ctx, CaseSpec{Case: c, Scale: sc, Opts: opts})
-	out, _ := res.(*CaseResult)
-	return out, err
-}
-
 // RunScenarios runs a batch of declarative scenarios on the session.
 func (s *Session) RunScenarios(ctx context.Context, runs []ScenarioRun, defaults Scale, opts RunOptions) ([]*CaseResult, error) {
 	res, err := s.submitAndWait(ctx, ScenariosSpec{Runs: runs, Defaults: defaults, Opts: opts})
 	out, _ := res.([]*CaseResult)
-	return out, err
-}
-
-// CSNSweep traces evolved cooperation against the CSN count on the
-// session.
-func (s *Session) CSNSweep(ctx context.Context, csnCounts []int, mode PathMode, sc Scale, opts RunOptions) ([]SweepPoint, error) {
-	res, err := s.submitAndWait(ctx, SweepSpec{CSNCounts: csnCounts, Mode: mode, Scale: sc, Opts: opts})
-	out, _ := res.([]SweepPoint)
 	return out, err
 }
 
@@ -567,31 +547,11 @@ func (s *Session) submitAndWait(ctx context.Context, spec JobSpec) (any, error) 
 	return j.Result(), nil
 }
 
-// The default session behind the deprecated package-level wrappers: one
-// process-wide Session with all defaults, created on first use.
-var (
-	defaultSessionOnce sync.Once
-	defaultSession     *Session
-)
-
-// DefaultSession returns the process-wide Session the deprecated
-// package-level wrappers (Evolve, RunCase, RunScenarios, …) delegate to.
-// Programs that want explicit pool sizing, seed policy, job bounds, or a
-// clean shutdown should create their own with NewSession instead.
-func DefaultSession() *Session {
-	defaultSessionOnce.Do(func() {
-		defaultSession = NewSession()
-	})
-	return defaultSession
-}
-
 // compile-time interface checks for the spec set.
 var (
 	_ JobSpec = EvolveSpec{}
 	_ JobSpec = IslandsSpec{}
-	_ JobSpec = CaseSpec{}
 	_ JobSpec = ScenariosSpec{}
-	_ JobSpec = SweepSpec{}
 	_ JobSpec = MixSpec{}
 	_ JobSpec = IPDRPSpec{}
 	_ JobSpec = LeagueJobSpec{}

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"adhocga/internal/core"
+	"adhocga/internal/experiment"
 )
 
 // smallConfig is a seconds-scale evolution configuration for session
@@ -34,7 +37,11 @@ func drain(t *testing.T, j *Job) []Event {
 // guarantee: a job submitted through the Session produces exactly the
 // numbers the bare engine produces.
 func TestSessionEvolveBitIdenticalToEngine(t *testing.T) {
-	direct, err := Evolve(smallConfig(4, 11)) // deprecated wrapper → default session
+	engine, err := core.New(smallConfig(4, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +52,7 @@ func TestSessionEvolveBitIdenticalToEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct.CoopSeries, viaSession.CoopSeries) {
-		t.Errorf("session path diverged:\nwrapper: %v\nsession: %v", direct.CoopSeries, viaSession.CoopSeries)
+		t.Errorf("session path diverged:\nengine:  %v\nsession: %v", direct.CoopSeries, viaSession.CoopSeries)
 	}
 }
 
@@ -124,13 +131,14 @@ func TestSubmitScenariosStreamsReplicateAndGenerationEvents(t *testing.T) {
 	if !ok || len(res) != 1 {
 		t.Fatalf("result %T", j.Result())
 	}
-	// The session path must agree with the legacy facade bit for bit.
-	legacy, err := RunScenarios(runs, sc, RunOptions{Parallelism: 1})
+	// The session path must agree with the bare experiment layer bit for
+	// bit.
+	direct, err := experiment.RunScenarios(runs, sc, RunOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res[0].CoopMean, legacy[0].CoopMean) {
-		t.Errorf("session scenario run diverged from legacy path")
+	if !reflect.DeepEqual(res[0].CoopMean, direct[0].CoopMean) {
+		t.Errorf("session scenario run diverged from the experiment layer")
 	}
 }
 
@@ -190,8 +198,11 @@ func TestSubmitSweepMixIPDRP(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	sweep, err := s.CSNSweep(ctx, []int{0, 5}, ShorterPaths(),
-		Scale{Name: "test", Generations: 2, Rounds: 10, Repetitions: 1}, RunOptions{Seed: 3})
+	// A CSN sweep is a batch of single-environment scenarios.
+	sweep, err := s.RunScenarios(ctx, []ScenarioRun{
+		{Spec: ScenarioSpec{Name: "CSN=0", Environments: []ScenarioEnv{{CSN: 0}}}},
+		{Spec: ScenarioSpec{Name: "CSN=5", Environments: []ScenarioEnv{{CSN: 5}}}},
+	}, Scale{Name: "test", Generations: 2, Rounds: 10, Repetitions: 1}, RunOptions{Seed: 3})
 	if err != nil || len(sweep) != 2 {
 		t.Fatalf("sweep: %v %v", sweep, err)
 	}
