@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -30,7 +31,6 @@ import (
 
 	"adhocga"
 	"adhocga/internal/baselines"
-	"adhocga/internal/energy"
 	"adhocga/internal/game"
 	"adhocga/internal/network"
 	"adhocga/internal/report"
@@ -40,44 +40,59 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI behind a testable seam: flags parsed from args,
+// output to explicit writers, lifetime bound to ctx.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("adhocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mix         = flag.String("mix", "trust>=1:40", "comma-separated profile:count pairs (profile may also be a 13-bit strategy)")
-		csn         = flag.Int("csn", 10, "constantly selfish nodes")
-		rounds      = flag.Int("rounds", 300, "tournament rounds")
-		mode        = flag.String("mode", "SP", "path mode: SP or LP")
-		scenarioArg = flag.String("scenario", "", "scenario (JSON file, family, or name) supplying csn/rounds/mode defaults")
-		seed        = flag.Uint64("seed", 1, "seed")
-		randomPath  = flag.Bool("random-path", false, "choose routes uniformly instead of by reputation")
-		showEnergy  = flag.Bool("energy", false, "report radio energy spending per node class")
-		gossip      = flag.Int("gossip", 0, "exchange second-hand reputation every N rounds (0 = off)")
-		list        = flag.Bool("list", false, "list built-in profiles and exit")
+		mix         = fs.String("mix", "trust>=1:40", "comma-separated profile:count pairs (profile may also be a 13-bit strategy)")
+		csn         = fs.Int("csn", 10, "constantly selfish nodes")
+		rounds      = fs.Int("rounds", 300, "tournament rounds")
+		mode        = fs.String("mode", "SP", "path mode: SP or LP")
+		scenarioArg = fs.String("scenario", "", "scenario (JSON file, family, or name) supplying csn/rounds/mode defaults")
+		seed        = fs.Uint64("seed", 1, "seed")
+		randomPath  = fs.Bool("random-path", false, "choose routes uniformly instead of by reputation")
+		gossip      = fs.Int("gossip", 0, "exchange second-hand reputation every N rounds (0 = off)")
+		list        = fs.Bool("list", false, "list built-in profiles and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		t := report.NewTable("built-in profiles", "name", "strategy")
 		for _, p := range baselines.StandardProfiles() {
 			t.AddRow(p.Name, p.Strategy.String())
 		}
-		fmt.Print(t.Render())
-		return
+		fmt.Fprint(stdout, t.Render())
+		return 0
 	}
 
 	if *scenarioArg != "" {
-		if err := applyScenario(*scenarioArg, csn, rounds, mode); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := applyScenario(fs, *scenarioArg, csn, rounds, mode); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 
 	groups, err := parseMix(*mix)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	pathMode := network.ShorterPaths()
-	if strings.EqualFold(*mode, "LP") {
-		pathMode = network.LongerPaths()
+	pathMode, err := network.ModeByName(*mode)
+	if err != nil {
+		fmt.Fprintf(stderr, "adhocsim: -mode must be SP or LP, got %q\n", *mode)
+		return 2
 	}
 	cfg := baselines.MixConfig{
 		Groups: groups,
@@ -93,52 +108,31 @@ func main() {
 	// CORE-style gossip defaults (positive reports only, modest
 	// credibility) are applied inside RunMix when the interval is set.
 	cfg.GossipInterval = *gossip
-	var meter *energy.Meter
-	if *showEnergy {
-		var err error
-		meter, err = energy.NewMeter(energy.DefaultCosts())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.Recorder = meter
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	session := adhocga.NewSession(adhocga.WithPoolSize(1))
 	defer session.Close()
 	res, err := session.RunMix(ctx, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	fmt.Printf("cooperation level (normal-originated delivery): %s\n", report.Percent(res.Cooperation))
+	fmt.Fprintf(stdout, "cooperation level (normal-originated delivery): %s\n", report.Percent(res.Cooperation))
 	if *csn > 0 {
-		fmt.Printf("CSN delivery rate: %s\n", report.Percent(res.CSNDelivery))
+		fmt.Fprintf(stdout, "CSN delivery rate: %s\n", report.Percent(res.CSNDelivery))
 	}
 	t := report.NewTable("\nper-group outcomes", "group", "delivery", "fitness", "forward share")
 	for _, g := range res.Groups {
 		t.AddRow(g.Name, report.Percent(g.DeliveryRate),
 			report.FormatFloat(g.Fitness), report.Percent(g.ForwardShare))
 	}
-	fmt.Print(t.Render())
-
-	if meter != nil {
-		n, s := meter.ByType()
-		et := report.NewTable("\nradio energy (arbitrary units)", "class", "nodes", "mean spent")
-		et.AddRow("normal", fmt.Sprint(n.Nodes), report.FormatFloat(n.MeanEnergy))
-		if s.Nodes > 0 {
-			et.AddRow("selfish", fmt.Sprint(s.Nodes), report.FormatFloat(s.MeanEnergy))
-		}
-		fmt.Print(et.Render())
-	}
+	fmt.Fprint(stdout, t.Render())
+	return 0
 }
 
 // applyScenario overwrites the csn/rounds/mode defaults with the first
 // loaded scenario's values wherever the user did not set the flag
-// explicitly on the command line.
-func applyScenario(arg string, csn, rounds *int, mode *string) error {
+// explicitly in fs.
+func applyScenario(fs *flag.FlagSet, arg string, csn, rounds *int, mode *string) error {
 	specs, err := scenario.FromArg(arg)
 	if err != nil {
 		return err
@@ -148,7 +142,7 @@ func applyScenario(arg string, csn, rounds *int, mode *string) error {
 	}
 	spec := specs[0]
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if !set["csn"] {
 		*csn = spec.Environments[0].CSN
 	}

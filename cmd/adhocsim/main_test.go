@@ -1,8 +1,102 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"flag"
+	"strings"
 	"testing"
 )
+
+// runCLI invokes the CLI seam and returns (exit code, stdout, stderr).
+func runCLI(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// Recorded output of one fixed-seed mix per path mode. Everything is
+// seeded, so any drift here is a behavior change in the game kernel.
+const (
+	goldenSP = `cooperation level (normal-originated delivery): 32.3%
+CSN delivery rate: 15.2%
+
+per-group outcomes
+group          delivery  fitness  forward share
+-----------------------------------------------
+all-cooperate  33.8%     1.366    100.0%
+trust>=1       40.4%     1.819    70.6%
+all-defect     13.2%     1.493    0.0%
+`
+	goldenLP = `cooperation level (normal-originated delivery): 16.2%
+CSN delivery rate: 6.0%
+
+per-group outcomes
+group          delivery  fitness  forward share
+-----------------------------------------------
+all-cooperate  20.2%     1.152    100.0%
+trust>=1       16.6%     1.47     70.2%
+all-defect     7.2%      1.46     0.0%
+`
+)
+
+func TestMixGolden(t *testing.T) {
+	base := []string{"-mix", "all-cooperate:10,trust>=1:10,all-defect:5", "-csn", "10", "-rounds", "50", "-seed", "7"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"SP", base, goldenSP},
+		{"LP", append(base[:len(base):len(base)], "-mode", "LP"), goldenLP},
+		{"lp", append(base[:len(base):len(base)], "-mode", "lp"), goldenLP},
+		// Case 4 is LP with 0 CSN first: explicit flags beat the spec,
+		// unset ones take its values.
+		{"scenario+mode", append(base[:len(base):len(base)], "-scenario", "case 4 (TE1-4, LP)", "-mode", "SP"), goldenSP},
+		{"scenario", append(base[:len(base):len(base)], "-scenario", "case 4 (TE1-4, LP)"), goldenLP},
+	} {
+		code, out, errOut := runCLI(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", tc.name, code, errOut)
+		}
+		if out != tc.want {
+			t.Errorf("%s: stdout differs from golden:\n--- got\n%s\n--- want\n%s", tc.name, out, tc.want)
+		}
+	}
+}
+
+func TestRejectsBadArguments(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		code int
+		msg  string
+	}{
+		"unknown mode": {[]string{"-mode", "XP"}, 2, "-mode must be SP or LP"},
+		"negative csn": {[]string{"-csn", "-3"}, 1, "negative CSN"},
+		"bad mix":      {[]string{"-mix", "nonsense:3"}, 2, "nonsense:3"},
+		"bad scenario": {[]string{"-scenario", "table4"}, 2, "need exactly one"},
+		"unknown flag": {[]string{"-energy"}, 2, "-energy"},
+	} {
+		code, out, errOut := runCLI(t, tc.args...)
+		if code != tc.code || !strings.Contains(errOut, tc.msg) || out != "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit %d mentioning %q",
+				name, code, out, errOut, tc.code, tc.msg)
+		}
+	}
+}
+
+func TestListProfiles(t *testing.T) {
+	code, out, errOut := runCLI(t, "-list")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	for _, want := range []string{"built-in profiles", "all-cooperate", "trust>=2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-list output missing %q:\n%s", want, out)
+		}
+	}
+}
 
 func TestParseMixProfiles(t *testing.T) {
 	groups, err := parseMix("all-cooperate:10,trust>=1:5")
@@ -73,8 +167,9 @@ func TestParseMixColonInName(t *testing.T) {
 func TestApplyScenarioDefaults(t *testing.T) {
 	// Unset flags pick up the scenario's values; note case 4 is LP with
 	// TE1 (0 CSN) first.
+	unset := flag.NewFlagSet("adhocsim", flag.ContinueOnError)
 	csn, rounds, mode := 10, 300, "SP"
-	if err := applyScenario("case 4 (TE1-4, LP)", &csn, &rounds, &mode); err != nil {
+	if err := applyScenario(unset, "case 4 (TE1-4, LP)", &csn, &rounds, &mode); err != nil {
 		t.Fatal(err)
 	}
 	if csn != 0 || mode != "LP" {
@@ -85,10 +180,10 @@ func TestApplyScenarioDefaults(t *testing.T) {
 	if rounds != 300 {
 		t.Errorf("rounds=%d, want flag default 300", rounds)
 	}
-	if err := applyScenario("no such scenario anywhere", &csn, &rounds, &mode); err == nil {
+	if err := applyScenario(unset, "no such scenario anywhere", &csn, &rounds, &mode); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if err := applyScenario("table4", &csn, &rounds, &mode); err == nil {
+	if err := applyScenario(unset, "table4", &csn, &rounds, &mode); err == nil {
 		t.Error("multi-scenario family accepted; adhocsim needs exactly one")
 	}
 }

@@ -88,19 +88,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var mode network.PathMode
-	switch strings.ToUpper(*pathMode) {
-	case "SP":
-		mode = network.ShorterPaths()
-	case "LP":
-		mode = network.LongerPaths()
-	default:
+	mode, err := network.ModeByName(*pathMode)
+	if err != nil {
 		fmt.Fprintf(stderr, "league: -path must be SP or LP, got %q\n", *pathMode)
 		return 2
 	}
 
 	var archive *league.Archive
-	var err error
 	if *archiveDir != "" {
 		archive, err = league.OpenDir(*archiveDir)
 		if err != nil {

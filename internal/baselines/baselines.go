@@ -74,9 +74,6 @@ type MixConfig struct {
 	PathChoice tournament.PathChoice
 	Game       game.Config
 	Seed       uint64
-	// Recorder, when non-nil, observes every game (and rounds, if it
-	// implements tournament.RoundObserver) — e.g. an energy.Meter.
-	Recorder game.Recorder
 	// GossipInterval enables second-hand reputation exchange every N
 	// rounds (0 = off). Weight and minimum rate default to 0.25 and 0.5
 	// when unset.
@@ -87,6 +84,9 @@ type MixConfig struct {
 
 // Validate checks the mix.
 func (c *MixConfig) Validate() error {
+	if c.CSN < 0 {
+		return fmt.Errorf("baselines: negative CSN count %d", c.CSN)
+	}
 	total := c.CSN
 	for _, g := range c.Groups {
 		if g.Count < 0 {
@@ -174,7 +174,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		GossipMinRate:  gossipMinRate,
 	}
 	gen := network.NewGenerator(cfg.Mode)
-	tournament.Play(all, registry, tcfg, gen, r, cfg.Recorder)
+	tournament.Play(all, registry, tcfg, gen, r, nil)
 
 	res := &MixResult{Groups: make([]GroupStats, len(cfg.Groups))}
 	var normalSent, normalDelivered, csnSent, csnDelivered int

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"adhocga/internal/game"
@@ -54,6 +55,21 @@ func TestValidate(t *testing.T) {
 	bad = mix([]Group{{AllCooperate, 10}}, 0, 0, 1)
 	if err := bad.Validate(); err == nil {
 		t.Error("zero rounds accepted")
+	}
+}
+
+// A negative CSN count used to pass validation and run with no selfish
+// nodes, while silently eating into the "at least 2 players" check.
+func TestValidateRejectsNegativeCSN(t *testing.T) {
+	for _, groups := range [][]Group{{{AllCooperate, 10}}, {{AllCooperate, 4}}} {
+		cfg := mix(groups, -3, 10, 1)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "negative CSN") {
+			t.Errorf("%d players, CSN -3: err = %v, want a negative-CSN error", groups[0].Count, err)
+		}
+		if _, err := RunMix(cfg); err == nil {
+			t.Errorf("%d players, CSN -3: RunMix ran", groups[0].Count)
+		}
 	}
 }
 

@@ -233,8 +233,9 @@ func TestPlaySuccessAllParticipantsObserve(t *testing.T) {
 }
 
 func TestPlayDirectContactNoIntermediates(t *testing.T) {
-	// The geometric substrate can produce direct src→dst radio contact:
-	// no intermediates, automatic delivery, no decisions, no reputation.
+	// A two-player tournament caps every route at one hop, i.e. direct
+	// src→dst contact: no intermediates, automatic delivery, no decisions,
+	// no reputation.
 	cfg := defaultCfg()
 	src := NewNormal(0, strategy.AllDiscard()) // even a defector delivers directly
 	delivered := Play(src, nil, cfg, nil)

@@ -12,6 +12,7 @@ package network
 
 import (
 	"fmt"
+	"strings"
 
 	"adhocga/internal/rng"
 )
@@ -256,4 +257,16 @@ func ShorterPaths() PathMode {
 // LongerPaths returns the LP mode used by evaluation case 4.
 func LongerPaths() PathMode {
 	return PathMode{Name: "LP", Lengths: LongerPathLengths(), Alternates: Table3Alternates()}
+}
+
+// ModeByName resolves a path mode name as specs and flags spell it: "SP"
+// or "LP" in any case, with "" meaning SP.
+func ModeByName(name string) (PathMode, error) {
+	switch strings.ToUpper(name) {
+	case "", "SP":
+		return ShorterPaths(), nil
+	case "LP":
+		return LongerPaths(), nil
+	}
+	return PathMode{}, fmt.Errorf("unknown path mode %q (want SP or LP)", name)
 }

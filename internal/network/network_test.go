@@ -144,6 +144,30 @@ func TestPathModes(t *testing.T) {
 	}
 }
 
+func TestModeByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+	}{
+		{"", "SP"}, {"SP", "SP"}, {"sp", "SP"}, {"Sp", "SP"},
+		{"LP", "LP"}, {"lp", "LP"}, {"lP", "LP"},
+		{"XP", ""}, {"S P", ""}, {" SP", ""}, {"MIX(0.5)", ""}, {"shorter", ""},
+	} {
+		mode, err := ModeByName(tc.name)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("ModeByName(%q) = %q, want an error", tc.name, mode.Name)
+			}
+			continue
+		}
+		if err != nil || mode.Name != tc.want {
+			t.Errorf("ModeByName(%q) = %q, %v; want %q", tc.name, mode.Name, err, tc.want)
+		}
+	}
+	if lp, _ := ModeByName("lp"); math.Abs(lp.Lengths.Prob(9)-0.15) > 1e-12 {
+		t.Error("ModeByName(\"lp\") does not carry the LP length distribution")
+	}
+}
+
 func TestMixedPathLengthsBlend(t *testing.T) {
 	sp, lp := ShorterPathLengths(), LongerPathLengths()
 	if d := MixedPathLengths(0); d.Prob(9) != sp.Prob(9) || d.Prob(2) != sp.Prob(2) {

@@ -283,14 +283,11 @@ func (s Spec) Validate() error {
 
 // Mode resolves the spec's path mode; empty means shorter paths.
 func (s Spec) Mode() (network.PathMode, error) {
-	switch s.PathMode {
-	case "", "SP", "sp":
-		return network.ShorterPaths(), nil
-	case "LP", "lp":
-		return network.LongerPaths(), nil
-	default:
-		return network.PathMode{}, fmt.Errorf("scenario %q: unknown path mode %q (want SP or LP)", s.Name, s.PathMode)
+	mode, err := network.ModeByName(s.PathMode)
+	if err != nil {
+		return mode, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
+	return mode, nil
 }
 
 // Envs converts the environment list to the tournament package's form,

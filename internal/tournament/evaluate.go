@@ -81,12 +81,12 @@ type EvalState struct {
 // pass; only the generation boundary clears it (§4.4 step 1).
 //
 // normals is the evolving population; csn is a pool of at least MaxCSN()
-// selfish players; registry maps NodeID → player for everyone. provider
-// supplies candidate routes (normally a network.Generator for the
-// evaluation's path mode); rec may be nil.
-func Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalConfig, provider PathProvider, r *rng.Source, rec Recorder) error {
+// selfish players; registry maps NodeID → player for everyone. gen
+// supplies candidate routes for the evaluation's path mode; rec may be
+// nil.
+func Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
 	var es EvalState
-	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, provider, r, rec)
+	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, rec)
 }
 
 // EvaluateWithAdversaries is Evaluate with an additional cohort of
@@ -94,21 +94,21 @@ func Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalCon
 // CSN, the byz players take a seat in every tournament of every
 // environment, shrinking the normal seats to T − Si − len(byz). With an
 // empty cohort it is Evaluate, bit for bit.
-func EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, provider PathProvider, r *rng.Source, rec Recorder) error {
+func EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
 	var es EvalState
-	return es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, provider, r, rec)
+	return es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, gen, r, rec)
 }
 
 // Evaluate is the state-reusing form of the package-level Evaluate.
-func (es *EvalState) Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalConfig, provider PathProvider, r *rng.Source, rec Recorder) error {
-	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, provider, r, rec)
+func (es *EvalState) Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
+	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, rec)
 }
 
 // EvaluateWithAdversaries is the state-reusing form of the package-level
 // EvaluateWithAdversaries: identical draws and results, but all working
 // buffers come from (and return to) the EvalState, so a warm state runs
 // the whole pass without heap allocation.
-func (es *EvalState) EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, provider PathProvider, r *rng.Source, rec Recorder) error {
+func (es *EvalState) EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
 	if err := cfg.Validate(len(normals)); err != nil {
 		return err
 	}
@@ -213,7 +213,7 @@ func (es *EvalState) EvaluateWithAdversaries(normals, csn, byz []*game.Player, r
 			}
 			participants = append(participants, csn[:env.CSN]...)
 			participants = append(participants, byz...)
-			PlayWith(participants, registry, &cfg.Tournament, provider, r, rec, sc)
+			PlayWith(participants, registry, &cfg.Tournament, gen, r, rec, sc)
 		}
 	}
 	// Return the (possibly grown) buffers to the state for the next pass.

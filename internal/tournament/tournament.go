@@ -99,20 +99,6 @@ type Recorder interface {
 	BeginEnvironment(index int, env Environment)
 }
 
-// PathProvider supplies the candidate routes a source sees when it plays
-// its own game. network.Generator implements it with the paper's abstract
-// sampling model (Tables 2–3); mobility.RouteProvider implements it with
-// routes discovered on a geometric moving topology.
-//
-// An empty return means the source currently has no route to anyone (e.g.
-// a partitioned geometric network); the tournament then skips that
-// source's game for the round. All returned candidates must share the
-// same source and destination. Implementations must treat the
-// participants slice as read-only.
-type PathProvider interface {
-	Candidates(r *rng.Source, src network.NodeID, participants []network.NodeID) []network.Path
-}
-
 // Scratch holds the reusable per-tournament buffers of Play. One Scratch
 // serves any number of sequential PlayWith calls (the evaluation scheme
 // keeps a single Scratch across all tournaments of a generation); it must
@@ -127,16 +113,16 @@ type Scratch struct {
 // Play runs one tournament over the given participants: cfg.Rounds rounds,
 // each participant sourcing exactly one packet per round (§4.4 tournament
 // scheme, steps 1–8). registry maps NodeID → player and must cover every
-// participant; paths supplies candidate routes; rec may be nil.
-func Play(participants []*game.Player, registry []*game.Player, cfg *Config, provider PathProvider, r *rng.Source, rec game.Recorder) {
+// participant; gen supplies candidate routes; rec may be nil.
+func Play(participants []*game.Player, registry []*game.Player, cfg *Config, gen *network.Generator, r *rng.Source, rec game.Recorder) {
 	var sc Scratch
-	PlayWith(participants, registry, cfg, provider, r, rec, &sc)
+	PlayWith(participants, registry, cfg, gen, r, rec, &sc)
 }
 
 // PlayWith is Play with caller-owned scratch buffers, the allocation-free
 // steady-state form: with warm scratch and participant stores pre-sized to
 // the registry, a full tournament performs zero heap allocations.
-func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config, provider PathProvider, r *rng.Source, rec game.Recorder, sc *Scratch) {
+func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config, gen *network.Generator, r *rng.Source, rec game.Recorder, sc *Scratch) {
 	ids := sc.ids[:0]
 	for _, p := range participants {
 		ids = append(ids, p.ID)
@@ -149,19 +135,15 @@ func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config,
 	}
 	cfg.Game.MarkTablesSynced()
 	sc.ids = ids
-	ro, _ := rec.(RoundObserver)
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.RoundDriver != nil {
 			cfg.RoundDriver.BeginRound(round, participants)
 		}
 		for _, src := range participants {
-			// Step 2: random destination and intermediates (provider);
+			// Step 2: random destination and intermediates (generator);
 			// Step 3: rate each candidate and pick the best reputation
 			// (or a uniform pick under the RandomPath ablation).
-			paths := provider.Candidates(r, src.ID, ids)
-			if len(paths) == 0 {
-				continue // no route to anyone this round
-			}
+			paths := gen.Candidates(r, src.ID, ids)
 			best := 0
 			if cfg.PathChoice == RandomPath {
 				best = r.Intn(len(paths))
@@ -187,20 +169,10 @@ func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config,
 			// as the observation ID list).
 			game.PlayIDs(src, inters, path.Intermediates, &cfg.Game, rec)
 		}
-		if ro != nil {
-			ro.EndRound(participants)
-		}
 		if cfg.GossipInterval > 0 && (round+1)%cfg.GossipInterval == 0 {
 			gossip(participants, cfg, r, sc)
 		}
 	}
-}
-
-// RoundObserver is an optional extension of game.Recorder: recorders that
-// implement it (e.g. the energy meter) are notified at the end of every
-// tournament round with the full participant set.
-type RoundObserver interface {
-	EndRound(participants []*game.Player)
 }
 
 // gossip performs one round of second-hand reputation exchange: each

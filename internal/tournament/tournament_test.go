@@ -167,25 +167,6 @@ func TestPlayMixedNetworkPunishesSelfish(t *testing.T) {
 	}
 }
 
-// emptyProvider simulates a fully partitioned network: no routes, ever.
-type emptyProvider struct{}
-
-func (emptyProvider) Candidates(*rng.Source, network.NodeID, []network.NodeID) []network.Path {
-	return nil
-}
-
-func TestPlayToleratesPartitionedProvider(t *testing.T) {
-	players := makeNormals(10, strategy.AllForward())
-	registry := BuildRegistry(players)
-	cfg := testConfig(5)
-	Play(players, registry, cfg, emptyProvider{}, rng.New(77), nil)
-	for _, p := range players {
-		if p.Acct.Events != 0 {
-			t.Errorf("player %d accumulated %d events with no routes", p.ID, p.Acct.Events)
-		}
-	}
-}
-
 func TestGossipSpreadsPositiveReputation(t *testing.T) {
 	// With gossip, knowledge of well-behaved nodes spreads beyond direct
 	// observation: after a short tournament, players should know more

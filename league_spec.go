@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"adhocga/internal/league"
+	"adhocga/internal/network"
 )
 
 // LeagueJobSpec runs a coevolution league over the session's champion
@@ -59,14 +60,9 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 	if sp.IncludeBaselines {
 		seats = append(seats, league.BaselineSeats()...)
 	}
-	var mode PathMode
-	switch sp.PathMode {
-	case "", "SP", "sp":
-		// League default (withDefaults resolves to SP).
-	case "LP", "lp":
-		mode = LongerPaths()
-	default:
-		return nil, fmt.Errorf("adhocga: league job: unknown path mode %q (want SP or LP)", sp.PathMode)
+	mode, err := network.ModeByName(sp.PathMode)
+	if err != nil {
+		return nil, fmt.Errorf("adhocga: league job: %w", err)
 	}
 	seed := sp.Seed
 	if seed == 0 {
