@@ -320,10 +320,6 @@ func OpenChampionArchive(dir string) (*ChampionArchive, error) { return league.O
 // homogeneous team per match side.
 type LeagueSeat = league.Seat
 
-// LeagueConfig parameterizes a direct league run (see RunLeagueTable);
-// service and session jobs use LeagueJobSpec instead.
-type LeagueConfig = league.Config
-
 // LeagueTable is a league outcome: standings sorted best-first plus the
 // head-to-head matrix. Deterministic JSON at a fixed seed.
 type LeagueTable = league.Table
@@ -334,7 +330,3 @@ type LeagueStanding = league.Standing
 // BaselineSeats returns the scripted league seats: all-forward,
 // never-forward, and the paper's Table 7 reciprocal winner.
 func BaselineSeats() []LeagueSeat { return league.BaselineSeats() }
-
-// RunLeagueTable plays a league directly, outside any session (the
-// engine-level entry point; Session.RunLeague is the job-level one).
-func RunLeagueTable(cfg LeagueConfig) (*LeagueTable, error) { return league.Run(cfg) }

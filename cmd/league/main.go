@@ -19,18 +19,21 @@
 //	league -archive hof -harvest -case 1 -generations 40 -reps 2 -seed 1
 //	league -archive hof -list
 //	league -archive hof -baselines -seed 7
-//	league -archive hof -ids "job-1/case 1 (TE1, SP)/r0/g39" -baselines
+//	league -archive hof -ids "job-1/case 1 (TE1, SP)/r0/g39" -ids "job-1/case 1 (TE1, SP)/r1/g39"
 //	league -baselines -seed 7     # scripted baselines only, no archive
 //	league -harvest -case 1 -generations 20 -reps 1 -baselines -seed 7 -json
 //
 // -harvest runs the selected Table 4 case (or all four with -case 0)
 // with generation checkpoints enabled, archiving champions as it goes;
 // without -list it then plays the league over what it just harvested, so
-// the last example is a self-contained one-shot demo. -archive names a
-// directory persisted through the same WAL machinery as adhocd's file
-// store (omit it for a throwaway in-memory archive). The league table is
-// deterministic for a fixed -seed at any -par, and -json emits it as the
-// same JSON document GET /v1/jobs/{id} returns for a daemon league job.
+// the last example is a self-contained one-shot demo. -ids is
+// repeatable, one whole champion ID per occurrence (IDs contain commas
+// and spaces, so nothing is split). -archive names a directory persisted
+// through the same WAL machinery as adhocd's file store (omit it for a
+// throwaway in-memory archive). The league runs as the same
+// LeagueJobSpec a daemon league job does, so the table is deterministic
+// for a fixed -seed at any -par, and -json emits it as the same JSON
+// document GET /v1/jobs/{id} returns for a daemon league job.
 package main
 
 import (
@@ -70,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		generations = fs.Int("generations", 40, "harvest: generations per replication")
 		reps        = fs.Int("reps", 2, "harvest: independent replications per case")
 		checkpoints = fs.Int("checkpoints", 10, "harvest: archive a champion every this many generations (the final generation is always archived)")
-		ids         = fs.String("ids", "", "comma-separated champion IDs to seat (empty = the whole archive)")
+		ids         idList
 		baselines   = fs.Bool("baselines", false, "seat the scripted baselines: all-forward, never-forward, and the paper's reciprocal winner")
 		perSide     = fs.Int("per-side", 10, "evolving players fielded per seat in each match")
 		matches     = fs.Int("matches", 2, "matches per seat pair")
@@ -81,6 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		par         = fs.Int("par", 0, "worker pool size (0 = all cores)")
 		jsonOut     = fs.Bool("json", false, "emit the league table as JSON instead of text")
 	)
+	fs.Var(&ids, "ids", "champion ID to seat; repeat for more (none = the whole archive)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -88,13 +92,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mode, err := network.ModeByName(*pathMode)
-	if err != nil {
+	if _, err := network.ModeByName(*pathMode); err != nil {
 		fmt.Fprintf(stderr, "league: -path must be SP or LP, got %q\n", *pathMode)
 		return 2
 	}
 
-	var archive *league.Archive
+	var (
+		archive *league.Archive
+		err     error
+	)
 	if *archiveDir != "" {
 		archive, err = league.OpenDir(*archiveDir)
 		if err != nil {
@@ -109,8 +115,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	defer archive.Close()
 
+	session := adhocga.NewSession(
+		adhocga.WithPoolSize(*par),
+		adhocga.WithChampionArchive(archive),
+	)
+	defer session.Close()
+
 	if *harvest {
-		if err := runHarvest(ctx, archive, *caseID, *generations, *rounds, *reps, *checkpoints, *seed, *par, stdout); err != nil {
+		if err := runHarvest(ctx, session, archive, *caseID, *generations, *rounds, *reps, *checkpoints, *seed, *par, stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			if ctx.Err() != nil {
 				return 130
@@ -130,45 +142,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var idList []string
-	if *ids != "" {
-		for _, id := range strings.Split(*ids, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				idList = append(idList, id)
-			}
-		}
-	}
-	champs, err := archive.Select(idList)
+	// Select up front so an unknown champion or a seatless league is a
+	// usage error (exit 2) rather than a failed job.
+	champs, err := archive.Select(ids)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var seats []league.Seat
-	for _, c := range champs {
-		seat, err := league.ChampionSeat(c)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		seats = append(seats, seat)
-	}
+	seats := len(champs)
 	if *baselines {
-		seats = append(seats, league.BaselineSeats()...)
+		seats += len(league.BaselineSeats())
 	}
-	if len(seats) < 2 {
-		fmt.Fprintf(stderr, "league: only %d seats (archive has %d champions; add -baselines or -harvest)\n", len(seats), archive.Len())
+	if seats < 2 {
+		fmt.Fprintf(stderr, "league: only %d seats (archive has %d champions; add -baselines or -harvest)\n", seats, archive.Len())
 		return 2
 	}
 
-	table, err := league.RunContext(ctx, league.Config{
-		Seats:          seats,
-		PerSide:        *perSide,
-		CSN:            *csn,
-		MatchesPerPair: *matches,
-		Rounds:         *rounds,
-		Mode:           mode,
-		Seed:           *seed,
-		Parallelism:    *par,
+	table, err := session.RunLeague(ctx, adhocga.LeagueJobSpec{
+		ChampionIDs:      ids,
+		IncludeBaselines: *baselines,
+		PerSide:          *perSide,
+		CSN:              *csn,
+		MatchesPerPair:   *matches,
+		Rounds:           *rounds,
+		PathMode:         *pathMode,
+		Seed:             *seed,
+		Parallelism:      *par,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -191,10 +190,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runHarvest runs the selected checkpointed Table 4 case(s) on a session
-// wired to the archive, so every checkpoint generation's best strategy
-// lands in the hall of fame.
-func runHarvest(ctx context.Context, archive *league.Archive, caseID, generations, rounds, reps, checkpoints int, seed uint64, par int, stdout io.Writer) error {
+// runHarvest runs the selected checkpointed Table 4 case(s) on the
+// session wired to the archive, so every checkpoint generation's best
+// strategy lands in the hall of fame.
+func runHarvest(ctx context.Context, session *adhocga.Session, archive *league.Archive, caseID, generations, rounds, reps, checkpoints int, seed uint64, par int, stdout io.Writer) error {
 	if caseID < 0 || caseID > 4 {
 		return fmt.Errorf("league: -case must be 0 (all) or 1-4, got %d", caseID)
 	}
@@ -210,11 +209,6 @@ func runHarvest(ctx context.Context, archive *league.Archive, caseID, generation
 		runs = append(runs, adhocga.ScenarioRun{Spec: spec})
 	}
 	before := archive.Len()
-	session := adhocga.NewSession(
-		adhocga.WithPoolSize(par),
-		adhocga.WithChampionArchive(archive),
-	)
-	defer session.Close()
 	job, err := session.Submit(ctx, adhocga.ScenariosSpec{
 		Runs:     runs,
 		Defaults: adhocga.Scale{Name: "harvest", Generations: generations, Rounds: rounds, Repetitions: reps},
@@ -228,6 +222,17 @@ func runHarvest(ctx context.Context, archive *league.Archive, caseID, generation
 	}
 	fmt.Fprintf(stdout, "harvested %d champions into %s archive (%d total)\n",
 		archive.Len()-before, archive.Backend(), archive.Len())
+	return nil
+}
+
+// idList is the repeatable -ids flag: each occurrence adds one champion
+// ID verbatim.
+type idList []string
+
+func (l *idList) String() string { return strings.Join(*l, " ") }
+
+func (l *idList) Set(id string) error {
+	*l = append(*l, id)
 	return nil
 }
 

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -14,6 +17,33 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
+}
+
+// TestOutputGolden pins stdout byte for byte against files recorded from
+// the CLI: a baselines-only league as text and as JSON, and a one-shot
+// harvest-then-league run.
+func TestOutputGolden(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		args []string
+	}{
+		{"baselines-seed7.stdout", []string{"-baselines", "-seed", "7"}},
+		{"baselines-seed7.json", []string{"-baselines", "-seed", "7", "-json"}},
+		{"harvest-case1-seed3.json", []string{"-harvest", "-case", "1", "-generations", "6", "-reps", "1",
+			"-checkpoints", "2", "-rounds", "20", "-baselines", "-seed", "3", "-json"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, errOut := runCLI(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", tc.file, code, errOut)
+		}
+		if out != string(want) {
+			t.Errorf("%s: stdout differs from golden:\n--- got\n%s\n--- want\n%s", tc.file, out, want)
+		}
+	}
 }
 
 func TestBaselinesOnlyLeague(t *testing.T) {
@@ -74,17 +104,52 @@ func TestHarvestListLeague(t *testing.T) {
 	}
 }
 
+// TestSeatChampionByID harvests into an archive, then seats a single
+// champion by its exact ID — which, like every Table 4 champion ID,
+// contains a comma — next to the baselines.
+func TestSeatChampionByID(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "hof")
+	code, _, errOut := runCLI(t,
+		"-archive", dir, "-harvest", "-case", "1",
+		"-generations", "4", "-reps", "1", "-checkpoints", "2",
+		"-rounds", "10", "-list", "-seed", "1")
+	if code != 0 {
+		t.Fatalf("harvest exit %d, stderr: %s", code, errOut)
+	}
+
+	const id = "job-1/case 1 (TE1, SP)/r0/g2"
+	code, out, errOut := runCLI(t,
+		"-archive", dir, "-ids", id, "-baselines",
+		"-per-side", "2", "-rounds", "10", "-matches", "1", "-seed", "7", "-json")
+	if code != 0 {
+		t.Fatalf("league exit %d, stderr: %s", code, errOut)
+	}
+	var table struct {
+		Seats []string `json:"seats"`
+	}
+	if err := json.Unmarshal([]byte(out), &table); err != nil {
+		t.Fatalf("decode table: %v\n%s", err, out)
+	}
+	want := []string{"champion/" + id, "baseline/all-forward", "baseline/never-forward", "baseline/paper-winner"}
+	if !reflect.DeepEqual(table.Seats, want) {
+		t.Fatalf("seats = %q, want %q", table.Seats, want)
+	}
+}
+
 func TestBadInvocations(t *testing.T) {
-	for name, args := range map[string][]string{
-		"bad path mode":     {"-baselines", "-path", "XX"},
-		"no seats":          {"-per-side", "2"},
-		"unknown champion":  {"-baselines", "-ids", "no/such/champion"},
-		"bad harvest case":  {"-harvest", "-case", "9", "-baselines"},
-		"zero harvest gens": {"-harvest", "-generations", "0", "-baselines"},
+	for name, tc := range map[string]struct {
+		args []string
+		code int
+	}{
+		"bad path mode":     {[]string{"-baselines", "-path", "XX"}, 2},
+		"no seats":          {[]string{"-per-side", "2"}, 2},
+		"unknown champion":  {[]string{"-baselines", "-ids", "no/such/champion"}, 2},
+		"bad harvest case":  {[]string{"-harvest", "-case", "9", "-baselines"}, 1},
+		"zero harvest gens": {[]string{"-harvest", "-generations", "0", "-baselines"}, 1},
+		"bad league config": {[]string{"-baselines", "-per-side", "-1"}, 1},
 	} {
-		code, _, _ := runCLI(t, args...)
-		if code == 0 {
-			t.Errorf("%s: exit 0, want nonzero", name)
+		if code, _, errOut := runCLI(t, tc.args...); code != tc.code {
+			t.Errorf("%s: exit %d, want %d (stderr: %s)", name, code, tc.code, errOut)
 		}
 	}
 }

@@ -9,62 +9,11 @@ import (
 	"adhocga/internal/tournament"
 )
 
-// TestReinitReplaysNew pins the arena-reuse contract of Reinit: an engine
-// rebuilt in place over a previous run's buffers must replay a fresh
-// New(cfg) bit-for-bit — same cooperation series, same final strategies —
-// even when the previous run used a different seed, environment set, and
-// generation count.
-func TestReinitReplaysNew(t *testing.T) {
-	envsA := []tournament.Environment{{Name: "A", CSN: 0}, {Name: "B", CSN: 2}}
-	envsB := []tournament.Environment{{Name: "C", CSN: 4}}
-	cfgA := smallConfig(11, envsA, 4)
-	cfgB := smallConfig(23, envsB, 6)
-
-	warm, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.Reinit(cfgB); err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got.CoopSeries) != len(want.CoopSeries) {
-		t.Fatalf("series length %d, want %d", len(got.CoopSeries), len(want.CoopSeries))
-	}
-	for g := range want.CoopSeries {
-		if got.CoopSeries[g] != want.CoopSeries[g] ||
-			got.MeanEnvCoopSeries[g] != want.MeanEnvCoopSeries[g] {
-			t.Fatalf("generation %d: reused engine diverged: coop %v vs %v",
-				g, got.CoopSeries[g], want.CoopSeries[g])
-		}
-	}
-	for i := range want.FinalStrategies {
-		if got.FinalStrategies[i].Genome().Compact() != want.FinalStrategies[i].Genome().Compact() {
-			t.Fatalf("final strategy %d differs after Reinit", i)
-		}
-	}
-}
-
-// TestReinitWithDynamics covers the one part of Reinit that rebuilds
-// rather than reuses: the perturbation model. A reused engine must replay
-// a dynamics-enabled run identically, including churn barriers.
-func TestReinitWithDynamics(t *testing.T) {
+// TestDynamicsRunReplays pins determinism with the perturbation model
+// enabled: two engines built by New from the same dynamics config —
+// churn barriers, SP↔LP rewiring and a free-rider cohort — replay each
+// other bit for bit, down to the final strategies.
+func TestDynamicsRunReplays(t *testing.T) {
 	envs := []tournament.Environment{{Name: "A", CSN: 2}}
 	cfg := smallConfig(7, envs, 6)
 	cfg.Dynamics = &dynamics.Config{
@@ -74,33 +23,30 @@ func TestReinitWithDynamics(t *testing.T) {
 		RewireStep: 0.3,
 		FreeRiders: 1,
 	}
-	run := func(e *Engine) []float64 {
+	run := func() *Result {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.CoopSeries
+		return res
 	}
+	want, got := run(), run()
 
-	fresh, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(got.CoopSeries) != cfg.Generations {
+		t.Fatalf("series length %d, want %d", len(got.CoopSeries), cfg.Generations)
 	}
-	want := run(fresh)
-
-	warm, err := New(smallConfig(99, envs, 3))
-	if err != nil {
-		t.Fatal(err)
+	for g := range want.CoopSeries {
+		if got.CoopSeries[g] != want.CoopSeries[g] {
+			t.Fatalf("dynamics run diverged at generation %d: %v vs %v", g, got.CoopSeries[g], want.CoopSeries[g])
+		}
 	}
-	run(warm)
-	if err := warm.Reinit(cfg); err != nil {
-		t.Fatal(err)
-	}
-	got := run(warm)
-
-	for g := range want {
-		if got[g] != want[g] {
-			t.Fatalf("dynamics run diverged at generation %d: %v vs %v", g, got[g], want[g])
+	for i := range want.FinalStrategies {
+		if got.FinalStrategies[i].Genome().Compact() != want.FinalStrategies[i].Genome().Compact() {
+			t.Fatalf("final strategy %d differs between replays", i)
 		}
 	}
 }

@@ -165,8 +165,7 @@ type GenerationStats struct {
 
 // Checkpoint is the observational champion snapshot handed to
 // OnCheckpoint: the best-fitness individual of a just-evaluated
-// generation, deep-copied so it stays valid after the engine evolves on
-// or is reinitialized for another job.
+// generation, deep-copied so it stays valid after the engine evolves on.
 type Checkpoint struct {
 	Generation  int
 	Best        strategy.Strategy
@@ -233,10 +232,7 @@ type Engine struct {
 	// the other buffer (or from init/immigrant vectors), then flips the
 	// parity. Two buffers suffice because strategies are reinstalled from
 	// the live genomes at the start of every EvaluateGeneration, before
-	// the buffer they previously shared is ever rewritten. reproParity is
-	// deliberately NOT reset by Reinit: the live genomes stay inside the
-	// buffer they were written to, and the next Reproduce must keep
-	// targeting the other one.
+	// the buffer they previously shared is ever rewritten.
 	repro       [2]ga.Buffers
 	reproParity int
 }
@@ -244,95 +240,32 @@ type Engine struct {
 // New validates the configuration and builds an Engine with a random
 // initial population.
 func New(cfg Config) (*Engine, error) {
-	e := &Engine{}
-	if err := e.Reinit(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return e, nil
-}
-
-// Reinit rebuilds the engine in place for a fresh run of cfg — the arena
-// reuse primitive behind session job pooling. It is exactly equivalent to
-// New(cfg): the same draw sequence from the same seed, so a reinitialized
-// engine replays a fresh one bit for bit. The difference is purely
-// allocation: genomes are re-randomized in place, players keep their dense
-// reputation stores (reset rather than rebuilt), and the evaluation pass's
-// warm working buffers survive, so reinitializing for a same-shaped config
-// costs a handful of small allocations instead of rebuilding the whole
-// working set. Results obtained from earlier runs stay valid: everything
-// they carry is either freshly allocated per run or deep-copied
-// (SnapshotStrategies).
-func (e *Engine) Reinit(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
+	e := &Engine{
+		cfg: cfg,
+		r:   rng.New(cfg.Seed),
+		gen: network.NewGenerator(cfg.Eval.Tournament.Mode),
 	}
-	e.cfg = cfg
-	if e.r == nil {
-		e.r = rng.New(cfg.Seed)
-	} else {
-		e.r.Reseed(cfg.Seed)
-	}
-	if e.gen == nil {
-		e.gen = network.NewGenerator(cfg.Eval.Tournament.Mode)
-	} else {
-		e.gen.SetMode(cfg.Eval.Tournament.Mode)
-	}
-	e.dyn = nil
-	e.byz = nil
-	e.reproductions = 0
 
 	n := cfg.PopulationSize
-	if cap(e.normals) < n {
-		grown := make([]*game.Player, n)
-		copy(grown, e.normals)
-		e.normals = grown
-	}
-	e.normals = e.normals[:n]
-	if cap(e.genomes) < n {
-		grown := make([]ga.Individual, n)
-		copy(grown, e.genomes)
-		e.genomes = grown
-	}
-	e.genomes = e.genomes[:n]
-	for i := 0; i < n; i++ {
-		g := e.genomes[i].Genome
-		if g.Len() != strategy.Bits {
-			g = bitstring.New(strategy.Bits)
-		}
+	e.normals = make([]*game.Player, n)
+	e.genomes = make([]ga.Individual, n)
+	for i := range n {
+		g := bitstring.New(strategy.Bits)
 		// Identical draws to strategy.Random: one engine word per genome.
 		g.FillRandom(e.r)
 		if cfg.Constraint != nil {
 			cfg.Constraint(g)
 		}
 		e.genomes[i] = ga.Individual{Genome: g}
-		if p := e.normals[i]; p != nil {
-			p.ID = network.NodeID(i)
-			p.Type = game.Normal
-			p.Adv = game.AdvNone
-			p.Strategy = strategy.New(g)
-			p.ResetForGeneration()
-		} else {
-			e.normals[i] = game.NewNormal(network.NodeID(i), strategy.New(g))
-		}
+		e.normals[i] = game.NewNormal(network.NodeID(i), strategy.New(g))
 	}
 	maxCSN := cfg.Eval.MaxCSN()
-	if cap(e.csn) < maxCSN {
-		grown := make([]*game.Player, maxCSN)
-		copy(grown, e.csn)
-		e.csn = grown
-	}
-	e.csn = e.csn[:maxCSN]
-	for i := 0; i < maxCSN; i++ {
-		id := network.NodeID(n + i)
-		if p := e.csn[i]; p != nil {
-			p.ID = id
-			p.Type = game.Selfish
-			p.Adv = game.AdvNone
-			p.Strategy = strategy.AllDiscard()
-			p.ResetForGeneration()
-		} else {
-			e.csn[i] = game.NewSelfish(id)
-		}
+	e.csn = make([]*game.Player, maxCSN)
+	for i := range maxCSN {
+		e.csn[i] = game.NewSelfish(network.NodeID(n + i))
 	}
 	if cfg.Dynamics != nil && cfg.Dynamics.Enabled() {
 		// The perturbation stream is split from the root seed through a
@@ -343,13 +276,13 @@ func (e *Engine) Reinit(cfg Config) error {
 		// on the SP↔LP axis; custom modes (whose position the name cannot
 		// reveal) seed at the SP end.
 		alpha, _ := network.ModeAlpha(cfg.Eval.Tournament.Mode)
-		ids := cfg.PopulationSize + maxCSN + cfg.Dynamics.AdversaryCount()
+		ids := n + maxCSN + cfg.Dynamics.AdversaryCount()
 		dyn, err := dynamics.NewModel(*cfg.Dynamics, rng.New(cfg.Seed).Split(), ids, alpha)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e.dyn = dyn
-		e.byz = dyn.NewAdversaries(network.NodeID(cfg.PopulationSize + maxCSN))
+		e.byz = dyn.NewAdversaries(network.NodeID(n + maxCSN))
 		if cfg.Dynamics.OnOff > 0 {
 			e.cfg.Eval.Tournament.RoundDriver = dyn
 		}
@@ -363,7 +296,7 @@ func (e *Engine) Reinit(cfg Config) error {
 		p.Rep.EnsureSize(len(e.registry))
 		p.Rep.SetTable(table)
 	}
-	return nil
+	return e, nil
 }
 
 // NewResult returns a Result with series storage sized for the given
@@ -481,7 +414,7 @@ func (e *Engine) Population() []ga.Individual { return e.genomes }
 // SnapshotStrategies returns the strategies installed by the most recent
 // EvaluateGeneration, one per individual in population order. Each entry
 // is backed by its own genome copy, so snapshots stay valid after the
-// engine evolves further or is reinitialized for another job.
+// engine evolves further.
 func (e *Engine) SnapshotStrategies() []strategy.Strategy {
 	out := make([]strategy.Strategy, len(e.normals))
 	for i, p := range e.normals {

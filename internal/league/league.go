@@ -174,11 +174,6 @@ func (t *Table) Winner() string {
 	return t.Standings[0].Name
 }
 
-// Run plays the league. See RunContext.
-func Run(cfg Config) (*Table, error) {
-	return RunContext(context.Background(), cfg)
-}
-
 // RunContext plays a full round-robin league: every pair of seats meets
 // MatchesPerPair times, each match seating PerSide copies of both
 // strategies plus CSN selfish nodes in one tournament evaluation (the

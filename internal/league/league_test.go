@@ -41,7 +41,7 @@ func goldenConfig(t *testing.T) Config {
 
 func tableJSON(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	table, err := Run(cfg)
+	table, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLeagueDeterministicAcrossRestart(t *testing.T) {
 
 func TestLeagueTableShape(t *testing.T) {
 	cfg := goldenConfig(t)
-	table, err := Run(cfg)
+	table, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestConfigValidate(t *testing.T) {
 		cfg := base
 		cfg.Seats = append([]Seat(nil), base.Seats...)
 		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: Run accepted invalid config", name)
+		if _, err := RunContext(context.Background(), cfg); err == nil {
+			t.Errorf("%s: RunContext accepted invalid config", name)
 		}
 	}
 }

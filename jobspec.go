@@ -97,17 +97,14 @@ func checkpointEvent(scen, rep int, seed uint64, cp core.Checkpoint) Event {
 	}}
 }
 
-// eventOptions returns a copy of opts with the session's pool and seed
-// policy installed and the observation hooks chained into event emission
-// (user-supplied hooks, if any, still fire first). Every batch spec's run
-// goes through here, so WithDefaultSeed applies uniformly whether the job
-// arrives via Submit, a Session convenience method, or the HTTP service.
+// eventOptions returns a copy of opts with the session's pool installed
+// and the observation hooks chained into event emission (user-supplied
+// hooks, if any, still fire first). Every batch spec's run goes through
+// here, so a job observes the same events whether it arrives via Submit,
+// a Session convenience method, or the HTTP service.
 func eventOptions(opts RunOptions, s *Session, emit func(Event)) RunOptions {
 	if opts.Pool == nil {
 		opts.Pool = s.pool
-	}
-	if opts.Seed == 0 {
-		opts.Seed = s.seed
 	}
 	userRep := opts.OnReplicate
 	opts.OnReplicate = func(done, total int) {
@@ -181,16 +178,11 @@ func (sp EvolveSpec) run(ctx context.Context, s *Session, emit func(Event)) (any
 		emit(checkpointEvent(0, 0, cfg.Seed, cp))
 	}
 	return runPooled(ctx, s, func() (any, error) {
-		engine, err := s.acquireEngine(cfg)
+		engine, err := core.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.RunContext(ctx)
-		// Park the engine for the next submission even after cancellation:
-		// Reinit resets it completely. The result shares nothing with the
-		// engine's arena (series are per-run, snapshots deep-copied).
-		s.releaseEngine(engine)
-		return res, err
+		return engine.RunContext(ctx)
 	})
 }
 

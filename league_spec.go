@@ -32,7 +32,7 @@ type LeagueJobSpec struct {
 	MatchesPerPair int    `json:"matches_per_pair,omitempty"`
 	Rounds         int    `json:"rounds,omitempty"`
 	PathMode       string `json:"path_mode,omitempty"` // "SP" (default) or "LP"
-	// Seed is the league's root seed (0 = the session default seed).
+	// Seed is the league's root seed; match seeds are drawn from it.
 	Seed        uint64 `json:"seed,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 }
@@ -64,10 +64,6 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 	if err != nil {
 		return nil, fmt.Errorf("adhocga: league job: %w", err)
 	}
-	seed := sp.Seed
-	if seed == 0 {
-		seed = s.seed
-	}
 	cfg := league.Config{
 		Seats:          seats,
 		PerSide:        sp.PerSide,
@@ -75,7 +71,7 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 		MatchesPerPair: sp.MatchesPerPair,
 		Rounds:         sp.Rounds,
 		Mode:           mode,
-		Seed:           seed,
+		Seed:           sp.Seed,
 		Parallelism:    sp.Parallelism,
 	}
 	// One pool slot for the whole league; its matches fan out over the

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"adhocga/internal/core"
 	"adhocga/internal/league"
 	"adhocga/internal/runner"
 )
@@ -30,7 +29,6 @@ import (
 type Session struct {
 	pool     *runner.Pool
 	scale    Scale
-	seed     uint64
 	jobSlots chan struct{}
 	retain   int // max terminal jobs kept; ≤0 = unlimited
 	hubCfg   HubConfig
@@ -48,16 +46,6 @@ type Session struct {
 	retired   StreamTotals // stream counters of jobs pruned from the map
 	closed    bool
 	wg        sync.WaitGroup
-
-	// Engine arena: finished evolve jobs park their engine here and later
-	// submissions reinitialize it in place (core.Engine.Reinit), so a
-	// session's steady state reuses one working set — population, dense
-	// reputation stores, evaluation scratch — per concurrent job instead
-	// of rebuilding ~1 MB of structure per Submit. Bounded by the pool
-	// size; reuse is bit-invisible (Reinit replays New exactly).
-	engMu        sync.Mutex
-	engines      []*core.Engine
-	engineReuses int
 }
 
 // SessionOption configures NewSession.
@@ -74,13 +62,6 @@ func WithPoolSize(n int) SessionOption {
 // zero. The default is ScaleDefault.
 func WithDefaultScale(sc Scale) SessionOption {
 	return func(s *Session) { s.scale = sc }
-}
-
-// WithDefaultSeed sets the master seed used by batch jobs whose options
-// leave Seed zero — the session's seed policy. The default keeps zero
-// (the layers below derive their streams from it as documented).
-func WithDefaultSeed(seed uint64) SessionOption {
-	return func(s *Session) { s.seed = seed }
 }
 
 // WithMaxConcurrentJobs bounds how many jobs run at once; later
@@ -349,8 +330,6 @@ type SessionStats struct {
 	Queued, Running, Done, Failed, Cancelled int
 	// Retained is the number of reachable jobs (the sum of the above).
 	Retained int
-	// EngineReuses counts jobs that ran on a recycled engine arena.
-	EngineReuses int
 	// PoolSize and PoolBusy are the shared execution pool's slot count
 	// and a point-in-time sample of slots currently held.
 	PoolSize, PoolBusy int
@@ -378,7 +357,6 @@ func (s *Session) Stats() SessionStats {
 		}
 	}
 	s.mu.Unlock()
-	st.EngineReuses = s.EngineReuses()
 	st.PoolSize = s.pool.Size()
 	st.PoolBusy = s.pool.InUse()
 	return st
@@ -415,54 +393,6 @@ func (s *Session) StreamTotals() StreamTotals {
 		}
 	}
 	return tot
-}
-
-// acquireEngine returns an engine initialized for cfg, reusing a parked
-// one when available. Reuses are counted for observability
-// (EngineReuses); results are identical either way.
-func (s *Session) acquireEngine(cfg core.Config) (*core.Engine, error) {
-	s.engMu.Lock()
-	var eng *core.Engine
-	if n := len(s.engines); n > 0 {
-		eng = s.engines[n-1]
-		s.engines[n-1] = nil
-		s.engines = s.engines[:n-1]
-	}
-	s.engMu.Unlock()
-	if eng != nil {
-		if err := eng.Reinit(cfg); err != nil {
-			// Invalid config: surface it exactly as core.New would, and
-			// don't re-park the half-reset engine.
-			return nil, err
-		}
-		s.engMu.Lock()
-		s.engineReuses++
-		s.engMu.Unlock()
-		return eng, nil
-	}
-	return core.New(cfg)
-}
-
-// releaseEngine parks a finished job's engine for reuse, keeping at most
-// one per pool slot.
-func (s *Session) releaseEngine(eng *core.Engine) {
-	if eng == nil {
-		return
-	}
-	s.engMu.Lock()
-	if len(s.engines) < s.pool.Size() {
-		s.engines = append(s.engines, eng)
-	}
-	s.engMu.Unlock()
-}
-
-// EngineReuses returns how many submitted jobs ran on a reused engine
-// arena instead of building a fresh one — an observability counter for
-// tests and capacity tuning.
-func (s *Session) EngineReuses() int {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	return s.engineReuses
 }
 
 // Job returns the handle of a previously submitted job by ID.

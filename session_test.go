@@ -397,39 +397,6 @@ func TestSessionLookupAndIDs(t *testing.T) {
 	j2.Wait(context.Background())
 }
 
-// TestDefaultSeedAppliesOnSubmitPath pins the seed policy: a batch spec
-// submitted directly (the adhocd path) uses the session's WithDefaultSeed
-// exactly like one run through the convenience wrapper.
-func TestDefaultSeedAppliesOnSubmitPath(t *testing.T) {
-	fam, err := ScenarioFamilyByName("table4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := []ScenarioRun{{Spec: fam.Specs()[0]}}
-	sc := Scale{Name: "test", Generations: 2, Rounds: 10, Repetitions: 1}
-
-	s := NewSession(WithDefaultSeed(99))
-	defer s.Close()
-	j, err := s.Submit(context.Background(), ScenariosSpec{Runs: runs, Defaults: sc, Opts: RunOptions{Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	viaSubmit := j.Result().([]*CaseResult)
-
-	plain := NewSession()
-	defer plain.Close()
-	explicit, err := plain.RunScenarios(context.Background(), runs, sc, RunOptions{Seed: 99, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaSubmit[0].CoopMean, explicit[0].CoopMean) {
-		t.Error("Submit path ignored the session's default seed")
-	}
-}
-
 // TestJobRetentionEvictsOldTerminalJobs pins the daemon-critical bound:
 // finished jobs beyond the retention cap drop out of lookup so a
 // long-lived session's memory stays bounded.

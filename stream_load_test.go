@@ -51,7 +51,7 @@ func TestStreamLoadThousandsOfSubscribers(t *testing.T) {
 	s := NewSession(WithPoolSize(1))
 	defer s.Close()
 
-	// Warm the engine pool, then time the identical workload bare.
+	// One warm-up run, then time the identical workload bare.
 	runEvolveWall(t, s, nil)
 	bare := runEvolveWall(t, s, nil)
 
