@@ -4,6 +4,11 @@
 // JSON the CLIs' -scenario flag accepts, poll job status, and stream
 // per-generation events as NDJSON or SSE while the GA runs.
 //
+// The server keeps one Go scheduler slot (P) beyond the pool, raising
+// GOMAXPROCS to min(pool, cores)+1 when it is lower, so submits,
+// handshakes and status calls are answered while every pool slot
+// computes. An explicit GOMAXPROCS environment setting is left alone.
+//
 // Usage:
 //
 //	adhocd                                  # listen on :8547, pool = all cores
@@ -72,6 +77,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -99,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8547", "listen address (host:port; port 0 picks a free one)")
-		pool      = fs.Int("pool", 0, "execution pool slots shared by all jobs (0 = all cores)")
+		pool      = fs.Int("pool", 0, "execution pool slots shared by all jobs (0 = all cores); the server keeps one P beyond the pool for I/O")
 		maxJobs   = fs.Int("max-jobs", 4, "jobs running concurrently; further submissions queue (0 = unbounded)")
 		retain    = fs.Int("retain", 256, "finished jobs kept queryable; older ones are evicted (0 = keep all)")
 		scaleName = fs.String("scale", "default", "default scale for submissions that pin none: smoke, default, or paper")
@@ -242,8 +248,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	server := &http.Server{Handler: svc}
-	fmt.Fprintf(stdout, "adhocd listening on %s (pool %d, max jobs %d, scale %s, store %s)\n",
-		ln.Addr(), session.PoolSize(), *maxJobs, sc.Name, store.Backend())
+	fmt.Fprintf(stdout, "adhocd listening on %s (pool %d, max jobs %d, scale %s, store %s, gomaxprocs %d)\n",
+		ln.Addr(), session.PoolSize(), *maxJobs, sc.Name, store.Backend(), runtime.GOMAXPROCS(0))
 	if recovered > 0 {
 		fmt.Fprintf(stdout, "adhocd: recovered %d persisted jobs, resumed %d unfinished\n", recovered, resumed)
 	}

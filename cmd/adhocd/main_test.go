@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +60,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 	base := "http://" + addr
+	if want := fmt.Sprintf("gomaxprocs %d)", runtime.GOMAXPROCS(0)); !strings.Contains(stdout.String(), want) {
+		t.Errorf("startup line %q does not report %q", stdout.String(), want)
+	}
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {

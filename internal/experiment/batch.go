@@ -102,6 +102,11 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 				return err
 			}
 			icfg.Parallelism = opts.Parallelism
+			if icfg.Parallelism <= 0 && opts.Pool != nil {
+				// Size the workers from the shared pool, not GOMAXPROCS,
+				// which a server raises to keep a P free for I/O.
+				icfg.Parallelism = opts.Pool.Size()
+			}
 			if opts.OnIslandGeneration != nil {
 				icfg.OnGeneration = func(gs island.GenerationStats) {
 					opts.OnIslandGeneration(u.job, u.rep, gs)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -128,6 +129,9 @@ func (s *Server) registerMetrics() {
 	m.GaugeFunc("adhocd_pool_slots",
 		"Execution pool capacity (replicate units that can run at once).",
 		func() float64 { return float64(s.session.Stats().PoolSize) })
+	m.GaugeFunc("adhocd_gomaxprocs",
+		"Go scheduler slots (GOMAXPROCS); the server keeps one beyond the pool for I/O.",
+		func() float64 { return float64(runtime.GOMAXPROCS(0)) })
 	m.GaugeFunc("adhocd_pool_busy",
 		"Execution pool slots currently held by running tasks.",
 		func() float64 { return float64(s.session.Stats().PoolBusy) })

@@ -98,6 +98,7 @@ func TestMetricsLifecycle(t *testing.T) {
 		"# TYPE adhocd_jobs_submitted_total counter",
 		"# TYPE adhocd_wal_fsync_seconds histogram",
 		"# TYPE adhocd_pool_slots gauge",
+		"# TYPE adhocd_gomaxprocs gauge",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("initial exposition missing %q", want)

@@ -73,6 +73,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -177,8 +179,11 @@ type Server struct {
 	resumed   int
 }
 
-// New builds a Server over the given session.
+// New builds a Server over the given session. It also keeps one P (a
+// GOMAXPROCS scheduler slot) beyond what the session's compute pool can
+// occupy; see reserveIOProc.
 func New(session *adhocga.Session, opts Options) *Server {
+	reserveIOProc(session.PoolSize())
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 1 << 20
 	}
@@ -231,6 +236,28 @@ func New(session *adhocga.Session, opts Options) *Server {
 		s.registerPprof()
 	}
 	return s
+}
+
+// procMu serializes reserveIOProc's read-then-raise, so two servers built
+// at once can never lower GOMAXPROCS.
+var procMu sync.Mutex
+
+// reserveIOProc raises GOMAXPROCS to min(pool, NumCPU)+1 when it is lower.
+// With every P running a compute goroutine, a goroutine the network wakes
+// (a submit, a WebSocket handshake, a status call) waits for sysmon's
+// ~10 ms netpoll and preemption; a spare P picks it up at once. The NumCPU
+// cap keeps default pools, which are sized from GOMAXPROCS, from ratcheting
+// it up one more with every server built. GOMAXPROCS is never lowered, and
+// an operator's GOMAXPROCS environment setting is left alone.
+func reserveIOProc(pool int) {
+	if os.Getenv("GOMAXPROCS") != "" {
+		return
+	}
+	procMu.Lock()
+	defer procMu.Unlock()
+	if want := min(pool, runtime.NumCPU()) + 1; runtime.GOMAXPROCS(0) < want {
+		runtime.GOMAXPROCS(want)
+	}
 }
 
 // Shutdown cancels every live stream — WebSocket, SSE, NDJSON — so their

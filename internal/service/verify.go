@@ -152,13 +152,8 @@ func (s *Server) verifyRecord(ctx context.Context, rec jobstore.Record) (VerifyR
 	return report, nil
 }
 
-// replayRecord re-runs the record's (seed, spec) in a sandboxed session
-// and returns the replayed NDJSON event log and result-summary JSON.
-func (s *Server) replayRecord(ctx context.Context, rec jobstore.Record) ([]byte, []byte, error) {
-	spec, err := specFromRecord(rec)
-	if err != nil {
-		return nil, nil, err
-	}
+// newSandbox builds the throwaway session a verify replays rec in.
+func (s *Server) newSandbox(rec jobstore.Record) *adhocga.Session {
 	// Size the sandbox hub to retain the whole replay whenever the
 	// original run's history was retained, so the byte comparison sees
 	// complete logs on both sides.
@@ -166,14 +161,30 @@ func (s *Server) replayRecord(ctx context.Context, rec jobstore.Record) ([]byte,
 	if rec.Events > 0 {
 		hub.RingSize = rec.Events
 	}
-	sessOpts := []adhocga.SessionOption{adhocga.WithHubConfig(hub)}
+	// The serving pool's size, not the GOMAXPROCS default, keeps the
+	// spare P New reserved for I/O spare; replays are deterministic at
+	// any parallelism.
+	sessOpts := []adhocga.SessionOption{
+		adhocga.WithHubConfig(hub),
+		adhocga.WithPoolSize(s.session.PoolSize()),
+	}
 	if rec.Kind == "league" && s.opts.Champions != nil {
 		// League seats resolve from the champion archive; sharing it is
 		// safe — replays archive nothing (the sandbox runs no checkpoints)
 		// and Select only reads.
 		sessOpts = append(sessOpts, adhocga.WithChampionArchive(s.opts.Champions))
 	}
-	sandbox := adhocga.NewSession(sessOpts...)
+	return adhocga.NewSession(sessOpts...)
+}
+
+// replayRecord re-runs the record's (seed, spec) in a sandboxed session
+// and returns the replayed NDJSON event log and result-summary JSON.
+func (s *Server) replayRecord(ctx context.Context, rec jobstore.Record) ([]byte, []byte, error) {
+	spec, err := specFromRecord(rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	sandbox := s.newSandbox(rec)
 	defer sandbox.Close()
 	// The original ID matters: events embed it, and the stored log was
 	// emitted under it.

@@ -199,6 +199,11 @@ func (IslandsSpec) Kind() string { return "islands" }
 
 func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
 	cfg := sp.Config
+	if cfg.Parallelism <= 0 {
+		// The pool's size, not GOMAXPROCS, which a server raises to keep
+		// a P free for I/O.
+		cfg.Parallelism = s.PoolSize()
+	}
 	userGen := cfg.OnGeneration
 	cfg.OnGeneration = func(gs IslandGenerationStats) {
 		if userGen != nil {

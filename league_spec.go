@@ -74,6 +74,11 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 		Seed:           sp.Seed,
 		Parallelism:    sp.Parallelism,
 	}
+	if cfg.Parallelism <= 0 {
+		// The pool's size, not GOMAXPROCS, which a server raises to keep
+		// a P free for I/O.
+		cfg.Parallelism = s.PoolSize()
+	}
 	// One pool slot for the whole league; its matches fan out over the
 	// league's own bounded workers (the islands tradeoff: transient,
 	// wall-clock-only oversubscription, results unaffected).
