@@ -10,19 +10,12 @@ import (
 	"time"
 )
 
-// End-to-end smoke tests: run the binary's whole main path (flag parsing,
-// experiment execution, report rendering) at a tiny budget and check the
-// output is deterministic byte for byte at a fixed seed.
-
-func runCLI(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
+// End-to-end smoke tests for the evolve subcommand: run its whole path
+// (flag parsing, experiment execution, report rendering) at a tiny budget
+// and check the output is deterministic byte for byte at a fixed seed.
 
 func TestRunCaseByteIdenticalAtFixedSeed(t *testing.T) {
-	args := []string{"-case", "1", "-generations", "2", "-rounds", "10", "-reps", "2", "-seed", "7", "-q"}
+	args := []string{"evolve", "-case", "1", "-generations", "2", "-rounds", "10", "-reps", "2", "-seed", "7", "-q"}
 	code1, out1, err1 := runCLI(t, args...)
 	if code1 != 0 {
 		t.Fatalf("exit %d, stderr: %s", code1, err1)
@@ -44,7 +37,7 @@ func TestRunCaseByteIdenticalAtFixedSeed(t *testing.T) {
 // -csv series of case 3 at seed 7.
 func TestCaseMatchesGolden(t *testing.T) {
 	csvPath := filepath.Join(t.TempDir(), "series.csv")
-	code, out, errOut := runCLI(t, "-case", "3", "-generations", "3", "-rounds", "20",
+	code, out, errOut := runCLI(t, "evolve", "-case", "3", "-generations", "3", "-rounds", "20",
 		"-reps", "2", "-seed", "7", "-q", "-csv", csvPath)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
@@ -70,7 +63,7 @@ func TestCaseMatchesGolden(t *testing.T) {
 }
 
 func TestRunDynamicsFlagsEndToEnd(t *testing.T) {
-	code, out, errOut := runCLI(t,
+	code, out, errOut := runCLI(t, "evolve",
 		"-case", "1", "-generations", "4", "-rounds", "10", "-reps", "1", "-seed", "3", "-q",
 		"-churn", "0.25", "-churn-interval", "2", "-rewire", "0.5",
 		"-free-riders", "2", "-liars", "2", "-onoff", "2", "-gossip", "5")
@@ -85,7 +78,7 @@ func TestRunDynamicsFlagsEndToEnd(t *testing.T) {
 }
 
 func TestRunScenarioFamilyEndToEnd(t *testing.T) {
-	code, out, errOut := runCLI(t,
+	code, out, errOut := runCLI(t, "evolve",
 		"-scenario", "churn 20% every 5 gens",
 		"-generations", "6", "-rounds", "10", "-reps", "1", "-seed", "2", "-q")
 	if code != 0 {
@@ -97,7 +90,7 @@ func TestRunScenarioFamilyEndToEnd(t *testing.T) {
 }
 
 func TestListScenariosIncludesDynamicsFamilies(t *testing.T) {
-	code, out, _ := runCLI(t, "-list-scenarios")
+	code, out, _ := runCLI(t, "evolve", "-list-scenarios")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -137,7 +130,7 @@ func TestFlagValidationRejectsNonsense(t *testing.T) {
 		{[]string{"-case", "9"}, "no evaluation case"},
 	}
 	for _, tc := range cases {
-		code, _, errOut := runCLI(t, tc.args...)
+		code, _, errOut := runCLI(t, append([]string{"evolve"}, tc.args...)...)
 		if code != 2 {
 			t.Errorf("args %v: exit %d, want 2 (stderr: %s)", tc.args, code, errOut)
 			continue
@@ -154,7 +147,7 @@ func TestFlagValidationRejectsNonsense(t *testing.T) {
 // check lives in scenario validation (a -scenario file may supply the
 // gossip block itself), so it surfaces as a run error, not a flag error.
 func TestLiarsWithoutGossipRejected(t *testing.T) {
-	code, _, errOut := runCLI(t, "-case", "1", "-liars", "3",
+	code, _, errOut := runCLI(t, "evolve", "-case", "1", "-liars", "3",
 		"-generations", "2", "-rounds", "10", "-reps", "1", "-q")
 	if code == 0 {
 		t.Fatal("liars without gossip accepted")
@@ -164,16 +157,16 @@ func TestLiarsWithoutGossipRejected(t *testing.T) {
 	}
 }
 
-// TestInterruptEmitsPartialSeries pins the SIGINT behavior: a cancelled
+// TestEvolveInterruptEmitsPartialSeries pins the SIGINT behavior: a cancelled
 // run exits 130 with the partial cooperation series and a clear
 // "interrupted at generation N" marker instead of dying mid-write.
-func TestInterruptEmitsPartialSeries(t *testing.T) {
+func TestEvolveInterruptEmitsPartialSeries(t *testing.T) {
 	// Cancel shortly after the run starts; the job stops at its next
 	// generation barrier long before the million-generation budget.
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	var stdout, stderr bytes.Buffer
-	code := run(ctx, []string{"-case", "1", "-generations", "1000000", "-rounds", "10",
+	code := run(ctx, []string{"evolve", "-case", "1", "-generations", "1000000", "-rounds", "10",
 		"-reps", "1", "-seed", "6", "-q"}, &stdout, &stderr)
 	if code != interruptedExit {
 		t.Fatalf("exit %d, want %d (stderr: %s)", code, interruptedExit, stderr.String())
@@ -183,10 +176,10 @@ func TestInterruptEmitsPartialSeries(t *testing.T) {
 	}
 }
 
-// TestHelpExitsZero pins that -h is a successful invocation, as it was
+// TestEvolveHelpExitsZero pins that -h is a successful invocation, as it was
 // before the testable-seam refactor replaced flag.ExitOnError.
-func TestHelpExitsZero(t *testing.T) {
-	code, _, errOut := runCLI(t, "-h")
+func TestEvolveHelpExitsZero(t *testing.T) {
+	code, _, errOut := runCLI(t, "evolve", "-h")
 	if code != 0 {
 		t.Errorf("-h exit %d, want 0", code)
 	}
@@ -198,7 +191,7 @@ func TestHelpExitsZero(t *testing.T) {
 // TestIslandsOfOneStillRuns pins that the -islands validation only rejects
 // nonsense: the legitimate degenerate value 1 runs the serial engine.
 func TestIslandsOfOneStillRuns(t *testing.T) {
-	code, out, errOut := runCLI(t,
+	code, out, errOut := runCLI(t, "evolve",
 		"-case", "1", "-generations", "2", "-rounds", "10", "-reps", "1", "-seed", "4", "-q",
 		"-islands", "1")
 	if code != 0 {
@@ -206,5 +199,30 @@ func TestIslandsOfOneStillRuns(t *testing.T) {
 	}
 	if !strings.Contains(out, "final cooperation:") {
 		t.Errorf("output missing summary:\n%s", out)
+	}
+}
+
+// TestSaveCensusFeedsSimMix pins the -save contract across subcommands:
+// every strategy string in an evolve census is accepted by sim -mix.
+func TestSaveCensusFeedsSimMix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "census.txt")
+	code, out, errOut := runCLI(t, "evolve", "-case", "1", "-generations", "2", "-rounds", "10",
+		"-reps", "1", "-seed", "5", "-q", "-save", path)
+	if code != 0 {
+		t.Fatalf("evolve exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "final census written to "+path) {
+		t.Errorf("stdout missing the census note:\n%s", out)
+	}
+	census, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mix []string
+	for _, line := range strings.Split(strings.TrimSpace(string(census)), "\n") {
+		mix = append(mix, strings.Fields(line)[0]+":2")
+	}
+	if code, _, errOut := runCLI(t, "sim", "-mix", strings.Join(mix, ","), "-rounds", "10"); code != 0 {
+		t.Fatalf("sim -mix rejected the census: exit %d, stderr: %s", code, errOut)
 	}
 }

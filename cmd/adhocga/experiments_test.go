@@ -8,19 +8,12 @@ import (
 	"time"
 )
 
-// End-to-end smoke tests for the experiments harness: each artifact path
+// End-to-end smoke tests for the experiments subcommand: each artifact path
 // runs at a tiny budget and the output byte-compares across identical
 // invocations at a fixed seed.
 
-func runCLI(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
-
 func TestFig4ByteIdenticalAtFixedSeed(t *testing.T) {
-	args := []string{"-only", "fig4", "-generations", "2", "-rounds", "10", "-reps", "1", "-seed", "9", "-q"}
+	args := []string{"experiments", "-only", "fig4", "-generations", "2", "-rounds", "10", "-reps", "1", "-seed", "9", "-q"}
 	code1, out1, err1 := runCLI(t, args...)
 	if code1 != 0 {
 		t.Fatalf("exit %d, stderr: %s", code1, err1)
@@ -38,7 +31,7 @@ func TestFig4ByteIdenticalAtFixedSeed(t *testing.T) {
 }
 
 func TestTablesArtifactRuns(t *testing.T) {
-	code, out, errOut := runCLI(t, "-only", "table5,table6",
+	code, out, errOut := runCLI(t, "experiments", "-only", "table5,table6",
 		"-generations", "2", "-rounds", "10", "-reps", "1", "-seed", "11", "-q")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
@@ -49,7 +42,7 @@ func TestTablesArtifactRuns(t *testing.T) {
 }
 
 func TestChurnAndAdversaryArtifactsEndToEnd(t *testing.T) {
-	args := []string{"-only", "churn,adversaries",
+	args := []string{"experiments", "-only", "churn,adversaries",
 		"-generations", "6", "-rounds", "10", "-reps", "1", "-seed", "5", "-q"}
 	code, out, errOut := runCLI(t, args...)
 	if code != 0 {
@@ -73,7 +66,7 @@ func TestChurnAndAdversaryArtifactsEndToEnd(t *testing.T) {
 }
 
 func TestMarkdownMode(t *testing.T) {
-	code, out, errOut := runCLI(t, "-only", "churn", "-markdown",
+	code, out, errOut := runCLI(t, "experiments", "-only", "churn", "-markdown",
 		"-generations", "6", "-rounds", "10", "-reps", "1", "-q")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
@@ -83,8 +76,8 @@ func TestMarkdownMode(t *testing.T) {
 	}
 }
 
-func TestHelpExitsZero(t *testing.T) {
-	code, _, errOut := runCLI(t, "-h")
+func TestExperimentsHelpExitsZero(t *testing.T) {
+	code, _, errOut := runCLI(t, "experiments", "-h")
 	if code != 0 {
 		t.Errorf("-h exit %d, want 0", code)
 	}
@@ -99,15 +92,20 @@ func TestBadFlagsRejected(t *testing.T) {
 		frag string
 	}{
 		{[]string{"-scale", "enormous"}, "unknown scale"},
-		{[]string{"-only", "nonsense"}, "nothing to do"},
+		{[]string{"-only", "nonsense"}, `unknown artifact "nonsense"`},
+		// A misspelled name is rejected, not skipped beside a valid one,
+		// and the message lists the valid names.
+		{[]string{"-only", "fig4,tabel5"}, `unknown artifact "tabel5" (valid: fig4,table5,table6,table7,table8,table9,churn,adversaries,adversary,all)`},
+		{[]string{"-only", " , "}, "nothing to do"},
 		{[]string{"-reps", "-1"}, "must be >= 1"},
 		{[]string{"-generations", "-5"}, "must be >= 1"},
+		{[]string{"-rounds", "0"}, "rounds must be >= 1"},
 		// -json only covers the paper cases; a dynamics-only invocation
 		// must refuse rather than silently skip the file.
 		{[]string{"-only", "churn", "-json", "/tmp/x.json"}, "-json covers the paper cases"},
 	}
 	for _, tc := range cases {
-		code, _, errOut := runCLI(t, tc.args...)
+		code, _, errOut := runCLI(t, append([]string{"experiments"}, tc.args...)...)
 		if code != 2 {
 			t.Errorf("args %v: exit %d, want 2", tc.args, code)
 			continue
@@ -118,13 +116,13 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestInterruptEmitsPartialSeries pins the SIGINT behavior: a cancelled
+// TestExperimentsInterruptEmitsPartialSeries pins the SIGINT behavior: a cancelled
 // batch exits 130 with the interruption marker instead of dying mid-write.
-func TestInterruptEmitsPartialSeries(t *testing.T) {
+func TestExperimentsInterruptEmitsPartialSeries(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	var stdout, stderr bytes.Buffer
-	code := run(ctx, []string{"-only", "fig4", "-generations", "1000000", "-rounds", "10",
+	code := run(ctx, []string{"experiments", "-only", "fig4", "-generations", "1000000", "-rounds", "10",
 		"-reps", "1", "-seed", "8", "-q"}, &stdout, &stderr)
 	if code != interruptedExit {
 		t.Fatalf("exit %d, want %d (stderr: %s)", code, interruptedExit, stderr.String())

@@ -1,5 +1,20 @@
-// Command league manages hall-of-fame champion archives and plays
-// cross-generation round-robin leagues over them.
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"strings"
+
+	"adhocga"
+	"adhocga/internal/league"
+	"adhocga/internal/report"
+	"adhocga/internal/scenario"
+)
+
+// runLeague is the league subcommand: it manages hall-of-fame champion
+// archives and plays cross-generation round-robin leagues over them.
 //
 // A champion archive collects the best strategy of selected generations
 // ("checkpoints") from evolutionary runs: who was winning at generation
@@ -14,14 +29,12 @@
 // cannot: does evolution actually produce monotonically stronger
 // strategies, or do late winners lose to their own ancestors?
 //
-// Usage:
-//
-//	league -archive hof -harvest -case 1 -generations 40 -reps 2 -seed 1
-//	league -archive hof -list
-//	league -archive hof -baselines -seed 7
-//	league -archive hof -ids "job-1/case 1 (TE1, SP)/r0/g39" -ids "job-1/case 1 (TE1, SP)/r1/g39"
-//	league -baselines -seed 7     # scripted baselines only, no archive
-//	league -harvest -case 1 -generations 20 -reps 1 -baselines -seed 7 -json
+//	adhocga league -archive hof -harvest -case 1 -generations 40 -reps 2 -seed 1
+//	adhocga league -archive hof -list
+//	adhocga league -archive hof -baselines -seed 7
+//	adhocga league -archive hof -ids "job-1/case 1 (TE1, SP)/r0/g39" -ids "job-1/case 1 (TE1, SP)/r1/g39"
+//	adhocga league -baselines -seed 7     # scripted baselines only, no archive
+//	adhocga league -harvest -case 1 -generations 20 -reps 1 -baselines -seed 7 -json
 //
 // -harvest runs the selected Table 4 case (or all four with -case 0)
 // with generation checkpoints enabled, archiving champions as it goes;
@@ -34,66 +47,33 @@
 // LeagueJobSpec a daemon league job does, so the table is deterministic
 // for a fixed -seed at any -par, and -json emits it as the same JSON
 // document GET /v1/jobs/{id} returns for a daemon league job.
-package main
-
-import (
-	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-
-	"adhocga"
-	"adhocga/internal/league"
-	"adhocga/internal/network"
-	"adhocga/internal/report"
-	"adhocga/internal/scenario"
-)
-
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the whole CLI behind a testable seam: flags parsed from args,
-// output to explicit writers, lifetime bound to ctx.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("league", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func runLeague(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := newCommand("league", stderr)
+	c.generations, c.rounds, c.reps, c.seed, c.mode = 40, 100, 2, 1, "SP"
+	c.shared("generations", "rounds", "reps", "seed", "par", "csn", "mode")
+	fs := c.fs
 	var (
 		archiveDir  = fs.String("archive", "", "champion archive directory (WAL-backed, restart-safe); empty = in-memory for this invocation")
 		list        = fs.Bool("list", false, "list the archive's champions and exit (after -harvest, if given)")
-		harvest     = fs.Bool("harvest", false, "run a checkpointed Table 4 evolution first, archiving champions")
+		harvest     = fs.Bool("harvest", false, "run a checkpointed Table 4 evolution first, archiving champions (uses -case, -generations, -reps, -checkpoints and -rounds)")
 		caseID      = fs.Int("case", 1, "harvest: evaluation case 1-4, or 0 for all four")
-		generations = fs.Int("generations", 40, "harvest: generations per replication")
-		reps        = fs.Int("reps", 2, "harvest: independent replications per case")
 		checkpoints = fs.Int("checkpoints", 10, "harvest: archive a champion every this many generations (the final generation is always archived)")
 		ids         idList
 		baselines   = fs.Bool("baselines", false, "seat the scripted baselines: all-forward, never-forward, and the paper's reciprocal winner")
 		perSide     = fs.Int("per-side", 10, "evolving players fielded per seat in each match")
 		matches     = fs.Int("matches", 2, "matches per seat pair")
-		rounds      = fs.Int("rounds", 100, "rounds per tournament (harvest matches too)")
-		csn         = fs.Int("csn", 0, "constantly-selfish nodes seated in every league match")
-		pathMode    = fs.String("path", "SP", "path selection mode: SP (shorter) or LP (longer)")
-		seed        = fs.Uint64("seed", 1, "master seed (harvest and league derive independent streams)")
-		par         = fs.Int("par", 0, "worker pool size (0 = all cores)")
 		jsonOut     = fs.Bool("json", false, "emit the league table as JSON instead of text")
 	)
 	fs.Var(&ids, "ids", "champion ID to seat; repeat for more (none = the whole archive)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
+	if code := c.parse(args); code >= 0 {
+		return code
 	}
-
-	if _, err := network.ModeByName(*pathMode); err != nil {
-		fmt.Fprintf(stderr, "league: -path must be SP or LP, got %q\n", *pathMode)
+	if !c.valid(
+		check{"case", *caseID < 0 || *caseID > 4, "must be 0 (all) or 1-4"},
+		check{"checkpoints", *checkpoints < 1, "must be >= 1"},
+		check{"per-side", *perSide < 1, "must be >= 1"},
+		check{"matches", *matches < 1, "must be >= 1"},
+	) {
 		return 2
 	}
 
@@ -108,7 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if n := archive.Skipped(); n > 0 {
-			fmt.Fprintf(stderr, "league: skipped %d corrupt champion records in %s\n", n, *archiveDir)
+			fmt.Fprintf(stderr, "adhocga league: skipped %d corrupt champion records in %s\n", n, *archiveDir)
 		}
 	} else {
 		archive = league.NewMemArchive()
@@ -116,27 +96,42 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer archive.Close()
 
 	session := adhocga.NewSession(
-		adhocga.WithPoolSize(*par),
+		adhocga.WithPoolSize(c.par),
 		adhocga.WithChampionArchive(archive),
 	)
 	defer session.Close()
 
+	// -harvest runs the selected checkpointed Table 4 case(s) on the
+	// session wired to the archive, so every checkpoint generation's best
+	// strategy lands in the hall of fame. The batch seed derives each
+	// case's stream. The harvest prints no progress line: league output
+	// is the table.
 	if *harvest {
-		if err := runHarvest(ctx, session, archive, *caseID, *generations, *rounds, *reps, *checkpoints, *seed, *par, stdout); err != nil {
-			fmt.Fprintln(stderr, err)
-			if ctx.Err() != nil {
-				return 130
+		var runs []adhocga.ScenarioRun
+		for _, spec := range scenario.Table4() {
+			if *caseID == 0 || spec.ID == *caseID {
+				spec.Checkpoints = *checkpoints
+				runs = append(runs, adhocga.ScenarioRun{Spec: spec})
 			}
-			return 1
 		}
+		before := archive.Len()
+		if _, code := runBatch(ctx, session, adhocga.ScenariosSpec{
+			Runs:     runs,
+			Defaults: adhocga.Scale{Name: "harvest", Generations: c.generations, Rounds: c.rounds, Repetitions: c.reps},
+			Opts:     adhocga.RunOptions{Seed: c.seed, Parallelism: c.par},
+		}, true, stdout, stderr); code >= 0 {
+			return code
+		}
+		fmt.Fprintf(stdout, "harvested %d champions into %s archive (%d total)\n",
+			archive.Len()-before, archive.Backend(), archive.Len())
 	}
 
 	if *list {
 		t := report.NewTable(fmt.Sprintf("champion archive (%s, %d champions)", archive.Backend(), archive.Len()),
 			"id", "gen", "category", "coop", "fitness", "genome")
-		for _, c := range archive.List() {
-			t.AddRow(c.ID, fmt.Sprint(c.Generation), c.Category,
-				fmt.Sprintf("%.3f", c.Cooperativeness), fmt.Sprintf("%.3f", c.Fitness), c.Genome)
+		for _, ch := range archive.List() {
+			t.AddRow(ch.ID, fmt.Sprint(ch.Generation), ch.Category,
+				fmt.Sprintf("%.3f", ch.Cooperativeness), fmt.Sprintf("%.3f", ch.Fitness), ch.Genome)
 		}
 		fmt.Fprint(stdout, t.Render())
 		return 0
@@ -154,7 +149,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seats += len(league.BaselineSeats())
 	}
 	if seats < 2 {
-		fmt.Fprintf(stderr, "league: only %d seats (archive has %d champions; add -baselines or -harvest)\n", seats, archive.Len())
+		fmt.Fprintf(stderr, "adhocga league: only %d seats (archive has %d champions; add -baselines or -harvest)\n", seats, archive.Len())
 		return 2
 	}
 
@@ -162,17 +157,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ChampionIDs:      ids,
 		IncludeBaselines: *baselines,
 		PerSide:          *perSide,
-		CSN:              *csn,
+		CSN:              c.csn,
 		MatchesPerPair:   *matches,
-		Rounds:           *rounds,
-		PathMode:         *pathMode,
-		Seed:             *seed,
-		Parallelism:      *par,
+		Rounds:           c.rounds,
+		PathMode:         c.mode,
+		Seed:             c.seed,
+		Parallelism:      c.par,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		if ctx.Err() != nil {
-			return 130
+			return interruptedExit
 		}
 		return 1
 	}
@@ -188,41 +183,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	printTable(stdout, table)
 	return 0
-}
-
-// runHarvest runs the selected checkpointed Table 4 case(s) on the
-// session wired to the archive, so every checkpoint generation's best
-// strategy lands in the hall of fame.
-func runHarvest(ctx context.Context, session *adhocga.Session, archive *league.Archive, caseID, generations, rounds, reps, checkpoints int, seed uint64, par int, stdout io.Writer) error {
-	if caseID < 0 || caseID > 4 {
-		return fmt.Errorf("league: -case must be 0 (all) or 1-4, got %d", caseID)
-	}
-	if generations < 1 || rounds < 1 || reps < 1 || checkpoints < 1 {
-		return fmt.Errorf("league: -generations, -rounds, -reps, and -checkpoints must be >= 1")
-	}
-	var runs []adhocga.ScenarioRun
-	for _, spec := range scenario.Table4() {
-		if caseID != 0 && spec.ID != caseID {
-			continue
-		}
-		spec.Checkpoints = checkpoints
-		runs = append(runs, adhocga.ScenarioRun{Spec: spec})
-	}
-	before := archive.Len()
-	job, err := session.Submit(ctx, adhocga.ScenariosSpec{
-		Runs:     runs,
-		Defaults: adhocga.Scale{Name: "harvest", Generations: generations, Rounds: rounds, Repetitions: reps},
-		Opts:     adhocga.RunOptions{Seed: seed, Parallelism: par},
-	})
-	if err != nil {
-		return err
-	}
-	if err := job.Wait(ctx); err != nil {
-		return fmt.Errorf("league: harvest: %w", err)
-	}
-	fmt.Fprintf(stdout, "harvested %d champions into %s archive (%d total)\n",
-		archive.Len()-before, archive.Backend(), archive.Len())
-	return nil
 }
 
 // idList is the repeatable -ids flag: each occurrence adds one champion

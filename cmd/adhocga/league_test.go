@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,14 +8,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// runCLI invokes the CLI seam and returns (exit code, stdout, stderr).
-func runCLI(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
 
 // TestOutputGolden pins stdout byte for byte against files recorded from
 // the CLI: a baselines-only league as text and as JSON, and a one-shot
@@ -36,7 +26,7 @@ func TestOutputGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		code, out, errOut := runCLI(t, tc.args...)
+		code, out, errOut := runCLI(t, append([]string{"league"}, tc.args...)...)
 		if code != 0 {
 			t.Fatalf("%s: exit %d, stderr: %s", tc.file, code, errOut)
 		}
@@ -47,7 +37,7 @@ func TestOutputGolden(t *testing.T) {
 }
 
 func TestBaselinesOnlyLeague(t *testing.T) {
-	code, out, errOut := runCLI(t,
+	code, out, errOut := runCLI(t, "league",
 		"-baselines", "-per-side", "2", "-rounds", "10", "-matches", "1", "-seed", "7")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
@@ -60,7 +50,7 @@ func TestBaselinesOnlyLeague(t *testing.T) {
 }
 
 func TestJSONOutputDeterministic(t *testing.T) {
-	args := []string{"-baselines", "-per-side", "2", "-rounds", "10", "-matches", "1", "-seed", "7", "-json"}
+	args := []string{"league", "-baselines", "-per-side", "2", "-rounds", "10", "-matches", "1", "-seed", "7", "-json"}
 	_, first, _ := runCLI(t, args...)
 	code, second, errOut := runCLI(t, args...)
 	if code != 0 {
@@ -80,7 +70,7 @@ func TestJSONOutputDeterministic(t *testing.T) {
 // archive.
 func TestHarvestListLeague(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hof")
-	code, out, errOut := runCLI(t,
+	code, out, errOut := runCLI(t, "league",
 		"-archive", dir, "-harvest", "-case", "1",
 		"-generations", "4", "-reps", "1", "-checkpoints", "2",
 		"-rounds", "10", "-list", "-seed", "1")
@@ -94,7 +84,7 @@ func TestHarvestListLeague(t *testing.T) {
 		t.Fatalf("list output missing generation-0 champion:\n%s", out)
 	}
 
-	code, out, errOut = runCLI(t,
+	code, out, errOut = runCLI(t, "league",
 		"-archive", dir, "-baselines", "-per-side", "2", "-rounds", "10", "-matches", "1", "-seed", "7")
 	if code != 0 {
 		t.Fatalf("league exit %d, stderr: %s", code, errOut)
@@ -109,7 +99,7 @@ func TestHarvestListLeague(t *testing.T) {
 // contains a comma — next to the baselines.
 func TestSeatChampionByID(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "hof")
-	code, _, errOut := runCLI(t,
+	code, _, errOut := runCLI(t, "league",
 		"-archive", dir, "-harvest", "-case", "1",
 		"-generations", "4", "-reps", "1", "-checkpoints", "2",
 		"-rounds", "10", "-list", "-seed", "1")
@@ -118,7 +108,7 @@ func TestSeatChampionByID(t *testing.T) {
 	}
 
 	const id = "job-1/case 1 (TE1, SP)/r0/g2"
-	code, out, errOut := runCLI(t,
+	code, out, errOut := runCLI(t, "league",
 		"-archive", dir, "-ids", id, "-baselines",
 		"-per-side", "2", "-rounds", "10", "-matches", "1", "-seed", "7", "-json")
 	if code != 0 {
@@ -141,14 +131,14 @@ func TestBadInvocations(t *testing.T) {
 		args []string
 		code int
 	}{
-		"bad path mode":     {[]string{"-baselines", "-path", "XX"}, 2},
+		"bad path mode":     {[]string{"-baselines", "-mode", "XX"}, 2},
 		"no seats":          {[]string{"-per-side", "2"}, 2},
 		"unknown champion":  {[]string{"-baselines", "-ids", "no/such/champion"}, 2},
-		"bad harvest case":  {[]string{"-harvest", "-case", "9", "-baselines"}, 1},
-		"zero harvest gens": {[]string{"-harvest", "-generations", "0", "-baselines"}, 1},
-		"bad league config": {[]string{"-baselines", "-per-side", "-1"}, 1},
+		"bad harvest case":  {[]string{"-harvest", "-case", "9", "-baselines"}, 2},
+		"zero harvest gens": {[]string{"-harvest", "-generations", "0", "-baselines"}, 2},
+		"bad league config": {[]string{"-baselines", "-per-side", "-1"}, 2},
 	} {
-		if code, _, errOut := runCLI(t, tc.args...); code != tc.code {
+		if code, _, errOut := runCLI(t, append([]string{"league"}, tc.args...)...); code != tc.code {
 			t.Errorf("%s: exit %d, want %d (stderr: %s)", name, code, tc.code, errOut)
 		}
 	}

@@ -1,33 +1,11 @@
-// Command adhocsim runs a one-off ad hoc network tournament with a fixed
-// (non-evolved) population mix and reports delivery rates, fitness, and
-// forwarding behavior per group — the quickest way to poke at the game
-// model without running the GA.
-//
-// Usage:
-//
-//	adhocsim -mix all-cooperate:30,trust>=1:10 -csn 10 -rounds 300
-//	adhocsim -mix all-cooperate:30 -scenario spec.json
-//	adhocsim -list
-//
-// With -scenario, the tournament's rounds, path mode, and CSN count
-// default to the scenario's values (its first environment); explicit
-// flags still win. The argument must resolve to exactly one scenario.
-//
-// The tournament runs as a mix job on a Session (package adhocga), the
-// same API adhocd serves; SIGINT before the tournament starts aborts
-// cleanly.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"adhocga"
 	"adhocga/internal/baselines"
@@ -39,32 +17,36 @@ import (
 	"adhocga/internal/tournament"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the whole CLI behind a testable seam: flags parsed from args,
-// output to explicit writers, lifetime bound to ctx.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("adhocsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runSim is the sim subcommand: it runs a one-off ad hoc network
+// tournament with a fixed (non-evolved) population mix and reports
+// delivery rates, fitness, and forwarding behavior per group — the
+// quickest way to poke at the game model without running the GA.
+//
+//	adhocga sim -mix all-cooperate:30,trust>=1:10 -csn 10 -rounds 300
+//	adhocga sim -mix all-cooperate:30 -scenario spec.json
+//	adhocga sim -list
+//
+// With -scenario, the tournament's rounds, path mode, and CSN count
+// default to the scenario's values (its first environment); explicit
+// flags still win. The argument must resolve to exactly one scenario.
+// The tournament runs as a mix job on a Session, the same API adhocd
+// serves.
+func runSim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := newCommand("sim", stderr)
+	c.csn, c.rounds, c.mode, c.seed = 10, 300, "SP", 1
+	c.shared("csn", "rounds", "mode", "seed")
+	fs := c.fs
 	var (
 		mix         = fs.String("mix", "trust>=1:40", "comma-separated profile:count pairs (profile may also be a 13-bit strategy)")
-		csn         = fs.Int("csn", 10, "constantly selfish nodes")
-		rounds      = fs.Int("rounds", 300, "tournament rounds")
-		mode        = fs.String("mode", "SP", "path mode: SP or LP")
 		scenarioArg = fs.String("scenario", "", "scenario (JSON file, family, or name) supplying csn/rounds/mode defaults")
-		seed        = fs.Uint64("seed", 1, "seed")
 		randomPath  = fs.Bool("random-path", false, "choose routes uniformly instead of by reputation")
 		gossip      = fs.Int("gossip", 0, "exchange second-hand reputation every N rounds (0 = off)")
 		list        = fs.Bool("list", false, "list built-in profiles and exit")
 	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
+	if code := c.parse(args); code >= 0 {
+		return code
+	}
+	if !c.valid() {
 		return 2
 	}
 
@@ -78,7 +60,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *scenarioArg != "" {
-		if err := applyScenario(fs, *scenarioArg, csn, rounds, mode); err != nil {
+		if err := applyScenario(c, *scenarioArg); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
@@ -89,18 +71,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	pathMode, err := network.ModeByName(*mode)
-	if err != nil {
-		fmt.Fprintf(stderr, "adhocsim: -mode must be SP or LP, got %q\n", *mode)
-		return 2
-	}
+	// The mode is valid: the flag table checked an explicit -mode, and a
+	// scenario's mode comes from its validated spec.
+	pathMode, _ := network.ModeByName(c.mode)
 	cfg := baselines.MixConfig{
 		Groups: groups,
-		CSN:    *csn,
-		Rounds: *rounds,
+		CSN:    c.csn,
+		Rounds: c.rounds,
 		Mode:   pathMode,
 		Game:   game.DefaultConfig(),
-		Seed:   *seed,
+		Seed:   c.seed,
 	}
 	if *randomPath {
 		cfg.PathChoice = tournament.RandomPath
@@ -108,6 +88,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// CORE-style gossip defaults (positive reports only, modest
 	// credibility) are applied inside RunMix when the interval is set.
 	cfg.GossipInterval = *gossip
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	session := adhocga.NewSession(adhocga.WithPoolSize(1))
 	defer session.Close()
 	res, err := session.RunMix(ctx, cfg)
@@ -117,7 +101,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "cooperation level (normal-originated delivery): %s\n", report.Percent(res.Cooperation))
-	if *csn > 0 {
+	if c.csn > 0 {
 		fmt.Fprintf(stdout, "CSN delivery rate: %s\n", report.Percent(res.CSNDelivery))
 	}
 	t := report.NewTable("\nper-group outcomes", "group", "delivery", "fitness", "forward share")
@@ -129,32 +113,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// applyScenario overwrites the csn/rounds/mode defaults with the first
+// applyScenario overwrites c's csn/rounds/mode defaults with the first
 // loaded scenario's values wherever the user did not set the flag
-// explicitly in fs.
-func applyScenario(fs *flag.FlagSet, arg string, csn, rounds *int, mode *string) error {
+// explicitly.
+func applyScenario(c *command, arg string) error {
 	specs, err := scenario.FromArg(arg)
 	if err != nil {
 		return err
 	}
 	if len(specs) != 1 {
-		return fmt.Errorf("adhocsim: -scenario %q resolves to %d scenarios, need exactly one", arg, len(specs))
+		return fmt.Errorf("adhocga sim: -scenario %q resolves to %d scenarios, need exactly one", arg, len(specs))
 	}
 	spec := specs[0]
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if !set["csn"] {
-		*csn = spec.Environments[0].CSN
+	if !c.set["csn"] {
+		c.csn = spec.Environments[0].CSN
 	}
-	if !set["rounds"] && spec.Rounds > 0 {
-		*rounds = spec.Rounds
+	if !c.set["rounds"] && spec.Rounds > 0 {
+		c.rounds = spec.Rounds
 	}
-	if !set["mode"] {
+	if !c.set["mode"] {
 		m, err := spec.Mode()
 		if err != nil {
 			return err
 		}
-		*mode = m.Name
+		c.mode = m.Name
 	}
 	return nil
 }

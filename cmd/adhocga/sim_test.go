@@ -1,20 +1,9 @@
 package main
 
 import (
-	"bytes"
-	"context"
-	"flag"
 	"strings"
 	"testing"
 )
-
-// runCLI invokes the CLI seam and returns (exit code, stdout, stderr).
-func runCLI(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
 
 // Recorded output of one fixed-seed mix per path mode. Everything is
 // seeded, so any drift here is a behavior change in the game kernel.
@@ -56,7 +45,7 @@ func TestMixGolden(t *testing.T) {
 		{"scenario+mode", append(base[:len(base):len(base)], "-scenario", "case 4 (TE1-4, LP)", "-mode", "SP"), goldenSP},
 		{"scenario", append(base[:len(base):len(base)], "-scenario", "case 4 (TE1-4, LP)"), goldenLP},
 	} {
-		code, out, errOut := runCLI(t, tc.args...)
+		code, out, errOut := runCLI(t, append([]string{"sim"}, tc.args...)...)
 		if code != 0 {
 			t.Fatalf("%s: exit %d, stderr: %s", tc.name, code, errOut)
 		}
@@ -73,12 +62,13 @@ func TestRejectsBadArguments(t *testing.T) {
 		msg  string
 	}{
 		"unknown mode": {[]string{"-mode", "XP"}, 2, "-mode must be SP or LP"},
-		"negative csn": {[]string{"-csn", "-3"}, 1, "negative CSN"},
+		"negative csn": {[]string{"-csn", "-3"}, 2, "-csn must be >= 0"},
+		"negative mix": {[]string{"-mix", "all-cooperate:-5"}, 2, "negative group count"},
 		"bad mix":      {[]string{"-mix", "nonsense:3"}, 2, "nonsense:3"},
 		"bad scenario": {[]string{"-scenario", "table4"}, 2, "need exactly one"},
 		"unknown flag": {[]string{"-energy"}, 2, "-energy"},
 	} {
-		code, out, errOut := runCLI(t, tc.args...)
+		code, out, errOut := runCLI(t, append([]string{"sim"}, tc.args...)...)
 		if code != tc.code || !strings.Contains(errOut, tc.msg) || out != "" {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit %d mentioning %q",
 				name, code, out, errOut, tc.code, tc.msg)
@@ -87,7 +77,7 @@ func TestRejectsBadArguments(t *testing.T) {
 }
 
 func TestListProfiles(t *testing.T) {
-	code, out, errOut := runCLI(t, "-list")
+	code, out, errOut := runCLI(t, "sim", "-list")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
@@ -167,23 +157,22 @@ func TestParseMixColonInName(t *testing.T) {
 func TestApplyScenarioDefaults(t *testing.T) {
 	// Unset flags pick up the scenario's values; note case 4 is LP with
 	// TE1 (0 CSN) first.
-	unset := flag.NewFlagSet("adhocsim", flag.ContinueOnError)
-	csn, rounds, mode := 10, 300, "SP"
-	if err := applyScenario(unset, "case 4 (TE1-4, LP)", &csn, &rounds, &mode); err != nil {
+	unset := &command{csn: 10, rounds: 300, mode: "SP"}
+	if err := applyScenario(unset, "case 4 (TE1-4, LP)"); err != nil {
 		t.Fatal(err)
 	}
-	if csn != 0 || mode != "LP" {
-		t.Errorf("csn=%d mode=%q, want scenario defaults 0/LP", csn, mode)
+	if unset.csn != 0 || unset.mode != "LP" {
+		t.Errorf("csn=%d mode=%q, want scenario defaults 0/LP", unset.csn, unset.mode)
 	}
 	// The table4 specs leave rounds to the run scale, so the flag default
 	// must survive.
-	if rounds != 300 {
-		t.Errorf("rounds=%d, want flag default 300", rounds)
+	if unset.rounds != 300 {
+		t.Errorf("rounds=%d, want flag default 300", unset.rounds)
 	}
-	if err := applyScenario(unset, "no such scenario anywhere", &csn, &rounds, &mode); err == nil {
+	if err := applyScenario(unset, "no such scenario anywhere"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if err := applyScenario(unset, "table4", &csn, &rounds, &mode); err == nil {
-		t.Error("multi-scenario family accepted; adhocsim needs exactly one")
+	if err := applyScenario(unset, "table4"); err == nil {
+		t.Error("multi-scenario family accepted; sim needs exactly one")
 	}
 }

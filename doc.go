@@ -63,6 +63,7 @@
 // runner, experiment, baselines, ipdrp, service); this package
 // re-exports the surface a downstream user needs. See README.md for the scenario API and
 // CLI flags, ARCHITECTURE.md for the layer diagram and determinism
-// contract, DESIGN.md for the system inventory, and cmd/experiments (run)
-// and reproduction_test.go (assertions) for paper-vs-measured results.
+// contract, DESIGN.md for the system inventory, and the adhocga
+// experiments subcommand (cmd/adhocga, run) and reproduction_test.go
+// (assertions) for paper-vs-measured results.
 package adhocga

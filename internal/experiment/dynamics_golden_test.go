@@ -102,8 +102,8 @@ func TestDynamicsDisabledSpecMatchesPlainRun(t *testing.T) {
 }
 
 // TestDynamicsFamiliesEndToEnd runs every churn-sweep and adversary-grid
-// scenario at a tiny budget through the same path cmd/experiments uses and
-// checks the reporting artifacts come out populated.
+// scenario at a tiny budget through the same path the adhocga experiments
+// subcommand uses and checks the reporting artifacts come out populated.
 func TestDynamicsFamiliesEndToEnd(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 6, Rounds: 10, Repetitions: 1}
 	for _, fam := range []string{"churn-sweep", "adversary-grid"} {
