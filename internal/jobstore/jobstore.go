@@ -15,6 +15,8 @@
 //   - File: an append-only write-ahead log of NDJSON-framed records
 //     (one checksummed line per update, fsynced on state transitions,
 //     compacted in place once garbage dominates) that survives SIGKILL.
+//     Memory holds only each record's header and where its line sits in
+//     the log; Get reads the payloads back from disk.
 //
 // Both backends are observationally equivalent over the Store interface;
 // a property test drives them through identical random op interleavings
@@ -101,12 +103,24 @@ func (r Record) clone() Record {
 	return c
 }
 
+// header returns r without its Spec, Result and EventLog payloads: the
+// part of a record List returns and the file backend keeps in memory.
+func (r Record) header() Record {
+	r.Spec, r.Result, r.EventLog = nil, nil, nil
+	return r
+}
+
 // Store is the pluggable job-record persistence interface. All methods are
 // safe for concurrent use. Put inserts or replaces the record with the
 // same ID; a durable implementation must make Puts that change a record's
 // State survive a crash before returning (fsync on state transitions),
-// while watermark-only updates may be buffered. List returns records in
-// first-Put order, which is submission order across the store's lifetime.
+// while watermark-only updates may be buffered. Get returns the whole
+// record, payloads included, in a copy the caller owns. List returns
+// every record's header — all fields but Spec, Result and EventLog, which
+// are nil — in first-Put order, which is submission order across the
+// store's lifetime; a caller that needs a payload calls Get for the
+// records it keeps, so listing costs memory per record, not per payload
+// byte.
 type Store interface {
 	Put(Record) error
 	Get(id string) (Record, bool, error)
@@ -156,15 +170,13 @@ func (m *Mem) Get(id string) (Record, bool, error) {
 	return r.clone(), true, nil
 }
 
-// List returns every record in first-Put order.
+// List returns every record's header in first-Put order.
 func (m *Mem) List() ([]Record, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]Record, 0, len(m.recs))
 	for _, id := range m.order {
-		if r, ok := m.recs[id]; ok {
-			out = append(out, r.clone())
-		}
+		out = append(out, m.recs[id].header())
 	}
 	return out, nil
 }
@@ -187,7 +199,7 @@ func (m *Mem) Delete(id string) error {
 }
 
 // Len returns the number of stored records — a cheap census for metrics
-// collectors, unlike List, which clones every record.
+// collectors, unlike List, which copies every header.
 func (m *Mem) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

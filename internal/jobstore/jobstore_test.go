@@ -3,9 +3,11 @@ package jobstore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +109,11 @@ func TestFileRoundTripAcrossReopen(t *testing.T) {
 	if err := fs.Delete("job-3"); err != nil {
 		t.Fatal(err)
 	}
+	wantRecords(t, fs, done, testRecord("job-2", StateRunning))
+	// List returns headers: the payloads stay on disk until a Get.
+	if list, _ := fs.List(); len(list) != 2 || !reflect.DeepEqual(list[0], done.header()) {
+		t.Fatalf("list before reopen: %+v", list)
+	}
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +132,27 @@ func TestFileRoundTripAcrossReopen(t *testing.T) {
 	if re.Skipped() != 0 {
 		t.Fatalf("clean WAL skipped %d entries", re.Skipped())
 	}
-	got, ok, err := re.Get("job-1")
-	if err != nil || !ok {
-		t.Fatalf("job-1 lost across reopen: %v %v", ok, err)
-	}
-	if !reflect.DeepEqual(got, done) {
-		t.Fatalf("job-1 changed across reopen:\n got %+v\nwant %+v", got, done)
-	}
+	wantRecords(t, re, done, testRecord("job-2", StateRunning))
 	list, _ := re.List()
 	if len(list) != 2 || list[0].ID != "job-1" || list[1].ID != "job-2" {
 		t.Fatalf("list after reopen: %+v", list)
 	}
 	if _, ok, _ := re.Get("job-3"); ok {
 		t.Fatal("deleted job-3 resurrected by reopen")
+	}
+}
+
+// wantRecords requires Get to return each record exactly as it was Put.
+func wantRecords(t *testing.T, st Store, want ...Record) {
+	t.Helper()
+	for _, w := range want {
+		got, ok, err := st.Get(w.ID)
+		if err != nil || !ok {
+			t.Fatalf("Get(%s): ok=%v err=%v", w.ID, ok, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("Get(%s) changed the record:\n got %+v\nwant %+v", w.ID, got, w)
+		}
 	}
 }
 
@@ -248,9 +263,11 @@ func TestFileRepairsTornTailBeforeAppending(t *testing.T) {
 	if re.Skipped() != 1 {
 		t.Fatalf("skipped %d, want 1 (the torn fragment)", re.Skipped())
 	}
+	wantRecords(t, re, testRecord("job-1", StateRunning))
 	if err := re.Put(testRecord("job-3", StateQueued)); err != nil {
 		t.Fatal(err)
 	}
+	wantRecords(t, re, testRecord("job-3", StateQueued))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +282,7 @@ func TestFileRepairsTornTailBeforeAppending(t *testing.T) {
 	if _, ok, _ := re.Get("job-3"); !ok {
 		t.Fatal("fsynced Put after a torn tail lost on the second restart")
 	}
-	if _, ok, _ := re.Get("job-1"); !ok {
-		t.Fatal("intact record lost")
-	}
+	wantRecords(t, re, testRecord("job-1", StateRunning), testRecord("job-3", StateQueued))
 	if _, ok, _ := re.Get("job-2"); ok {
 		t.Fatal("torn record half-recovered")
 	}
@@ -320,11 +335,44 @@ func TestFileKeepsEntryMissingOnlyNewline(t *testing.T) {
 	if re.Skipped() != 0 {
 		t.Fatalf("skipped %d after repair, want 0", re.Skipped())
 	}
-	for _, id := range []string{"job-1", "job-2"} {
-		if _, ok, _ := re.Get(id); !ok {
-			t.Fatalf("%s lost", id)
+	wantRecords(t, re, testRecord("job-1", StateDone), testRecord("job-2", StateQueued))
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut the newline again and churn job-2 past a tiny threshold: the
+	// compaction copies job-1's repaired line, newline included.
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err = openFile(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := testRecord("job-2", StateQueued)
+	for i := 0; re.Stats().Compactions == 0; i++ {
+		churn.Watermark = i
+		if err := re.Put(churn); err != nil {
+			t.Fatal(err)
 		}
 	}
+	wantRecords(t, re, testRecord("job-1", StateDone), churn)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Skipped() != 0 {
+		t.Fatalf("skipped %d after compaction, want 0", re.Skipped())
+	}
+	wantRecords(t, re, testRecord("job-1", StateDone), churn)
 }
 
 func TestFileCompactionShrinksLogAndKeepsRecords(t *testing.T) {
@@ -343,12 +391,18 @@ func TestFileCompactionShrinksLogAndKeepsRecords(t *testing.T) {
 	}
 	final := testRecord("job-1", StateDone)
 	final.Watermark = 200
+	final.Result = json.RawMessage(`[{"name":"x"}]`)
+	final.EventLog = []byte("{\"seq\":0}\n")
 	if err := fs.Put(final); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Put(testRecord("job-2", StateQueued)); err != nil {
 		t.Fatal(err)
 	}
+	if fs.Stats().Compactions == 0 {
+		t.Fatal("churn never compacted")
+	}
+	wantRecords(t, fs, final, testRecord("job-2", StateQueued))
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +420,7 @@ func TestFileCompactionShrinksLogAndKeepsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, ok, _ := re.Get("job-1")
-	if !ok || got.State != StateDone || got.Watermark != 200 {
-		t.Fatalf("job-1 after compaction: %+v %v", got, ok)
-	}
+	wantRecords(t, re, final, testRecord("job-2", StateQueued))
 	if list, _ := re.List(); len(list) != 2 || list[0].ID != "job-1" {
 		t.Fatalf("list after compaction: %+v", list)
 	}
@@ -520,4 +571,141 @@ func TestStatsAndFsyncObserver(t *testing.T) {
 	if st := fs.Stats(); st.Fsyncs != 2 || observed != 2 {
 		t.Errorf("after terminal put: fsyncs %d observed %d, want 2/2", st.Fsyncs, observed)
 	}
+
+	// Live bytes are the exact lengths of the indexed lines, so a
+	// compaction leaves a file of exactly that size.
+	small, err := openFile(t.TempDir(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	for i := 0; small.Stats().Compactions == 0; i++ {
+		progress.Watermark = i
+		if err := small.Put(progress); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := small.Stats(); st.LiveBytes != st.TotalBytes || st.Records != 1 {
+		t.Errorf("right after compaction: live %d total %d records %d", st.LiveBytes, st.TotalBytes, st.Records)
+	}
+}
+
+// TestFileHeapIndependentOfPayloads pins the index-only layout: 2,000
+// records carrying a 16 KiB event log each (32 MiB of payload) grow the
+// live heap by less than 4 MiB, because the store keeps each record's
+// header and log offset in memory and reads payloads back on Get.
+func TestFileHeapIndependentOfPayloads(t *testing.T) {
+	fs, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	rec := testRecord("", StateDone)
+	rec.EventLog = bytes.Repeat([]byte("x"), 16<<10)
+	before := liveHeap()
+	for i := 1; i <= 2000; i++ {
+		rec.ID = fmt.Sprintf("job-%d", i)
+		if err := fs.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := liveHeap() - before; grown >= 4<<20 {
+		t.Fatalf("2,000 puts of 16 KiB payloads grew the heap by %d bytes, want < 4 MiB", grown)
+	}
+	wantRecords(t, fs, rec)
+}
+
+// legacyRecords are the final records in testdata/legacy.wal, a log an
+// earlier build of this store wrote through the Puts and Delete of
+// writeLegacyOps.
+func legacyRecords() []Record {
+	done := testRecord("job-1", StateDone)
+	done.Deterministic = true
+	done.Events = 7
+	done.Watermark = 6
+	done.Result = json.RawMessage(`[{"name":"x","final_coop_mean":0.18}]`)
+	done.ResultDigest = "deadbeef"
+	done.EventLog = []byte("{\"seq\":0}\n{\"seq\":1}\n")
+	done.LogDigest = "cafe"
+	running := testRecord("job-2", StateRunning)
+	running.Watermark = 64
+	failed := testRecord("job-3", StateFailed)
+	failed.Error = "boom"
+	return []Record{done, running, failed}
+}
+
+// writeLegacyOps puts four records queued, moves job-1 through running to
+// its final record, updates job-2 and job-3, and deletes job-4.
+func writeLegacyOps(t *testing.T, st Store) {
+	t.Helper()
+	for _, id := range []string{"job-1", "job-2", "job-3", "job-4"} {
+		if err := st.Put(testRecord(id, StateQueued)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range append([]Record{testRecord("job-1", StateRunning)}, legacyRecords()...) {
+		if err := st.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Delete("job-4"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileOpensLegacyLog pins the jr1 format across builds: the same
+// operations write the same bytes as an earlier build did, and that
+// build's log opens without skips, reads back record for record, and
+// takes appends after it.
+func TestFileOpensLegacyLog(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fresh, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeLegacyOps(t, fresh)
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, walFileName)); !bytes.Equal(got, data) {
+		t.Fatalf("log bytes differ from testdata/legacy.wal:\n%s", got)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	want := legacyRecords()
+	if st := fs.Stats(); st.TornSkipped != 0 || st.TotalBytes != int64(len(data)) || st.Records != len(want) {
+		t.Fatalf("stats after open %+v (file %d bytes)", st, len(data))
+	}
+	wantRecords(t, fs, want...)
+	list, _ := fs.List()
+	var headers []Record
+	for _, r := range want {
+		headers = append(headers, r.header())
+	}
+	if !reflect.DeepEqual(list, headers) {
+		t.Fatalf("list %+v", list)
+	}
+	next := testRecord("job-5", StateQueued)
+	if err := fs.Put(next); err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, fs, append(want, next)...)
 }

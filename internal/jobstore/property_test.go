@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,10 +11,14 @@ import (
 // TestMemFileEquivalence drives the in-memory and file-backed stores
 // through identical random op interleavings — put, get, list, update,
 // delete, and (for the file store) a full close/reopen — and requires
-// them to stay observationally equivalent at every step. The reopen op is
-// the property that matters: durability must be invisible through the
-// Store interface. The CI race job runs this package, so the file store's
-// locking is exercised under the race detector too.
+// them to stay observationally equivalent at every step: the same List
+// headers, with no payloads in either, and the same whole records from
+// Get for every id. The reopen op is the property that matters:
+// durability must be invisible through the Store interface. A small
+// compaction threshold makes the file store move its lines many times, so
+// every Get after a compaction reads through the rebuilt offsets. The CI
+// race job runs this package, so the file store's locking is exercised
+// under the race detector too.
 func TestMemFileEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -25,6 +30,7 @@ func TestMemFileEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { file.Close() }()
+			var compactions uint64 // across reopens
 
 			ids := []string{"job-1", "job-2", "job-3", "job-4", "job-5"}
 			states := []string{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
@@ -37,6 +43,9 @@ func TestMemFileEquivalence(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					r.EventLog = []byte(fmt.Sprintf("{\"seq\":%d}\n", rng.Intn(50)))
+				}
+				if rng.Intn(3) == 0 {
+					r.Result = json.RawMessage(fmt.Sprintf(`[{"coop":%d}]`, rng.Intn(50)))
 				}
 				return r
 			}
@@ -64,7 +73,9 @@ func TestMemFileEquivalence(t *testing.T) {
 					}
 				case 7, 8: // list
 					compareLists(t, op, mem, file)
+					compareGets(t, op, ids, mem, file)
 				case 9: // reopen the durable store; mem is its own baseline
+					compactions += file.Stats().Compactions
 					if err := file.Close(); err != nil {
 						t.Fatalf("op %d: close: %v", op, err)
 					}
@@ -76,10 +87,26 @@ func TestMemFileEquivalence(t *testing.T) {
 						t.Fatalf("op %d: clean reopen skipped %d entries", op, file.Skipped())
 					}
 					compareLists(t, op, mem, file)
+					compareGets(t, op, ids, mem, file)
 				}
 			}
 			compareLists(t, -1, mem, file)
+			compareGets(t, -1, ids, mem, file)
+			if compactions+file.Stats().Compactions == 0 {
+				t.Fatal("no compaction ran; the threshold no longer exercises rebuilt offsets")
+			}
 		})
+	}
+}
+
+func compareGets(t *testing.T, op int, ids []string, a, b Store) {
+	t.Helper()
+	for _, id := range ids {
+		ra, okA, errA := a.Get(id)
+		rb, okB, errB := b.Get(id)
+		if okA != okB || errA != nil || errB != nil || !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("op %d: Get(%s) diverged:\n mem %v %v %+v\nfile %v %v %+v", op, id, okA, errA, ra, okB, errB, rb)
+		}
 	}
 }
 
@@ -95,5 +122,10 @@ func compareLists(t *testing.T, op int, a, b Store) {
 	}
 	if !reflect.DeepEqual(la, lb) {
 		t.Fatalf("op %d: List diverged:\n mem %+v\nfile %+v", op, la, lb)
+	}
+	for _, r := range la {
+		if r.Spec != nil || r.Result != nil || r.EventLog != nil {
+			t.Fatalf("op %d: List returned payloads for %s: %+v", op, r.ID, r)
+		}
 	}
 }

@@ -1,13 +1,16 @@
 package jobstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -82,22 +85,9 @@ func EncodeEntry(e Entry) ([]byte, error) {
 // line, checksum mismatch, malformed JSON, invalid op — is an error; the
 // caller decides whether to skip or abort.
 func DecodeEntry(line []byte) (Entry, error) {
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	rest, ok := bytes.CutPrefix(line, []byte(walMagic+" "))
-	if !ok {
-		return Entry{}, fmt.Errorf("jobstore: not a %s line", walMagic)
-	}
-	if len(rest) < 9 || rest[8] != ' ' {
-		return Entry{}, fmt.Errorf("jobstore: truncated frame header")
-	}
-	var crcBytes [4]byte
-	if _, err := hex.Decode(crcBytes[:], rest[:8]); err != nil {
-		return Entry{}, fmt.Errorf("jobstore: bad checksum field: %w", err)
-	}
-	want := uint32(crcBytes[0])<<24 | uint32(crcBytes[1])<<16 | uint32(crcBytes[2])<<8 | uint32(crcBytes[3])
-	payload := rest[9:]
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return Entry{}, fmt.Errorf("jobstore: checksum mismatch (stored %08x, computed %08x)", want, got)
+	payload, err := framePayload(line)
+	if err != nil {
+		return Entry{}, err
 	}
 	var e Entry
 	if err := json.Unmarshal(payload, &e); err != nil {
@@ -118,41 +108,88 @@ func DecodeEntry(line []byte) (Entry, error) {
 	return e, nil
 }
 
+// framePayload checks one WAL line's frame and checksum and returns the
+// JSON payload the checksum covers.
+func framePayload(line []byte) ([]byte, error) {
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	rest, ok := bytes.CutPrefix(line, []byte(walMagic+" "))
+	if !ok {
+		return nil, fmt.Errorf("jobstore: not a %s line", walMagic)
+	}
+	if len(rest) < 9 || rest[8] != ' ' {
+		return nil, fmt.Errorf("jobstore: truncated frame header")
+	}
+	var crcBytes [4]byte
+	if _, err := hex.Decode(crcBytes[:], rest[:8]); err != nil {
+		return nil, fmt.Errorf("jobstore: bad checksum field: %w", err)
+	}
+	want := uint32(crcBytes[0])<<24 | uint32(crcBytes[1])<<16 | uint32(crcBytes[2])<<8 | uint32(crcBytes[3])
+	payload := rest[9:]
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, fmt.Errorf("jobstore: checksum mismatch (stored %08x, computed %08x)", want, got)
+	}
+	return payload, nil
+}
+
 // Replay decodes a whole WAL image line by line. Corrupt or truncated
 // lines — the torn tail a SIGKILL mid-append leaves behind, or bit rot
 // anywhere else — are counted in skipped and otherwise ignored; recovery
 // never fails on bad data, it just loses the damaged entries.
 func Replay(data []byte) (entries []Entry, skipped int) {
-	for len(data) > 0 {
-		var line []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			line, data = data, nil // truncated final line
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		e, err := DecodeEntry(line)
-		if err != nil {
-			skipped++
-			continue
-		}
+	_, skipped, _ = scanLines(bytes.NewReader(data), func(e Entry, _, _ int64) {
 		entries = append(entries, e)
-	}
+	})
 	return entries, skipped
+}
+
+// scanLines reads a WAL image front to back and calls fn with each intact
+// entry and the offset and length of its line. The length counts the
+// line's newline even on an unterminated final line, because openFile
+// terminates that line before anything reads it back. Blank lines are
+// free; corrupt lines are counted in skipped. size is the bytes read.
+func scanLines(r io.Reader, fn func(e Entry, off, n int64)) (size int64, skipped int, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	for {
+		line, rerr := br.ReadBytes('\n')
+		if len(line) > 0 {
+			n := int64(len(line))
+			if line[len(line)-1] != '\n' {
+				n++
+			}
+			if len(bytes.TrimSpace(line)) > 0 {
+				if e, err := DecodeEntry(line); err == nil {
+					fn(e, size, n)
+				} else {
+					skipped++
+				}
+			}
+			size += int64(len(line))
+		}
+		if rerr == io.EOF {
+			return size, skipped, nil
+		}
+		if rerr != nil {
+			return size, skipped, rerr
+		}
+	}
 }
 
 // File is the durable WAL-backed Store. Create with OpenFile; the same
 // directory reopened yields the same records (modulo skipped corruption).
+//
+// Memory holds an index, not the records: per live record its header
+// (every field but the Spec, Result and EventLog payloads) and the offset
+// and length of its latest line in the log. Get reads that one line back
+// and re-verifies its checksum, so the process's footprint grows with the
+// number of records, not with the size of their payloads.
 type File struct {
 	mu         sync.Mutex
 	dir        string
 	f          *os.File
-	recs       map[string]Record
+	index      map[string]slot
 	order      []string
-	entryBytes map[string]int64 // encoded size of each id's latest entry
-	totalBytes int64            // bytes in the WAL file right now
+	liveBytes  int64 // sum of the indexed lines' lengths
+	totalBytes int64 // bytes in the WAL file right now
 	skipped    int
 	compactMin int64
 	closed     bool
@@ -163,6 +200,13 @@ type File struct {
 	fsyncs      uint64
 	compactions uint64
 	onFsync     func(time.Duration) // optional fsync-latency observer
+}
+
+// slot is one live record in the index: its header and the location of
+// its latest put line in the log, newline included.
+type slot struct {
+	hdr    Record
+	off, n int64
 }
 
 // FileStats is a point-in-time census of the WAL backend, polled by the
@@ -190,16 +234,16 @@ func (fs *File) Stats() FileStats {
 		Compactions: fs.compactions,
 		TornSkipped: fs.skipped,
 		TotalBytes:  fs.totalBytes,
-		LiveBytes:   fs.liveBytesLocked(),
-		Records:     len(fs.recs),
+		LiveBytes:   fs.liveBytes,
+		Records:     len(fs.index),
 	}
 }
 
-// Len reports the live record count without cloning records (List does).
+// Len reports the live record count.
 func (fs *File) Len() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return len(fs.recs)
+	return len(fs.index)
 }
 
 // OnFsync installs an observer called with each synchronous append's
@@ -224,26 +268,42 @@ func openFile(dir string, compactMin int64) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: data dir: %w", err)
 	}
-	path := filepath.Join(dir, walFileName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("jobstore: read WAL: %w", err)
-	}
-	entries, skipped := Replay(data)
-	fs := &File{
-		dir:        dir,
-		recs:       map[string]Record{},
-		entryBytes: map[string]int64{},
-		totalBytes: int64(len(data)),
-		skipped:    skipped,
-		compactMin: compactMin,
-	}
-	for _, e := range entries {
-		fs.applyLocked(e)
-	}
-	fs.f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: open WAL: %w", err)
+	}
+	fs := &File{
+		dir:        dir,
+		f:          f,
+		index:      map[string]slot{},
+		compactMin: compactMin,
+	}
+	if err := fs.replayLocked(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	// The open may have created the file; fsync the directory so the WAL's
+	// existence itself survives power loss.
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := fs.maybeCompactLocked(); err != nil {
+		fs.f.Close()
+		return nil, err
+	}
+	return fs, nil
+}
+
+// replayLocked builds the index from the log and repairs a torn tail.
+func (fs *File) replayLocked() error {
+	size, skipped, err := scanLines(fs.f, fs.applyLocked)
+	if err != nil {
+		return fmt.Errorf("jobstore: read WAL: %w", err)
+	}
+	fs.totalBytes, fs.skipped = size, skipped
+	if size == 0 {
+		return nil
 	}
 	// Repair a torn tail before appending anything: a SIGKILL mid-append
 	// leaves the file ending without a newline, and a fresh entry written
@@ -252,28 +312,21 @@ func openFile(dir string, compactMin int64) (*File, error) {
 	// Terminating the tail with '\n' confines the damage to its own line
 	// (which future replays skip) and keeps intact an entry that lost only
 	// its trailing newline byte.
-	if n := len(data); n > 0 && data[n-1] != '\n' {
-		if _, err := fs.f.Write([]byte("\n")); err != nil {
-			fs.f.Close()
-			return nil, fmt.Errorf("jobstore: repair WAL tail: %w", err)
-		}
-		if err := fs.f.Sync(); err != nil {
-			fs.f.Close()
-			return nil, fmt.Errorf("jobstore: repair WAL tail: %w", err)
-		}
-		fs.totalBytes++
+	var last [1]byte
+	if _, err := fs.f.ReadAt(last[:], size-1); err != nil {
+		return fmt.Errorf("jobstore: read WAL tail: %w", err)
 	}
-	// The open may have created the file; fsync the directory so the WAL's
-	// existence itself survives power loss.
-	if err := syncDir(dir); err != nil {
-		fs.f.Close()
-		return nil, err
+	if last[0] == '\n' {
+		return nil
 	}
-	if err := fs.maybeCompactLocked(); err != nil {
-		fs.f.Close()
-		return nil, err
+	if _, err := fs.f.Write([]byte("\n")); err != nil {
+		return fmt.Errorf("jobstore: repair WAL tail: %w", err)
 	}
-	return fs, nil
+	if err := fs.f.Sync(); err != nil {
+		return fmt.Errorf("jobstore: repair WAL tail: %w", err)
+	}
+	fs.totalBytes++
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed file's
@@ -293,31 +346,35 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// applyLocked folds one replayed entry into the in-memory view.
-func (fs *File) applyLocked(e Entry) {
+// applyLocked folds one replayed entry, found at [off, off+n) in the log,
+// into the index.
+func (fs *File) applyLocked(e Entry, off, n int64) {
 	switch e.Op {
 	case "put":
-		r := *e.Rec
-		if _, ok := fs.recs[r.ID]; !ok {
-			fs.order = append(fs.order, r.ID)
-		}
-		fs.recs[r.ID] = r
-		// Sizes are only tracked for compaction heuristics; recomputing
-		// the exact encoding is not worth it, the JSON length is close.
-		if b, err := EncodeEntry(Entry{Op: "put", Rec: &r}); err == nil {
-			fs.entryBytes[r.ID] = int64(len(b))
-		}
+		fs.setLocked(*e.Rec, off, n)
 	case "del":
 		fs.dropLocked(e.ID)
 	}
 }
 
+// setLocked points the index at r's latest line. It is the one place a
+// record's header and location change, and they change together.
+func (fs *File) setLocked(r Record, off, n int64) {
+	prev, existed := fs.index[r.ID]
+	if !existed {
+		fs.order = append(fs.order, r.ID)
+	}
+	fs.liveBytes += n - prev.n
+	fs.index[r.ID] = slot{hdr: r.header(), off: off, n: n}
+}
+
 func (fs *File) dropLocked(id string) {
-	if _, ok := fs.recs[id]; !ok {
+	s, ok := fs.index[id]
+	if !ok {
 		return
 	}
-	delete(fs.recs, id)
-	delete(fs.entryBytes, id)
+	delete(fs.index, id)
+	fs.liveBytes -= s.n
 	for i, oid := range fs.order {
 		if oid == id {
 			fs.order = append(fs.order[:i], fs.order[i+1:]...)
@@ -326,38 +383,40 @@ func (fs *File) dropLocked(id string) {
 	}
 }
 
-// appendLocked writes one entry to the log, fsyncing when sync is set.
-func (fs *File) appendLocked(e Entry, sync bool) error {
+// appendLocked writes one entry to the log, fsyncing when sync is set,
+// and returns the offset and length of the line it wrote.
+func (fs *File) appendLocked(e Entry, sync bool) (off, n int64, err error) {
 	b, err := EncodeEntry(e)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	if _, err := fs.f.Write(b); err != nil {
-		return fmt.Errorf("jobstore: append WAL: %w", err)
+	off = fs.totalBytes
+	written, err := fs.f.Write(b)
+	fs.totalBytes += int64(written)
+	if err != nil {
+		return 0, 0, fmt.Errorf("jobstore: append WAL: %w", err)
 	}
 	fs.appends++
-	fs.totalBytes += int64(len(b))
-	if e.Op == "put" {
-		fs.entryBytes[e.Rec.ID] = int64(len(b))
-	}
 	if sync {
 		start := time.Now()
 		if err := fs.f.Sync(); err != nil {
-			return fmt.Errorf("jobstore: fsync WAL: %w", err)
+			return 0, 0, fmt.Errorf("jobstore: fsync WAL: %w", err)
 		}
 		fs.fsyncs++
 		if fs.onFsync != nil {
 			fs.onFsync(time.Since(start))
 		}
 	}
-	return nil
+	return off, int64(len(b)), nil
 }
 
-// Put appends the record to the log and updates the in-memory view. The
-// append is fsynced when it creates the record or changes its State — the
-// durability points that must survive a crash — while watermark-only
+// Put appends the record to the log and points the index at the new line.
+// The append is fsynced when it creates the record or changes its State —
+// the durability points that must survive a crash — while watermark-only
 // updates ride on the OS cache and may be lost to a crash (recovery then
-// just reports slightly older progress).
+// just reports slightly older progress). The index moves only once the
+// append (and its fsync) succeeded. A compaction that fails after that is
+// reported, but the record is already in the log and stays visible.
 func (fs *File) Put(r Record) error {
 	if r.ID == "" {
 		return fmt.Errorf("jobstore: record has no id")
@@ -367,39 +426,59 @@ func (fs *File) Put(r Record) error {
 	if fs.closed {
 		return fmt.Errorf("jobstore: store is closed")
 	}
-	prev, existed := fs.recs[r.ID]
-	sync := !existed || prev.State != r.State
-	rec := r.clone()
-	if err := fs.appendLocked(Entry{Op: "put", Rec: &rec}, sync); err != nil {
+	prev, existed := fs.index[r.ID]
+	sync := !existed || prev.hdr.State != r.State
+	off, n, err := fs.appendLocked(Entry{Op: "put", Rec: &r}, sync)
+	if err != nil {
 		return err
 	}
-	if !existed {
-		fs.order = append(fs.order, r.ID)
-	}
-	fs.recs[r.ID] = rec
+	fs.setLocked(r, off, n)
 	return fs.maybeCompactLocked()
 }
 
-// Get returns the record with the given id.
+// Get reads the record's latest line back from the log and re-verifies
+// its checksum, so the returned record shares no memory with the store.
+// Only the read holds the store's lock; the decode does not.
 func (fs *File) Get(id string) (Record, bool, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	r, ok := fs.recs[id]
-	if !ok {
-		return Record{}, false, nil
+	line, ok, err := fs.readLine(id)
+	if err != nil || !ok {
+		return Record{}, ok, err
 	}
-	return r.clone(), true, nil
+	e, err := DecodeEntry(line)
+	if err != nil {
+		return Record{}, false, fmt.Errorf("jobstore: get %s: %w", id, err)
+	}
+	if e.Op != "put" || e.Rec.ID != id {
+		return Record{}, false, fmt.Errorf("jobstore: get %s: index points at another entry", id)
+	}
+	return *e.Rec, true, nil
 }
 
-// List returns every record in first-Put order.
+// readLine returns a copy of the record's latest line in the log.
+func (fs *File) readLine(id string) ([]byte, bool, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.closed {
+		return nil, false, fmt.Errorf("jobstore: store is closed")
+	}
+	s, ok := fs.index[id]
+	if !ok {
+		return nil, false, nil
+	}
+	line := make([]byte, s.n)
+	if _, err := fs.f.ReadAt(line, s.off); err != nil {
+		return nil, false, fmt.Errorf("jobstore: get %s: read WAL: %w", id, err)
+	}
+	return line, true, nil
+}
+
+// List returns every record's header in first-Put order.
 func (fs *File) List() ([]Record, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	out := make([]Record, 0, len(fs.recs))
+	out := make([]Record, 0, len(fs.index))
 	for _, id := range fs.order {
-		if r, ok := fs.recs[id]; ok {
-			out = append(out, r.clone())
-		}
+		out = append(out, fs.index[id].hdr)
 	}
 	return out, nil
 }
@@ -412,10 +491,10 @@ func (fs *File) Delete(id string) error {
 	if fs.closed {
 		return fmt.Errorf("jobstore: store is closed")
 	}
-	if _, ok := fs.recs[id]; !ok {
+	if _, ok := fs.index[id]; !ok {
 		return nil
 	}
-	if err := fs.appendLocked(Entry{Op: "del", ID: id}, true); err != nil {
+	if _, _, err := fs.appendLocked(Entry{Op: "del", ID: id}, true); err != nil {
 		return err
 	}
 	fs.dropLocked(id)
@@ -433,7 +512,8 @@ func (fs *File) Skipped() int {
 	return fs.skipped
 }
 
-// Close fsyncs and closes the log. The store rejects writes afterwards.
+// Close fsyncs and closes the log. The store rejects writes and Gets
+// afterwards.
 func (fs *File) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -448,56 +528,35 @@ func (fs *File) Close() error {
 	return fs.f.Close()
 }
 
-// liveBytesLocked is the encoded size of the live record set — what a
-// freshly compacted WAL would occupy.
-func (fs *File) liveBytesLocked() int64 {
-	var n int64
-	for _, b := range fs.entryBytes {
-		n += b
-	}
-	return n
-}
-
 // maybeCompactLocked rewrites the log down to the live record set when the
-// file is past the threshold and more than half garbage. The rewrite goes
-// through a temp file + fsync + atomic rename, so a crash mid-compaction
-// leaves either the old log or the new one, never a mix.
+// file is past the threshold and more than half garbage. It copies each
+// live record's line as it is on disk, after checking its checksum, so a
+// compaction never re-encodes a record and never carries a damaged line
+// forward. The rewrite goes through a temp file + fsync + atomic rename,
+// so a crash mid-compaction leaves either the old log or the new one,
+// never a mix.
 func (fs *File) maybeCompactLocked() error {
-	live := fs.liveBytesLocked()
-	if fs.totalBytes < fs.compactMin || fs.totalBytes <= 2*live {
+	if fs.totalBytes < fs.compactMin || fs.totalBytes <= 2*fs.liveBytes {
 		return nil
 	}
-	path := filepath.Join(fs.dir, walFileName)
 	tmp, err := os.CreateTemp(fs.dir, walFileName+".compact-*")
 	if err != nil {
 		return fmt.Errorf("jobstore: compact: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var written int64
-	for _, id := range fs.order {
-		rec := fs.recs[id]
-		b, err := EncodeEntry(Entry{Op: "put", Rec: &rec})
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(b); err != nil {
-			tmp.Close()
-			return fmt.Errorf("jobstore: compact write: %w", err)
-		}
-		written += int64(len(b))
+	offs, err := fs.copyLiveLocked(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobstore: compact fsync: %w", err)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobstore: compact chmod: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(fs.dir, walFileName))
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		tmp.Close()
-		return fmt.Errorf("jobstore: compact rename: %w", err)
+		return fmt.Errorf("jobstore: compact: %w", err)
 	}
 	// The rename moved tmp's inode to the WAL path, and the open tmp handle
 	// follows the inode — adopt it as the live WAL handle rather than
@@ -508,9 +567,39 @@ func (fs *File) maybeCompactLocked() error {
 	old := fs.f
 	fs.f = tmp
 	old.Close()
-	fs.totalBytes = written
+	for i, id := range fs.order {
+		s := fs.index[id]
+		s.off = offs[i]
+		fs.index[id] = s
+	}
+	fs.totalBytes = fs.liveBytes // the file now holds exactly the live lines
 	fs.compactions++
 	// Make the rename itself durable: without a directory fsync a power
 	// loss may resurrect the pre-compaction log.
 	return syncDir(fs.dir)
+}
+
+// copyLiveLocked writes every live record's verified line to w in index
+// order and returns the offset each landed at.
+func (fs *File) copyLiveLocked(w io.Writer) ([]int64, error) {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	offs := make([]int64, len(fs.order))
+	var written int64
+	var line []byte
+	for i, id := range fs.order {
+		s := fs.index[id]
+		line = slices.Grow(line[:0], int(s.n))[:s.n]
+		if _, err := fs.f.ReadAt(line, s.off); err != nil {
+			return nil, fmt.Errorf("record %s at offset %d: %w", id, s.off, err)
+		}
+		if _, err := framePayload(line); err != nil {
+			return nil, fmt.Errorf("record %s at offset %d: %w", id, s.off, err)
+		}
+		if _, err := bw.Write(line); err != nil {
+			return nil, err
+		}
+		offs[i] = written
+		written += s.n
+	}
+	return offs, bw.Flush()
 }

@@ -45,6 +45,12 @@ func NewArchive(store jobstore.Store) (*Archive, error) {
 			a.skipped++
 			continue
 		}
+		// List gives headers; the champion is the Spec payload.
+		rec, ok, err := store.Get(rec.ID)
+		if err != nil || !ok {
+			a.skipped++
+			continue
+		}
 		c, err := DecodeChampion(rec.Spec)
 		if err != nil || c.ID != rec.ID {
 			a.skipped++

@@ -161,13 +161,20 @@ func (r *Registry) Healthy() error {
 	return nil
 }
 
+// The exposition format escapes backslash and newline in HELP text, and
+// additionally the double quote in label values.
+var (
+	helpEscaper  = strings.NewReplacer("\\", `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer("\\", `\\`, `"`, `\"`, "\n", `\n`)
+)
+
 // header writes one family's HELP/TYPE preamble.
 func header(w *bufio.Writer, name, help, typ string) {
 	if help != "" {
 		w.WriteString("# HELP ")
 		w.WriteString(name)
 		w.WriteByte(' ')
-		w.WriteString(strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(help))
+		w.WriteString(helpEscaper.Replace(help))
 		w.WriteByte('\n')
 	}
 	w.WriteString("# TYPE ")
@@ -188,7 +195,7 @@ func formatValue(v float64) string {
 
 // escapeLabel escapes a label value per the exposition format.
 func escapeLabel(s string) string {
-	return strings.NewReplacer("\\", `\\`, `"`, `\"`, "\n", `\n`).Replace(s)
+	return labelEscaper.Replace(s)
 }
 
 // sample writes one `name{labels} value` line. keys and values are

@@ -197,11 +197,15 @@ func TestHistogramBadBucketsPanic(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("esc_total", "", "k")
+	v := r.CounterVec("esc_total", "a \"quoted\" C:\\path\nsecond line", "k")
 	v.With("a\"b\\c\nd").Inc()
 	out := render(t, r)
 	if !strings.Contains(out, `esc_total{k="a\"b\\c\nd"} 1`) {
 		t.Fatalf("label not escaped:\n%s", out)
+	}
+	// HELP text escapes backslash and newline but keeps quotes literal.
+	if !strings.Contains(out, "# HELP esc_total a \"quoted\" C:\\\\path\\nsecond line\n") {
+		t.Fatalf("help not escaped:\n%s", out)
 	}
 }
 

@@ -203,6 +203,14 @@ func (s *Server) Recover(ctx context.Context) (recovered, resumed int, err error
 		if jobstore.TerminalState(rec.State) {
 			continue
 		}
+		// List gives headers; re-running needs the stored spec.
+		rec, ok, err := s.store.Get(rec.ID)
+		if err != nil {
+			return recovered, resumed, fmt.Errorf("service: recover: %w", err)
+		}
+		if !ok {
+			continue
+		}
 		spec, err := specFromRecord(rec)
 		if err != nil {
 			// The record is damaged beyond re-running (its spec no longer

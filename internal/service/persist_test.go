@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -624,5 +626,53 @@ func TestHealthzDefaults(t *testing.T) {
 	if health["status"] != "ok" || health["version"] != "dev" || health["store"] != "mem" ||
 		health["recovered_jobs"] != float64(0) || health["resumed_jobs"] != float64(0) {
 		t.Fatalf("healthz %s", body)
+	}
+}
+
+// TestListServesStoredRecords pins GET /v1/jobs, unfiltered and per
+// state, when most jobs live only in the store: the session retains one
+// finished job, and the store also holds three evicted done jobs and the
+// running and failed records an earlier process left behind. Listing
+// reads stored results back only for the records it returns; the golden
+// pins that the response bytes are those of the whole records.
+func TestListServesStoredRecords(t *testing.T) {
+	store, err := jobstore.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	for _, rec := range []jobstore.Record{
+		{ID: "job-1", Kind: "scenarios", Spec: json.RawMessage(`{"seed":9}`), Seed: 9, State: jobstore.StateRunning, Watermark: 5},
+		{ID: "job-2", Kind: "scenarios", Spec: json.RawMessage(`{"seed":9}`), Seed: 9, State: jobstore.StateFailed, Events: 3, Error: "boom"},
+	} {
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, _ := newDurableServer(t, store, Options{}, adhocga.WithJobRetention(1))
+	for i := 0; i < 4; i++ {
+		waitRecord(t, store, submitSmoke(t, srv.URL, 1).ID)
+	}
+
+	var got bytes.Buffer
+	for _, query := range []string{"", "?state=done", "?state=running", "?state=failed", "?state=queued"} {
+		code, body := doJSON(t, http.MethodGet, srv.URL+"/v1/jobs"+query, "")
+		if code != http.StatusOK {
+			t.Fatalf("list %q: %d %s", query, code, body)
+		}
+		fmt.Fprintf(&got, "GET /v1/jobs%s\n%s", query, body)
+	}
+	goldenPath := filepath.Join("testdata", "list.golden")
+	if *update {
+		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("list responses deviate from golden:\n--- got\n%s--- want\n%s", got.Bytes(), want)
 	}
 }

@@ -602,9 +602,17 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			seen[rec.ID] = true
 			if j, ok := s.session.Job(rec.ID); ok {
 				add(s.info(j))
-			} else {
-				add(infoFromRecord(rec))
+				continue
 			}
+			if state != "" && rec.State != state {
+				continue
+			}
+			// List gives headers; only a record that is listed needs its
+			// result payload read back.
+			if full, ok, err := s.store.Get(rec.ID); err == nil && ok {
+				rec = full
+			}
+			add(infoFromRecord(rec))
 		}
 	}
 	// Jobs the session knows but the store doesn't (submitted around the
