@@ -217,7 +217,7 @@ func BenchmarkAblationBaseline(b *testing.B) {
 // crossover for uniform crossover.
 func BenchmarkAblationUniformCrossover(b *testing.B) {
 	coop := runAblation(b, 56, func(cfg *core.Config) {
-		cfg.GA.Crossover = bitstring.UniformCrossover
+		cfg.GA.Crossover = bitstring.UniformCrossoverInto
 	})
 	b.ReportMetric(coop*100, "coop%")
 }
@@ -225,7 +225,7 @@ func BenchmarkAblationUniformCrossover(b *testing.B) {
 // BenchmarkAblationTwoPointCrossover (A7b) swaps in two-point crossover.
 func BenchmarkAblationTwoPointCrossover(b *testing.B) {
 	coop := runAblation(b, 56, func(cfg *core.Config) {
-		cfg.GA.Crossover = bitstring.RandomTwoPointCrossover
+		cfg.GA.Crossover = bitstring.RandomTwoPointCrossoverInto
 	})
 	b.ReportMetric(coop*100, "coop%")
 }

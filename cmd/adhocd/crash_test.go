@@ -220,7 +220,7 @@ func TestCrashRestartByteIdentical(t *testing.T) {
 		t.Fatalf("crash job id %q, golden %q — ids must line up for the byte comparison", crashJob.ID, goldenJob.ID)
 	}
 	// Let the job get well into its run (hundreds of generation events,
-	// several persisted watermarks) before pulling the plug.
+	// while its record is still the queued one) before pulling the plug.
 	mid := waitDaemonJob(t, victim, crashJob.ID, func(i daemonJobInfo) bool {
 		return i.State == "running" && i.Events >= 300
 	})

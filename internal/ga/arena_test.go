@@ -10,14 +10,13 @@ import (
 // TestNextGenerationIntoMatchesNextGeneration pins the arena reproduction
 // path to the allocating one: same population, config, and seed must yield
 // bit-identical offspring and leave the RNG in the same state, across the
-// crossover-into, crossover-fallback, and elitism configurations.
+// paper, elitism, crossover-rate, and mutation-rate configurations.
 func TestNextGenerationIntoMatchesNextGeneration(t *testing.T) {
 	cases := []struct {
 		name string
 		mod  func(*Config)
 	}{
 		{"paper", func(*Config) {}},
-		{"no-crossover-into", func(c *Config) { c.CrossoverInto = nil }},
 		{"elitism", func(c *Config) { c.Elitism = 3 }},
 		{"low-crossover", func(c *Config) { c.CrossoverProb = 0.3 }},
 		{"heavy-mutation", func(c *Config) { c.MutationProb = 0.2 }},
@@ -59,8 +58,7 @@ func TestNextGenerationIntoMatchesNextGeneration(t *testing.T) {
 }
 
 // TestNextGenerationIntoZeroAllocs: with a warm arena and the paper
-// configuration (CrossoverInto set, no elitism), reproduction must not
-// allocate at all.
+// configuration (no elitism), reproduction must not allocate at all.
 func TestNextGenerationIntoZeroAllocs(t *testing.T) {
 	pop := popOf(3, 1, 4, 1, 5, 9, 2, 6)
 	cfg := PaperConfig()

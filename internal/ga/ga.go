@@ -133,17 +133,11 @@ func sortedByFitness(pop []Individual) []int {
 	return idx
 }
 
-// Crossover combines two parents into two children — the crossover
-// operator slot of §5 (the paper uses one-point crossover; see
-// bitstring.RandomOnePointCrossover).
-type Crossover func(r *rng.Source, a, b bitstring.Bits) (bitstring.Bits, bitstring.Bits)
-
-// CrossoverInto is the in-place form of Crossover: it writes the two
-// children into the caller-owned vectors c and d instead of allocating
-// them. An implementation must realize the same operator as the paired
-// Crossover with the same draw contract, so that the allocating and the
-// arena reproduction paths replay identical streams.
-type CrossoverInto func(r *rng.Source, a, b, c, d bitstring.Bits)
+// Crossover is the crossover operator slot of §5 (the paper uses
+// one-point crossover; see bitstring.RandomOnePointCrossoverInto): it
+// combines parents a and b into two children written into the
+// caller-owned vectors c and d.
+type Crossover func(r *rng.Source, a, b, c, d bitstring.Bits)
 
 // Config holds the reproduction parameters of §5.
 type Config struct {
@@ -152,12 +146,6 @@ type Config struct {
 	CrossoverProb float64 // paper: 0.9
 	MutationProb  float64 // per-bit flip probability; paper: 0.001
 
-	// CrossoverInto, when non-nil, lets NextGenerationInto run the
-	// crossover without allocating children. It must be the in-place form
-	// of Crossover; when nil, the arena path falls back to Crossover and
-	// copies the kept child (correct for any custom operator, two child
-	// allocations per crossed slot).
-	CrossoverInto CrossoverInto
 	// Elitism copies the fittest Elitism individuals unchanged into the
 	// next generation before filling the rest by selection. The paper
 	// uses none (0); provided for ablations and extensions.
@@ -170,8 +158,7 @@ type Config struct {
 func PaperConfig() Config {
 	return Config{
 		Selector:      TournamentSelector{Size: 2},
-		Crossover:     bitstring.RandomOnePointCrossover,
-		CrossoverInto: bitstring.RandomOnePointCrossoverInto,
+		Crossover:     bitstring.RandomOnePointCrossoverInto,
 		CrossoverProb: 0.9,
 		MutationProb:  0.001,
 	}
@@ -240,8 +227,8 @@ func NextGeneration(pop []Individual, cfg *Config, r *rng.Source) ([]bitstring.B
 // NextGenerationInto is NextGeneration writing the offspring into the
 // given arena: it consumes the identical draw sequence and produces
 // bit-identical genomes, but reuses buf's vectors, so a warm arena makes
-// the whole reproduction step allocation-free (when cfg.CrossoverInto is
-// set and Elitism is 0; elitism pays one index-slice allocation per call).
+// the whole reproduction step allocation-free (when Elitism is 0; elitism
+// pays one index-slice allocation per call).
 // The returned slice and its genomes are owned by buf and overwritten by
 // the next call with the same arena; callers that retain them across calls
 // must alternate two Buffers (double-buffering) or clone.
@@ -270,22 +257,13 @@ func NextGenerationInto(pop []Individual, cfg *Config, r *rng.Source, buf *Buffe
 		pa := pop[cfg.Selector.Select(pop, r)].Genome
 		pb := pop[cfg.Selector.Select(pop, r)].Genome
 		// Draw order is pinned: the crossover's cut draw (if any), then
-		// the child coin, then the mutation scan — identical whether the
-		// children land in the arena or in fresh vectors.
+		// the child coin, then the mutation scan.
 		if r.Bool(cfg.CrossoverProb) {
-			if cfg.CrossoverInto != nil {
-				cfg.CrossoverInto(r, pa, pb, next[i], buf.spare)
-				if r.Bool(0.5) {
-					// The second child is kept: swap the vector headers so
-					// it sits in the slot and the first becomes the spare.
-					next[i], buf.spare = buf.spare, next[i]
-				}
-			} else {
-				c1, c2 := cfg.Crossover(r, pa, pb)
-				if r.Bool(0.5) {
-					c1 = c2
-				}
-				next[i].CopyFrom(c1)
+			cfg.Crossover(r, pa, pb, next[i], buf.spare)
+			if r.Bool(0.5) {
+				// The second child is kept: swap the vector headers so it
+				// sits in the slot and the first becomes the spare.
+				next[i], buf.spare = buf.spare, next[i]
 			}
 		} else {
 			src := pa

@@ -217,6 +217,59 @@ func TestNextGenerationNoCrossoverNoMutationCopies(t *testing.T) {
 	}
 }
 
+// TestConfiguredCrossoverIsApplied: NextGenerationInto runs the operator
+// in Config.Crossover. A marker operator that writes all-ones children
+// over all-zero parents must be called once per slot and show up in every
+// offspring, and swapping in a real operator other than the paper's must
+// change the offspring at the same seed.
+func TestConfiguredCrossoverIsApplied(t *testing.T) {
+	zeros := make([]Individual, 6)
+	for i := range zeros {
+		zeros[i] = Individual{Genome: bitstring.New(13), Fitness: float64(i)}
+	}
+	calls := 0
+	cfg := PaperConfig()
+	cfg.CrossoverProb = 1
+	cfg.MutationProb = 0
+	cfg.Crossover = func(_ *rng.Source, _, _, c, d bitstring.Bits) {
+		calls++
+		for i := 0; i < c.Len(); i++ {
+			c.Set(i, true)
+			d.Set(i, true)
+		}
+	}
+	var buf Buffers
+	next, err := NextGenerationInto(zeros, &cfg, rng.New(3), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(zeros) {
+		t.Errorf("operator called %d times, want %d", calls, len(zeros))
+	}
+	for i, g := range next {
+		if g.OneCount() != g.Len() {
+			t.Errorf("offspring %d = %s, not the configured operator's child", i, g)
+		}
+	}
+
+	offspring := func(op Crossover) string {
+		cfg := PaperConfig()
+		cfg.Crossover = op
+		next, err := NextGeneration(popOf(3, 1, 4, 1, 5, 9, 2, 6), &cfg, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ""
+		for _, g := range next {
+			out += g.String() + " "
+		}
+		return out
+	}
+	if paper := offspring(bitstring.RandomOnePointCrossoverInto); offspring(bitstring.UniformCrossoverInto) == paper {
+		t.Error("uniform crossover reproduced the one-point offspring")
+	}
+}
+
 func TestNextGenerationDeterministic(t *testing.T) {
 	gen := func() []string {
 		r := rng.New(9)

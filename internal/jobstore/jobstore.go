@@ -1,12 +1,14 @@
 // Package jobstore persists the adhocd service's job records so a restart
 // does not lose them. A record is the durable identity of one job: its ID,
-// the submitted spec JSON, the master seed, its lifecycle state, a
-// progress watermark (the highest event sequence observed), and — once
-// finished — the result summary, a result digest, and (for deterministic
-// jobs within event-log retention) the full NDJSON event replay. Because
-// every job in this codebase is bit-reproducible from (seed, spec), that
-// record is enough to resume an interrupted job from scratch after a crash
-// and to re-verify a finished one byte-for-byte at any later time.
+// the submitted spec JSON, the master seed, its lifecycle state, and —
+// once finished — its event count and last event sequence, the result
+// summary, a result digest, and (for deterministic jobs within event-log
+// retention) the full NDJSON event replay. The service writes each record
+// twice: queued when the job is accepted and terminal when it ends.
+// Because every job in this codebase is bit-reproducible from (seed,
+// spec), that record is enough to resume an interrupted job from scratch
+// after a crash and to re-verify a finished one byte-for-byte at any later
+// time.
 //
 // Two backends implement the Store interface:
 //
@@ -64,18 +66,18 @@ type Record struct {
 	Seed uint64 `json:"seed"`
 	// State is the job's lifecycle state (State* constants).
 	State string `json:"state"`
-	// Watermark is the highest event sequence number observed before the
-	// last persist — a progress indicator for monitoring, not a resume
-	// point: recovery re-runs from generation 0 and determinism makes the
-	// re-run bit-identical.
+	// Watermark is the sequence number of the job's last event, set in
+	// its terminal record (a log written by an older build may also hold
+	// mid-run values). It is not a resume point: recovery re-runs from
+	// generation 0 and determinism makes the re-run bit-identical.
 	Watermark int `json:"watermark"`
 	// Deterministic records whether the job ran at parallelism 1, i.e.
 	// whether its event ordering (not just its results) is reproducible
 	// and the event log is eligible for byte-compare verification.
 	Deterministic bool `json:"deterministic,omitempty"`
 	// Events is the total number of events the job emitted, recorded at
-	// completion (0 while the job is still running — Watermark tracks
-	// live progress).
+	// completion (0 in a queued record; a live job's progress is served
+	// from the session, not the store).
 	Events int `json:"events,omitempty"`
 	// Result is the service's result summary JSON for a done job.
 	Result json.RawMessage `json:"result,omitempty"`
@@ -112,9 +114,11 @@ func (r Record) header() Record {
 
 // Store is the pluggable job-record persistence interface. All methods are
 // safe for concurrent use. Put inserts or replaces the record with the
-// same ID; a durable implementation must make Puts that change a record's
-// State survive a crash before returning (fsync on state transitions),
-// while watermark-only updates may be buffered. Get returns the whole
+// same ID; a durable implementation must make Puts that create a record or
+// change its State survive a crash before returning (fsync on state
+// transitions), while other updates may be buffered. The service issues
+// only the former: each record is written queued, then terminal, and a
+// recovered job's only write is its terminal one. Get returns the whole
 // record, payloads included, in a copy the caller owns. List returns
 // every record's header — all fields but Spec, Result and EventLog, which
 // are nil — in first-Put order, which is submission order across the

@@ -1,14 +1,9 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 
 	"adhocga"
-	"adhocga/internal/jobstore"
 	"adhocga/internal/league"
 )
 
@@ -18,7 +13,8 @@ import (
 // league job re-seats selected champions — optionally with the scripted
 // baselines — in a round-robin of tournament matches and reports the
 // table. League jobs ride the same durable-record machinery as scenario
-// jobs: queued-before-202, watched to terminal, recovered by Kind.
+// jobs: one accept path, queued before the 202, finalized at the terminal
+// transition, recovered by Kind.
 
 // handleChampions lists the hall of fame in archival order, optionally
 // filtered by classification category (?category=reciprocal) or source
@@ -74,18 +70,13 @@ func (s *Server) handleLeague(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "no champion archive configured (run adhocd with -champions)")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var spec adhocga.LeagueJobSpec
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &spec); err != nil {
+		if err := decodeStrict(body, &spec); err != nil {
 			httpError(w, http.StatusBadRequest, "body: %v", err)
 			return
 		}
@@ -96,50 +87,7 @@ func (s *Server) handleLeague(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "champion archive is empty and baselines are off — nothing to seat")
 		return
 	}
-	rec, err := newLeagueRecord(s.allocID(), spec)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := s.store.Put(rec); err != nil {
-		httpError(w, http.StatusInternalServerError, "persist job: %v", err)
-		return
-	}
-	job, err := s.session.SubmitNamed(context.WithoutCancel(r.Context()), rec.ID, spec)
-	if err != nil {
-		rec.State = jobstore.StateFailed
-		rec.Error = err.Error()
-		if perr := s.store.Put(rec); perr != nil {
-			s.opts.Logger.Warn("persist failed submit", "job", rec.ID, "error", perr)
-		}
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	s.watch(rec, job)
-	s.leagueRuns.Inc()
-	s.opts.Logger.Info("league job accepted", "job", rec.ID, "champions", len(spec.ChampionIDs), "baselines", spec.IncludeBaselines)
-	writeJSON(w, http.StatusAccepted, s.info(job))
-}
-
-// newLeagueRecord builds the durable identity of a league submission. The
-// spec document alone re-runs the job: the seats resolve from the champion
-// archive, which is itself durable.
-func newLeagueRecord(id string, spec adhocga.LeagueJobSpec) (jobstore.Record, error) {
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return jobstore.Record{}, fmt.Errorf("encode spec: %w", err)
-	}
-	return jobstore.Record{
-		ID:    id,
-		Kind:  "league",
-		Spec:  raw,
-		Seed:  spec.Seed,
-		State: jobstore.StateQueued,
-		// A league emits no mid-flight events, so its (trivial) event log
-		// is reproducible at any parallelism; the table itself is always
-		// bit-identical.
-		Deterministic: true,
-	}, nil
+	s.accept(w, r, spec, spec)
 }
 
 // leagueOf extracts a finished league job's table (nil for every other

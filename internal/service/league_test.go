@@ -357,3 +357,44 @@ func TestLeagueSurvivesRestartBitIdentical(t *testing.T) {
 		t.Fatalf("fresh league diverged from pre-restart table:\nbefore %s\nafter  %s", want, rerun)
 	}
 }
+
+// TestUnknownKeysRejected: the submit wrapper and the league body are
+// decoded strictly, like the scenario specs inside them. A misspelled or
+// unknown key is a 400 naming it and leaves no record behind; the same
+// documents spelled right are accepted.
+func TestUnknownKeysRejected(t *testing.T) {
+	store := jobstore.NewMem()
+	base, _ := newLeagueServer(t, store, league.NewMemArchive())
+	const seats = `"baselines": true, "per_side": 2, "matches_per_pair": 1, "rounds": 10, "seed": 7`
+	for _, tc := range []struct {
+		name, path, body string
+		wantCode         int
+		wantField        string
+	}{
+		{"submit typo", "/v1/jobs", fmt.Sprintf(`{"scenarios": %s, "parallelsim": 1}`, smokeSpec), http.StatusBadRequest, "parallelsim"},
+		{"submit extra key", "/v1/jobs", fmt.Sprintf(`{"scenarios": %s, "scale": "smoke", "priority": 3}`, smokeSpec), http.StatusBadRequest, "priority"},
+		{"submit spelled right", "/v1/jobs", fmt.Sprintf(`{"scenarios": %s, "scale": "smoke", "parallelism": 1}`, smokeSpec), http.StatusAccepted, ""},
+		{"league typo", "/v1/league", `{"baselines": true, "per_sid": 3}`, http.StatusBadRequest, "per_sid"},
+		{"league extra key", "/v1/league", `{` + seats + `, "mode": "LP"}`, http.StatusBadRequest, "mode"},
+		{"league spelled right", "/v1/league", `{` + seats + `}`, http.StatusAccepted, ""},
+	} {
+		before, err := store.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := doJSON(t, http.MethodPost, base+tc.path, tc.body)
+		if code != tc.wantCode {
+			t.Errorf("%s: %d %s, want %d", tc.name, code, body, tc.wantCode)
+			continue
+		}
+		if tc.wantCode != http.StatusBadRequest {
+			continue
+		}
+		if want := `unknown field \"` + tc.wantField + `\"`; !strings.Contains(string(body), want) {
+			t.Errorf("%s: body %s does not name the field (%s)", tc.name, body, want)
+		}
+		if after, _ := store.List(); len(after) != len(before) {
+			t.Errorf("%s: rejected request left a record (%d → %d)", tc.name, len(before), len(after))
+		}
+	}
+}

@@ -172,7 +172,7 @@ func (s *Server) registerMetrics() {
 
 	// Durable tier.
 	m.GaugeFunc("adhocd_persist_watchers",
-		"Persistence watcher goroutines currently following live jobs.",
+		"Persistence watcher goroutines waiting to finalize live jobs.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()

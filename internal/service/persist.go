@@ -10,45 +10,56 @@ import (
 
 	"adhocga"
 	"adhocga/internal/jobstore"
+	"adhocga/internal/scenario"
 )
 
-// The persistence glue between live jobs and the jobstore: every
-// submission writes a queued record before it is accepted, a watcher
-// goroutine follows the job's event stream to keep the record's progress
-// watermark fresh and to finalize it at the terminal transition, and
-// Recover replays the store at startup — re-submitting unfinished records
-// from their recorded (seed, spec) and leaving finished ones to serve
-// status, results, and archived event replays without recompute.
+// The persistence glue between live jobs and the jobstore. A job's record
+// is written at its two real transitions and nowhere in between: accept
+// writes the queued record before the 202 goes out, and watch writes the
+// terminal record once the job ends. Recover replays the store at startup,
+// re-submitting unfinished records from their recorded (seed, spec) and
+// leaving finished ones to serve status, results, and archived event
+// replays without recompute.
 //
-// Durability contract: state transitions (queued on submit, the terminal
-// record with results and digests) are fsynced by the file backend before
-// Put returns; watermark-only progress updates are buffered appends. A
-// crash can therefore lose at most some reported progress — never a job.
-// A crash in the window after the live session reported done but before
-// the terminal record landed leaves the record marked running, and
-// recovery simply re-runs the job; determinism guarantees the second
-// completion is bit-identical to the one the crash discarded.
+// Durability contract: both writes change the record's State, so the file
+// backend fsyncs each before Put returns. A crash can therefore never lose
+// an accepted job. A job caught mid-run — or after the live session
+// reported done but before the terminal record landed — is still queued
+// in the store, and recovery simply re-runs it from event 0; determinism
+// guarantees the second completion is bit-identical to the one the crash
+// discarded. A resumed job writes nothing until its terminal record.
 
-// newRecord builds the durable identity of a fresh submission.
-func newRecord(id string, sp resolvedSubmit) (jobstore.Record, error) {
-	spec, err := json.Marshal(sp)
+// newRecord builds the durable identity of a fresh submission. doc is the
+// document specFromRecord re-runs the job from: a resolved scenarios
+// submission, or a league spec, whose seats resolve from the champion
+// archive (itself durable).
+func newRecord(id string, doc any) (jobstore.Record, error) {
+	spec, err := json.Marshal(doc)
 	if err != nil {
 		return jobstore.Record{}, fmt.Errorf("encode spec: %w", err)
 	}
-	return jobstore.Record{
-		ID:    id,
-		Kind:  "scenarios",
-		Spec:  spec,
-		Seed:  sp.Seed,
-		State: jobstore.StateQueued,
+	rec := jobstore.Record{ID: id, Spec: spec, State: jobstore.StateQueued}
+	switch d := doc.(type) {
+	case resolvedSubmit:
+		rec.Kind, rec.Seed = "scenarios", d.Seed
 		// Event ordering is reproducible only when replicates run one at
 		// a time; that is what makes the event log byte-comparable.
-		Deterministic: sp.Parallelism == 1,
-	}, nil
+		rec.Deterministic = d.Parallelism == 1
+	case adhocga.LeagueJobSpec:
+		rec.Kind, rec.Seed = "league", d.Seed
+		// A league emits no mid-flight events, so its (trivial) event log
+		// is reproducible at any parallelism; the table itself is always
+		// bit-identical.
+		rec.Deterministic = true
+	default:
+		return jobstore.Record{}, fmt.Errorf("no record kind for %T", doc)
+	}
+	return rec, nil
 }
 
-// specFromRecord reverses newRecord/newLeagueRecord: the stored document
-// back into a runnable workload, dispatched by the record's Kind.
+// specFromRecord reverses newRecord: the stored document back into a
+// runnable workload, dispatched by the record's Kind. It decodes leniently,
+// because it reads records written by older builds.
 func specFromRecord(rec jobstore.Record) (adhocga.JobSpec, error) {
 	if len(rec.Spec) == 0 {
 		return nil, fmt.Errorf("record %s has no spec", rec.ID)
@@ -65,7 +76,11 @@ func specFromRecord(rec jobstore.Record) (adhocga.JobSpec, error) {
 		if err := json.Unmarshal(rec.Spec, &sp); err != nil {
 			return nil, fmt.Errorf("record %s spec: %w", rec.ID, err)
 		}
-		return sp.jobSpec()
+		specs, err := scenario.Load(bytes.NewReader(sp.Scenarios))
+		if err != nil {
+			return nil, fmt.Errorf("scenarios: %w", err)
+		}
+		return sp.jobSpec(specs), nil
 	}
 }
 
@@ -89,13 +104,12 @@ func eventLogNDJSON(events []adhocga.Event) []byte {
 	return buf.Bytes()
 }
 
-// watch follows one live job and keeps its record current: the first
-// event flips the record to running, every progressStride events refresh
-// the watermark (buffered, cheap), and the terminal transition finalizes
-// the record with results, digests, and — when eligible — the full event
-// log. The returned channel (also registered in s.watchers) closes once
-// the terminal record is in the store, which is how verify waits out the
-// race between a job turning done and its record catching up.
+// watch finalizes one live job's record: it waits the job out and writes
+// the terminal record with results, digests, and — when eligible — the
+// full event log. That is the record's last write; the one before it is
+// the queued record. The channel registered in s.watchers closes once the
+// terminal record is in the store, which is how verify waits out the race
+// between a job turning done and its record catching up.
 func (s *Server) watch(rec jobstore.Record, j *adhocga.Job) {
 	done := make(chan struct{})
 	s.mu.Lock()
@@ -103,23 +117,6 @@ func (s *Server) watch(rec jobstore.Record, j *adhocga.Job) {
 	s.mu.Unlock()
 	go func() {
 		defer close(done)
-		const progressStride = 64
-		sub := j.Subscribe(context.Background(), adhocga.SubscribeOptions{Policy: adhocga.BlockWithDeadline})
-		for e := range sub.C {
-			if e.Kind == adhocga.KindDone {
-				continue
-			}
-			if rec.State == jobstore.StateQueued || e.Seq-rec.Watermark >= progressStride {
-				rec.State = jobstore.StateRunning
-				rec.Watermark = e.Seq
-				if err := s.store.Put(rec); err != nil {
-					s.opts.Logger.Warn("persist progress failed", "job", rec.ID, "error", err)
-				}
-			}
-		}
-		// The subscription closed: either the terminal event was
-		// delivered or the watcher was evicted — wait out the job either
-		// way so the final state is really final.
 		_ = j.Wait(context.Background())
 		if err := s.store.Put(s.finalizeRecord(rec, j)); err != nil {
 			s.opts.Logger.Warn("persist terminal failed", "job", rec.ID, "error", err)
@@ -187,12 +184,13 @@ func (s *Server) watcherDone(id string) <-chan struct{} {
 // Recover replays the store into the running service. Call it once, after
 // New and before serving traffic. Records in a terminal state stay
 // store-only — status, results, and archived event replays are served
-// from the record, nothing is recomputed. Unfinished records (queued or
-// running when the previous process died) are re-submitted to the session
-// under their original IDs from their recorded (seed, spec): by the
-// determinism contract the re-run is bit-identical to the run the crash
-// destroyed, so from the client's point of view the job simply finishes
-// late. Returns (records loaded, jobs re-submitted).
+// from the record, nothing is recomputed. Unfinished records (queued when
+// the previous process died, or running in a log an older build wrote) are
+// re-submitted to the session under their original IDs from their recorded
+// (seed, spec): by the determinism contract the re-run is bit-identical to
+// the run the crash destroyed, so from the client's point of view the job
+// simply finishes late. A resumed job's record is written once more, when
+// it ends. Returns (records loaded, jobs re-submitted).
 func (s *Server) Recover(ctx context.Context) (recovered, resumed int, err error) {
 	recs, err := s.store.List()
 	if err != nil {
@@ -228,11 +226,6 @@ func (s *Server) Recover(ctx context.Context) (recovered, resumed int, err error
 		if err != nil {
 			return recovered, resumed, fmt.Errorf("service: resume %s: %w", rec.ID, err)
 		}
-		// Present the resumption as a fresh queued run so the watcher's
-		// first event re-persists a running state with a rewound
-		// watermark — the re-run really does start over from event 0.
-		rec.State = jobstore.StateQueued
-		rec.Watermark = 0
 		s.watch(rec, j)
 		s.opts.Logger.Info("job resumed from store", "job", rec.ID, "seed", rec.Seed)
 		resumed++

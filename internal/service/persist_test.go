@@ -15,6 +15,7 @@ import (
 
 	"adhocga"
 	"adhocga/internal/jobstore"
+	"adhocga/internal/league"
 )
 
 // newDurableServer builds a server over an explicit store so tests can
@@ -674,5 +675,109 @@ func TestListServesStoredRecords(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("list responses deviate from golden:\n--- got\n%s--- want\n%s", got.Bytes(), want)
+	}
+}
+
+// TestRecordWrittenTwice pins the record lifecycle on the WAL store: a
+// job's record is written exactly twice, queued before the 202 and
+// terminal once the job ends, each write one fsynced append. Nothing is
+// written while the job runs.
+func TestRecordWrittenTwice(t *testing.T) {
+	store, err := jobstore.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	base, _ := newLeagueServer(t, store, league.NewMemArchive())
+	for _, tc := range []struct {
+		kind   string
+		submit func() string
+	}{
+		{"scenarios", func() string { return submitSmoke(t, base, 1).ID }},
+		{"league", func() string {
+			code, body := doJSON(t, http.MethodPost, base+"/v1/league",
+				`{"baselines": true, "per_side": 2, "matches_per_pair": 1, "rounds": 10, "seed": 7}`)
+			if code != http.StatusAccepted {
+				t.Fatalf("league submit: %d %s", code, body)
+			}
+			return jobIDOf(t, body)
+		}},
+	} {
+		before := store.Stats()
+		rec := waitRecord(t, store, tc.submit())
+		after := store.Stats()
+		if rec.Kind != tc.kind || rec.State != jobstore.StateDone {
+			t.Fatalf("%s: record %s ended %s %q", tc.kind, rec.ID, rec.State, rec.Error)
+		}
+		if appends, fsyncs := after.Appends-before.Appends, after.Fsyncs-before.Fsyncs; appends != 2 || fsyncs != 2 {
+			t.Errorf("%s job: %d appends, %d fsyncs, want 2 and 2", tc.kind, appends, fsyncs)
+		}
+	}
+}
+
+// TestResumedJobWrittenOnce: a job Recover re-submits already has its
+// queued record, so the only write it adds is the terminal one.
+func TestResumedJobWrittenOnce(t *testing.T) {
+	store, err := jobstore.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	session := adhocga.NewSession()
+	t.Cleanup(session.Close)
+	s := New(session, Options{Store: store})
+	req, err := parseSubmit([]byte(fmt.Sprintf(`{"scenarios": %s, "scale": "smoke", "parallelism": 1}`, smokeSpec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _, err := s.resolveSubmit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := newRecord("job-1", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(queued); err != nil {
+		t.Fatal(err)
+	}
+
+	before := store.Stats()
+	if _, resumed, err := s.Recover(context.Background()); err != nil || resumed != 1 {
+		t.Fatalf("recover: resumed %d, %v", resumed, err)
+	}
+	if rec := waitRecord(t, store, queued.ID); rec.State != jobstore.StateDone {
+		t.Fatalf("resumed job ended %s %q", rec.State, rec.Error)
+	}
+	after := store.Stats()
+	if appends, fsyncs := after.Appends-before.Appends, after.Fsyncs-before.Fsyncs; appends != 1 || fsyncs != 1 {
+		t.Errorf("resumed job: %d appends, %d fsyncs, want 1 and 1", appends, fsyncs)
+	}
+}
+
+// TestUnstreamedJobHasNoSubscribers: persistence does not follow a job's
+// event stream, so a running job nobody streams has no subscriber on its
+// hub — and no consumer its producer could ever wait on.
+func TestUnstreamedJobHasNoSubscribers(t *testing.T) {
+	srv, session := newTestServer(t)
+	code, body := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs",
+		fmt.Sprintf(`{"scenarios": %s, "parallelism": 1, "scale": "smoke"}`, longSpec))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	j, ok := session.Job(jobIDOf(t, body))
+	if !ok {
+		t.Fatal("accepted job is not in the session")
+	}
+	t.Cleanup(j.Cancel)
+	deadline := time.Now().Add(30 * time.Second)
+	for j.EventCount() < 20 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never got going")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := j.StreamStats(); j.State() != adhocga.JobRunning || st.Subscribers != 0 {
+		t.Fatalf("running job (state %s) has %d subscribers, want 0", j.State(), st.Subscribers)
 	}
 }

@@ -25,19 +25,22 @@
 //
 // Every submission is persisted to a jobstore.Store (Options.Store; the
 // in-memory backend by default, the WAL-backed file backend under adhocd
-// -store file) as a record of (id, spec JSON, seed, state, progress
-// watermark) — and, once finished, the result summary, its SHA-256
-// digest, and (for parallelism-1 jobs whose full history the streaming
-// hub still retained) the complete NDJSON event replay. Recover, called
-// once at startup, re-submits every unfinished record from its recorded
-// (seed, spec) — the determinism contract makes the re-run bit-identical
-// to the lost one — and leaves finished records to serve status, results,
-// and archived event replays without recompute. See persist.go.
+// -store file) exactly twice. The queued record of (id, spec JSON, seed)
+// is written before the 202; the terminal record adds the final state, the
+// result summary, its SHA-256 digest, and (for parallelism-1 jobs whose
+// full history the streaming hub still retained) the complete NDJSON event
+// replay. Nothing is written while a job runs: live jobs are always served
+// from the session. Recover, called once at startup, re-submits every
+// unfinished record from its recorded (seed, spec) — the determinism
+// contract makes the re-run bit-identical to the lost one — and leaves
+// finished records to serve status, results, and archived event replays
+// without recompute. See persist.go.
 //
 // The submit body is either bare scenario-spec JSON (one object or an
 // array — exactly what LoadScenarios accepts) or a wrapper object
 // {"scenarios": …, "scale": "smoke", "seed": 1, "parallelism": 2} pinning
-// the run parameters. Event streams are deterministic for a fixed seed at
+// the run parameters; a key the wrapper does not know is a 400, as is one
+// in a league body. Event streams are deterministic for a fixed seed at
 // parallelism 1: no timestamps, stable field order, sequential job IDs —
 // the NDJSON golden test byte-compares a whole stream.
 //
@@ -432,17 +435,11 @@ func infoFromRecord(rec jobstore.Record) JobInfo {
 	return info
 }
 
-// handleSubmit accepts scenario-spec JSON and starts a scenarios job. The
-// job's lifetime is bound to the session, not the request: the response
-// returns immediately with the handle.
+// handleSubmit accepts scenario-spec JSON and starts a scenarios job; the
+// response returns at once with the handle.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := parseSubmit(body)
@@ -450,21 +447,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sp, err := s.resolveSubmit(req)
+	sp, spec, err := s.resolveSubmit(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jobSpec, err := sp.jobSpec()
+	s.accept(w, r, sp, spec)
+}
+
+// readBody reads a submit body up to the size cap. On failure the error
+// response has been written.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		return nil, false
 	}
-	// Durability before acceptance: the queued record (with the full
-	// resolved spec — everything a later process needs to re-run the job
-	// bit-identically) must be on disk before the 202 goes out, so a
-	// crash at any later point can always recover the job.
-	rec, err := newRecord(s.allocID(), sp)
+	if int64(len(body)) > s.opts.MaxBodyBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
+		return nil, false
+	}
+	return body, true
+}
+
+// accept is the one path from a parsed submission to a running job, for
+// POST /v1/jobs and POST /v1/league alike. Durability before acceptance:
+// the queued record holds doc, everything a later process needs to re-run
+// the job bit-identically, and is on disk before the 202 goes out, so a
+// crash at any later point can always recover the job. watch writes the
+// record's only other version, the terminal one.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, doc any, spec adhocga.JobSpec) {
+	rec, err := newRecord(s.allocID(), doc)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -476,7 +489,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The job must outlive this request, so it derives from the
 	// background context; its true lifetime bound is the session (Close
 	// cancels it) and DELETE /v1/jobs/{id}.
-	job, err := s.session.SubmitNamed(context.WithoutCancel(r.Context()), rec.ID, jobSpec)
+	job, err := s.session.SubmitNamed(context.WithoutCancel(r.Context()), rec.ID, spec)
 	if err != nil {
 		rec.State = jobstore.StateFailed
 		rec.Error = err.Error()
@@ -487,7 +500,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.watch(rec, job)
-	s.opts.Logger.Info("job accepted", "job", rec.ID, "seed", rec.Seed, "deterministic", rec.Deterministic)
+	if rec.Kind == "league" {
+		s.leagueRuns.Inc()
+	}
+	s.opts.Logger.Info("job accepted", "job", rec.ID, "kind", rec.Kind, "seed", rec.Seed, "deterministic", rec.Deterministic)
 	writeJSON(w, http.StatusAccepted, s.info(job))
 }
 
@@ -503,36 +519,35 @@ type resolvedSubmit struct {
 	Parallelism int             `json:"parallelism,omitempty"`
 }
 
-// resolveSubmit validates the request and folds in the server defaults.
-func (s *Server) resolveSubmit(req SubmitRequest) (resolvedSubmit, error) {
-	if _, err := scenario.Load(bytes.NewReader(req.Scenarios)); err != nil {
-		return resolvedSubmit{}, fmt.Errorf("scenarios: %w", err)
+// resolveSubmit validates the request, folds in the server defaults, and
+// builds the job it describes.
+func (s *Server) resolveSubmit(req SubmitRequest) (resolvedSubmit, adhocga.ScenariosSpec, error) {
+	specs, err := scenario.Load(bytes.NewReader(req.Scenarios))
+	if err != nil {
+		return resolvedSubmit{}, adhocga.ScenariosSpec{}, fmt.Errorf("scenarios: %w", err)
 	}
 	defaults := s.opts.DefaultScale
 	if req.Scale != "" {
-		var err error
 		defaults, err = experiment.ScaleByName(req.Scale)
 		if err != nil {
-			return resolvedSubmit{}, err
+			return resolvedSubmit{}, adhocga.ScenariosSpec{}, err
 		}
 	}
 	if defaults == (adhocga.Scale{}) {
 		defaults = s.session.DefaultScale()
 	}
-	return resolvedSubmit{
+	sp := resolvedSubmit{
 		Scenarios:   req.Scenarios,
 		Scale:       defaults,
 		Seed:        req.Seed,
 		Parallelism: req.Parallelism,
-	}, nil
+	}
+	return sp, sp.jobSpec(specs), nil
 }
 
-// jobSpec builds the session workload from a resolved submission.
-func (sp resolvedSubmit) jobSpec() (adhocga.ScenariosSpec, error) {
-	specs, err := scenario.Load(bytes.NewReader(sp.Scenarios))
-	if err != nil {
-		return adhocga.ScenariosSpec{}, fmt.Errorf("scenarios: %w", err)
-	}
+// jobSpec builds the session workload from a resolved submission and its
+// parsed scenarios.
+func (sp resolvedSubmit) jobSpec(specs []scenario.Spec) adhocga.ScenariosSpec {
 	// Load has already validated every spec's structure; interaction
 	// errors (tournament size vs population, island divisibility) surface
 	// as a failed job, exactly like a bad batch in the CLIs.
@@ -544,7 +559,7 @@ func (sp resolvedSubmit) jobSpec() (adhocga.ScenariosSpec, error) {
 		Runs:     runs,
 		Defaults: sp.Scale,
 		Opts:     experiment.Options{Seed: sp.Seed, Parallelism: sp.Parallelism},
-	}, nil
+	}
 }
 
 // parseSubmit accepts both body shapes: the wrapper object (detected by a
@@ -561,7 +576,7 @@ func parseSubmit(body []byte) (SubmitRequest, error) {
 		}
 		if _, ok := probe["scenarios"]; ok {
 			var req SubmitRequest
-			if err := json.Unmarshal(trimmed, &req); err != nil {
+			if err := decodeStrict(trimmed, &req); err != nil {
 				return SubmitRequest{}, fmt.Errorf("body: %w", err)
 			}
 			if s := bytes.TrimSpace(req.Scenarios); len(s) == 0 || bytes.Equal(s, []byte("null")) {
@@ -572,6 +587,19 @@ func parseSubmit(body []byte) (SubmitRequest, error) {
 	}
 	// Bare spec object or array.
 	return SubmitRequest{Scenarios: trimmed}, nil
+}
+
+// decodeStrict is json.Unmarshal that also rejects a key v has no field
+// for, naming it in the error, so a typo ("parallelsim") fails loudly
+// instead of silently running defaults. Malformed JSON gets
+// json.Unmarshal's own error.
+func decodeStrict(data []byte, v any) error {
+	if !json.Valid(data) {
+		return json.Unmarshal(data, v)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // handleList merges the store's view (the spine: submission order across
