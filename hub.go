@@ -46,8 +46,10 @@ const (
 // defaults"; fields are independent.
 type HubConfig struct {
 	// RingSize is the number of events retained in the ring buffer. The
-	// ring bounds both replay depth and per-job event memory; it grows
-	// geometrically up to this cap, so short jobs stay small. ≤0 means
+	// ring bounds both replay depth and per-job event memory. It grows
+	// geometrically up to this cap while the job runs, so short jobs stay
+	// small, and when the job ends it shrinks to exactly the events it
+	// holds: a finished job keeps min(events, RingSize) slots. ≤0 means
 	// DefaultRingSize.
 	RingSize int
 	// SubscriberBuffer is each subscriber's send-channel capacity —
@@ -227,9 +229,8 @@ type hub struct {
 	logger *slog.Logger
 
 	mu       sync.Mutex
-	ring     []Event  // circular; slot of seq s is s % len(ring); grows to cfg.RingSize
-	frames   [][]byte // lazily-filled JSON encoding of the same slot; nil = not encoded yet
-	framesOn bool     // frame() has cached at least once; until then append skips invalidation
+	ring     []Event  // circular; slot of seq s is s % len(ring); grows to cfg.RingSize, fit at the seal
+	frames   [][]byte // nil, or the lazily-filled JSON encoding of each ring slot (nil = not encoded yet)
 	start    int      // Seq of the oldest retained ring event
 	total    int      // Seq of the next event (== events emitted)
 	snap     map[streamKey]Event
@@ -260,24 +261,34 @@ func newHub(jobID string, cfg HubConfig, logger *slog.Logger) *hub {
 	}
 }
 
-// growLocked enlarges the ring geometrically toward the configured cap,
-// re-laying events out so slot(seq) = seq % len(ring) keeps holding.
-func (h *hub) growLocked() {
-	next := 2 * len(h.ring)
-	if next < 64 {
-		next = 64
+// relayoutLocked moves the retained events [start, total) into a ring of
+// n ≥ total-start slots, so slot(seq) = seq % len(ring) keeps holding,
+// and carries their cached frames along. Growth calls it on the way up
+// to the configured cap; the seal calls it once to fit the ring to
+// exactly what the finished job holds.
+func (h *hub) relayoutLocked(n int) {
+	ring := make([]Event, n)
+	var frames [][]byte
+	if h.frames != nil {
+		frames = make([][]byte, n)
 	}
-	if next > h.cfg.RingSize {
-		next = h.cfg.RingSize
-	}
-	grown := make([]Event, next)
-	grownFrames := make([][]byte, next)
 	for seq := h.start; seq < h.total; seq++ {
-		grown[seq%next] = h.ring[seq%len(h.ring)]
-		grownFrames[seq%next] = h.frames[seq%len(h.ring)]
+		ring[seq%n] = h.ring[seq%len(h.ring)]
+		if frames != nil {
+			frames[seq%n] = h.frames[seq%len(h.ring)]
+		}
 	}
-	h.ring = grown
-	h.frames = grownFrames
+	h.ring = ring
+	h.frames = frames
+}
+
+// releaseIdleFramesLocked drops the frame cache of a sealed hub nobody
+// is subscribed to: no fan-out is left to share the bytes with, and
+// frame() re-marshals on demand to the same bytes.
+func (h *hub) releaseIdleFramesLocked() {
+	if h.closed && len(h.subs) == 0 {
+		h.frames = nil
+	}
 }
 
 // append is the producer path: stamp, retain, compact, wake subscribers.
@@ -303,7 +314,7 @@ func (h *hub) append(e Event, terminal bool) {
 			return
 		}
 		if h.total-h.start == len(h.ring) && len(h.ring) < h.cfg.RingSize {
-			h.growLocked()
+			h.relayoutLocked(min(max(2*len(h.ring), 64), h.cfg.RingSize))
 		}
 		// With the ring at capacity this append overwrites seq h.start;
 		// guarded subscribers still sitting exactly there get their
@@ -348,16 +359,22 @@ func (h *hub) append(e Event, terminal bool) {
 		}
 		h.ring[e.Seq%len(h.ring)] = e
 		// The slot's cached frame (if any) encoded the overwritten event;
-		// the new occupant is encoded lazily on first fan-out. Until the
-		// first frame() call every entry is nil (framesOn false), so a job
-		// nobody streams never touches the cache array from the emit path.
-		if h.framesOn {
+		// the new occupant is encoded lazily on first fan-out. The cache is
+		// nil until the first frame() store, so a job nobody streams never
+		// allocates or touches it from the emit path.
+		if h.frames != nil {
 			h.frames[e.Seq%len(h.ring)] = nil
 		}
 		h.total++
 		h.snap[compactionKey(e)] = e
 		if terminal {
+			// Sealed: nothing more is appended, so the ring shrinks to
+			// the events it holds, and an unwatched job keeps no frames.
 			h.closed = true
+			h.releaseIdleFramesLocked()
+			if n := h.total - h.start; n < len(h.ring) {
+				h.relayoutLocked(n)
+			}
 		}
 		close(h.notify)
 		h.notify = make(chan struct{})
@@ -385,6 +402,7 @@ func (h *hub) removeLocked(s *subscriber) {
 	}
 	delete(h.subs, s)
 	delete(h.guarded, s)
+	h.releaseIdleFramesLocked()
 	close(h.progress)
 	h.progress = make(chan struct{})
 }
@@ -559,41 +577,44 @@ func (h *hub) pump(ctx context.Context, s *subscriber) {
 // bytes in the ring-parallel frame slot; every later subscriber of the
 // same event gets the cached bytes back. Events already lapped out of the
 // ring (or snapshot resync deliveries of them) fall back to a plain
-// marshal. Callers must treat the returned slice as immutable.
+// marshal, as does every event of a sealed hub with no subscribers left:
+// that hub released its cache and is not refilled. Callers must treat the
+// returned slice as immutable.
 //
 // The cache keeps the producer's append marshal-free: encoding happens on
 // the first subscriber's delivery path, where the cost was already being
 // paid once per subscriber before the cache existed.
 func (h *hub) frame(e Event) ([]byte, error) {
 	h.mu.Lock()
-	if len(h.ring) > 0 && e.Seq >= h.start && e.Seq < h.total {
-		i := e.Seq % len(h.ring)
-		if h.ring[i].Seq == e.Seq {
-			if b := h.frames[i]; b != nil {
-				h.mu.Unlock()
-				return b, nil
-			}
-			h.mu.Unlock()
-			b, err := json.Marshal(e)
-			if err != nil {
-				return nil, err
-			}
-			h.mu.Lock()
-			// Re-check: the producer may have lapped the slot while we
-			// marshalled. Racing subscribers encode the same event value,
-			// so a double store is byte-identical and harmless. framesOn
-			// flips with the first store — the invariant the emit path's
-			// skip relies on is "framesOn false ⇒ every frame slot nil".
-			if len(h.ring) > 0 && h.ring[e.Seq%len(h.ring)].Seq == e.Seq {
-				h.framesOn = true
-				h.frames[e.Seq%len(h.ring)] = b
-			}
+	if h.frames != nil && h.inRingLocked(e.Seq) {
+		if b := h.frames[e.Seq%len(h.ring)]; b != nil {
 			h.mu.Unlock()
 			return b, nil
 		}
 	}
 	h.mu.Unlock()
-	return json.Marshal(e)
+	b, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	// Re-check: the producer may have lapped the slot while we
+	// marshalled. Racing subscribers encode the same event value, so a
+	// double store is byte-identical and harmless.
+	if h.inRingLocked(e.Seq) && !(h.closed && len(h.subs) == 0) {
+		if h.frames == nil {
+			h.frames = make([][]byte, len(h.ring))
+		}
+		h.frames[e.Seq%len(h.ring)] = b
+	}
+	h.mu.Unlock()
+	return b, nil
+}
+
+// inRingLocked reports whether the event numbered seq is still in the
+// ring.
+func (h *hub) inRingLocked(seq int) bool {
+	return seq >= h.start && seq < h.total
 }
 
 // total returns the number of events emitted so far.

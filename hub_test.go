@@ -8,6 +8,7 @@ package adhocga
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -302,18 +303,11 @@ func TestFrameCache(t *testing.T) {
 		j.emit(genEvent(0, i))
 	}
 
-	// Emit alone must not touch the cache (framesOn stays false): a job
-	// without streaming viewers pays nothing for the cache's existence.
-	j.hub.mu.Lock()
-	if j.hub.framesOn {
-		t.Error("framesOn set before any frame() call")
+	// Emit alone must not touch the cache: a job without streaming
+	// viewers pays nothing for the cache's existence.
+	if cached := frameCache(j); cached != nil {
+		t.Errorf("frame cache %v allocated before any frame() call", cached)
 	}
-	for i, b := range j.hub.frames {
-		if b != nil {
-			t.Errorf("frame slot %d materialized with no subscriber", i)
-		}
-	}
-	j.hub.mu.Unlock()
 
 	events := j.Snapshot()
 	e := events[len(events)-1]
@@ -358,5 +352,135 @@ func TestFrameCache(t *testing.T) {
 	if string(ob) != string(want) {
 		t.Fatalf("lapped-event frame %s, want %s", ob, want)
 	}
+
+	// A subscriber fans the rest out through the cache; when it leaves
+	// the sealed hub, the cache goes with it.
+	sub := j.Subscribe(context.Background(), SubscribeOptions{})
 	j.finish(nil, nil)
+	served := map[int][]byte{}
+	for e := range sub.C {
+		b, err := j.Frame(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[e.Seq] = b
+	}
+	if cached := frameCache(j); cached != nil {
+		t.Errorf("sealed hub kept %d cached frames after its last subscriber left", len(cached))
+	}
+	// Frames re-marshalled after the release are byte-identical, and
+	// serving them does not refill the cache of the sealed, idle hub.
+	for _, e := range j.Snapshot() {
+		b, err := j.Frame(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != string(served[e.Seq]) {
+			t.Errorf("seq %d re-marshalled as %s, served %s", e.Seq, b, served[e.Seq])
+		}
+	}
+	if cached := frameCache(j); cached != nil {
+		t.Errorf("Frame on a sealed, idle hub cached %d frames", len(cached))
+	}
+}
+
+// frameCache returns the hub's frame slots that hold an encoding, by
+// Seq, or nil when there are none.
+func frameCache(j *Job) map[int][]byte {
+	j.hub.mu.Lock()
+	defer j.hub.mu.Unlock()
+	if j.hub.frames == nil {
+		return nil
+	}
+	var cached map[int][]byte
+	for seq := j.hub.start; seq < j.hub.total; seq++ {
+		if b := j.hub.frames[seq%len(j.hub.ring)]; b != nil {
+			if cached == nil {
+				cached = map[int][]byte{}
+			}
+			cached[seq] = b
+		}
+	}
+	return cached
+}
+
+// TestHubSealFitsRing pins the seal's re-layout: once the terminal event
+// is in, the ring holds exactly the retained events, and every replay
+// (from the start, from each resume point, live) delivers what the
+// unshrunk ring did — the same Seqs, the snapshot of a lapped range, and
+// frames byte-identical to a plain marshal.
+func TestHubSealFitsRing(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		ring, total int
+	}{
+		{"done only", 0, 1},
+		{"below first growth", 0, 63},
+		{"at first growth", 0, 64},
+		{"past first growth", 0, 65},
+		{"lapped", 16, 41},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := testJob(HubConfig{RingSize: tc.ring})
+			// The model: every event as emitted, stamped, and the latest
+			// Seq of each compaction stream, which a lapped range
+			// replays as.
+			var all []Event
+			latest := map[streamKey]int{}
+			record := func(e Event) {
+				e.Seq, e.Job = len(all), "job-t"
+				all = append(all, e)
+				latest[compactionKey(e)] = e.Seq
+			}
+			for i := 0; i < tc.total-1; i++ {
+				e := genEvent(i%3, i/3)
+				j.emit(e)
+				record(e)
+			}
+			j.finish(nil, nil)
+			record(Event{Kind: KindDone, Done: &DoneEvent{State: JobDone}})
+
+			j.hub.mu.Lock()
+			start, ringLen := j.hub.start, len(j.hub.ring)
+			j.hub.mu.Unlock()
+			if ringLen != tc.total-start {
+				t.Errorf("sealed ring has %d slots, holds %d events", ringLen, tc.total-start)
+			}
+			if lapped := tc.ring > 0 && tc.total > tc.ring; lapped != (start > 0) {
+				t.Errorf("start %d with %d events in a %d-event ring", start, tc.total, tc.ring)
+			}
+
+			want := func(from int, live bool) []Event {
+				var out []Event
+				for _, e := range all {
+					isLatest := latest[compactionKey(e)] == e.Seq
+					if live && isLatest || !live && e.Seq >= from && (e.Seq >= start || isLatest) {
+						out = append(out, e)
+					}
+				}
+				return out
+			}
+			check := func(label string, opts SubscribeOptions, expect []Event) {
+				t.Helper()
+				got := drainSub(t, j.Subscribe(context.Background(), opts))
+				if len(got) != len(expect) {
+					t.Fatalf("%s: %d events, want %d", label, len(got), len(expect))
+				}
+				for i, e := range got {
+					b, err := j.Frame(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wb, _ := json.Marshal(expect[i])
+					if string(b) != string(wb) {
+						t.Fatalf("%s: event %d frame %s, want %s", label, i, b, wb)
+					}
+				}
+			}
+			for from := 0; from <= tc.total; from++ {
+				check(fmt.Sprintf("from %d", from), SubscribeOptions{From: from}, want(from, false))
+			}
+			check("live", SubscribeOptions{Live: true, Policy: DropResync}, want(0, true))
+		})
+	}
 }

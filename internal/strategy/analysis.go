@@ -85,8 +85,8 @@ func (c *Census) CategoryCensus() map[Category]float64 {
 	if c.total == 0 {
 		return out
 	}
-	for key, n := range c.counts {
-		out[MustParse(key).Classify()] += float64(n)
+	for g, n := range c.counts {
+		out[unpack(g).Classify()] += float64(n)
 	}
 	for cat := range out {
 		out[cat] /= float64(c.total)
@@ -101,8 +101,8 @@ func (c *Census) MeanTrustMonotonicity() float64 {
 		return 0
 	}
 	sum := 0.0
-	for key, n := range c.counts {
-		sum += MustParse(key).TrustMonotonicity() * float64(n)
+	for _, g := range c.genomes() {
+		sum += unpack(g).TrustMonotonicity() * float64(c.counts[g])
 	}
 	return sum / float64(c.total)
 }

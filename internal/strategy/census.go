@@ -9,19 +9,24 @@ import (
 // The paper's Table 7 ("five most popular strategies") and Tables 8–9
 // (sub-strategy distributions per trust level, filtered at 3%) are both
 // views of a census.
+//
+// Counts are keyed by the packed 13-bit genome (see pack), not by Key
+// strings, so a retained census costs one small map entry per distinct
+// strategy and no string. Top breaks ties in Key order, and the float
+// means sum in Key order, so every call returns the same bits.
 type Census struct {
-	counts map[string]int
+	counts map[uint16]int
 	total  int
 }
 
 // NewCensus returns an empty census.
 func NewCensus() *Census {
-	return &Census{counts: make(map[string]int)}
+	return &Census{counts: make(map[uint16]int)}
 }
 
 // Add records one strategy occurrence.
 func (c *Census) Add(s Strategy) {
-	c.counts[s.Key()]++
+	c.counts[s.pack()]++
 	c.total++
 }
 
@@ -38,6 +43,17 @@ func (c *Census) Total() int { return c.total }
 // Distinct returns the number of distinct strategies recorded.
 func (c *Census) Distinct() int { return len(c.counts) }
 
+// genomes returns the recorded packed genomes in Key order, which is
+// their numeric order.
+func (c *Census) genomes() []uint16 {
+	gs := make([]uint16, 0, len(c.counts))
+	for g := range c.counts {
+		gs = append(gs, g)
+	}
+	slices.Sort(gs)
+	return gs
+}
+
 // Entry is one census row: a strategy, its occurrence count, and its
 // frequency among all recorded occurrences.
 type Entry struct {
@@ -50,19 +66,15 @@ type Entry struct {
 // break by key so the output is deterministic.
 func (c *Census) Top(k int) []Entry {
 	entries := make([]Entry, 0, len(c.counts))
-	for key, n := range c.counts {
+	for _, g := range c.genomes() {
+		n := c.counts[g]
 		entries = append(entries, Entry{
-			Strategy: MustParse(key),
+			Strategy: unpack(g),
 			Count:    n,
 			Fraction: float64(n) / float64(c.total),
 		})
 	}
-	slices.SortFunc(entries, func(a, b Entry) int {
-		if c := cmp.Compare(b.Count, a.Count); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Strategy.Key(), b.Strategy.Key())
-	})
+	slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(b.Count, a.Count) })
 	if k < len(entries) {
 		entries = entries[:k]
 	}
@@ -83,8 +95,8 @@ type SubEntry struct {
 // pattern for determinism.
 func (c *Census) SubStrategies(t TrustLevel, minFraction float64) []SubEntry {
 	sub := make(map[string]int)
-	for key, n := range c.counts {
-		sub[MustParse(key).SubStrategy(t)] += n
+	for g, n := range c.counts {
+		sub[unpack(g).SubStrategy(t)] += n
 	}
 	out := make([]SubEntry, 0, len(sub))
 	for pattern, n := range sub {
@@ -111,8 +123,8 @@ func (c *Census) UnknownForwardFraction() float64 {
 		return 0
 	}
 	fwd := 0
-	for key, n := range c.counts {
-		if MustParse(key).DecideUnknown() == Forward {
+	for g, n := range c.counts {
+		if unpack(g).DecideUnknown() == Forward {
 			fwd += n
 		}
 	}
@@ -126,8 +138,8 @@ func (c *Census) MeanCooperativeness() float64 {
 		return 0
 	}
 	sum := 0.0
-	for key, n := range c.counts {
-		sum += MustParse(key).Cooperativeness() * float64(n)
+	for _, g := range c.genomes() {
+		sum += unpack(g).Cooperativeness() * float64(c.counts[g])
 	}
 	return sum / float64(c.total)
 }

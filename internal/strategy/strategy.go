@@ -174,6 +174,28 @@ func (s Strategy) Genome() bitstring.Bits { return s.bits.Clone() }
 // map key. Strategies are equal iff their Keys are equal.
 func (s Strategy) Key() string { return s.bits.Compact() }
 
+// pack returns the genome as a 13-bit integer with bit 0 most
+// significant, so packed genomes order numerically as their Keys do.
+func (s Strategy) pack() uint16 {
+	var p uint16
+	for i := 0; i < Bits; i++ {
+		p <<= 1
+		if s.bits.Get(i) {
+			p |= 1
+		}
+	}
+	return p
+}
+
+// unpack is the inverse of pack.
+func unpack(p uint16) Strategy {
+	b := bitstring.New(Bits)
+	for i := 0; i < Bits; i++ {
+		b.Set(i, p&(1<<(Bits-1-i)) != 0)
+	}
+	return Strategy{bits: b}
+}
+
 // String renders the strategy in the paper's grouped notation:
 // "010 101 101 111 1".
 func (s Strategy) String() string {

@@ -94,8 +94,10 @@ func WithJobRetention(n int) SessionOption {
 // producer's block-with-deadline budget for archival subscribers. Zero
 // fields keep their defaults (DefaultRingSize, DefaultSubscriberBuffer,
 // DefaultBlockDeadline). Together with WithJobRetention this bounds a
-// long-lived session's memory: at most retention × (ring + snapshot)
-// events ever stay reachable.
+// long-lived session's event memory: a finished job's ring is fitted to
+// the events it retained (at most RingSize) and it caches no frames once
+// nobody streams it, so the retained jobs hold at most retention ×
+// (RingSize + snapshot) events, and a short job pays only for its own.
 func WithHubConfig(cfg HubConfig) SessionOption {
 	return func(s *Session) { s.hubCfg = cfg }
 }
