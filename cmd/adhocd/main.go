@@ -13,7 +13,7 @@
 //
 //	adhocd                                  # listen on :8547, pool = all cores
 //	adhocd -addr 127.0.0.1:9000 -pool 8 -max-jobs 4 -scale smoke
-//	adhocd -ring 4096 -sub-buffer 128 -block-deadline 2s -keepalive 30s
+//	adhocd -ring 4096 -keepalive 30s
 //
 // Submit, watch, and cancel with curl:
 //
@@ -24,9 +24,9 @@
 //	curl -s -X DELETE localhost:8547/v1/jobs/job-1
 //
 // Events also stream over WebSocket (live fan-out for many viewers) at
-// /v1/jobs/{id}/ws; see the README quickstart. The -ring, -sub-buffer,
-// and -block-deadline flags size each job's streaming hub; -keepalive
-// sets the idle SSE/WebSocket ping interval.
+// /v1/jobs/{id}/ws; see the README quickstart. The -ring flag sizes each
+// job's streaming hub; -keepalive sets the idle SSE/WebSocket ping
+// interval.
 //
 // With -store file, every job is persisted to a write-ahead log under
 // -data-dir and the daemon is restart-safe: on boot it reloads the log,
@@ -111,8 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		scaleName = fs.String("scale", "default", "default scale for submissions that pin none: smoke, default, or paper")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight HTTP requests")
 		ring      = fs.Int("ring", adhocga.DefaultRingSize, "events each job retains for replay/catch-up (its ring buffer size)")
-		subBuffer = fs.Int("sub-buffer", adhocga.DefaultSubscriberBuffer, "per-subscriber send-channel capacity")
-		blockDL   = fs.Duration("block-deadline", adhocga.DefaultBlockDeadline, "longest a job's producer waits for a slow archival (NDJSON) subscriber before evicting it")
 		keepalive = fs.Duration("keepalive", 15*time.Second, "idle SSE/WebSocket keepalive ping interval")
 		storeKind = fs.String("store", "mem", "job persistence backend: mem (gone on exit) or file (WAL under -data-dir, restart-safe)")
 		dataDir   = fs.String("data-dir", "adhocd-data", "directory for the file store's write-ahead log")
@@ -136,8 +134,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "adhocd: -max-jobs must be >= 0")
 		return 2
 	}
-	if *ring < 0 || *subBuffer < 0 || *blockDL < 0 || *keepalive < 0 {
-		fmt.Fprintln(stderr, "adhocd: -ring, -sub-buffer, -block-deadline, and -keepalive must be >= 0")
+	if *ring < 0 || *keepalive < 0 {
+		fmt.Fprintln(stderr, "adhocd: -ring and -keepalive must be >= 0")
 		return 2
 	}
 	var level slog.Level
@@ -211,11 +209,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		adhocga.WithMaxConcurrentJobs(*maxJobs),
 		adhocga.WithDefaultScale(sc),
 		adhocga.WithJobRetention(*retain),
-		adhocga.WithHubConfig(adhocga.HubConfig{
-			RingSize:         *ring,
-			SubscriberBuffer: *subBuffer,
-			BlockDeadline:    *blockDL,
-		}),
+		adhocga.WithHubConfig(adhocga.HubConfig{RingSize: *ring}),
 		adhocga.WithLogger(logger),
 	}
 	if archive != nil {
@@ -230,7 +224,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	svc := service.New(session, service.Options{
-		DefaultScale:      sc,
 		KeepaliveInterval: *keepalive,
 		Store:             store,
 		Champions:         archive,

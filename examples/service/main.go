@@ -12,6 +12,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -76,7 +77,7 @@ func main() {
 
 	// --- Over HTTP: what `adhocd` serves, here on an httptest listener.
 	// With a real daemon this is:  curl -s localhost:8547/v1/jobs -d @spec.json
-	srv := httptest.NewServer(service.New(session, service.Options{DefaultScale: adhocga.ScaleSmoke}))
+	srv := httptest.NewServer(service.New(session, service.Options{}))
 	defer srv.Close()
 
 	spec := `{"scenarios": {"name": "http-demo", "environments": [{"csn": 10}],
@@ -87,15 +88,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var submitted service.JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&submitted)
 	resp.Body.Close()
-	fmt.Println("POST /v1/jobs →", resp.Status)
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		log.Fatalf("POST /v1/jobs → %s (%v)", resp.Status, err)
+	}
+	fmt.Println("POST /v1/jobs →", resp.Status, submitted.ID)
 
-	// Stream the job's NDJSON events (curl -N …/v1/jobs/job-3/events).
-	stream, err := http.Get(srv.URL + "/v1/jobs/job-3/events")
+	// Stream the job's NDJSON events (curl -N …/v1/jobs/<id>/events).
+	stream, err := http.Get(srv.URL + submitted.EventsURL)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		log.Fatalf("GET %s → %s", submitted.EventsURL, stream.Status)
+	}
 	lines := 0
 	scanner := bufio.NewScanner(stream.Body)
 	for scanner.Scan() {
@@ -106,11 +115,14 @@ func main() {
 	}
 	fmt.Printf("streamed %d NDJSON events\n", lines)
 
-	status, err := http.Get(srv.URL + "/v1/jobs/job-3")
+	status, err := http.Get(srv.URL + submitted.StatusURL)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer status.Body.Close()
+	if status.StatusCode != http.StatusOK {
+		log.Fatalf("GET %s → %s", submitted.StatusURL, status.Status)
+	}
 	sc := bufio.NewScanner(status.Body)
 	for sc.Scan() {
 		line := sc.Text()

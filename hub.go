@@ -29,21 +29,25 @@ import (
 // job replays as compacted snapshot + ring tail — same final state, gaps
 // in Seq where compaction dropped superseded per-stream events.
 
-// Hub sizing defaults, applied by HubConfig.withDefaults.
+// DefaultRingSize is the number of events a job retains for replay and
+// slow-subscriber catch-up when HubConfig.RingSize is not set.
+const DefaultRingSize = 1024
+
+// The hub's backpressure budget, the same for every job.
 const (
-	// DefaultRingSize is the default number of events a job retains for
-	// replay and slow-subscriber catch-up.
-	DefaultRingSize = 1024
-	// DefaultSubscriberBuffer is the default capacity of each
-	// subscriber's send channel.
-	DefaultSubscriberBuffer = 64
-	// DefaultBlockDeadline is the default longest a producer waits for a
-	// BlockWithDeadline subscriber before evicting it.
-	DefaultBlockDeadline = time.Second
+	// subscriberBuffer is each subscriber's send-channel capacity — the
+	// slack a consumer gets before its backpressure policy engages —
+	// unless SubscribeOptions.Buffer overrides it.
+	subscriberBuffer = 64
+	// blockDeadline is the longest one append waits for a
+	// BlockWithDeadline subscriber whose unread events would be
+	// overwritten; past it the laggard is evicted and the producer moves
+	// on.
+	blockDeadline = time.Second
 )
 
-// HubConfig sizes a job's streaming hub. The zero value means "all
-// defaults"; fields are independent.
+// HubConfig sizes a job's streaming hub. The zero value means the
+// default size.
 type HubConfig struct {
 	// RingSize is the number of events retained in the ring buffer. The
 	// ring bounds both replay depth and per-job event memory. It grows
@@ -52,28 +56,6 @@ type HubConfig struct {
 	// holds: a finished job keeps min(events, RingSize) slots. ≤0 means
 	// DefaultRingSize.
 	RingSize int
-	// SubscriberBuffer is each subscriber's send-channel capacity —
-	// the slack a consumer gets before its backpressure policy engages.
-	// ≤0 means DefaultSubscriberBuffer.
-	SubscriberBuffer int
-	// BlockDeadline is the longest one append waits for a
-	// BlockWithDeadline subscriber whose unread events would be
-	// overwritten; past it the laggard is evicted and the producer moves
-	// on. ≤0 means DefaultBlockDeadline.
-	BlockDeadline time.Duration
-}
-
-func (c HubConfig) withDefaults() HubConfig {
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = DefaultSubscriberBuffer
-	}
-	if c.BlockDeadline <= 0 {
-		c.BlockDeadline = DefaultBlockDeadline
-	}
-	return c
 }
 
 // Backpressure is a subscriber's policy for the moment the producer laps
@@ -82,12 +64,11 @@ func (c HubConfig) withDefaults() HubConfig {
 type Backpressure int
 
 const (
-	// BlockWithDeadline makes the producer wait (up to the hub's
-	// BlockDeadline) for the subscriber to advance before overwriting its
-	// unread events, then evicts it with ErrSlowSubscriber if it still
-	// has not moved. This is the archival policy: the NDJSON event path
-	// and the CLIs use it so an actively-draining consumer sees every
-	// event with no gaps.
+	// BlockWithDeadline makes the producer wait (up to one second) for
+	// the subscriber to advance before overwriting its unread events,
+	// then evicts it with ErrSlowSubscriber if it still has not moved.
+	// This is the archival policy: the NDJSON event path and the CLIs use
+	// it so an actively-draining consumer sees every event with no gaps.
 	BlockWithDeadline Backpressure = iota
 	// DropResync never blocks the producer: a lapped subscriber skips
 	// ahead — it receives the compacted snapshot of the range it missed
@@ -119,8 +100,8 @@ type SubscribeOptions struct {
 	// Policy is the backpressure policy; the zero value is
 	// BlockWithDeadline.
 	Policy Backpressure
-	// Buffer overrides the hub's per-subscriber send-channel capacity
-	// for this subscription; ≤0 uses the hub default.
+	// Buffer overrides the per-subscriber send-channel capacity for this
+	// subscription; ≤0 uses the hub's default of 64 events.
 	Buffer int
 }
 
@@ -179,8 +160,8 @@ type StreamStats struct {
 	Resyncs   int
 	Evictions int
 	// MaxStall is the longest a single append waited on BlockWithDeadline
-	// subscribers — bounded by HubConfig.BlockDeadline (+ scheduling
-	// noise) by construction.
+	// subscribers — bounded by the hub's one-second block deadline (+
+	// scheduling noise) by construction.
 	MaxStall time.Duration
 }
 
@@ -227,6 +208,11 @@ type hub struct {
 	cfg    HubConfig
 	jobID  string
 	logger *slog.Logger
+	// subBuffer and blockDeadline are subscriberBuffer and blockDeadline;
+	// hub tests shrink them so backpressure engages within a few events
+	// and milliseconds.
+	subBuffer     int
+	blockDeadline time.Duration
 
 	mu       sync.Mutex
 	ring     []Event  // circular; slot of seq s is s % len(ring); grows to cfg.RingSize, fit at the seal
@@ -249,15 +235,20 @@ func newHub(jobID string, cfg HubConfig, logger *slog.Logger) *hub {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
+	if cfg.RingSize <= 0 {
+		cfg.RingSize = DefaultRingSize
+	}
 	return &hub{
-		cfg:      cfg.withDefaults(),
-		jobID:    jobID,
-		logger:   logger,
-		snap:     map[streamKey]Event{},
-		notify:   make(chan struct{}),
-		progress: make(chan struct{}),
-		subs:     map[*subscriber]struct{}{},
-		guarded:  map[*subscriber]struct{}{},
+		cfg:           cfg,
+		jobID:         jobID,
+		logger:        logger,
+		subBuffer:     subscriberBuffer,
+		blockDeadline: blockDeadline,
+		snap:          map[streamKey]Event{},
+		notify:        make(chan struct{}),
+		progress:      make(chan struct{}),
+		subs:          map[*subscriber]struct{}{},
+		guarded:       map[*subscriber]struct{}{},
 	}
 }
 
@@ -295,7 +286,7 @@ func (h *hub) releaseIdleFramesLocked() {
 // terminal additionally seals the hub so nothing can be emitted after the
 // done event. Appends on a sealed hub are dropped (matching the old
 // emit-after-terminal semantics). The only blocking append can do is the
-// guarded-subscriber wait, bounded by cfg.BlockDeadline.
+// guarded-subscriber wait, bounded by h.blockDeadline.
 func (h *hub) append(e Event, terminal bool) {
 	var (
 		timer     *time.Timer
@@ -338,7 +329,7 @@ func (h *hub) append(e Event, terminal bool) {
 			h.mu.Unlock()
 			if timer == nil {
 				waitStart = time.Now()
-				timer = time.NewTimer(h.cfg.BlockDeadline)
+				timer = time.NewTimer(h.blockDeadline)
 			}
 			select {
 			case <-progress:
@@ -452,7 +443,7 @@ func (h *hub) snapRangeLocked(lo, hi int) []Event {
 func (h *hub) subscribe(ctx context.Context, opts SubscribeOptions) *Subscription {
 	buf := opts.Buffer
 	if buf <= 0 {
-		buf = h.cfg.SubscriberBuffer
+		buf = h.subBuffer
 	}
 	s := &subscriber{
 		out:    make(chan Event, buf),

@@ -21,6 +21,18 @@ func testJob(cfg HubConfig) *Job {
 	return j
 }
 
+// tunedJob is testJob with the hub's subscriber buffer and, when
+// deadline > 0, its block deadline shrunk, so backpressure engages within
+// a few events and milliseconds.
+func tunedJob(ring, buffer int, deadline time.Duration) *Job {
+	j := testJob(HubConfig{RingSize: ring})
+	j.hub.subBuffer = buffer
+	if deadline > 0 {
+		j.hub.blockDeadline = deadline
+	}
+	return j
+}
+
 func genEvent(rep, gen int) Event {
 	return Event{Kind: KindGeneration, Generation: &GenerationEvent{Rep: rep, Gen: gen}}
 }
@@ -141,7 +153,7 @@ func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 	// A live DropResync viewer that stops reading gets lapped: it must be
 	// skipped ahead via the snapshot — counted in Resyncs/Dropped — and
 	// the producer must never wait on it (MaxStall stays 0).
-	j := testJob(HubConfig{RingSize: 8, SubscriberBuffer: 1})
+	j := tunedJob(8, 1, 0)
 	sub := j.Subscribe(context.Background(), SubscribeOptions{Live: true, Policy: DropResync})
 	const gens = 200
 	for g := 0; g < gens; g++ {
@@ -176,10 +188,10 @@ func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 
 func TestHubSlowArchivalSubscriberEvicted(t *testing.T) {
 	// A BlockWithDeadline subscriber that stops draining: the producer
-	// waits at most BlockDeadline for it, then evicts it with
+	// waits at most the block deadline for it, then evicts it with
 	// ErrSlowSubscriber and moves on — it is never blocked indefinitely.
 	const deadline = 50 * time.Millisecond
-	j := testJob(HubConfig{RingSize: 8, SubscriberBuffer: 2, BlockDeadline: deadline})
+	j := tunedJob(8, 2, deadline)
 	sub := j.Subscribe(context.Background(), SubscribeOptions{Policy: BlockWithDeadline})
 
 	start := time.Now()
@@ -241,7 +253,7 @@ func TestHubConcurrentSubscribeUnsubscribeEvict(t *testing.T) {
 	// -race): one producer on a tiny ring, churning subscribers of every
 	// policy — some draining, some abandoned mid-stream, some too slow to
 	// live — plus concurrent stats/snapshot readers.
-	j := testJob(HubConfig{RingSize: 8, SubscriberBuffer: 2, BlockDeadline: time.Millisecond})
+	j := tunedJob(8, 2, time.Millisecond)
 	const gens = 300
 	go func() {
 		for g := 0; g < gens; g++ {

@@ -5,7 +5,7 @@
 // Two collection styles coexist, matching how the layers above keep their
 // numbers:
 //
-//   - Push instruments (Counter, Gauge, Histogram, CounterVec) are
+//   - Push instruments (Counter, Histogram, CounterVec) are
 //     incremented inline where the event happens — an HTTP request
 //     finishing, a WAL fsync returning. Their hot paths are single atomic
 //     operations, cheap enough for paths the benchgate budget covers.
@@ -249,41 +249,6 @@ func (c *Counter) write(w *bufio.Writer) {
 	sample(w, c.nameStr, nil, nil, float64(c.v.Load()))
 }
 
-// Gauge is a value that can go up and down. Set/Add are atomic.
-type Gauge struct {
-	nameStr, help string
-	bits          atomic.Uint64
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{nameStr: name, help: help}
-	r.add(g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; gauges are not expected on contended hot paths).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) name() string { return g.nameStr }
-func (g *Gauge) write(w *bufio.Writer) {
-	header(w, g.nameStr, g.help, "gauge")
-	sample(w, g.nameStr, nil, nil, g.Value())
-}
-
 // funcFamily is a pull collector: one unlabeled sample read at scrape
 // time.
 type funcFamily struct {
@@ -384,14 +349,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		v.children[key] = c
 	}
 	return c
-}
-
-// Delete retires one child series (a bounded-cardinality escape hatch;
-// prefer GaugeVecFunc for naturally-retiring series).
-func (v *CounterVec) Delete(values ...string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.children, strings.Join(values, "\x1f"))
 }
 
 func (v *CounterVec) name() string { return v.nameStr }

@@ -85,8 +85,7 @@ func (r *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 }
 
 // registerMetrics installs every collector on the server's registry.
-// Called once from New; a shared registry across two Servers panics on
-// the duplicate names, by design.
+// Called once from New.
 func (s *Server) registerMetrics() {
 	m := s.metrics
 
@@ -173,11 +172,7 @@ func (s *Server) registerMetrics() {
 	// Durable tier.
 	m.GaugeFunc("adhocd_persist_watchers",
 		"Persistence watcher goroutines waiting to finalize live jobs.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.watchers))
-		})
+		func() float64 { return float64(s.pendingWatches.Load()) })
 	m.GaugeFunc("adhocd_recovered_jobs",
 		"Records loaded from the store by the startup Recover pass.",
 		func() float64 {

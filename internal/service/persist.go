@@ -105,40 +105,29 @@ func eventLogNDJSON(events []adhocga.Event) []byte {
 }
 
 // watch finalizes one live job's record: it waits the job out and writes
-// the terminal record with results, digests, and — when eligible — the
-// full event log. That is the record's last write; the one before it is
-// the queued record. The channel registered in s.watchers closes once the
-// terminal record is in the store, which is how verify waits out the race
-// between a job turning done and its record catching up.
+// the terminal record finalizeRecord builds. That is the record's last
+// write; the one before it is the queued record.
 func (s *Server) watch(rec jobstore.Record, j *adhocga.Job) {
-	done := make(chan struct{})
-	s.mu.Lock()
-	s.watchers[rec.ID] = done
-	s.mu.Unlock()
+	s.pendingWatches.Add(1)
 	go func() {
-		defer close(done)
+		defer s.pendingWatches.Add(-1)
 		_ = j.Wait(context.Background())
-		if err := s.store.Put(s.finalizeRecord(rec, j)); err != nil {
+		if table := leagueOf(j); table != nil && j.State() == adhocga.JobDone {
+			s.leagueMatches.Add(uint64(table.Matches))
+		}
+		if err := s.store.Put(finalizeRecord(rec, j)); err != nil {
 			s.opts.Logger.Warn("persist terminal failed", "job", rec.ID, "error", err)
 		} else {
 			s.opts.Logger.Info("job record finalized", "job", rec.ID, "state", string(j.State()))
 		}
-		// The terminal record is in the store; retire the map entry so a
-		// long-lived daemon's watcher map doesn't grow without bound. From
-		// here watcherDone's nil return means "already finalized", exactly
-		// as it does for recovered finished jobs.
-		s.mu.Lock()
-		delete(s.watchers, rec.ID)
-		s.mu.Unlock()
 	}()
 }
 
 // finalizeRecord fills in a terminal job's durable outcome: state, error,
 // result summary + digest, event counts, and — for deterministic jobs
-// whose complete history the hub still retained and that fit the store
-// cap — the full NDJSON event log (plus its digest, kept even when the
-// log itself is too large to embed).
-func (s *Server) finalizeRecord(rec jobstore.Record, j *adhocga.Job) jobstore.Record {
+// whose complete history the hub still retained — the NDJSON event log's
+// digest, plus the log itself when embedLog allows.
+func finalizeRecord(rec jobstore.Record, j *adhocga.Job) jobstore.Record {
 	rec.State = string(j.State())
 	if err := j.Err(); err != nil {
 		rec.Error = err.Error()
@@ -156,7 +145,6 @@ func (s *Server) finalizeRecord(rec jobstore.Record, j *adhocga.Job) jobstore.Re
 			rec.Result = result
 			rec.ResultDigest = digest(result)
 		}
-		s.leagueMatches.Add(uint64(table.Matches))
 	} else if results, err := json.Marshal(resultsOf(j)); err == nil {
 		rec.Result = results
 		rec.ResultDigest = digest(results)
@@ -165,21 +153,16 @@ func (s *Server) finalizeRecord(rec jobstore.Record, j *adhocga.Job) jobstore.Re
 	if rec.Deterministic && fullHistory {
 		log := eventLogNDJSON(snap)
 		rec.LogDigest = digest(log)
-		if int64(len(log)) <= s.opts.MaxStoredLogBytes {
+		if embedLog(log) {
 			rec.EventLog = log
 		}
 	}
 	return rec
 }
 
-// watcherDone returns the persistence watcher's completion channel for a
-// job, or nil when none is registered — recovered finished jobs, and jobs
-// whose watcher already persisted the terminal record and retired itself.
-func (s *Server) watcherDone(id string) <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watchers[id]
-}
+// embedLog reports whether a finished job's record embeds its event log;
+// a bigger log keeps only its digest.
+func embedLog(log []byte) bool { return len(log) <= maxStoredLogBytes }
 
 // Recover replays the store into the running service. Call it once, after
 // New and before serving traffic. Records in a terminal state stay

@@ -271,16 +271,22 @@ func TestVerifyDigestModes(t *testing.T) {
 
 	t.Run("oversized log verifies by log digest", func(t *testing.T) {
 		store := jobstore.NewMem()
-		srv, _ := newDurableServer(t, store, Options{MaxStoredLogBytes: 1})
+		srv, _ := newDurableServer(t, store, Options{})
 		info := submitSmoke(t, srv.URL, 1)
 		waitState(t, srv.URL, info.ID)
+		// A log over the embedding cap keeps only its digest: store the
+		// record that such a job gets.
 		rec := waitRecord(t, store, info.ID)
-		if len(rec.EventLog) != 0 || rec.LogDigest == "" {
-			t.Fatalf("capped record should keep digest only: log=%dB digest=%q", len(rec.EventLog), rec.LogDigest)
+		if len(rec.EventLog) == 0 || rec.LogDigest == "" {
+			t.Fatalf("smoke record should embed its log: log=%dB digest=%q", len(rec.EventLog), rec.LogDigest)
+		}
+		rec.EventLog = nil
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
 		}
 		// In a later process the job is store-only and its archived replay
 		// was never kept: the events endpoint says so and points at verify.
-		srv2, _ := newDurableServer(t, store, Options{MaxStoredLogBytes: 1})
+		srv2, _ := newDurableServer(t, store, Options{})
 		code, body := doJSON(t, http.MethodGet, srv2.URL+info.EventsURL, "")
 		if code != http.StatusGone || !strings.Contains(string(body), "verify") {
 			t.Fatalf("events for dropped log: %d %s", code, body)
@@ -296,6 +302,18 @@ func TestVerifyDigestModes(t *testing.T) {
 			t.Fatalf("log report %+v", rep.EventLog)
 		}
 	})
+}
+
+// TestEmbedLogCap pins the stored-log cap at 4 MiB: a log of exactly the
+// cap is embedded in the record, one byte more keeps only its digest.
+func TestEmbedLogCap(t *testing.T) {
+	log := make([]byte, 4<<20+1)
+	if !embedLog(log[:4<<20]) {
+		t.Error("a 4 MiB log is not embedded")
+	}
+	if embedLog(log) {
+		t.Error("a log of 4 MiB + 1 byte is embedded")
+	}
 }
 
 // TestVerifyRequiresDoneJob pins the endpoint's refusals: unknown jobs are
@@ -497,18 +515,57 @@ func TestSubmitStoreFailures(t *testing.T) {
 	})
 
 	t.Run("oversized body", func(t *testing.T) {
-		srv, _ := newDurableServer(t, jobstore.NewMem(), Options{MaxBodyBytes: 16})
-		code, _ := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs",
-			fmt.Sprintf(`{"scenarios": %s}`, smokeSpec))
+		srv, _ := newDurableServer(t, jobstore.NewMem(), Options{})
+		body := strings.Repeat(" ", 1<<20+1)
+		code, _ := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", body)
 		if code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("oversized submit: %d", code)
+			t.Fatalf("submit of 1 MiB + 1 byte: %d", code)
 		}
 	})
 }
 
-// TestVerifyEdgeCases walks the endpoint's remaining branches: waiting out
-// a record that lags its finished job, a truncated stored log, and a
-// record whose spec no longer parses.
+// terminalFailStore keeps queued records and fails every terminal write:
+// a disk that fills up while the job runs.
+type terminalFailStore struct{ jobstore.Store }
+
+func (f terminalFailStore) Put(rec jobstore.Record) error {
+	if jobstore.TerminalState(rec.State) {
+		return fmt.Errorf("disk full")
+	}
+	return f.Store.Put(rec)
+}
+
+// TestVerifyAfterFailedTerminalPut: a done job whose terminal record never
+// reached the store still verifies, against the record its failed write
+// carried.
+func TestVerifyAfterFailedTerminalPut(t *testing.T) {
+	srv, s := newDurableServer(t, terminalFailStore{jobstore.NewMem()}, Options{})
+	info := submitSmoke(t, srv.URL, 1)
+	if st := waitState(t, srv.URL, info.ID); st.State != jobstore.StateDone {
+		t.Fatalf("job ended %s", st.State)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pendingWatches.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("terminal write never attempted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rec, _, _ := s.store.Get(info.ID); rec.State != jobstore.StateQueued {
+		t.Fatalf("stored record is %s, want the queued one", rec.State)
+	}
+	code, rep := verifyJob(t, srv.URL, info.ID)
+	if code != http.StatusOK {
+		t.Fatalf("verify: %d", code)
+	}
+	if rep.Verdict != "match" || rep.Mode != "byte-compare" || rep.EventLog == nil || !rep.EventLog.Match {
+		t.Fatalf("report %+v", rep)
+	}
+}
+
+// TestVerifyEdgeCases walks the endpoint's remaining branches: a stale
+// record of a finished job, a truncated stored log, and a record whose
+// spec no longer parses.
 func TestVerifyEdgeCases(t *testing.T) {
 	store := jobstore.NewMem()
 	srv, s := newDurableServer(t, store, Options{})
@@ -522,22 +579,13 @@ func TestVerifyEdgeCases(t *testing.T) {
 	}
 
 	t.Run("watcher retires once the terminal record persists", func(t *testing.T) {
-		// The terminal record is already in the store (waitRecord above).
-		// The watcher's channel — if its retirement hasn't won the race yet
-		// — must close promptly, and then the map entry must be deleted so
-		// a long-lived daemon's watcher map doesn't grow without bound;
-		// from there watcherDone's nil means "already finalized".
-		if done := s.watcherDone(info.ID); done != nil {
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("watcher channel never closed after the record went terminal")
-			}
-		}
+		// The terminal record is already in the store (waitRecord above),
+		// so the job's watch goroutine has written and must stop counting
+		// as pending promptly.
 		deadline := time.Now().Add(10 * time.Second)
-		for s.watcherDone(info.ID) != nil {
+		for s.pendingWatches.Load() != 0 {
 			if time.Now().After(deadline) {
-				t.Fatal("watcher map entry never retired after finalization")
+				t.Fatal("watcher still pending after the record went terminal")
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -545,9 +593,10 @@ func TestVerifyEdgeCases(t *testing.T) {
 
 	t.Run("stale running record waits then refuses", func(t *testing.T) {
 		defer restore()
-		// Regress the record to running while the live job is long done and
-		// the watcher has finished: verify must take the wait branch, re-read,
-		// and refuse the still-non-done record instead of replaying garbage.
+		// Regress the record to running, a state only an older build's
+		// record can hold, while the live job is long done: verify judges
+		// the stored record, not the live job, and refuses it instead of
+		// replaying garbage. Only a queued record defers to the live job.
 		rec := pristine
 		rec.State = jobstore.StateRunning
 		if err := store.Put(rec); err != nil {

@@ -29,18 +29,22 @@
 // is written before the 202; the terminal record adds the final state, the
 // result summary, its SHA-256 digest, and (for parallelism-1 jobs whose
 // full history the streaming hub still retained) the complete NDJSON event
-// replay. Nothing is written while a job runs: live jobs are always served
-// from the session. Recover, called once at startup, re-submits every
-// unfinished record from its recorded (seed, spec) — the determinism
-// contract makes the re-run bit-identical to the lost one — and leaves
-// finished records to serve status, results, and archived event replays
-// without recompute. See persist.go.
+// replay, embedded up to 4 MiB and kept as a digest beyond that. Nothing
+// is written while a job runs: live jobs are always served from the
+// session. Recover, called once at startup, re-submits every unfinished
+// record from its recorded (seed, spec) — the determinism contract makes
+// the re-run bit-identical to the lost one — and leaves finished records
+// to serve status, results, and archived event replays without
+// recompute. See persist.go. Verify judges the stored terminal record, or,
+// for a finished job whose stored record is still the queued one, the
+// terminal record built from the live job (see verify.go).
 //
-// The submit body is either bare scenario-spec JSON (one object or an
-// array — exactly what LoadScenarios accepts) or a wrapper object
-// {"scenarios": …, "scale": "smoke", "seed": 1, "parallelism": 2} pinning
-// the run parameters; a key the wrapper does not know is a 400, as is one
-// in a league body. Event streams are deterministic for a fixed seed at
+// The submit body, at most 1 MiB, is either bare scenario-spec JSON (one
+// object or an array — exactly what LoadScenarios accepts) or a wrapper
+// object {"scenarios": …, "scale": "smoke", "seed": 1, "parallelism": 2}
+// pinning the run parameters; without "scale" the session's default
+// scale applies. A key the wrapper does not know is a 400, as is one in a
+// league body. Event streams are deterministic for a fixed seed at
 // parallelism 1: no timestamps, stable field order, sequential job IDs —
 // the NDJSON golden test byte-compares a whole stream.
 //
@@ -51,14 +55,15 @@
 //
 //   - NDJSON is the archival path: full replay from the oldest retained
 //     event under the BlockWithDeadline policy, so an actively-draining
-//     consumer sees every event gap-free; one that stops draining past the
-//     hub's deadline is disconnected.
+//     consumer sees every event gap-free; one that stops draining for the
+//     hub's one-second deadline is disconnected.
 //   - SSE is a live-viewer path: every frame carries `id: <seq>`, a
 //     reconnecting client resumes via the standard Last-Event-ID header
 //     (from the ring, or the compacted snapshot of anything older), and a
 //     lapped client is resynced from the snapshot instead of stalling the
 //     producer. Idle streams get `: ping` comment frames on
-//     Options.KeepaliveInterval so reverse proxies keep them open.
+//     Options.KeepaliveInterval so reverse proxies keep them open. A job
+//     recovered from the store streams its stored log as the same frames.
 //   - WebSocket is the fan-out path for many concurrent viewers: by
 //     default a subscriber joins live (current snapshot, then new events
 //     as text frames); ?after=N resumes after sequence N and ?replay=full
@@ -81,6 +86,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adhocga"
@@ -97,13 +103,18 @@ import (
 // was dropped. Reconnect with ?after= to resume.
 const CloseSlowSubscriber uint16 = 4001
 
-// Options tune a Server.
+// Body and stored-log caps, the same for every server.
+const (
+	// maxBodyBytes caps a submit or league request body.
+	maxBodyBytes = 1 << 20
+	// maxStoredLogBytes caps how large an event log a finished job's
+	// record may embed; bigger logs keep only their digest.
+	maxStoredLogBytes = 4 << 20
+)
+
+// Options tune a Server. Submissions that pin no scale run at the
+// session's default scale (adhocga.WithDefaultScale).
 type Options struct {
-	// DefaultScale is the scale for submissions that do not pin one;
-	// empty Name falls back to the session's default scale.
-	DefaultScale adhocga.Scale
-	// MaxBodyBytes caps the submit body size; ≤0 means 1 MiB.
-	MaxBodyBytes int64
 	// KeepaliveInterval is how often idle SSE streams emit a `: ping`
 	// comment frame and idle WebSocket connections a ping frame, so
 	// reverse proxies don't sever quiet streams. ≤0 means 15s; set it
@@ -115,19 +126,10 @@ type Options struct {
 	Store jobstore.Store
 	// Version is the build identifier /healthz reports ("" means "dev").
 	Version string
-	// MaxStoredLogBytes caps how large an event log a finished job's
-	// record may embed; bigger logs keep only their digest. ≤0 means
-	// 4 MiB.
-	MaxStoredLogBytes int64
 	// Logger receives the service's structured logs: submissions,
 	// recovery and resume notes, persistence failures — each tagged with
 	// the job ID it concerns. nil discards everything.
 	Logger *slog.Logger
-	// Metrics is the registry GET /metrics serves; the server registers
-	// its own collectors on it at construction. nil means a fresh private
-	// registry. A registry must not be shared between two Servers
-	// (collector names would collide).
-	Metrics *obs.Registry
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/ — opt-in because profiles expose internals and cost
 	// CPU while running.
@@ -148,9 +150,9 @@ type Server struct {
 	mux     *http.ServeMux
 	store   jobstore.Store
 
-	// metrics is the registry behind GET /metrics; requests and verifies
-	// are its push-style instruments (everything else is polled — see
-	// metrics.go).
+	// metrics is the server's own registry behind GET /metrics; requests
+	// and verifies are its push-style instruments (everything else is
+	// polled — see metrics.go).
 	metrics  *obs.Registry
 	requests *obs.CounterVec
 	verifies *obs.CounterVec
@@ -171,13 +173,15 @@ type Server struct {
 	// tick channel firing every d plus a stop function.
 	newTicker func(d time.Duration) (<-chan time.Time, func())
 
+	// pendingWatches counts watch goroutines that have not yet written
+	// their job's terminal record.
+	pendingWatches atomic.Int64
+
 	// mu guards the durable-tier bookkeeping: the external job-ID
 	// sequence (seeded from the store so IDs stay unique across
-	// restarts), the per-job persistence watchers, and the recovery
-	// counters /healthz reports.
+	// restarts) and the recovery counters /healthz reports.
 	mu        sync.Mutex
 	nextID    int
-	watchers  map[string]chan struct{}
 	recovered int
 	resumed   int
 }
@@ -187,14 +191,8 @@ type Server struct {
 // occupy; see reserveIOProc.
 func New(session *adhocga.Session, opts Options) *Server {
 	reserveIOProc(session.PoolSize())
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 20
-	}
 	if opts.KeepaliveInterval <= 0 {
 		opts.KeepaliveInterval = 15 * time.Second
-	}
-	if opts.MaxStoredLogBytes <= 0 {
-		opts.MaxStoredLogBytes = 4 << 20
 	}
 	if opts.Version == "" {
 		opts.Version = "dev"
@@ -202,19 +200,15 @@ func New(session *adhocga.Session, opts Options) *Server {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
-	}
 	if opts.Store == nil {
 		opts.Store = jobstore.NewMem()
 	}
 	s := &Server{
-		session:  session,
-		opts:     opts,
-		mux:      http.NewServeMux(),
-		store:    opts.Store,
-		metrics:  opts.Metrics,
-		watchers: map[string]chan struct{}{},
+		session: session,
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		store:   opts.Store,
+		metrics: obs.NewRegistry(),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.nextID = s.maxStoredID()
@@ -318,12 +312,18 @@ func (s *Server) maxStoredID() int {
 	return max
 }
 
-// allocID returns the next external job ID.
+// allocID returns the next external job ID, skipping every ID the
+// session still holds: jobs submitted to it directly share its namespace.
 func (s *Server) allocID() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	return fmt.Sprintf("job-%d", s.nextID)
+	for {
+		s.nextID++
+		id := fmt.Sprintf("job-%d", s.nextID)
+		if _, taken := s.session.Job(id); !taken {
+			return id
+		}
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -458,13 +458,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // readBody reads a submit body up to the size cap. On failure the error
 // response has been written.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return nil, false
 	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
+	if len(body) > maxBodyBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBodyBytes)
 		return nil, false
 	}
 	return body, true
@@ -526,15 +526,12 @@ func (s *Server) resolveSubmit(req SubmitRequest) (resolvedSubmit, adhocga.Scena
 	if err != nil {
 		return resolvedSubmit{}, adhocga.ScenariosSpec{}, fmt.Errorf("scenarios: %w", err)
 	}
-	defaults := s.opts.DefaultScale
+	defaults := s.session.DefaultScale()
 	if req.Scale != "" {
 		defaults, err = experiment.ScaleByName(req.Scale)
 		if err != nil {
 			return resolvedSubmit{}, adhocga.ScenariosSpec{}, err
 		}
-	}
-	if defaults == (adhocga.Scale{}) {
-		defaults = s.session.DefaultScale()
 	}
 	sp := resolvedSubmit{
 		Scenarios:   req.Scenarios,
@@ -703,21 +700,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if j == nil {
-		// Recovered finished job: serve the archived NDJSON replay from
-		// the record — byte-identical to what the original process
-		// streamed. Jobs that outgrew log retention keep only digests;
-		// verify can still re-derive and check the replay.
-		if len(rec.EventLog) == 0 {
-			httpError(w, http.StatusGone, "job %s: event log not retained; POST %s to re-derive and check the replay",
-				rec.ID, "/v1/jobs/"+rec.ID+"/verify")
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(rec.EventLog)
-		return
-	}
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	opts := adhocga.SubscribeOptions{Policy: adhocga.BlockWithDeadline}
 	if sse {
@@ -730,6 +712,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			opts.From = last + 1
 		}
+	}
+	if j == nil {
+		// Recovered finished job: serve the archived replay from the
+		// record — NDJSON byte-identical to what the original process
+		// streamed, or the same lines as SSE frames. Jobs that outgrew log
+		// retention keep only digests; verify can still re-derive and
+		// check the replay.
+		if len(rec.EventLog) == 0 {
+			httpError(w, http.StatusGone, "job %s: event log not retained; POST %s to re-derive and check the replay",
+				rec.ID, "/v1/jobs/"+rec.ID+"/verify")
+			return
+		}
+		if sse {
+			writeStoredSSE(w, rec.EventLog, opts.From)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(rec.EventLog)
+		return
 	}
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -796,6 +798,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			flush()
+		}
+	}
+}
+
+// writeStoredSSE serves a stored NDJSON event log as SSE frames, from
+// sequence number from on. A log is stored only when the hub still held
+// the job's whole history, so line i is the event with sequence i.
+func writeStoredSSE(w http.ResponseWriter, log []byte, from int) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	for seq, line := range bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n")) {
+		if seq < from {
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", seq, line); err != nil {
+			return
 		}
 	}
 }

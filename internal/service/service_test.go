@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"adhocga"
+	"adhocga/internal/jobstore"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -205,6 +207,33 @@ func TestServiceCancelFreesJobSlot(t *testing.T) {
 	}
 	if final := waitState(t, srv.URL, queued.ID); final.State != string(adhocga.JobDone) {
 		t.Fatalf("queued job state %q — the freed slot never reached it", final.State)
+	}
+}
+
+// TestSubmitAfterEmbeddedJobs: jobs submitted to the session directly
+// hold job-1 and job-2, and the server's next ID skips them instead of
+// colliding.
+func TestSubmitAfterEmbeddedJobs(t *testing.T) {
+	srv, s := newDurableServer(t, jobstore.NewMem(), Options{})
+	req, err := parseSubmit([]byte(fmt.Sprintf(`{"scenarios": %s, "scale": "smoke"}`, smokeSpec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, spec, err := s.resolveSubmit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		j, err := s.session.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("job-%d", i); j.ID() != want {
+			t.Fatalf("embedded job %s, want %s", j.ID(), want)
+		}
+	}
+	if info := submitSmoke(t, srv.URL, 1); info.ID != "job-3" {
+		t.Fatalf("HTTP job %s, want job-3", info.ID)
 	}
 }
 

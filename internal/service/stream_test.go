@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"adhocga"
+	"adhocga/internal/jobstore"
 	"adhocga/internal/ws"
 )
 
@@ -78,6 +80,51 @@ func TestSSEResumeFromLastEventID(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad Last-Event-ID accepted: %d", resp.StatusCode)
+	}
+}
+
+// sseGet streams url as SSE, resuming after lastID when it is set, and
+// returns the response's content type and body.
+func sseGet(t *testing.T, url, lastID string) (string, string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
+	req.Header.Set("Accept", "text/event-stream")
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, body)
+	}
+	return resp.Header.Get("Content-Type"), string(body)
+}
+
+// TestRecoveredJobSSE: a job served from its stored record streams as SSE
+// when asked, frame for frame what the live job served, and resumes from
+// Last-Event-ID.
+func TestRecoveredJobSSE(t *testing.T) {
+	store := jobstore.NewMem()
+	live, _ := newDurableServer(t, store, Options{})
+	info := finishedSmokeJob(t, live)
+	waitRecord(t, store, info.ID)
+	recovered, _ := newDurableServer(t, store, Options{})
+	for _, lastID := range []string{"", "3"} {
+		_, want := sseGet(t, live.URL+info.EventsURL, lastID)
+		ct, got := sseGet(t, recovered.URL+info.EventsURL, lastID)
+		if ct != "text/event-stream" {
+			t.Errorf("Last-Event-ID %q: content type %q", lastID, ct)
+		}
+		if got != want {
+			t.Errorf("Last-Event-ID %q: recovered stream deviates from the live one:\n--- got\n%s--- want\n%s", lastID, got, want)
+		}
 	}
 }
 

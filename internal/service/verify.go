@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"adhocga"
 	"adhocga/internal/jobstore"
@@ -30,6 +29,12 @@ import (
 //     divergent offset with a snippet of both sides (mode
 //     "byte-compare"). A record that kept only the log digest (log too
 //     large to embed) digest-compares the replayed log instead.
+//
+// The record verified is the store's terminal one. A job the session
+// reports finished whose stored record is still the queued one (its
+// terminal write is pending, or failed) is verified against the record
+// that write carries, built from the live job; a stored terminal record
+// always takes precedence.
 //
 // The verdict is "match" only when every applicable comparison holds.
 // Tampering with a stored digest, result, spec byte, or event log — or
@@ -76,24 +81,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	// A job that just finished may be ahead of its record (the watcher
-	// persists the terminal state asynchronously); give the watcher a
-	// moment to catch up before judging the state.
-	if !jobstore.TerminalState(rec.State) {
+	// A finished job's record may still be the queued one: watch writes
+	// the terminal record after the job ends, and that write can fail.
+	// Verify the record watch writes, built from the live job.
+	if rec.State == jobstore.StateQueued {
 		if j, live := s.session.Job(id); live && j.State().Terminal() {
-			if done := s.watcherDone(id); done != nil {
-				select {
-				case <-done:
-				case <-time.After(30 * time.Second):
-				case <-r.Context().Done():
-					return
-				}
-			}
-			rec, ok, err = s.store.Get(id)
-			if err != nil || !ok {
-				httpError(w, http.StatusInternalServerError, "reload record: %v", err)
+			// The state flips just before the terminal event is appended;
+			// Wait returns once it is in the hub. The job's own error is
+			// carried by the record.
+			_ = j.Wait(r.Context())
+			if r.Context().Err() != nil {
 				return
 			}
+			rec = finalizeRecord(rec, j)
 		}
 	}
 	if rec.State != jobstore.StateDone {

@@ -141,8 +141,8 @@ func (j *Job) Subscribe(ctx context.Context, opts SubscribeOptions) *Subscriptio
 // full history, then follows live. The subscription uses the archival
 // BlockWithDeadline policy: an actively-draining consumer sees every event
 // with no gaps, and only a consumer that stops draining for longer than
-// the hub's BlockDeadline is evicted (the channel closes early in that
-// case). The channel is closed after the terminal KindDone event. Use
+// the hub's one-second block deadline is evicted (the channel closes
+// early in that case). The channel is closed after the terminal KindDone event. Use
 // EventsContext to detach early.
 func (j *Job) Events() <-chan Event {
 	return j.EventsContext(context.Background())

@@ -89,15 +89,16 @@ func WithJobRetention(n int) SessionOption {
 	return func(s *Session) { s.retain = n }
 }
 
-// WithHubConfig sizes every job's streaming hub: ring capacity (event
-// retention and replay depth), per-subscriber send-channel buffer, and the
-// producer's block-with-deadline budget for archival subscribers. Zero
-// fields keep their defaults (DefaultRingSize, DefaultSubscriberBuffer,
-// DefaultBlockDeadline). Together with WithJobRetention this bounds a
-// long-lived session's event memory: a finished job's ring is fitted to
-// the events it retained (at most RingSize) and it caches no frames once
-// nobody streams it, so the retained jobs hold at most retention ×
-// (RingSize + snapshot) events, and a short job pays only for its own.
+// WithHubConfig sizes every job's streaming hub: its ring capacity, which
+// is the event retention and replay depth. A zero RingSize keeps
+// DefaultRingSize. Each subscriber gets a 64-event send buffer (unless
+// SubscribeOptions.Buffer sets another), and the producer waits at most
+// one second for an archival subscriber that stopped draining before it
+// evicts it. Together with WithJobRetention this bounds a long-lived
+// session's event memory: a finished job's ring is fitted to the events
+// it retained (at most RingSize) and it caches no frames once nobody
+// streams it, so the retained jobs hold at most retention × (RingSize +
+// snapshot) events, and a short job pays only for its own.
 func WithHubConfig(cfg HubConfig) SessionOption {
 	return func(s *Session) { s.hubCfg = cfg }
 }
