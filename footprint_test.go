@@ -15,8 +15,10 @@ import (
 // rounds, CSN 0, 10 or 20, alternating one replicate at parallelism 1
 // and two at parallelism 2) on a Session that retains 256, drains each
 // through Frame as the WebSocket handler does, and bounds the live-heap
-// growth at 12 KiB per retained job: the fitted event ring, no cached
-// frames, and the packed census.
+// growth at 6 KiB per retained job: the fitted event ring, the census as
+// packed sorted rows, and no cached frames, snapshot map or subscriber
+// maps. It also checks that each finished hub holds none of the last
+// three.
 func TestFinishedJobFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 256 jobs: skipped in -short mode")
@@ -51,6 +53,12 @@ func TestFinishedJobFootprint(t *testing.T) {
 		if err := j.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
+		j.hub.mu.Lock()
+		defer j.hub.mu.Unlock()
+		if j.hub.frames != nil || j.hub.snap != nil || j.hub.subs != nil || j.hub.guarded != nil {
+			t.Errorf("finished job %d keeps frames %t, snapshot map %t, subscriber maps %t/%t", k,
+				j.hub.frames != nil, j.hub.snap != nil, j.hub.subs != nil, j.hub.guarded != nil)
+		}
 	}
 	liveHeap := func() int64 {
 		runtime.GC()
@@ -65,8 +73,8 @@ func TestFinishedJobFootprint(t *testing.T) {
 	}
 	perJob := (liveHeap() - before) / jobs
 	t.Logf("%d retained jobs: %d B of live heap each", jobs, perJob)
-	if perJob > 12<<10 {
-		t.Errorf("each finished job keeps %d B of live heap, want at most 12 KiB", perJob)
+	if perJob > 6<<10 {
+		t.Errorf("each finished job keeps %d B of live heap, want at most 6 KiB", perJob)
 	}
 	if n := len(s.Jobs()); n != jobs {
 		t.Errorf("session retains %d jobs, want %d", n, jobs)

@@ -1,11 +1,12 @@
 package adhocga
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,7 +21,9 @@ import (
 // regardless of how long it runs, and a slow reader can never stall the
 // producer past the configured deadline — it is either resynced from the
 // snapshot (live viewers) or evicted (archival readers that stopped
-// draining).
+// draining). Once the terminal event seals a hub whose ring never lapped,
+// the ring holds every event, so the hub drops the snapshot map and
+// derives the snapshot from the ring.
 //
 // Determinism contract: event contents, Seq numbering, and emission order
 // are exactly what the append-only log produced. A replay subscription on
@@ -224,7 +227,7 @@ type hub struct {
 	notify   chan struct{} // closed+replaced on every append
 	progress chan struct{} // closed+replaced when a guarded subscriber advances or detaches
 
-	subs      map[*subscriber]struct{}
+	subs      map[*subscriber]struct{} // nil until the first subscribe, and on a sealed hub nobody follows
 	guarded   map[*subscriber]struct{} // the non-DropResync subset the producer must check
 	resyncs   int
 	evictions int
@@ -247,8 +250,6 @@ func newHub(jobID string, cfg HubConfig, logger *slog.Logger) *hub {
 		snap:          map[streamKey]Event{},
 		notify:        make(chan struct{}),
 		progress:      make(chan struct{}),
-		subs:          map[*subscriber]struct{}{},
-		guarded:       map[*subscriber]struct{}{},
 	}
 }
 
@@ -273,12 +274,15 @@ func (h *hub) relayoutLocked(n int) {
 	h.frames = frames
 }
 
-// releaseIdleFramesLocked drops the frame cache of a sealed hub nobody
-// is subscribed to: no fan-out is left to share the bytes with, and
-// frame() re-marshals on demand to the same bytes.
-func (h *hub) releaseIdleFramesLocked() {
+// releaseIdleLocked drops the frame cache and the subscriber maps of a
+// sealed hub nobody is subscribed to: no fan-out is left to share the
+// bytes with, frame() re-marshals on demand to the same bytes, and a
+// later subscribe allocates the maps afresh.
+func (h *hub) releaseIdleLocked() {
 	if h.closed && len(h.subs) == 0 {
 		h.frames = nil
+		h.subs = nil
+		h.guarded = nil
 	}
 }
 
@@ -360,9 +364,15 @@ func (h *hub) append(e Event, terminal bool) {
 		h.snap[compactionKey(e)] = e
 		if terminal {
 			// Sealed: nothing more is appended, so the ring shrinks to
-			// the events it holds, and an unwatched job keeps no frames.
+			// the events it holds, and an unwatched job keeps no frames
+			// and no subscriber maps. A ring that never lapped holds
+			// every event, so the snapshot is derivable from it and the
+			// map goes too.
 			h.closed = true
-			h.releaseIdleFramesLocked()
+			h.releaseIdleLocked()
+			if h.start == 0 {
+				h.snap = nil
+			}
 			if n := h.total - h.start; n < len(h.ring) {
 				h.relayoutLocked(n)
 			}
@@ -393,7 +403,7 @@ func (h *hub) removeLocked(s *subscriber) {
 	}
 	delete(h.subs, s)
 	delete(h.guarded, s)
-	h.releaseIdleFramesLocked()
+	h.releaseIdleLocked()
 	close(h.progress)
 	h.progress = make(chan struct{})
 }
@@ -427,15 +437,36 @@ func (h *hub) advance(s *subscriber) {
 }
 
 // snapRangeLocked returns the compacted snapshot of the Seq range
-// [lo, hi): the latest retained event per stream, in Seq order.
+// [lo, hi): the latest retained event per stream, in Seq order. A sealed
+// hub whose ring never lapped keeps no snapshot map; its ring holds every
+// event, so the latest event per stream is found by walking the ring back
+// from the newest. Only a live attach reaches that walk: nothing below
+// the ring was overwritten, so no other range can be missed.
 func (h *hub) snapRangeLocked(lo, hi int) []Event {
+	if lo >= hi {
+		return nil
+	}
 	var out []Event
+	if h.snap == nil {
+		seen := map[streamKey]bool{}
+		for seq := h.total - 1; seq >= lo; seq-- {
+			e := h.ring[seq%len(h.ring)]
+			if k := compactionKey(e); !seen[k] {
+				seen[k] = true
+				if seq < hi {
+					out = append(out, e)
+				}
+			}
+		}
+		slices.Reverse(out)
+		return out
+	}
 	for _, e := range h.snap {
 		if e.Seq >= lo && e.Seq < hi {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -462,8 +493,14 @@ func (h *hub) subscribe(ctx context.Context, opts SubscribeOptions) *Subscriptio
 			s.cursor = h.total
 		}
 	}
+	if h.subs == nil {
+		h.subs = map[*subscriber]struct{}{}
+	}
 	h.subs[s] = struct{}{}
 	if s.policy != DropResync {
+		if h.guarded == nil {
+			h.guarded = map[*subscriber]struct{}{}
+		}
 		h.guarded[s] = struct{}{}
 	}
 	h.mu.Unlock()
@@ -631,6 +668,8 @@ func (h *hub) retained() []Event {
 func (h *hub) stats() StreamStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// Snapshot entries below the ring count too; a nil snap means the
+	// ring never lapped, so it holds everything retained.
 	retained := h.total - h.start
 	for _, e := range h.snap {
 		if e.Seq < h.start {

@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"adhocga/internal/rng"
+	"adhocga/internal/strategy"
 )
 
 var update = flag.Bool("update", false, "rewrite golden fixtures from the current output")
@@ -246,4 +250,28 @@ func TestPopulationSeat(t *testing.T) {
 	if seat.Name != "population/final-best" || seat.Kind != SeatPopulation {
 		t.Fatalf("PopulationSeat = %+v", seat)
 	}
+}
+
+// BenchmarkRoundRobin measures one full league in island-hof's shape: 16
+// population seats of random strategies plus the three baselines, 10
+// players per side, 2 matches per pair and 100 rounds per match, 342
+// matches in all. It reports ns/match and is not gated.
+func BenchmarkRoundRobin(b *testing.B) {
+	r := rng.New(16)
+	seats := BaselineSeats()
+	for i := 0; i < 16; i++ {
+		seats = append(seats, PopulationSeat(fmt.Sprintf("p%d", i), strategy.Random(r)))
+	}
+	cfg := Config{Seats: seats, PerSide: 10, MatchesPerPair: 2, Rounds: 100, Seed: 7}
+	var matches int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table, err := RunContext(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		matches += table.Matches
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
 }

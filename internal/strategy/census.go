@@ -10,49 +10,70 @@ import (
 // (sub-strategy distributions per trust level, filtered at 3%) are both
 // views of a census.
 //
-// Counts are keyed by the packed 13-bit genome (see pack), not by Key
-// strings, so a retained census costs one small map entry per distinct
-// strategy and no string. Top breaks ties in Key order, and the float
-// means sum in Key order, so every call returns the same bits.
+// A census is one row per distinct strategy, holding the packed 13-bit
+// genome (see pack) and its count, sorted by genome. A genome's numeric
+// order is its Key order, so every view walks the rows in Key order: Top
+// breaks ties by Key and the float means sum in the same order on every
+// call. A retained census costs 8 bytes per distinct strategy and no
+// string. The zero Census is empty and ready to use.
 type Census struct {
-	counts map[uint16]int
-	total  int
+	rows  []censusRow
+	total int
 }
 
-// NewCensus returns an empty census.
-func NewCensus() *Census {
-	return &Census{counts: make(map[uint16]int)}
+// censusRow counts one packed genome. A uint32 count cannot overflow: it
+// would take 2³² strategies in memory.
+type censusRow struct {
+	g uint16
+	n uint32
 }
+
+func compareRows(a, b censusRow) int { return cmp.Compare(a.g, b.g) }
+
+// NewCensus returns an empty census.
+func NewCensus() *Census { return &Census{} }
 
 // Add records one strategy occurrence.
 func (c *Census) Add(s Strategy) {
-	c.counts[s.pack()]++
+	r := censusRow{g: s.pack(), n: 1}
+	if i, found := slices.BinarySearchFunc(c.rows, r, compareRows); found {
+		c.rows[i].n++
+	} else {
+		c.rows = slices.Insert(c.rows, i, r)
+	}
 	c.total++
 }
 
-// AddAll records every strategy in the slice.
+// AddAll records every strategy in the slice: it appends one row per
+// occurrence, sorts and merges them once, and keeps the rows at exactly
+// their length.
 func (c *Census) AddAll(ss []Strategy) {
-	for _, s := range ss {
-		c.Add(s)
+	if len(ss) == 0 {
+		return
 	}
+	rows := make([]censusRow, len(c.rows), len(c.rows)+len(ss))
+	copy(rows, c.rows)
+	for _, s := range ss {
+		rows = append(rows, censusRow{g: s.pack(), n: 1})
+	}
+	slices.SortFunc(rows, compareRows)
+	merged := rows[:0]
+	for _, r := range rows {
+		if k := len(merged) - 1; k >= 0 && merged[k].g == r.g {
+			merged[k].n += r.n
+		} else {
+			merged = append(merged, r)
+		}
+	}
+	c.rows = append(make([]censusRow, 0, len(merged)), merged...)
+	c.total += len(ss)
 }
 
 // Total returns the number of occurrences recorded.
 func (c *Census) Total() int { return c.total }
 
 // Distinct returns the number of distinct strategies recorded.
-func (c *Census) Distinct() int { return len(c.counts) }
-
-// genomes returns the recorded packed genomes in Key order, which is
-// their numeric order.
-func (c *Census) genomes() []uint16 {
-	gs := make([]uint16, 0, len(c.counts))
-	for g := range c.counts {
-		gs = append(gs, g)
-	}
-	slices.Sort(gs)
-	return gs
-}
+func (c *Census) Distinct() int { return len(c.rows) }
 
 // Entry is one census row: a strategy, its occurrence count, and its
 // frequency among all recorded occurrences.
@@ -63,15 +84,17 @@ type Entry struct {
 }
 
 // Top returns the k most frequent strategies, most frequent first. Ties
-// break by key so the output is deterministic.
+// break by key so the output is deterministic. k ≤ 0 returns no entries.
 func (c *Census) Top(k int) []Entry {
-	entries := make([]Entry, 0, len(c.counts))
-	for _, g := range c.genomes() {
-		n := c.counts[g]
+	if k <= 0 {
+		return []Entry{}
+	}
+	entries := make([]Entry, 0, len(c.rows))
+	for _, r := range c.rows {
 		entries = append(entries, Entry{
-			Strategy: unpack(g),
-			Count:    n,
-			Fraction: float64(n) / float64(c.total),
+			Strategy: unpack(r.g),
+			Count:    int(r.n),
+			Fraction: float64(r.n) / float64(c.total),
 		})
 	}
 	slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(b.Count, a.Count) })
@@ -95,8 +118,8 @@ type SubEntry struct {
 // pattern for determinism.
 func (c *Census) SubStrategies(t TrustLevel, minFraction float64) []SubEntry {
 	sub := make(map[string]int)
-	for g, n := range c.counts {
-		sub[unpack(g).SubStrategy(t)] += n
+	for _, r := range c.rows {
+		sub[unpack(r.g).SubStrategy(t)] += int(r.n)
 	}
 	out := make([]SubEntry, 0, len(sub))
 	for pattern, n := range sub {
@@ -123,9 +146,9 @@ func (c *Census) UnknownForwardFraction() float64 {
 		return 0
 	}
 	fwd := 0
-	for g, n := range c.counts {
-		if unpack(g).DecideUnknown() == Forward {
-			fwd += n
+	for _, r := range c.rows {
+		if unpack(r.g).DecideUnknown() == Forward {
+			fwd += int(r.n)
 		}
 	}
 	return float64(fwd) / float64(c.total)
@@ -138,8 +161,8 @@ func (c *Census) MeanCooperativeness() float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, g := range c.genomes() {
-		sum += unpack(g).Cooperativeness() * float64(c.counts[g])
+	for _, r := range c.rows {
+		sum += unpack(r.g).Cooperativeness() * float64(r.n)
 	}
 	return sum / float64(c.total)
 }

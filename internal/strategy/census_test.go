@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"adhocga/internal/rng"
@@ -31,6 +32,63 @@ func TestCensusTop(t *testing.T) {
 	// k smaller than distinct count truncates.
 	if got := c.Top(1); len(got) != 1 {
 		t.Errorf("Top(1) returned %d entries", len(got))
+	}
+}
+
+// TestCensusTopBounds checks Top at and past both ends of its range: no
+// k panics, k ≤ 0 returns nothing, and k ≥ Distinct returns every row.
+func TestCensusTopBounds(t *testing.T) {
+	c := NewCensus()
+	for _, key := range []string{"0000000000000", "1111111111111", "1111111111111", "0101010101010"} {
+		c.Add(MustParse(key))
+	}
+	for _, tc := range []struct{ k, want int }{
+		{-1, 0},
+		{0, 0},
+		{1, 1},
+		{c.Distinct(), c.Distinct()},
+		{c.Distinct() + 5, c.Distinct()},
+	} {
+		got := c.Top(tc.k)
+		if got == nil || len(got) != tc.want {
+			t.Errorf("Top(%d) = %v, want %d entries", tc.k, got, tc.want)
+		}
+	}
+}
+
+// TestZeroCensus checks that the zero Census is an empty census that
+// records without NewCensus.
+func TestZeroCensus(t *testing.T) {
+	var c Census
+	if c.Total() != 0 || c.Distinct() != 0 || len(c.Top(3)) != 0 || c.MeanCooperativeness() != 0 {
+		t.Fatalf("zero census not empty: total %d, distinct %d", c.Total(), c.Distinct())
+	}
+	c.Add(AllForward())
+	c.AddAll([]Strategy{AllDiscard(), AllForward()})
+	if c.Total() != 3 || c.Distinct() != 2 || c.Top(1)[0].Count != 2 {
+		t.Errorf("zero census after 3 adds: total %d, distinct %d, top %+v", c.Total(), c.Distinct(), c.Top(1))
+	}
+}
+
+// TestCensusAddAllMatchesAdd checks that batched and one-by-one recording
+// build the same rows, and that AddAll keeps them at exactly their length.
+func TestCensusAddAllMatchesAdd(t *testing.T) {
+	r := rng.New(9)
+	one, batched := NewCensus(), NewCensus()
+	for range 3 {
+		pop := make([]Strategy, 50)
+		for i := range pop {
+			pop[i] = genomeStrategy(uint16(r.Intn(64)))
+			one.Add(pop[i])
+		}
+		batched.AddAll(pop)
+	}
+	batched.AddAll(nil)
+	if !slices.Equal(one.rows, batched.rows) || one.total != batched.total {
+		t.Fatalf("AddAll rows %v (total %d), Add rows %v (total %d)", batched.rows, batched.total, one.rows, one.total)
+	}
+	if cap(batched.rows) != len(batched.rows) {
+		t.Errorf("AddAll left %d rows in capacity %d", len(batched.rows), cap(batched.rows))
 	}
 }
 

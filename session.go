@@ -96,9 +96,11 @@ func WithJobRetention(n int) SessionOption {
 // one second for an archival subscriber that stopped draining before it
 // evicts it. Together with WithJobRetention this bounds a long-lived
 // session's event memory: a finished job's ring is fitted to the events
-// it retained (at most RingSize) and it caches no frames once nobody
-// streams it, so the retained jobs hold at most retention × (RingSize +
-// snapshot) events, and a short job pays only for its own.
+// it retained (at most RingSize), it caches no frames and keeps no
+// subscriber maps once nobody streams it, and it keeps a snapshot map
+// (the latest event per stream) only if its ring lapped. So a retained
+// job holds at most RingSize events plus, past a lap, one per stream,
+// and a short job holds only its own events.
 func WithHubConfig(cfg HubConfig) SessionOption {
 	return func(s *Session) { s.hubCfg = cfg }
 }
