@@ -93,8 +93,8 @@ func LongerPaths() PathMode { return network.LongerPaths() }
 // DefaultEvolutionConfig and the core package for field semantics.
 type EvolutionConfig = core.Config
 
-// GenerationStats is the per-generation snapshot passed to the
-// OnGeneration hook.
+// GenerationStats is the serial engine's per-generation snapshot; a job
+// reports it as a KindGeneration event.
 type GenerationStats = core.GenerationStats
 
 // PopulationStats summarizes a generation's fitness distribution and
@@ -126,9 +126,9 @@ type IslandResult = island.Result
 // IslandTrace is one island's per-generation convergence history.
 type IslandTrace = island.Trace
 
-// IslandGenerationStats is the per-generation snapshot passed to
-// IslandConfig.OnGeneration: run-wide cooperation plus per-island fitness
-// and diversity.
+// IslandGenerationStats is the island engine's per-generation snapshot:
+// run-wide cooperation plus per-island fitness and diversity. A job
+// reports it as a KindIslands event.
 type IslandGenerationStats = island.GenerationStats
 
 // IslandTopology selects which islands exchange migrants.
@@ -206,7 +206,9 @@ var (
 // CaseResult aggregates one evaluation case over all replications.
 type CaseResult = experiment.CaseResult
 
-// RunOptions tune a scenario batch (Session.RunScenarios, ScenariosSpec).
+// RunOptions tune a scenario batch (Session.RunScenarios, ScenariosSpec):
+// its seed and parallelism. Its hooks and Pool belong to the session; a
+// spec that sets one fails its job.
 type RunOptions = experiment.Options
 
 // ScenarioSpec declaratively describes one evolutionary experiment:
@@ -294,9 +296,9 @@ type IPDRPResult = ipdrp.Result
 // experiments (population 100, roulette selection).
 func DefaultIPDRPConfig(seed uint64) IPDRPConfig { return ipdrp.DefaultConfig(seed) }
 
-// Checkpoint is a champion checkpoint observed by the engine's
-// OnCheckpoint hook: the best genome of one generation with its fitness
-// context (see EvolutionConfig.CheckpointInterval).
+// Checkpoint is a champion checkpoint: the best genome of one generation
+// with its fitness context (see EvolutionConfig.CheckpointInterval). A
+// job reports it as a KindCheckpoint event.
 type Checkpoint = core.Checkpoint
 
 // Champion is one hall-of-fame record: a checkpointed best-of-generation

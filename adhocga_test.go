@@ -60,14 +60,22 @@ func TestFacadeEvolveSmoke(t *testing.T) {
 	cfg.Eval.TournamentSize = 10
 	cfg.Eval.Tournament.Rounds = 10
 	cfg.Generations = 3
-	var hooks int
-	cfg.OnGeneration = func(GenerationStats) { hooks++ }
-	res, err := facadeSession(t).Evolve(context.Background(), cfg)
+	job, err := facadeSession(t).Submit(context.Background(), EvolveSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CoopSeries) != 3 || hooks != 3 {
-		t.Errorf("series %d, hooks %d", len(res.CoopSeries), hooks)
+	var gens int
+	for e := range job.Events() {
+		if e.Kind == KindGeneration {
+			gens++
+		}
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res := job.Result().(*EvolutionResult)
+	if len(res.CoopSeries) != 3 || gens != len(res.CoopSeries) {
+		t.Errorf("series %d, generation events %d", len(res.CoopSeries), gens)
 	}
 	if len(res.FinalStrategies) != 20 {
 		t.Errorf("%d final strategies", len(res.FinalStrategies))

@@ -226,3 +226,18 @@ func TestSaveCensusFeedsSimMix(t *testing.T) {
 		t.Fatalf("sim -mix rejected the census: exit %d, stderr: %s", code, errOut)
 	}
 }
+
+// TestNegativeParallelismRejected: a worker count below 0 can never be
+// meant, so every subcommand that takes -par exits 2 before any work
+// starts, with the rule the jobs themselves apply.
+func TestNegativeParallelismRejected(t *testing.T) {
+	for _, sub := range []string{"evolve", "experiments", "league"} {
+		code, out, errOut := runCLI(t, sub, "-par", "-1", "-generations", "1", "-rounds", "2", "-reps", "1")
+		if code != 2 || !strings.Contains(errOut, "-par must be >= 0") {
+			t.Errorf("%s -par -1: exit %d, stderr %q; want 2 naming -par", sub, code, errOut)
+		}
+		if out != "" {
+			t.Errorf("%s -par -1 wrote output: %q", sub, out)
+		}
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"adhocga"
 	"adhocga/internal/experiment"
 	"adhocga/internal/network"
+	"adhocga/internal/runner"
 )
 
 func main() {
@@ -176,12 +177,14 @@ type check struct {
 // flag that fails, and returns false if there is one.
 func (c *command) valid(rows ...check) bool {
 	_, modeErr := network.ModeByName(c.mode)
+	parErr := runner.Options{Parallelism: c.par}.Validate()
 	rows = append([]check{
 		{"generations", c.generations < 1, "must be >= 1"},
 		{"rounds", c.rounds < 1, "must be >= 1"},
 		{"reps", c.reps < 1, "must be >= 1"},
 		{"csn", c.csn < 0, "must be >= 0"},
 		{"mode", modeErr != nil, fmt.Sprintf("must be SP or LP, got %q", c.mode)},
+		{"par", parErr != nil, "must be >= 0"},
 	}, rows...)
 	for _, r := range rows {
 		if c.set[r.name] && r.bad {

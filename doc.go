@@ -18,8 +18,12 @@
 // and cancels cooperatively at generation barriers (Cancel) — so
 // uncancelled runs stay bit-identical to the direct engines, and millions
 // of users' worth of jobs can multiplex one process without
-// oversubscribing it. cmd/adhocd serves exactly this API over HTTP,
-// SSE, and WebSocket (internal/service).
+// oversubscribing it. Events are the only way to observe a job: the
+// engine configs' OnGeneration/OnChurn/OnCheckpoint hooks and the
+// RunOptions hooks belong to the session, and a spec that arrives with
+// one set fails with an error naming the field. cmd/adhocd serves exactly
+// this API over HTTP, SSE, and WebSocket (internal/service), through one
+// delivery loop for all three transports.
 //
 // The workload kinds (each a JobSpec with a Session convenience method):
 //

@@ -8,11 +8,15 @@ import (
 )
 
 // The unified job event model. Every long-running workload — serial and
-// island evolution, scenario batches, baseline mixes, IPDRP — reports mid-flight progress as a stream of Event
-// values on its Job handle, replacing the three incompatible OnGeneration
-// callback shapes the pre-Session facade exposed (core.Config.OnGeneration,
-// island.Config.OnGeneration, ipdrp.Config.OnGeneration) plus the
-// experiment layer's OnReplicate. An Event is a tagged union: Kind says
+// island evolution, scenario batches, baseline mixes, IPDRP, leagues —
+// reports mid-flight progress only as a stream of Event values on its Job
+// handle. The engines' observation hooks (core.Config's OnGeneration,
+// OnChurn and OnCheckpoint, island.Config's OnGeneration and
+// OnCheckpoint, ipdrp.Config.OnGeneration, and the batch layer's
+// RunOptions hooks) are the session's emit path: each spec's run fills
+// them, and a spec that arrives with one already set, or with its own
+// RunOptions.Pool, fails its job with an error naming the field
+// (jobspec.go). An Event is a tagged union: Kind says
 // which of the payload pointers is set. Events are JSON-serializable with a
 // deterministic encoding (no timestamps, stable field order), which is what
 // lets the adhocd service stream NDJSON that byte-compares at a fixed seed.

@@ -20,17 +20,21 @@ import (
 func main() {
 	cfg := adhocga.DefaultIPDRPConfig(2005)
 	cfg.Generations = 60
-	cfg.OnGeneration = func(gen int, coop float64, _ adhocga.PopulationStats) {
-		if gen%10 == 0 {
-			fmt.Printf("generation %2d: cooperation rate %5.1f%%\n", gen, coop*100)
-		}
-	}
 	session := adhocga.NewSession()
 	defer session.Close()
-	res, err := session.RunIPDRP(context.Background(), cfg)
+	job, err := session.Submit(context.Background(), adhocga.IPDRPSpec{Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
+	for e := range job.Events() {
+		if g := e.Generation; g != nil && g.Gen%10 == 0 {
+			fmt.Printf("generation %2d: cooperation rate %5.1f%%\n", g.Gen, g.Coop*100)
+		}
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	res := job.Result().(*adhocga.IPDRPResult)
 	final := res.CoopSeries[len(res.CoopSeries)-1]
 	fmt.Printf("\nfinal cooperation rate: %.1f%%\n", final*100)
 	fmt.Println("\ndominant strategies (first-move + responses to CC/CD/DC/DD):")

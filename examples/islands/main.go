@@ -28,28 +28,34 @@ func main() {
 
 	session := adhocga.NewSession()
 	defer session.Close()
-	res, err := session.EvolveIslands(context.Background(), adhocga.IslandConfig{
+	job, err := session.Submit(context.Background(), adhocga.IslandsSpec{Config: adhocga.IslandConfig{
 		Core:     cfg,
 		Count:    4,
 		Topology: adhocga.TopologyRing, // also: TopologyFullyConnected, TopologyRandomPairs
 		Interval: 5,                    // migrate every 5 generations
 		Migrants: 2,                    // 2 elite genomes per ring edge
 		Replace:  adhocga.ReplaceWorst, // evict the destination's worst
-		OnGeneration: func(s adhocga.IslandGenerationStats) {
-			if s.Generation%10 != 0 {
-				return
-			}
-			fmt.Printf("generation %2d: cooperation %5.1f%%  island best fitness:",
-				s.Generation, s.Cooperation*100)
-			for _, isl := range s.Islands {
-				fmt.Printf(" %.2f", isl.BestFitness)
-			}
-			fmt.Println()
-		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Each generation arrives as an islands event: run-wide cooperation
+	// plus every island's fitness.
+	for e := range job.Events() {
+		if e.Islands == nil || e.Islands.Gen%10 != 0 {
+			continue
+		}
+		fmt.Printf("generation %2d: cooperation %5.1f%%  island best fitness:",
+			e.Islands.Gen, e.Islands.Coop*100)
+		for _, isl := range e.Islands.PerIsland {
+			fmt.Printf(" %.2f", isl.BestFit)
+		}
+		fmt.Println()
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	res := job.Result().(*adhocga.IslandResult)
 
 	// Aggregate is the run-wide view in the serial engine's shape.
 	final := res.Aggregate.CoopSeries[len(res.Aggregate.CoopSeries)-1]

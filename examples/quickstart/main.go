@@ -20,19 +20,24 @@ func main() {
 		42, // seed: runs are fully reproducible
 	)
 	cfg.Generations = 30
-	cfg.OnGeneration = func(s adhocga.GenerationStats) {
-		if s.Generation%5 == 0 {
-			fmt.Printf("generation %2d: cooperation %5.1f%%  mean fitness %.2f\n",
-				s.Generation, s.Cooperation*100, s.Fitness.MeanFitness)
-		}
-	}
 
 	session := adhocga.NewSession()
 	defer session.Close()
-	res, err := session.Evolve(context.Background(), cfg)
+	job, err := session.Submit(context.Background(), adhocga.EvolveSpec{Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The job reports each generation as an event while it runs.
+	for e := range job.Events() {
+		if g := e.Generation; g != nil && g.Gen%5 == 0 {
+			fmt.Printf("generation %2d: cooperation %5.1f%%  mean fitness %.2f\n",
+				g.Gen, g.Coop*100, g.MeanFit)
+		}
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	res := job.Result().(*adhocga.EvolutionResult)
 
 	final := res.CoopSeries[len(res.CoopSeries)-1]
 	fmt.Printf("\nfinal cooperation level: %.1f%% (paper's case 1: ~97%%)\n\n", final*100)

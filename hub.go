@@ -137,14 +137,6 @@ func (s *Subscription) Resyncs() int {
 	return s.sub.resyncs
 }
 
-// Dropped returns how many events the subscription skipped over across all
-// resyncs (events superseded in the snapshot it received instead).
-func (s *Subscription) Dropped() int {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return s.sub.dropped
-}
-
 // StreamStats is a job hub's observability counters.
 type StreamStats struct {
 	// Emitted is the total number of events the job has emitted (Seq of
@@ -201,7 +193,6 @@ type subscriber struct {
 	initial bool // the pending sync is the live-attach one, not a fall-behind
 	err     error
 	resyncs int
-	dropped int
 }
 
 // hub is a job's broadcast core. All mutable state is guarded by mu; the
@@ -533,9 +524,6 @@ func (h *hub) pump(ctx context.Context, s *subscriber) {
 		fromRing := false
 		if s.syncTo > s.cursor {
 			batch = h.snapRangeLocked(s.cursor, s.syncTo)
-			if !s.initial {
-				s.dropped += s.syncTo - s.cursor - len(batch)
-			}
 			s.initial = false
 			s.cursor = s.syncTo
 			if len(batch) == 0 {

@@ -151,7 +151,7 @@ func TestHubBoundedRetention(t *testing.T) {
 
 func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 	// A live DropResync viewer that stops reading gets lapped: it must be
-	// skipped ahead via the snapshot — counted in Resyncs/Dropped — and
+	// skipped ahead via the snapshot — counted in Resyncs — and
 	// the producer must never wait on it (MaxStall stays 0).
 	j := tunedJob(8, 1, 0)
 	sub := j.Subscribe(context.Background(), SubscribeOptions{Live: true, Policy: DropResync})
@@ -170,9 +170,6 @@ func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 	}
 	if sub.Resyncs() == 0 {
 		t.Error("lapped viewer reports 0 resyncs")
-	}
-	if sub.Dropped() == 0 {
-		t.Error("lapped viewer reports 0 dropped events")
 	}
 	if err := sub.Err(); err != nil {
 		t.Errorf("resynced viewer ended with err %v", err)

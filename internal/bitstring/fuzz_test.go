@@ -46,11 +46,11 @@ func FuzzOperators(f *testing.F) {
 			}
 		}
 
-		c, d := OnePointCrossover(a, b, cut)
-		checkPair("OnePointCrossover", c, d)
+		c, d := children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, cut) })
+		checkPair("OnePointCrossoverInto", c, d)
 		// SWAR vs scalar reference: bit-identical on every input shape.
 		if rc, rd := OnePointCrossoverRef(a, b, cut); !c.Equal(rc) || !d.Equal(rd) {
-			t.Fatal("OnePointCrossover differs from scalar reference")
+			t.Fatal("OnePointCrossoverInto differs from scalar reference")
 		}
 		if cut < 1 || cut >= length {
 			if !c.Equal(a) || !d.Equal(b) {
@@ -68,23 +68,39 @@ func FuzzOperators(f *testing.F) {
 			}
 		}
 
-		r := rng.New(seedOp)
-		c, d = RandomOnePointCrossover(r, a, b)
-		checkPair("RandomOnePointCrossover", c, d)
-		c, d = RandomTwoPointCrossover(r, a, b)
-		checkPair("RandomTwoPointCrossover", c, d)
-		uc1, uc2 := rng.New(seedOp+1), rng.New(seedOp+1)
-		c, d = UniformCrossover(uc1, a, b)
-		checkPair("UniformCrossover", c, d)
-		if rc, rd := UniformCrossoverRef(uc2, a, b); !c.Equal(rc) || !d.Equal(rd) || uc1.Uint64() != uc2.Uint64() {
-			t.Fatal("UniformCrossover differs from scalar reference (bits or draw count)")
+		// The randomized forms against the references driven by the same
+		// documented draws: identical children and draw count.
+		r1, r2 := rng.New(seedOp), rng.New(seedOp)
+		c, d = children(a, func(c, d Bits) { RandomOnePointCrossoverInto(r1, a, b, c, d) })
+		checkPair("RandomOnePointCrossoverInto", c, d)
+		rc, rd := a.Clone(), b.Clone()
+		if length >= 2 {
+			rc, rd = OnePointCrossoverRef(a, b, r2.IntRange(1, length-1))
+		}
+		if !c.Equal(rc) || !d.Equal(rd) || r1.Uint64() != r2.Uint64() {
+			t.Fatal("RandomOnePointCrossoverInto differs from scalar reference (bits or draw count)")
+		}
+		c, d = children(a, func(c, d Bits) { RandomTwoPointCrossoverInto(r1, a, b, c, d) })
+		checkPair("RandomTwoPointCrossoverInto", c, d)
+		rc, rd = a.Clone(), b.Clone()
+		if length >= 2 {
+			lo, hi := r2.Intn(length), r2.Intn(length+1)
+			rc, rd = TwoPointCrossoverRef(a, b, min(lo, hi), max(lo, hi))
+		}
+		if !c.Equal(rc) || !d.Equal(rd) || r1.Uint64() != r2.Uint64() {
+			t.Fatal("RandomTwoPointCrossoverInto differs from scalar reference (bits or draw count)")
+		}
+		c, d = children(a, func(c, d Bits) { UniformCrossoverInto(r1, a, b, c, d) })
+		checkPair("UniformCrossoverInto", c, d)
+		if rc, rd := UniformCrossoverRef(r2, a, b); !c.Equal(rc) || !d.Equal(rd) || r1.Uint64() != r2.Uint64() {
+			t.Fatal("UniformCrossoverInto differs from scalar reference (bits or draw count)")
 		}
 
 		lo, hi := cut, cut+int(n)%7
-		c, d = TwoPointCrossover(a, b, lo, hi)
-		checkPair("TwoPointCrossover", c, d)
+		c, d = children(a, func(c, d Bits) { TwoPointCrossoverInto(a, b, c, d, lo, hi) })
+		checkPair("TwoPointCrossoverInto", c, d)
 		if rc, rd := TwoPointCrossoverRef(a, b, lo, hi); !c.Equal(rc) || !d.Equal(rd) {
-			t.Fatal("TwoPointCrossover differs from scalar reference")
+			t.Fatal("TwoPointCrossoverInto differs from scalar reference")
 		}
 
 		// Mutation: the reported flip count is the Hamming distance to the

@@ -11,27 +11,22 @@ import (
 // standard one-point crossover and uniform bit-flip mutation, plus the
 // two-point and uniform variants used by the ablation benchmarks.
 //
-// All operators work on whole uint64 words with mask-based splicing (SWAR)
-// rather than per-bit loops; scalar per-bit reference implementations are
-// retained below (*Ref) and pinned bit-identical by the property and fuzz
-// tests. The RNG draw-order contract of every randomized operator is
-// documented in DESIGN.md §"RNG draw-order contract": MutateFlip keeps the
-// historical one-draw-per-bit sequence (every engine golden pins it), while
-// UniformCrossover consumes one word-sized mask per 64 bits.
+// Crossovers write their children into caller-owned vectors (the *Into
+// forms), which is what the arena-reusing reproduction path needs: c and d
+// must have the parents' length and may not alias a or b, and parents are
+// never modified. All operators work on whole uint64 words with mask-based
+// splicing (SWAR) rather than per-bit loops; scalar per-bit reference
+// implementations are retained below (*Ref) and pinned bit-identical by
+// the property and fuzz tests. The RNG draw-order contract of every
+// randomized operator is documented in DESIGN.md §"RNG draw-order
+// contract": MutateFlip keeps the historical one-draw-per-bit sequence
+// (every engine golden pins it), while UniformCrossoverInto consumes one
+// word-sized mask per 64 bits.
 
-// OnePointCrossover cuts both parents at the same point cut ∈ [1, len-1]
-// and exchanges the tails, returning two fresh children. With cut outside
-// that range the children are plain copies. Parents are not modified.
-func OnePointCrossover(a, b Bits, cut int) (Bits, Bits) {
-	c, d := a.Clone(), b.Clone()
-	OnePointCrossoverInto(a, b, c, d, cut)
-	return c, d
-}
-
-// OnePointCrossoverInto is OnePointCrossover writing the children into the
-// caller-owned vectors c and d — the zero-allocation form the arena-reusing
-// reproduction path uses. c and d must have the parents' length and may not
-// alias a or b. It consumes no randomness.
+// OnePointCrossoverInto cuts both parents at the same point cut ∈
+// [1, len-1] and exchanges the tails, writing the children into c and d.
+// With cut outside that range the children are plain copies. It consumes
+// no randomness.
 func OnePointCrossoverInto(a, b, c, d Bits, cut int) {
 	if a.n != b.n {
 		panic("bitstring: crossover of unequal lengths")
@@ -44,19 +39,10 @@ func OnePointCrossoverInto(a, b, c, d Bits, cut int) {
 	swapBitRange(c.w, d.w, cut, a.n)
 }
 
-// RandomOnePointCrossover performs OnePointCrossover at a uniformly random
-// cut point in [1, len-1]. Strings shorter than 2 bits are returned as
-// copies. Draw contract: exactly one IntRange draw for strings of ≥ 2 bits,
-// none otherwise.
-func RandomOnePointCrossover(r *rng.Source, a, b Bits) (Bits, Bits) {
-	if a.n < 2 {
-		return a.Clone(), b.Clone()
-	}
-	return OnePointCrossover(a, b, r.IntRange(1, a.n-1))
-}
-
-// RandomOnePointCrossoverInto is RandomOnePointCrossover into caller-owned
-// children, consuming the identical draw sequence.
+// RandomOnePointCrossoverInto performs OnePointCrossoverInto at a
+// uniformly random cut point in [1, len-1]. Strings shorter than 2 bits
+// are copied. Draw contract: exactly one IntRange draw for strings of
+// ≥ 2 bits, none otherwise.
 func RandomOnePointCrossoverInto(r *rng.Source, a, b, c, d Bits) {
 	if a.n < 2 {
 		c.copyFrom(a)
@@ -66,15 +52,9 @@ func RandomOnePointCrossoverInto(r *rng.Source, a, b, c, d Bits) {
 	OnePointCrossoverInto(a, b, c, d, r.IntRange(1, a.n-1))
 }
 
-// TwoPointCrossover exchanges the segment [lo, hi) between the parents.
-// Out-of-order or out-of-range bounds are clamped.
-func TwoPointCrossover(a, b Bits, lo, hi int) (Bits, Bits) {
-	c, d := a.Clone(), b.Clone()
-	TwoPointCrossoverInto(a, b, c, d, lo, hi)
-	return c, d
-}
-
-// TwoPointCrossoverInto is TwoPointCrossover into caller-owned children.
+// TwoPointCrossoverInto exchanges the segment [lo, hi) between the
+// parents, writing the children into c and d. Out-of-order or
+// out-of-range bounds are clamped.
 func TwoPointCrossoverInto(a, b, c, d Bits, lo, hi int) {
 	if a.n != b.n {
 		panic("bitstring: crossover of unequal lengths")
@@ -92,23 +72,9 @@ func TwoPointCrossoverInto(a, b, c, d Bits, lo, hi int) {
 	}
 }
 
-// RandomTwoPointCrossover picks two random cut points and exchanges the
-// middle segment. Draw contract: two Intn draws for strings of ≥ 2 bits,
-// none otherwise.
-func RandomTwoPointCrossover(r *rng.Source, a, b Bits) (Bits, Bits) {
-	if a.n < 2 {
-		return a.Clone(), b.Clone()
-	}
-	lo := r.Intn(a.n)
-	hi := r.Intn(a.n + 1)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return TwoPointCrossover(a, b, lo, hi)
-}
-
-// RandomTwoPointCrossoverInto is RandomTwoPointCrossover into caller-owned
-// children, consuming the identical draw sequence.
+// RandomTwoPointCrossoverInto picks two random cut points and exchanges
+// the middle segment. Draw contract: two Intn draws for strings of ≥ 2
+// bits, none otherwise.
 func RandomTwoPointCrossoverInto(r *rng.Source, a, b, c, d Bits) {
 	if a.n < 2 {
 		c.copyFrom(a)
@@ -123,18 +89,11 @@ func RandomTwoPointCrossoverInto(r *rng.Source, a, b, c, d Bits) {
 	TwoPointCrossoverInto(a, b, c, d, lo, hi)
 }
 
-// UniformCrossover swaps each position independently with probability 0.5.
-// Draw contract: one Uint64 mask per 64-bit word (⌈len/64⌉ draws); bit
-// i%64 of mask i/64 decides position i. (Re-pinned from the historical
-// one-Bool-per-bit sequence — no golden depended on it; see DESIGN.md.)
-func UniformCrossover(r *rng.Source, a, b Bits) (Bits, Bits) {
-	c, d := a.Clone(), b.Clone()
-	UniformCrossoverInto(r, a, b, c, d)
-	return c, d
-}
-
-// UniformCrossoverInto is UniformCrossover into caller-owned children,
-// consuming the identical draw sequence.
+// UniformCrossoverInto swaps each position independently with probability
+// 0.5, writing the children into c and d. Draw contract: one Uint64 mask
+// per 64-bit word (⌈len/64⌉ draws); bit i%64 of mask i/64 decides
+// position i. (Re-pinned from the historical one-Bool-per-bit sequence —
+// no golden depended on it; see DESIGN.md.)
 func UniformCrossoverInto(r *rng.Source, a, b, c, d Bits) {
 	if a.n != b.n {
 		panic("bitstring: crossover of unequal lengths")
@@ -229,7 +188,7 @@ func (b Bits) CopyFrom(src Bits) { b.copyFrom(src) }
 // same draw contract, bit-identical outputs. They are exported for the
 // benchmarks' before/after comparison but carry no compatibility promise.
 
-// OnePointCrossoverRef is the per-bit reference for OnePointCrossover.
+// OnePointCrossoverRef is the per-bit reference for OnePointCrossoverInto.
 func OnePointCrossoverRef(a, b Bits, cut int) (Bits, Bits) {
 	if a.n != b.n {
 		panic("bitstring: crossover of unequal lengths")
@@ -245,7 +204,7 @@ func OnePointCrossoverRef(a, b Bits, cut int) (Bits, Bits) {
 	return c, d
 }
 
-// TwoPointCrossoverRef is the per-bit reference for TwoPointCrossover.
+// TwoPointCrossoverRef is the per-bit reference for TwoPointCrossoverInto.
 func TwoPointCrossoverRef(a, b Bits, lo, hi int) (Bits, Bits) {
 	if a.n != b.n {
 		panic("bitstring: crossover of unequal lengths")
@@ -264,8 +223,8 @@ func TwoPointCrossoverRef(a, b Bits, lo, hi int) (Bits, Bits) {
 	return c, d
 }
 
-// UniformCrossoverRef is the per-bit reference for UniformCrossover under
-// the same word-mask draw contract: one Uint64 per word, bit i%64 decides
+// UniformCrossoverRef is the per-bit reference for UniformCrossoverInto
+// under the same word-mask draw contract: one Uint64 per word, bit i%64 decides
 // position i.
 func UniformCrossoverRef(r *rng.Source, a, b Bits) (Bits, Bits) {
 	if a.n != b.n {

@@ -31,11 +31,22 @@ func TestOnePointCrossoverMatchesRefAllLengths(t *testing.T) {
 		a, b := Random(r, n), Random(r, n)
 		// Every cut, including the degenerate out-of-range ones.
 		for cut := -1; cut <= n+1; cut++ {
-			c1, d1 := OnePointCrossover(a, b, cut)
+			c1, d1 := children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, cut) })
 			c2, d2 := OnePointCrossoverRef(a, b, cut)
 			if !c1.Equal(c2) || !d1.Equal(d2) {
 				t.Fatalf("n=%d cut=%d: SWAR differs from scalar reference", n, cut)
 			}
+		}
+		// The random form draws its cut as documented: one IntRange for
+		// n ≥ 2, none below.
+		r1, r2 := rng.New(uint64(n)+7), rng.New(uint64(n)+7)
+		c1, d1 := children(a, func(c, d Bits) { RandomOnePointCrossoverInto(r1, a, b, c, d) })
+		c2, d2 := a.Clone(), b.Clone()
+		if n >= 2 {
+			c2, d2 = OnePointCrossoverRef(a, b, r2.IntRange(1, n-1))
+		}
+		if !c1.Equal(c2) || !d1.Equal(d2) || r1.Uint64() != r2.Uint64() {
+			t.Fatalf("n=%d: RandomOnePointCrossoverInto differs from its documented draws", n)
 		}
 	}
 }
@@ -47,12 +58,24 @@ func TestTwoPointCrossoverMatchesRefAllLengths(t *testing.T) {
 		cuts := []int{-3, 0, 1, n / 3, n / 2, n - 1, n, n + 5}
 		for _, lo := range cuts {
 			for _, hi := range cuts {
-				c1, d1 := TwoPointCrossover(a, b, lo, hi)
+				c1, d1 := children(a, func(c, d Bits) { TwoPointCrossoverInto(a, b, c, d, lo, hi) })
 				c2, d2 := TwoPointCrossoverRef(a, b, lo, hi)
 				if !c1.Equal(c2) || !d1.Equal(d2) {
 					t.Fatalf("n=%d [%d,%d): SWAR differs from scalar reference", n, lo, hi)
 				}
 			}
+		}
+		// The random form draws two ordered cuts as documented: two Intn
+		// for n ≥ 2, none below.
+		r1, r2 := rng.New(uint64(n)+8), rng.New(uint64(n)+8)
+		c1, d1 := children(a, func(c, d Bits) { RandomTwoPointCrossoverInto(r1, a, b, c, d) })
+		c2, d2 := a.Clone(), b.Clone()
+		if n >= 2 {
+			lo, hi := r2.Intn(n), r2.Intn(n+1)
+			c2, d2 = TwoPointCrossoverRef(a, b, min(lo, hi), max(lo, hi))
+		}
+		if !c1.Equal(c2) || !d1.Equal(d2) || r1.Uint64() != r2.Uint64() {
+			t.Fatalf("n=%d: RandomTwoPointCrossoverInto differs from its documented draws", n)
 		}
 	}
 }
@@ -62,7 +85,7 @@ func TestUniformCrossoverMatchesRefAllLengths(t *testing.T) {
 	for _, n := range swarLengths() {
 		a, b := Random(r, n), Random(r, n)
 		r1, r2 := rng.New(uint64(n)), rng.New(uint64(n))
-		c1, d1 := UniformCrossover(r1, a, b)
+		c1, d1 := children(a, func(c, d Bits) { UniformCrossoverInto(r1, a, b, c, d) })
 		c2, d2 := UniformCrossoverRef(r2, a, b)
 		if !c1.Equal(c2) || !d1.Equal(d2) {
 			t.Fatalf("n=%d: SWAR differs from scalar reference", n)
@@ -92,37 +115,6 @@ func TestMutateFlipMatchesRefAllLengths(t *testing.T) {
 	}
 }
 
-// The Into variants must reproduce the allocating forms exactly, including
-// the RNG draw sequence, on every length and tail shape.
-func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
-	r := rng.New(45)
-	for _, n := range swarLengths() {
-		a, b := Random(r, n), Random(r, n)
-		c, d := New(n), New(n)
-
-		r1, r2 := rng.New(uint64(n)+7), rng.New(uint64(n)+7)
-		wc, wd := RandomOnePointCrossover(r1, a, b)
-		RandomOnePointCrossoverInto(r2, a, b, c, d)
-		if !c.Equal(wc) || !d.Equal(wd) || r1.Uint64() != r2.Uint64() {
-			t.Fatalf("n=%d: RandomOnePointCrossoverInto diverges", n)
-		}
-
-		r1, r2 = rng.New(uint64(n)+8), rng.New(uint64(n)+8)
-		wc, wd = RandomTwoPointCrossover(r1, a, b)
-		RandomTwoPointCrossoverInto(r2, a, b, c, d)
-		if !c.Equal(wc) || !d.Equal(wd) || r1.Uint64() != r2.Uint64() {
-			t.Fatalf("n=%d: RandomTwoPointCrossoverInto diverges", n)
-		}
-
-		r1, r2 = rng.New(uint64(n)+9), rng.New(uint64(n)+9)
-		wc, wd = UniformCrossover(r1, a, b)
-		UniformCrossoverInto(r2, a, b, c, d)
-		if !c.Equal(wc) || !d.Equal(wd) || r1.Uint64() != r2.Uint64() {
-			t.Fatalf("n=%d: UniformCrossoverInto diverges", n)
-		}
-	}
-}
-
 func TestCopyFrom(t *testing.T) {
 	r := rng.New(46)
 	src := Random(r, 77)
@@ -144,35 +136,36 @@ func TestCopyFrom(t *testing.T) {
 // performance table. The *Ref rows keep the scalar baseline measurable in
 // the same binary.
 
-func benchCrossoverPair(b *testing.B, n int, f func(r *rng.Source, x, y Bits) (Bits, Bits)) {
+func benchCrossoverPair(b *testing.B, n int, f func(r *rng.Source, x, y, c, d Bits)) {
 	r := rng.New(1)
 	x, y := Random(r, n), Random(r, n)
+	c, d := New(n), New(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = f(r, x, y)
+		f(r, x, y, c, d)
 	}
 }
 
 func BenchmarkOnePointCrossover64(b *testing.B) {
-	benchCrossoverPair(b, 64, RandomOnePointCrossover)
+	benchCrossoverPair(b, 64, RandomOnePointCrossoverInto)
 }
 
 func BenchmarkOnePointCrossover256(b *testing.B) {
-	benchCrossoverPair(b, 256, RandomOnePointCrossover)
+	benchCrossoverPair(b, 256, RandomOnePointCrossoverInto)
 }
 
 func BenchmarkOnePointCrossoverRef(b *testing.B) {
-	benchCrossoverPair(b, 13, func(r *rng.Source, x, y Bits) (Bits, Bits) {
-		return OnePointCrossoverRef(x, y, r.IntRange(1, x.Len()-1))
+	benchCrossoverPair(b, 13, func(r *rng.Source, x, y, _, _ Bits) {
+		_, _ = OnePointCrossoverRef(x, y, r.IntRange(1, x.Len()-1))
 	})
 }
 
 func BenchmarkUniformCrossover(b *testing.B) {
-	benchCrossoverPair(b, 13, UniformCrossover)
+	benchCrossoverPair(b, 13, UniformCrossoverInto)
 }
 
 func BenchmarkUniformCrossover256(b *testing.B) {
-	benchCrossoverPair(b, 256, UniformCrossover)
+	benchCrossoverPair(b, 256, UniformCrossoverInto)
 }
 
 func benchMutate(b *testing.B, n int, p float64) {

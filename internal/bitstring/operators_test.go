@@ -7,10 +7,17 @@ import (
 	"adhocga/internal/rng"
 )
 
+// children runs a crossover into fresh children of the parents' length.
+func children(a Bits, cross func(c, d Bits)) (Bits, Bits) {
+	c, d := New(a.Len()), New(a.Len())
+	cross(c, d)
+	return c, d
+}
+
 func TestOnePointCrossoverExact(t *testing.T) {
 	a := MustParse("11111")
 	b := MustParse("00000")
-	c, d := OnePointCrossover(a, b, 2)
+	c, d := children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, 2) })
 	if c.String() != "11000" {
 		t.Errorf("child c = %s, want 11000", c)
 	}
@@ -27,7 +34,7 @@ func TestOnePointCrossoverDegenerateCut(t *testing.T) {
 	a := MustParse("101")
 	b := MustParse("010")
 	for _, cut := range []int{0, 3, -5, 100} {
-		c, d := OnePointCrossover(a, b, cut)
+		c, d := children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, cut) })
 		if !c.Equal(a) || !d.Equal(b) {
 			t.Errorf("cut %d: children are not parent copies", cut)
 		}
@@ -40,13 +47,14 @@ func TestCrossoverLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	OnePointCrossover(MustParse("10"), MustParse("101"), 1)
+	a, b := MustParse("10"), MustParse("101")
+	children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, 1) })
 }
 
 func TestTwoPointCrossoverExact(t *testing.T) {
 	a := MustParse("111111")
 	b := MustParse("000000")
-	c, d := TwoPointCrossover(a, b, 2, 4)
+	c, d := children(a, func(c, d Bits) { TwoPointCrossoverInto(a, b, c, d, 2, 4) })
 	if c.String() != "110011" {
 		t.Errorf("c = %s, want 110011", c)
 	}
@@ -58,7 +66,7 @@ func TestTwoPointCrossoverExact(t *testing.T) {
 func TestTwoPointCrossoverClamps(t *testing.T) {
 	a := MustParse("1111")
 	b := MustParse("0000")
-	c, d := TwoPointCrossover(a, b, -3, 99)
+	c, d := children(a, func(c, d Bits) { TwoPointCrossoverInto(a, b, c, d, -3, 99) })
 	if !c.Equal(b) || !d.Equal(a) {
 		t.Error("full-range two-point crossover should swap entire strings")
 	}
@@ -73,12 +81,10 @@ func TestCrossoverAlleleProperty(t *testing.T) {
 		rr := rng.New(seed)
 		a := Random(rr, length)
 		b := Random(rr, length)
-		for _, op := range []func() (Bits, Bits){
-			func() (Bits, Bits) { return RandomOnePointCrossover(r, a, b) },
-			func() (Bits, Bits) { return RandomTwoPointCrossover(r, a, b) },
-			func() (Bits, Bits) { return UniformCrossover(r, a, b) },
+		for _, op := range []func(r *rng.Source, a, b, c, d Bits){
+			RandomOnePointCrossoverInto, RandomTwoPointCrossoverInto, UniformCrossoverInto,
 		} {
-			c, d := op()
+			c, d := children(a, func(c, d Bits) { op(r, a, b, c, d) })
 			for i := 0; i < length; i++ {
 				fromA := c.Get(i) == a.Get(i)
 				fromB := c.Get(i) == b.Get(i)
@@ -106,7 +112,7 @@ func TestCrossoverConservesOnesProperty(t *testing.T) {
 		rr := rng.New(seed)
 		a := Random(rr, 13)
 		b := Random(rr, 13)
-		c, d := RandomOnePointCrossover(r, a, b)
+		c, d := children(a, func(c, d Bits) { RandomOnePointCrossoverInto(r, a, b, c, d) })
 		return a.OneCount()+b.OneCount() == c.OneCount()+d.OneCount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -170,9 +176,10 @@ func BenchmarkOnePointCrossover(b *testing.B) {
 	r := rng.New(1)
 	x := Random(r, 13)
 	y := Random(r, 13)
+	c, d := New(13), New(13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = RandomOnePointCrossover(r, x, y)
+		RandomOnePointCrossoverInto(r, x, y, c, d)
 	}
 }
 

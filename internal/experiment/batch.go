@@ -218,6 +218,9 @@ func RunScenarios(runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResu
 // error satisfying errors.Is(err, ctx.Err()); stream partial progress
 // through the Options hooks (or the Session event layer) if you need it.
 func RunScenariosContext(ctx context.Context, runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResult, error) {
+	if err := (runner.Options{Parallelism: opts.Parallelism}).Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
 	// One derived fallback per run, consumed unconditionally so that
 	// pinning one scenario's seed never shifts its neighbors' streams.
 	master := rng.New(opts.Seed)

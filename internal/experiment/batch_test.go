@@ -189,6 +189,13 @@ func TestRunScenariosRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+func TestRunScenariosRejectsNegativeParallelism(t *testing.T) {
+	runs := []ScenarioRun{{Spec: scenario.Spec{Name: "a", Environments: []scenario.EnvSpec{{CSN: 0}}}, Seed: 1}}
+	if _, err := RunScenarios(runs, tinyScale(), Options{Parallelism: -1}); err == nil || !strings.Contains(err.Error(), "parallelism") {
+		t.Errorf("negative parallelism: err %v, want one naming parallelism", err)
+	}
+}
+
 func TestRunScenariosProgressSpansBatch(t *testing.T) {
 	runs := []ScenarioRun{
 		{Spec: scenario.Spec{Name: "a", Environments: []scenario.EnvSpec{{CSN: 0}}}, Seed: 1},

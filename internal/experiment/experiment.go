@@ -153,7 +153,7 @@ type CaseResult struct {
 // Options tune a RunScenarios batch.
 type Options struct {
 	Seed        uint64
-	Parallelism int // worker pool size; ≤0 means GOMAXPROCS
+	Parallelism int // worker pool size; 0 means GOMAXPROCS, negative is an error
 	// OnReplicate, when non-nil, is called as each replicate finishes
 	// (from multiple goroutines) with the number completed so far.
 	OnReplicate func(done, total int)
@@ -166,11 +166,13 @@ type Options struct {
 	Pool *runner.Pool
 
 	// The observation hooks below stream per-replicate progress out of a
-	// running batch (the Session/Job event layer is their only intended
-	// consumer). Each may be called concurrently from pool workers; none
-	// consumes engine randomness, so setting them never changes results.
-	// scenario is the index of the scenario in the batch, rep
-	// the replicate index within it.
+	// running batch. They belong to the Session/Job event layer: a
+	// ScenariosSpec fills them with its emit path, and one that arrives
+	// with any of them (or Pool) set fails its job — callers observe
+	// jobs through Job.Events. Each may be called concurrently from pool
+	// workers; none consumes engine randomness, so setting them never
+	// changes results. scenario is the index of the scenario in the
+	// batch, rep the replicate index within it.
 
 	// OnGeneration receives every serial replicate's per-generation
 	// snapshot right after evaluation.

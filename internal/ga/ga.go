@@ -87,36 +87,6 @@ func (RouletteSelector) Select(pop []Individual, r *rng.Source) int {
 	return len(pop) - 1
 }
 
-// RankSelector implements linear-rank selection: the i-th fittest of n is
-// drawn with weight n-i. More robust than roulette when fitness scales
-// drift across generations; provided for ablations.
-type RankSelector struct{}
-
-// Select draws by linear rank weight.
-func (RankSelector) Select(pop []Individual, r *rng.Source) int {
-	n := len(pop)
-	// Rank individuals: count how many are strictly fitter.
-	// O(n²) but n=100 in all our experiments.
-	u := r.Float64() * float64(n*(n+1)/2)
-	// Draw a rank (0 = best) with weight n-rank, then find the individual
-	// with that rank.
-	acc := 0.0
-	rank := 0
-	for ; rank < n; rank++ {
-		acc += float64(n - rank)
-		if u < acc {
-			break
-		}
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	// Order indexes by fitness descending (selection only needs the
-	// rank-th element; a full sort keeps this simple and deterministic).
-	idx := sortedByFitness(pop)
-	return idx[rank]
-}
-
 func sortedByFitness(pop []Individual) []int {
 	idx := make([]int, len(pop))
 	for i := range idx {

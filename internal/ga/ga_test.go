@@ -87,25 +87,6 @@ func TestRouletteSelectorUniformWhenFlat(t *testing.T) {
 	}
 }
 
-func TestRankSelectorOrdering(t *testing.T) {
-	pop := popOf(1, 2, 3, 4)
-	r := rng.New(5)
-	counts := make([]int, 4)
-	const draws = 40000
-	for i := 0; i < draws; i++ {
-		counts[RankSelector{}.Select(pop, r)]++
-	}
-	// Weights for ranks best→worst are 4,3,2,1 over total 10; individual 3
-	// is best.
-	want := []float64{0.1, 0.2, 0.3, 0.4}
-	for i, c := range counts {
-		got := float64(c) / draws
-		if math.Abs(got-want[i]) > 0.02 {
-			t.Errorf("rank selection picked %d with frequency %v, want %v", i, got, want[i])
-		}
-	}
-}
-
 func TestPaperConfigValid(t *testing.T) {
 	cfg := PaperConfig()
 	if err := cfg.Validate(); err != nil {

@@ -219,6 +219,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestValidateKnobs: the seatless check a league request is judged on
+// applies the defaults first (a zero config is valid) and shares every
+// knob rule with Validate.
+func TestValidateKnobs(t *testing.T) {
+	if err := (Config{}).ValidateKnobs(); err != nil {
+		t.Fatalf("zero config after defaults: %v", err)
+	}
+	for name, cfg := range map[string]Config{
+		"per side":    {PerSide: -1},
+		"csn":         {CSN: -1},
+		"matches":     {MatchesPerPair: -2},
+		"rounds":      {Rounds: -1},
+		"parallelism": {Parallelism: -1},
+	} {
+		if err := cfg.ValidateKnobs(); err == nil {
+			t.Errorf("%s: ValidateKnobs accepted %+v", name, cfg)
+		}
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	cfg := Config{Seats: BaselineSeats()}.withDefaults()
 	if cfg.PerSide != 10 || cfg.MatchesPerPair != 2 || cfg.Rounds != 100 {

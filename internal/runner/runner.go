@@ -47,13 +47,23 @@ type Task func(i int) error
 
 // Options tune a Run invocation.
 type Options struct {
-	// Parallelism is the worker count; ≤0 means GOMAXPROCS. It is capped
-	// at the number of tasks.
+	// Parallelism is the worker count; 0 means GOMAXPROCS. It is capped
+	// at the number of tasks. A negative count fails Validate.
 	Parallelism int
 	// OnDone, when non-nil, is called as each task finishes (possibly
 	// from multiple goroutines) with the number completed so far and the
 	// total queue length.
 	OnDone func(done, total int)
+}
+
+// Validate rejects a negative Parallelism. Run treats one like 0; the job
+// and request layers above call Validate, so a worker count that cannot
+// exist fails before any work starts.
+func (o Options) Validate() error {
+	if o.Parallelism < 0 {
+		return fmt.Errorf("parallelism must be >= 0 (0 means all cores), got %d", o.Parallelism)
+	}
+	return nil
 }
 
 // Workers resolves the effective worker count for n tasks.

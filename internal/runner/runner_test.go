@@ -26,6 +26,17 @@ func TestRunExecutesEveryTask(t *testing.T) {
 	}
 }
 
+func TestOptionsValidate(t *testing.T) {
+	for _, p := range []int{0, 1, 64} {
+		if err := (Options{Parallelism: p}).Validate(); err != nil {
+			t.Errorf("parallelism %d: %v", p, err)
+		}
+	}
+	if err := (Options{Parallelism: -1}).Validate(); err == nil {
+		t.Error("negative parallelism accepted")
+	}
+}
+
 func TestRunBoundsParallelism(t *testing.T) {
 	const n, workers = 64, 4
 	var active, peak atomic.Int32

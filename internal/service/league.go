@@ -1,10 +1,12 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 
 	"adhocga"
 	"adhocga/internal/league"
+	"adhocga/internal/network"
 )
 
 // The league surface: the champion archive's read endpoints and the
@@ -74,20 +76,41 @@ func (s *Server) handleLeague(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var spec adhocga.LeagueJobSpec
-	if len(body) > 0 {
-		if err := decodeStrict(body, &spec); err != nil {
-			httpError(w, http.StatusBadRequest, "body: %v", err)
-			return
-		}
-	}
-	// Fail the obvious emptiness up front (no champions and no baselines
-	// can never seat a league) so the client gets a 400, not a failed job.
-	if len(spec.ChampionIDs) == 0 && s.opts.Champions.Len() == 0 && !spec.IncludeBaselines {
-		httpError(w, http.StatusBadRequest, "champion archive is empty and baselines are off — nothing to seat")
+	spec, err := s.resolveLeague(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.accept(w, r, spec, spec)
+}
+
+// resolveLeague decodes a league body and fails what can never run up
+// front, with the job's own rules, so the client gets a 400 and the store
+// no record instead of a failed job: no champions and no baselines can
+// never seat a league, and the knobs must pass the league's checks once
+// its defaults apply.
+func (s *Server) resolveLeague(body []byte) (adhocga.LeagueJobSpec, error) {
+	var spec adhocga.LeagueJobSpec
+	if len(body) > 0 {
+		if err := decodeStrict(body, &spec); err != nil {
+			return spec, fmt.Errorf("body: %w", err)
+		}
+	}
+	if len(spec.ChampionIDs) == 0 && s.opts.Champions.Len() == 0 && !spec.IncludeBaselines {
+		return spec, fmt.Errorf("champion archive is empty and baselines are off — nothing to seat")
+	}
+	mode, err := network.ModeByName(spec.PathMode)
+	if err != nil {
+		return spec, err
+	}
+	return spec, league.Config{
+		PerSide:        spec.PerSide,
+		CSN:            spec.CSN,
+		MatchesPerPair: spec.MatchesPerPair,
+		Rounds:         spec.Rounds,
+		Mode:           mode,
+		Parallelism:    spec.Parallelism,
+	}.ValidateKnobs()
 }
 
 // leagueOf extracts a finished league job's table (nil for every other

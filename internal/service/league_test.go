@@ -398,3 +398,35 @@ func TestUnknownKeysRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestUnrunnableRequestsRejected: a request the job would only fail —
+// league knobs that break the league's own checks once its defaults
+// apply, an unknown path mode, a negative worker count — is a 400 naming
+// the problem, and leaves no record behind.
+func TestUnrunnableRequestsRejected(t *testing.T) {
+	store := jobstore.NewMem()
+	base, _ := newLeagueServer(t, store, league.NewMemArchive())
+	for _, tc := range []struct {
+		name, path, body, want string
+	}{
+		{"league matches", "/v1/league", `{"baselines": true, "matches_per_pair": -2}`, "matches per pair"},
+		{"league path mode", "/v1/league", `{"baselines": true, "path_mode": "XX"}`, "unknown path mode"},
+		{"league per side", "/v1/league", `{"baselines": true, "per_side": -1}`, "per-side"},
+		{"league rounds", "/v1/league", `{"baselines": true, "rounds": -7}`, "rounds"},
+		{"league csn", "/v1/league", `{"baselines": true, "csn": -1}`, "CSN"},
+		{"league parallelism", "/v1/league", `{"baselines": true, "parallelism": -1}`, "parallelism"},
+		{"submit parallelism", "/v1/jobs", fmt.Sprintf(`{"scenarios": %s, "parallelism": -3}`, smokeSpec), "parallelism"},
+	} {
+		before, err := store.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := doJSON(t, http.MethodPost, base+tc.path, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: %d %s, want 400 naming %q", tc.name, code, body, tc.want)
+		}
+		if after, _ := store.List(); len(after) != len(before) {
+			t.Errorf("%s: rejected request left a record (%d → %d)", tc.name, len(before), len(after))
+		}
+	}
+}

@@ -94,6 +94,7 @@ import (
 	"adhocga/internal/jobstore"
 	"adhocga/internal/league"
 	"adhocga/internal/obs"
+	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 	"adhocga/internal/ws"
 )
@@ -522,6 +523,9 @@ type resolvedSubmit struct {
 // resolveSubmit validates the request, folds in the server defaults, and
 // builds the job it describes.
 func (s *Server) resolveSubmit(req SubmitRequest) (resolvedSubmit, adhocga.ScenariosSpec, error) {
+	if err := (runner.Options{Parallelism: req.Parallelism}).Validate(); err != nil {
+		return resolvedSubmit{}, adhocga.ScenariosSpec{}, err
+	}
 	specs, err := scenario.Load(bytes.NewReader(req.Scenarios))
 	if err != nil {
 		return resolvedSubmit{}, adhocga.ScenariosSpec{}, fmt.Errorf("scenarios: %w", err)
@@ -713,24 +717,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			opts.From = last + 1
 		}
 	}
-	if j == nil {
-		// Recovered finished job: serve the archived replay from the
-		// record — NDJSON byte-identical to what the original process
-		// streamed, or the same lines as SSE frames. Jobs that outgrew log
-		// retention keep only digests; verify can still re-derive and
-		// check the replay.
-		if len(rec.EventLog) == 0 {
-			httpError(w, http.StatusGone, "job %s: event log not retained; POST %s to re-derive and check the replay",
-				rec.ID, "/v1/jobs/"+rec.ID+"/verify")
-			return
-		}
-		if sse {
-			writeStoredSSE(w, rec.EventLog, opts.From)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(rec.EventLog)
+	if j == nil && len(rec.EventLog) == 0 {
+		// A recovered job whose log outgrew retention keeps only its
+		// digest; verify can still re-derive and check the replay.
+		httpError(w, http.StatusGone, "job %s: event log not retained; POST %s to re-derive and check the replay",
+			rec.ID, "/v1/jobs/"+rec.ID+"/verify")
 		return
 	}
 	if sse {
@@ -749,72 +740,81 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Push the response headers out now: an SSE client on an idle stream
 	// must see the connection established before the first event or ping.
 	flush()
+	send := func(seq int, frame []byte) error {
+		var err error
+		if sse {
+			_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", seq, frame)
+		} else {
+			_, err = fmt.Fprintf(w, "%s\n", frame)
+		}
+		flush()
+		return err
+	}
+	if j == nil {
+		// Recovered finished job: its stored log goes out through the
+		// same send, so the NDJSON is byte-identical to what the original
+		// process streamed and the SSE frames match a live stream's. A log
+		// is stored only when the hub still held the job's whole history,
+		// so line i is the event with sequence i.
+		for seq, line := range bytes.Split(bytes.TrimSuffix(rec.EventLog, []byte("\n")), []byte("\n")) {
+			if seq >= opts.From && send(seq, line) != nil {
+				return
+			}
+		}
+		return
+	}
+	var ping func() error
+	if sse {
+		// SSE comment frame: ignored by clients, resets proxy idle timers.
+		ping = func() error {
+			_, err := io.WriteString(w, ": ping\n\n")
+			flush()
+			return err
+		}
+	}
 	// The stream detaches when the client goes away or the service shuts
 	// down; the job itself is unaffected either way.
 	ctx, cancel, stopAfter := s.streamContext(r)
 	defer cancel()
 	defer stopAfter()
-	sub := j.Subscribe(ctx, opts)
-	var keepalive <-chan time.Time
-	if sse {
-		tick, stop := s.newTicker(s.opts.KeepaliveInterval)
+	_ = s.deliver(ctx, j, j.Subscribe(ctx, opts), send, ping)
+}
+
+// deliver is the one delivery loop behind NDJSON, SSE and WebSocket: it
+// hands every event of sub to send as the job's cached frame (the hub
+// marshals each event once, however many streams fan it out; frame plus
+// "\n" is byte-identical to json.Encoder.Encode, which the goldens pin)
+// and, when ping is non-nil, calls it on every keepalive tick. It returns
+// nil after the terminal event, the subscription's error when it ended
+// otherwise, ctx's error once the stream is detached, or the first send,
+// ping or framing error.
+func (s *Server) deliver(ctx context.Context, j *adhocga.Job, sub *adhocga.Subscription,
+	send func(seq int, frame []byte) error, ping func() error) error {
+	var tick <-chan time.Time
+	if ping != nil {
+		c, stop := s.newTicker(s.opts.KeepaliveInterval)
 		defer stop()
-		keepalive = tick
+		tick = c
 	}
 	for {
 		select {
 		case e, open := <-sub.C:
 			if !open {
-				return
+				return sub.Err()
 			}
-			// The hub's frame cache marshals each event once, no matter
-			// how many streams fan it out. Frame + "\n" is byte-identical
-			// to json.Encoder.Encode (the goldens pin this).
 			b, err := j.Frame(e)
 			if err != nil {
-				return
+				return err
 			}
-			if sse {
-				if _, err := fmt.Fprintf(w, "id: %d\ndata: ", e.Seq); err != nil {
-					return
-				}
+			if err := send(e.Seq, b); err != nil {
+				return err
 			}
-			if _, err := w.Write(b); err != nil {
-				return
+		case <-tick:
+			if err := ping(); err != nil {
+				return err
 			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return
-			}
-			if sse {
-				if _, err := io.WriteString(w, "\n"); err != nil {
-					return
-				}
-			}
-			flush()
-		case <-keepalive:
-			// SSE comment frame: ignored by clients, resets proxy idle
-			// timers.
-			if _, err := io.WriteString(w, ": ping\n\n"); err != nil {
-				return
-			}
-			flush()
-		}
-	}
-}
-
-// writeStoredSSE serves a stored NDJSON event log as SSE frames, from
-// sequence number from on. A log is stored only when the hub still held
-// the job's whole history, so line i is the event with sequence i.
-func writeStoredSSE(w http.ResponseWriter, log []byte, from int) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	for seq, line := range bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n")) {
-		if seq < from {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", seq, line); err != nil {
-			return
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
@@ -875,43 +875,19 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
-	tick, stop := s.newTicker(s.opts.KeepaliveInterval)
-	defer stop()
-	for {
-		select {
-		case e, open := <-sub.C:
-			if !open {
-				switch sub.Err() {
-				case nil: // terminal event delivered
-					conn.WriteClose(ws.CloseNormal, "job stream complete")
-				case adhocga.ErrSlowSubscriber:
-					conn.WriteClose(CloseSlowSubscriber, "not draining; reconnect with ?after=")
-				default:
-					// Subscription torn down without a terminal event —
-					// service shutdown, typically. A close frame lets the
-					// client tell "server going away" from a network fault.
-					conn.WriteClose(ws.CloseGoingAway, "going away")
-				}
-				return
-			}
-			b, err := j.Frame(e)
-			if err != nil {
-				return
-			}
-			if err := conn.WriteText(b); err != nil {
-				return
-			}
-		case <-tick:
-			if err := conn.WritePing(nil); err != nil {
-				return
-			}
-		case <-ctx.Done():
-			// Both exit paths race on shutdown (the cancelled subscription
-			// closes sub.C as ctx fires); send the same close frame here so
-			// the client-visible behavior doesn't depend on select order.
-			conn.WriteClose(ws.CloseGoingAway, "going away")
-			return
-		}
+	err = s.deliver(ctx, j, sub,
+		func(_ int, frame []byte) error { return conn.WriteText(frame) },
+		func() error { return conn.WritePing(nil) })
+	switch {
+	case err == nil: // terminal event delivered
+		conn.WriteClose(ws.CloseNormal, "job stream complete")
+	case errors.Is(err, adhocga.ErrSlowSubscriber):
+		conn.WriteClose(CloseSlowSubscriber, "not draining; reconnect with ?after=")
+	case ctx.Err() != nil:
+		// Detached without a terminal event — service shutdown,
+		// typically. A close frame lets the client tell "server going
+		// away" from a network fault.
+		conn.WriteClose(ws.CloseGoingAway, "going away")
 	}
 }
 

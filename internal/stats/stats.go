@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
@@ -57,43 +56,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// between order statistics. It panics on an empty slice or q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
-	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// CI95HalfWidth returns the half-width of a normal-approximation 95%
-// confidence interval for the mean (1.96·s/√n), or 0 for fewer than two
-// samples.
-func CI95HalfWidth(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // Summary is a one-pass description of a sample.

@@ -46,58 +46,6 @@ func TestMinMax(t *testing.T) {
 	MinMax(nil)
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !approx(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.5); !approx(got, 5, 1e-12) {
-		t.Errorf("interpolated median = %v, want 5", got)
-	}
-	// Input must not be reordered.
-	orig := []float64{5, 1, 3}
-	Quantile(orig, 0.5)
-	if orig[0] != 5 || orig[1] != 1 || orig[2] != 3 {
-		t.Error("Quantile reordered its input")
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, q := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Quantile(%v) did not panic", q)
-				}
-			}()
-			Quantile([]float64{1}, q)
-		}()
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{9, 1, 5}); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
-	}
-}
-
-func TestCI95(t *testing.T) {
-	if got := CI95HalfWidth([]float64{5}); got != 0 {
-		t.Errorf("CI of single sample = %v, want 0", got)
-	}
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	want := 1.96 * StdDev(xs) / math.Sqrt(10)
-	if got := CI95HalfWidth(xs); !approx(got, want, 1e-12) {
-		t.Errorf("CI95 = %v, want %v", got, want)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {

@@ -139,37 +139,3 @@ func (c *Chart) Render() string {
 	}
 	return sb.String()
 }
-
-// Sparkline renders a single series as one line of block characters, for
-// compact progress logging.
-func Sparkline(y []float64) string {
-	if len(y) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range y {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo == hi {
-		hi = lo + 1
-	}
-	var sb strings.Builder
-	for _, v := range y {
-		frac := (v - lo) / (hi - lo)
-		idx := int(frac * float64(len(blocks)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(blocks) {
-			idx = len(blocks) - 1
-		}
-		sb.WriteRune(blocks[idx])
-	}
-	return sb.String()
-}

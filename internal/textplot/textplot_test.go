@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
 func TestRenderBasic(t *testing.T) {
@@ -79,26 +78,5 @@ func TestRenderRespectsDimensions(t *testing.T) {
 	// 4 plot rows + 1 axis + 1 legend = 6.
 	if len(lines) != 6 {
 		t.Errorf("expected 6 lines, got %d:\n%s", len(lines), out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if utf8.RuneCountInString(s) != 4 {
-		t.Errorf("sparkline length = %d, want 4", utf8.RuneCountInString(s))
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty string")
-	}
-	flat := Sparkline([]float64{5, 5})
-	if utf8.RuneCountInString(flat) != 2 {
-		t.Errorf("flat sparkline length = %d", utf8.RuneCountInString(flat))
-	}
-	// Monotone data should produce a monotone non-decreasing sparkline.
-	mono := []rune(Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}))
-	for i := 1; i < len(mono); i++ {
-		if mono[i] < mono[i-1] {
-			t.Errorf("sparkline not monotone: %s", string(mono))
-		}
 	}
 }

@@ -97,51 +97,67 @@ func checkpointEvent(scen, rep int, seed uint64, cp core.Checkpoint) Event {
 	}}
 }
 
-// eventOptions returns a copy of opts with the session's pool installed
-// and the observation hooks chained into event emission (user-supplied
-// hooks, if any, still fire first). Every batch spec's run goes through
-// here, so a job observes the same events whether it arrives via Submit,
-// a Session convenience method, or the HTTP service.
-func eventOptions(opts RunOptions, s *Session, emit func(Event)) RunOptions {
-	if opts.Pool == nil {
-		opts.Pool = s.pool
-	}
-	userRep := opts.OnReplicate
-	opts.OnReplicate = func(done, total int) {
-		if userRep != nil {
-			userRep(done, total)
+// callerHook is one hook slot a spec may arrive with: its field name and
+// whether the caller filled it.
+type callerHook struct {
+	field string
+	set   bool
+}
+
+// rejectCallerHooks fails a job whose spec fills a slot the session
+// owns. A job is observed only through its events (Job.Events), so the
+// engine hooks are the session's emit path, not a caller's; the pool is
+// the session's too. The error names the first filled field.
+func rejectCallerHooks(hooks ...callerHook) error {
+	for _, h := range hooks {
+		if h.set {
+			return fmt.Errorf("adhocga: %s is set; the session owns it — observe the job through Job.Events", h.field)
 		}
+	}
+	return nil
+}
+
+// coreHooks lists a serial engine config's hook slots under prefix.
+func coreHooks(prefix string, cfg core.Config) []callerHook {
+	return []callerHook{
+		{prefix + ".OnGeneration", cfg.OnGeneration != nil},
+		{prefix + ".OnChurn", cfg.OnChurn != nil},
+		{prefix + ".OnCheckpoint", cfg.OnCheckpoint != nil},
+	}
+}
+
+// eventOptions returns a copy of opts with the session's pool installed
+// and every observation hook emitting events. Every batch spec's run goes
+// through here, so a job observes the same events whether it arrives via
+// Submit, a Session convenience method, or the HTTP service.
+func eventOptions(opts RunOptions, s *Session, emit func(Event)) (RunOptions, error) {
+	if err := rejectCallerHooks(
+		callerHook{"RunOptions.Pool", opts.Pool != nil},
+		callerHook{"RunOptions.OnReplicate", opts.OnReplicate != nil},
+		callerHook{"RunOptions.OnGeneration", opts.OnGeneration != nil},
+		callerHook{"RunOptions.OnIslandGeneration", opts.OnIslandGeneration != nil},
+		callerHook{"RunOptions.OnChurn", opts.OnChurn != nil},
+		callerHook{"RunOptions.OnCheckpoint", opts.OnCheckpoint != nil},
+	); err != nil {
+		return opts, err
+	}
+	opts.Pool = s.pool
+	opts.OnReplicate = func(done, total int) {
 		emit(Event{Kind: KindReplicate, Replicate: &ReplicateEvent{Done: done, Total: total}})
 	}
-	userGen := opts.OnGeneration
 	opts.OnGeneration = func(scen, rep int, gs core.GenerationStats) {
-		if userGen != nil {
-			userGen(scen, rep, gs)
-		}
 		emit(generationEvent(scen, rep, gs))
 	}
-	userIsl := opts.OnIslandGeneration
 	opts.OnIslandGeneration = func(scen, rep int, gs island.GenerationStats) {
-		if userIsl != nil {
-			userIsl(scen, rep, gs)
-		}
 		emit(islandsEvent(scen, rep, gs))
 	}
-	userChurn := opts.OnChurn
 	opts.OnChurn = func(scen, rep, gen int) {
-		if userChurn != nil {
-			userChurn(scen, rep, gen)
-		}
 		emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Scenario: scen, Rep: rep, Gen: gen}})
 	}
-	userCp := opts.OnCheckpoint
 	opts.OnCheckpoint = func(scen, rep int, seed uint64, cp core.Checkpoint) {
-		if userCp != nil {
-			userCp(scen, rep, seed, cp)
-		}
 		emit(checkpointEvent(scen, rep, seed, cp))
 	}
-	return opts
+	return opts, nil
 }
 
 // EvolveSpec runs one serial evolutionary experiment (the Evolve entry
@@ -156,27 +172,12 @@ func (EvolveSpec) Kind() string { return "evolve" }
 
 func (sp EvolveSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
 	cfg := sp.Config
-	userGen := cfg.OnGeneration
-	cfg.OnGeneration = func(gs GenerationStats) {
-		if userGen != nil {
-			userGen(gs)
-		}
-		emit(generationEvent(0, 0, gs))
+	if err := rejectCallerHooks(coreHooks("EvolutionConfig", cfg)...); err != nil {
+		return nil, err
 	}
-	userChurn := cfg.OnChurn
-	cfg.OnChurn = func(gen int) {
-		if userChurn != nil {
-			userChurn(gen)
-		}
-		emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}})
-	}
-	userCp := cfg.OnCheckpoint
-	cfg.OnCheckpoint = func(cp core.Checkpoint) {
-		if userCp != nil {
-			userCp(cp)
-		}
-		emit(checkpointEvent(0, 0, cfg.Seed, cp))
-	}
+	cfg.OnGeneration = func(gs GenerationStats) { emit(generationEvent(0, 0, gs)) }
+	cfg.OnChurn = func(gen int) { emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}}) }
+	cfg.OnCheckpoint = func(cp core.Checkpoint) { emit(checkpointEvent(0, 0, cfg.Seed, cp)) }
 	return runPooled(ctx, s, func() (any, error) {
 		engine, err := core.New(cfg)
 		if err != nil {
@@ -199,32 +200,20 @@ func (IslandsSpec) Kind() string { return "islands" }
 
 func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
 	cfg := sp.Config
+	hooks := append(coreHooks("IslandConfig.Core", cfg.Core),
+		callerHook{"IslandConfig.OnGeneration", cfg.OnGeneration != nil},
+		callerHook{"IslandConfig.OnCheckpoint", cfg.OnCheckpoint != nil})
+	if err := rejectCallerHooks(hooks...); err != nil {
+		return nil, err
+	}
 	if cfg.Parallelism <= 0 {
 		// The pool's size, not GOMAXPROCS, which a server raises to keep
 		// a P free for I/O.
 		cfg.Parallelism = s.PoolSize()
 	}
-	userGen := cfg.OnGeneration
-	cfg.OnGeneration = func(gs IslandGenerationStats) {
-		if userGen != nil {
-			userGen(gs)
-		}
-		emit(islandsEvent(0, 0, gs))
-	}
-	userChurn := cfg.Core.OnChurn
-	cfg.Core.OnChurn = func(gen int) {
-		if userChurn != nil {
-			userChurn(gen)
-		}
-		emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}})
-	}
-	userCp := cfg.OnCheckpoint
-	cfg.OnCheckpoint = func(cp core.Checkpoint) {
-		if userCp != nil {
-			userCp(cp)
-		}
-		emit(checkpointEvent(0, 0, cfg.Core.Seed, cp))
-	}
+	cfg.OnGeneration = func(gs IslandGenerationStats) { emit(islandsEvent(0, 0, gs)) }
+	cfg.Core.OnChurn = func(gen int) { emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}}) }
+	cfg.OnCheckpoint = func(cp core.Checkpoint) { emit(checkpointEvent(0, 0, cfg.Core.Seed, cp)) }
 	return runPooled(ctx, s, func() (any, error) {
 		engine, err := island.New(cfg)
 		if err != nil {
@@ -252,7 +241,11 @@ func (sp ScenariosSpec) run(ctx context.Context, s *Session, emit func(Event)) (
 	if len(sp.Runs) == 0 {
 		return nil, fmt.Errorf("adhocga: scenarios job has no scenarios")
 	}
-	return experiment.RunScenariosContext(ctx, sp.Runs, s.scaleOr(sp.Defaults), eventOptions(sp.Opts, s, emit))
+	opts, err := eventOptions(sp.Opts, s, emit)
+	if err != nil {
+		return nil, err
+	}
+	return experiment.RunScenariosContext(ctx, sp.Runs, s.scaleOr(sp.Defaults), opts)
 }
 
 // MixSpec plays one fixed-population baseline tournament (the RunMix
@@ -286,11 +279,10 @@ func (IPDRPSpec) Kind() string { return "ipdrp" }
 
 func (sp IPDRPSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
 	cfg := sp.Config
-	userGen := cfg.OnGeneration
+	if err := rejectCallerHooks(callerHook{"IPDRPConfig.OnGeneration", cfg.OnGeneration != nil}); err != nil {
+		return nil, err
+	}
 	cfg.OnGeneration = func(gen int, coopRate float64, stats ga.PopulationStats) {
-		if userGen != nil {
-			userGen(gen, coopRate, stats)
-		}
 		emit(Event{Kind: KindGeneration, Generation: &GenerationEvent{
 			Gen:         gen,
 			Coop:        coopRate,

@@ -74,9 +74,9 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 		Seed:           sp.Seed,
 		Parallelism:    sp.Parallelism,
 	}
-	if cfg.Parallelism <= 0 {
+	if cfg.Parallelism == 0 {
 		// The pool's size, not GOMAXPROCS, which a server raises to keep
-		// a P free for I/O.
+		// a P free for I/O. A negative count fails the league's Validate.
 		cfg.Parallelism = s.PoolSize()
 	}
 	// One pool slot for the whole league; its matches fan out over the
