@@ -45,7 +45,7 @@ func TestFinishedJobFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for e := range j.Subscribe(ctx, SubscribeOptions{}).C {
+		for e := range follow(j.Subscribe(ctx, SubscribeOptions{})) {
 			if _, err := j.Frame(e); err != nil {
 				t.Fatal(err)
 			}

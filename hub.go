@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"slices"
 	"sync"
@@ -15,15 +16,16 @@ import (
 // goroutine) appends events into a fixed-capacity ring buffer with an
 // incrementally-compacted snapshot (the latest generation/islands/churn
 // event per stream, plus the latest replicate and the terminal event), and
-// any number of subscribers follow through bounded send channels with an
-// explicit backpressure policy. This replaces the per-subscriber
-// full-replay append-only log: a job's event memory is bounded by the ring
-// regardless of how long it runs, and a slow reader can never stall the
-// producer past the configured deadline — it is either resynced from the
-// snapshot (live viewers) or evicted (archival readers that stopped
-// draining). Once the terminal event seals a hub whose ring never lapped,
-// the ring holds every event, so the hub drops the snapshot map and
-// derives the snapshot from the ring.
+// any number of subscribers follow it as cursors, each with an explicit
+// backpressure policy and no goroutine or buffer of its own: the reader
+// pulls events from the ring (or the snapshot, across a gap) and parks on
+// a wake channel the next append closes. A job's event memory is bounded
+// by the ring regardless of how long it runs, and a slow reader can never
+// stall the producer past the configured deadline — it is either resynced
+// from the snapshot (live viewers) or evicted (archival readers that
+// stopped reading). Once the terminal event seals a hub whose ring never
+// lapped, the ring holds every event, so the hub drops the snapshot map
+// and derives the snapshot from the ring.
 //
 // Determinism contract: event contents, Seq numbering, and emission order
 // are exactly what the append-only log produced. A replay subscription on
@@ -36,18 +38,10 @@ import (
 // slow-subscriber catch-up when HubConfig.RingSize is not set.
 const DefaultRingSize = 1024
 
-// The hub's backpressure budget, the same for every job.
-const (
-	// subscriberBuffer is each subscriber's send-channel capacity — the
-	// slack a consumer gets before its backpressure policy engages —
-	// unless SubscribeOptions.Buffer overrides it.
-	subscriberBuffer = 64
-	// blockDeadline is the longest one append waits for a
-	// BlockWithDeadline subscriber whose unread events would be
-	// overwritten; past it the laggard is evicted and the producer moves
-	// on.
-	blockDeadline = time.Second
-)
+// blockDeadline is the longest one append waits for a BlockWithDeadline
+// subscriber whose unread events would be overwritten; past it the laggard
+// is evicted and the producer moves on. It is the same for every job.
+const blockDeadline = time.Second
 
 // HubConfig sizes a job's streaming hub. The zero value means the
 // default size.
@@ -71,7 +65,7 @@ const (
 	// the subscriber to advance before overwriting its unread events,
 	// then evicts it with ErrSlowSubscriber if it still has not moved.
 	// This is the archival policy: the NDJSON event path and the CLIs use
-	// it so an actively-draining consumer sees every event with no gaps.
+	// it so an actively-reading consumer sees every event with no gaps.
 	BlockWithDeadline Backpressure = iota
 	// DropResync never blocks the producer: a lapped subscriber skips
 	// ahead — it receives the compacted snapshot of the range it missed
@@ -82,7 +76,7 @@ const (
 )
 
 // ErrSlowSubscriber is the terminal error of a subscription evicted by
-// backpressure: the consumer stopped draining and its policy forbade
+// backpressure: the consumer stopped reading and its policy forbade
 // skipping ahead.
 var ErrSlowSubscriber = errors.New("adhocga: subscriber evicted: not draining within the backpressure deadline")
 
@@ -103,21 +97,72 @@ type SubscribeOptions struct {
 	// Policy is the backpressure policy; the zero value is
 	// BlockWithDeadline.
 	Policy Backpressure
-	// Buffer overrides the per-subscriber send-channel capacity for this
-	// subscription; ≤0 uses the hub's default of 64 events.
-	Buffer int
 }
 
-// Subscription is one subscriber's handle: receive from C until it closes,
-// then ask Err why. All methods are safe for concurrent use.
+// Subscription is one subscriber's cursor into the job's event stream:
+// call Next until it returns an error. All methods are safe for
+// concurrent use; each event goes to whichever caller's Next takes it.
 type Subscription struct {
-	// C delivers the subscription's events in Seq order. It is closed
-	// after the terminal KindDone event, on detach (context cancelled),
-	// or on eviction.
-	C <-chan Event
-
 	hub *hub
 	sub *subscriber
+}
+
+// Next returns the event at the subscription's cursor, in Seq order, and
+// moves the cursor past it. When no event is ready yet it returns a wake
+// channel instead: it is closed once an event may be ready (or the
+// subscription was detached), and the caller then calls Next again. After
+// the terminal KindDone event Next returns io.EOF; after an eviction or a
+// detach it returns the subscription's error (see Err). It never blocks
+// beyond the hub's lock.
+func (s *Subscription) Next() (Event, <-chan struct{}, error) {
+	h, sub := s.hub, s.sub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for {
+		if sub.err != nil {
+			return Event{}, nil, sub.err
+		}
+		if sub.cursor < h.start && sub.syncTo <= sub.cursor {
+			// Lapped (or attached below the retained range): resync via
+			// the snapshot of what was missed.
+			sub.syncTo = h.start
+			if !sub.initial {
+				sub.resyncs++
+				h.resyncs++
+			}
+		}
+		var e Event
+		switch {
+		case sub.syncTo > sub.cursor:
+			sub.initial = false
+			missed := h.snapRangeLocked(sub.cursor, sub.syncTo)
+			if len(missed) == 0 {
+				// Every event left in the missed range was superseded by
+				// a later one still in the ring: go on with the ring.
+				sub.cursor = sub.syncTo
+				continue
+			}
+			e = missed[0]
+			sub.cursor = e.Seq + 1
+		case sub.cursor < h.total:
+			e = h.ring[sub.cursor%len(h.ring)]
+			sub.cursor++
+			if sub.policy != DropResync {
+				signal(&h.progress)
+			}
+		case h.closed:
+			// Past the terminal event, or subscribed at or past the end of
+			// a finished stream.
+			h.removeLocked(sub)
+			return Event{}, nil, io.EOF
+		default:
+			return Event{}, await(&h.notify), nil
+		}
+		if h.closed && sub.cursor == h.total {
+			h.removeLocked(sub) // e is the terminal event
+		}
+		return e, nil, nil
+	}
 }
 
 // Err reports how the subscription ended: nil while live or after a
@@ -182,11 +227,29 @@ func compactionKey(e Event) streamKey {
 	}
 }
 
+// hand sends e on out for Job.EventsContext's adapter. It also wakes on
+// the hub's appends and detaches, since one may end the subscription
+// while nobody receives, and reports false once it has ended.
+func (s *Subscription) hand(out chan<- Event, e Event) bool {
+	for {
+		s.hub.mu.Lock()
+		err, wake := s.sub.err, await(&s.hub.notify)
+		s.hub.mu.Unlock()
+		if err != nil {
+			return false
+		}
+		select {
+		case out <- e:
+			return true
+		case <-wake:
+		}
+	}
+}
+
 // subscriber is the hub-internal state of one subscription.
 type subscriber struct {
-	out    chan Event
 	policy Backpressure
-	quit   chan struct{} // closed on eviction; wakes a blocked pump send
+	stop   func() bool // unregisters the context detach
 
 	cursor  int  // next Seq to deliver
 	syncTo  int  // when > cursor: snapshot the range [cursor, syncTo) then jump
@@ -196,16 +259,13 @@ type subscriber struct {
 }
 
 // hub is a job's broadcast core. All mutable state is guarded by mu; the
-// producer appends under it, subscriber pumps read batches under it and
-// send outside it.
+// producer appends under it and every subscription's Next reads under it.
 type hub struct {
 	cfg    HubConfig
 	jobID  string
 	logger *slog.Logger
-	// subBuffer and blockDeadline are subscriberBuffer and blockDeadline;
-	// hub tests shrink them so backpressure engages within a few events
-	// and milliseconds.
-	subBuffer     int
+	// blockDeadline is the package's blockDeadline; hub tests shrink it so
+	// backpressure engages within milliseconds.
 	blockDeadline time.Duration
 
 	mu       sync.Mutex
@@ -215,8 +275,8 @@ type hub struct {
 	total    int      // Seq of the next event (== events emitted)
 	snap     map[streamKey]Event
 	closed   bool          // terminal event appended; no more appends
-	notify   chan struct{} // closed+replaced on every append
-	progress chan struct{} // closed+replaced when a guarded subscriber advances or detaches
+	notify   chan struct{} // nil, or made by a parked reader; closed by the next append or detach
+	progress chan struct{} // nil, or made by a waiting producer; closed when a guarded subscriber advances or leaves
 
 	subs      map[*subscriber]struct{} // nil until the first subscribe, and on a sealed hub nobody follows
 	guarded   map[*subscriber]struct{} // the non-DropResync subset the producer must check
@@ -236,11 +296,25 @@ func newHub(jobID string, cfg HubConfig, logger *slog.Logger) *hub {
 		cfg:           cfg,
 		jobID:         jobID,
 		logger:        logger,
-		subBuffer:     subscriberBuffer,
 		blockDeadline: blockDeadline,
 		snap:          map[streamKey]Event{},
-		notify:        make(chan struct{}),
-		progress:      make(chan struct{}),
+	}
+}
+
+// await returns the wake channel *c, making it if no waiter has yet.
+func await(c *chan struct{}) chan struct{} {
+	if *c == nil {
+		*c = make(chan struct{})
+	}
+	return *c
+}
+
+// signal wakes whoever waits on *c, if anyone does, and leaves it for the
+// next waiter to make afresh. Nobody waiting costs nothing.
+func signal(c *chan struct{}) {
+	if *c != nil {
+		close(*c)
+		*c = nil
 	}
 }
 
@@ -305,12 +379,12 @@ func (h *hub) append(e Event, terminal bool) {
 		// With the ring at capacity this append overwrites seq h.start;
 		// guarded subscribers still sitting exactly there get their
 		// policy applied. (A guarded cursor already below h.start means
-		// the subscriber attached late; its pump resyncs it, the
+		// the subscriber attached late; its Next resyncs it, the
 		// producer owes it nothing.)
 		var blocker *subscriber
 		if h.total-h.start == len(h.ring) {
 			for s := range h.guarded {
-				if s.err == nil && s.cursor == h.start {
+				if s.cursor == h.start {
 					if timedOut {
 						h.evictLocked(s)
 					} else {
@@ -320,7 +394,7 @@ func (h *hub) append(e Event, terminal bool) {
 			}
 		}
 		if blocker != nil {
-			progress := h.progress
+			progress := await(&h.progress)
 			h.mu.Unlock()
 			if timer == nil {
 				waitStart = time.Now()
@@ -368,63 +442,45 @@ func (h *hub) append(e Event, terminal bool) {
 				h.relayoutLocked(n)
 			}
 		}
-		close(h.notify)
-		h.notify = make(chan struct{})
+		signal(&h.notify)
 		h.mu.Unlock()
 		return
 	}
 }
 
-// evictLocked applies backpressure eviction to one subscriber.
+// evictLocked applies backpressure eviction to one subscriber. Its reader
+// learns of it from Next once the append that evicted it wakes the hub.
 func (h *hub) evictLocked(s *subscriber) {
 	s.err = ErrSlowSubscriber
-	close(s.quit)
 	h.evictions++
 	h.logger.Warn("subscriber evicted by backpressure",
 		"job", h.jobID, "cursor", s.cursor, "evictions", h.evictions)
-	// Leave removal from the maps to the pump, which owns the exit path;
-	// the err guard keeps the producer from re-evicting meanwhile.
+	h.removeLocked(s)
 }
 
-// removeLocked detaches a subscriber and wakes a producer that may have
-// been waiting on it.
+// removeLocked detaches a subscriber, releases its context registration,
+// and wakes a producer that may have been waiting on it.
 func (h *hub) removeLocked(s *subscriber) {
 	if _, ok := h.subs[s]; !ok {
 		return
 	}
 	delete(h.subs, s)
 	delete(h.guarded, s)
+	s.stop()
 	h.releaseIdleLocked()
-	close(h.progress)
-	h.progress = make(chan struct{})
+	signal(&h.progress)
 }
 
-func (h *hub) remove(s *subscriber) {
+// detach ends a still-attached subscription with its context's error and
+// wakes the parked readers, so its own reader learns of it from Next.
+func (h *hub) detach(s *subscriber, err error) {
 	h.mu.Lock()
-	h.removeLocked(s)
-	h.mu.Unlock()
-}
-
-// fail records a detach reason (context cancellation) and removes.
-func (h *hub) fail(s *subscriber, err error) {
-	h.mu.Lock()
-	if s.err == nil {
+	defer h.mu.Unlock()
+	if _, ok := h.subs[s]; ok {
 		s.err = err
+		h.removeLocked(s)
+		signal(&h.notify)
 	}
-	h.removeLocked(s)
-	h.mu.Unlock()
-}
-
-// advance moves a subscriber's cursor past one delivered ring event and,
-// for guarded policies, signals the producer that space may have opened.
-func (h *hub) advance(s *subscriber) {
-	h.mu.Lock()
-	s.cursor++
-	if s.policy != DropResync {
-		close(h.progress)
-		h.progress = make(chan struct{})
-	}
-	h.mu.Unlock()
 }
 
 // snapRangeLocked returns the compacted snapshot of the Seq range
@@ -461,18 +517,13 @@ func (h *hub) snapRangeLocked(lo, hi int) []Event {
 	return out
 }
 
-// subscribe attaches a new subscription and starts its pump.
+// subscribe attaches a new subscription at its starting cursor. The
+// context's cancellation detaches it through context.AfterFunc, so an idle
+// subscription holds no goroutine.
 func (h *hub) subscribe(ctx context.Context, opts SubscribeOptions) *Subscription {
-	buf := opts.Buffer
-	if buf <= 0 {
-		buf = h.subBuffer
-	}
-	s := &subscriber{
-		out:    make(chan Event, buf),
-		policy: opts.Policy,
-		quit:   make(chan struct{}),
-	}
+	s := &subscriber{policy: opts.Policy}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if opts.Live {
 		// The attach-time snapshot jump; at total == 0 there is no history
 		// to jump over, so a later lap is a real resync, not this one.
@@ -494,98 +545,10 @@ func (h *hub) subscribe(ctx context.Context, opts SubscribeOptions) *Subscriptio
 		}
 		h.guarded[s] = struct{}{}
 	}
-	h.mu.Unlock()
-	go h.pump(ctx, s)
-	return &Subscription{C: s.out, hub: h, sub: s}
-}
-
-// pump is one subscription's delivery goroutine: batch events out of the
-// ring (or the snapshot, when catching up across a gap) under the lock,
-// send them outside it, exit after the terminal event.
-func (h *hub) pump(ctx context.Context, s *subscriber) {
-	defer close(s.out)
-	for {
-		h.mu.Lock()
-		if s.err != nil { // evicted by the producer
-			h.removeLocked(s)
-			h.mu.Unlock()
-			return
-		}
-		if s.cursor < h.start && s.syncTo <= s.cursor {
-			// Lapped (or attached below the retained range): resync via
-			// the snapshot of what was missed.
-			s.syncTo = h.start
-			if !s.initial {
-				s.resyncs++
-				h.resyncs++
-			}
-		}
-		var batch []Event
-		fromRing := false
-		if s.syncTo > s.cursor {
-			batch = h.snapRangeLocked(s.cursor, s.syncTo)
-			s.initial = false
-			s.cursor = s.syncTo
-			if len(batch) == 0 {
-				// Every event in the missed range was superseded by a
-				// later one still in the ring: nothing to deliver for the
-				// gap itself — go around for the ring tail.
-				h.mu.Unlock()
-				continue
-			}
-		} else if n := h.total - s.cursor; n > 0 {
-			// Bound the copy a parked pump can hold: one send channel's
-			// worth per round trip keeps per-subscriber memory independent
-			// of the ring size.
-			if max := cap(s.out); n > max {
-				n = max
-			}
-			fromRing = true
-			batch = make([]Event, n)
-			for i := range batch {
-				batch[i] = h.ring[(s.cursor+i)%len(h.ring)]
-			}
-		}
-		closed := h.closed
-		notify := h.notify
-		h.mu.Unlock()
-
-		if len(batch) == 0 {
-			if closed {
-				// Subscribed at or past the end of a finished stream.
-				h.remove(s)
-				return
-			}
-			select {
-			case <-notify:
-			case <-ctx.Done():
-				h.fail(s, ctx.Err())
-				return
-			case <-s.quit:
-				h.remove(s)
-				return
-			}
-			continue
-		}
-		for _, e := range batch {
-			select {
-			case s.out <- e:
-				if fromRing {
-					h.advance(s)
-				}
-				if e.Kind == KindDone {
-					h.remove(s)
-					return
-				}
-			case <-ctx.Done():
-				h.fail(s, ctx.Err())
-				return
-			case <-s.quit:
-				h.remove(s)
-				return
-			}
-		}
-	}
+	// Registered under the lock: a context already done runs the detach
+	// on its own goroutine, which waits for this one to finish.
+	s.stop = context.AfterFunc(ctx, func() { h.detach(s, ctx.Err()) })
+	return &Subscription{hub: h, sub: s}
 }
 
 // frame returns the JSON encoding of one delivered event, shared across

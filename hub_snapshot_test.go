@@ -88,11 +88,11 @@ func checkSealedSnapshot(t *testing.T, ring int, kinds []byte) {
 	t.Helper()
 	j := testJob(HubConfig{RingSize: ring})
 	ref := newRefHub(ring)
-	follower := j.Subscribe(context.Background(), SubscribeOptions{Live: true, Policy: DropResync, Buffer: 4})
+	follower := j.Subscribe(context.Background(), SubscribeOptions{Live: true, Policy: DropResync})
 	followed := make(chan []Event)
 	go func() {
 		var got []Event
-		for e := range follower.C {
+		for e := range follow(follower) {
 			got = append(got, e)
 		}
 		followed <- got

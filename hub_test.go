@@ -9,6 +9,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"iter"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -21,12 +23,10 @@ func testJob(cfg HubConfig) *Job {
 	return j
 }
 
-// tunedJob is testJob with the hub's subscriber buffer and, when
-// deadline > 0, its block deadline shrunk, so backpressure engages within
-// a few events and milliseconds.
-func tunedJob(ring, buffer int, deadline time.Duration) *Job {
+// tunedJob is testJob with, when deadline > 0, the hub's block deadline
+// shrunk, so backpressure engages within milliseconds.
+func tunedJob(ring int, deadline time.Duration) *Job {
 	j := testJob(HubConfig{RingSize: ring})
-	j.hub.subBuffer = buffer
 	if deadline > 0 {
 		j.hub.blockDeadline = deadline
 	}
@@ -37,12 +37,32 @@ func genEvent(rep, gen int) Event {
 	return Event{Kind: KindGeneration, Generation: &GenerationEvent{Rep: rep, Gen: gen}}
 }
 
+// follow ranges over a subscription's cursor: every event Next returns,
+// parking on its wake channel in between, until the stream ends.
+func follow(sub *Subscription) iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for {
+			e, wake, err := sub.Next()
+			if err != nil {
+				return
+			}
+			if wake != nil {
+				<-wake
+				continue
+			}
+			if !yield(e) {
+				return
+			}
+		}
+	}
+}
+
 // drain reads a subscription to exhaustion, asserting strictly-increasing
 // sequence numbers, and returns the events.
 func drainSub(t *testing.T, sub *Subscription) []Event {
 	t.Helper()
 	var events []Event
-	for e := range sub.C {
+	for e := range follow(sub) {
 		if len(events) > 0 && e.Seq <= events[len(events)-1].Seq {
 			t.Fatalf("sequence not increasing: %d after %d", e.Seq, events[len(events)-1].Seq)
 		}
@@ -153,7 +173,7 @@ func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 	// A live DropResync viewer that stops reading gets lapped: it must be
 	// skipped ahead via the snapshot — counted in Resyncs — and
 	// the producer must never wait on it (MaxStall stays 0).
-	j := tunedJob(8, 1, 0)
+	j := tunedJob(8, 0)
 	sub := j.Subscribe(context.Background(), SubscribeOptions{Live: true, Policy: DropResync})
 	const gens = 200
 	for g := 0; g < gens; g++ {
@@ -184,16 +204,27 @@ func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 }
 
 func TestHubSlowArchivalSubscriberEvicted(t *testing.T) {
-	// A BlockWithDeadline subscriber that stops draining: the producer
-	// waits at most the block deadline for it, then evicts it with
-	// ErrSlowSubscriber and moves on — it is never blocked indefinitely.
+	// A BlockWithDeadline subscriber that reads a few events and then
+	// stops: the producer waits at most the block deadline for it, then
+	// evicts it with ErrSlowSubscriber and moves on — it is never blocked
+	// indefinitely.
 	const deadline = 50 * time.Millisecond
-	j := tunedJob(8, 2, deadline)
+	j := tunedJob(8, deadline)
 	sub := j.Subscribe(context.Background(), SubscribeOptions{Policy: BlockWithDeadline})
+	const read = 3
+	var received []Event
+	for g := 0; g < read; g++ {
+		j.emit(genEvent(0, g))
+		e, wake, err := sub.Next()
+		if err != nil || wake != nil {
+			t.Fatalf("Next after emit %d: wake %v, err %v", g, wake, err)
+		}
+		received = append(received, e)
+	}
 
 	start := time.Now()
-	const gens = 40 // well past ring + buffer: guarantees a lap
-	for g := 0; g < gens; g++ {
+	const gens = 40 // well past the ring: guarantees a lap
+	for g := read; g < gens; g++ {
 		j.emit(genEvent(0, g))
 	}
 	j.finish(nil, nil)
@@ -211,11 +242,19 @@ func TestHubSlowArchivalSubscriberEvicted(t *testing.T) {
 		t.Errorf("MaxStall = %v, want ~%v", stats.MaxStall, deadline)
 	}
 
-	// The subscriber side: channel closes after the undrained buffer, and
-	// Err explains the eviction.
-	events := drainSub(t, sub)
-	if len(events) == 0 {
-		t.Error("evicted subscriber lost its buffered events")
+	// The subscriber side: what it received before the eviction is
+	// gap-free, the stream ends there, and Err explains why.
+	received = append(received, drainSub(t, sub)...)
+	for i, e := range received {
+		if e.Seq != i {
+			t.Fatalf("evicted subscriber received seq %d at position %d: its stream has a gap", e.Seq, i)
+		}
+	}
+	if len(received) != read {
+		t.Errorf("evicted subscriber received %d events, read %d before it stopped", len(received), read)
+	}
+	if _, _, err := sub.Next(); err != ErrSlowSubscriber {
+		t.Errorf("Next after eviction: err %v, want ErrSlowSubscriber", err)
 	}
 	if err := sub.Err(); err != ErrSlowSubscriber {
 		t.Errorf("Err() = %v, want ErrSlowSubscriber", err)
@@ -227,11 +266,19 @@ func TestHubSubscriberDetachOnContextCancel(t *testing.T) {
 	j.emit(genEvent(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	sub := j.Subscribe(ctx, SubscribeOptions{})
-	if e := <-sub.C; e.Seq != 0 {
-		t.Fatalf("first event %+v", e)
+	if e, _, err := sub.Next(); err != nil || e.Seq != 0 {
+		t.Fatalf("first event %+v, err %v", e, err)
+	}
+	// Park the reader on the wake channel, then detach: the detach must
+	// wake it, and Next must report the context's error.
+	_, wake, err := sub.Next()
+	if wake == nil || err != nil {
+		t.Fatalf("caught-up cursor: wake %v, err %v", wake, err)
 	}
 	cancel()
-	for range sub.C {
+	<-wake
+	if _, _, err := sub.Next(); err != context.Canceled {
+		t.Errorf("Next after detach: err %v, want context.Canceled", err)
 	}
 	if err := sub.Err(); err != context.Canceled {
 		t.Errorf("Err() = %v, want context.Canceled", err)
@@ -250,7 +297,7 @@ func TestHubConcurrentSubscribeUnsubscribeEvict(t *testing.T) {
 	// -race): one producer on a tiny ring, churning subscribers of every
 	// policy — some draining, some abandoned mid-stream, some too slow to
 	// live — plus concurrent stats/snapshot readers.
-	j := tunedJob(8, 2, time.Millisecond)
+	j := tunedJob(8, time.Millisecond)
 	const gens = 300
 	go func() {
 		for g := 0; g < gens; g++ {
@@ -271,7 +318,7 @@ func TestHubConcurrentSubscribeUnsubscribeEvict(t *testing.T) {
 					Policy: policies[(w+i)%len(policies)],
 				})
 				reads := 0
-				for range sub.C {
+				for range follow(sub) {
 					if reads++; i%3 == 0 && reads > w {
 						cancel() // abandon mid-stream
 					}
@@ -367,7 +414,7 @@ func TestFrameCache(t *testing.T) {
 	sub := j.Subscribe(context.Background(), SubscribeOptions{})
 	j.finish(nil, nil)
 	served := map[int][]byte{}
-	for e := range sub.C {
+	for e := range follow(sub) {
 		b, err := j.Frame(e)
 		if err != nil {
 			t.Fatal(err)
@@ -492,4 +539,71 @@ func TestHubSealFitsRing(t *testing.T) {
 			check("live", SubscribeOptions{Live: true, Policy: DropResync}, want(0, true))
 		})
 	}
+}
+
+// TestIdleSubscriptionsHoldNoGoroutine: a subscription is a cursor its
+// reader drives, so attaching 1,000 of them to a quiet hub — live and
+// replaying, under both policies, on a context that can still detach
+// them — starts no goroutine, and detaching them all leaves none behind.
+func TestIdleSubscriptionsHoldNoGoroutine(t *testing.T) {
+	const subs, slack = 1000, 10
+	j := testJob(HubConfig{})
+	for g := 0; g < 10; g++ {
+		j.emit(genEvent(0, g))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	policies := []Backpressure{BlockWithDeadline, DropResync}
+	for i := 0; i < subs; i++ {
+		j.Subscribe(ctx, SubscribeOptions{Live: i%2 == 0, Policy: policies[i/2%2]})
+	}
+	if grown := runtime.NumGoroutine() - before; grown > slack {
+		t.Errorf("%d idle subscriptions hold %d goroutines", subs, grown)
+	}
+	if n := j.StreamStats().Subscribers; n != subs {
+		t.Fatalf("%d subscribers attached, want %d", n, subs)
+	}
+
+	cancel()
+	deadline := time.Now().Add(10 * time.Second)
+	for j.StreamStats().Subscribers > 0 || runtime.NumGoroutine()-before > slack {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the detach: %d subscribers, %d goroutines above the start",
+				j.StreamStats().Subscribers, runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEventsAdapterExitsWhenEvicted: a library caller that takes
+// Job.Events and stops receiving still gets its adapter goroutine back.
+// The producer evicts the stalled subscription after the block deadline,
+// and the adapter, parked on handing over its next event, exits and
+// closes the channel without anyone receiving from it.
+func TestEventsAdapterExitsWhenEvicted(t *testing.T) {
+	j := tunedJob(8, 10*time.Millisecond)
+	before := runtime.NumGoroutine()
+	events := j.Events()
+	j.emit(genEvent(0, 0))
+	if e := <-events; e.Seq != 0 {
+		t.Fatalf("first event %+v", e)
+	}
+	for g := 1; g < 40; g++ { // well past the ring: the stalled reader is evicted
+		j.emit(genEvent(0, g))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned adapter still running: %d goroutines above the start", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if e, open := <-events; open {
+		t.Errorf("evicted adapter's channel still open, delivered %+v", e)
+	}
+	if n := j.StreamStats().Evictions; n != 1 {
+		t.Errorf("evictions = %d, want 1", n)
+	}
+	j.finish(nil, nil)
 }

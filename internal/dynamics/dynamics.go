@@ -366,7 +366,7 @@ func (m *Model) Rewire() bool {
 	if m.cfg.RewireProb <= 0 || !m.r.Bool(m.cfg.RewireProb) {
 		return false
 	}
-	m.alpha += (m.r.Float64()*2 - 1) * m.cfg.RewireStep
+	m.alpha += float64((m.r.Float64()*2 - 1) * m.cfg.RewireStep)
 	if m.alpha < 0 {
 		m.alpha = 0
 	}

@@ -277,7 +277,7 @@ func RunContext(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	for i := range t.Standings {
 		s := &t.Standings[i]
-		s.Points = float64(s.Wins) + float64(s.Draws)/2
+		s.Points = float64(s.Wins) + float64(float64(s.Draws)/2)
 		if s.Played > 0 {
 			s.WinRate = s.Points / float64(s.Played)
 			s.MeanPayoff = payoff[i] / float64(played[i])

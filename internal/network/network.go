@@ -157,7 +157,7 @@ func MixedPathLengths(alpha float64) LengthDist {
 	}
 	probs := make(map[int]float64, MaxHops-MinHops+1)
 	for h := MinHops; h <= MaxHops; h++ {
-		if p := (1-alpha)*spLengths.Prob(h) + alpha*lpLengths.Prob(h); p > 0 {
+		if p := float64((1-alpha)*spLengths.Prob(h)) + float64(alpha*lpLengths.Prob(h)); p > 0 {
 			probs[h] = p
 		}
 	}

@@ -160,8 +160,8 @@ func (s *Source) IntRange(lo, hi int) int {
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (s *Source) Float64() float64 {
-	// 53 high bits give the standard dyadic uniform on [0,1).
-	return float64(s.Uint64()>>11) / (1 << 53)
+	// 53 high bits give the dyadic uniform on [0,1), rounded so an inlined caller cannot fuse it.
+	return float64(float64(s.Uint64()>>11) / (1 << 53))
 }
 
 // Bool returns true with probability p. Values of p outside [0,1] clamp to

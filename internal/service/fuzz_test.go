@@ -109,6 +109,7 @@ func FuzzLeagueBody(f *testing.F) {
 		`{"baselines": true, "per_side": 2, "matches_per_pair": 1, "rounds": 10, "seed": 7}`,
 		`{"baselines": true, "path_mode": "LP", "csn": 3, "parallelism": 2}`,
 		`{"champions": ["job-1/x/r0/g1"], "baselines": true}`,
+		`{"champions":["nope/x/r0/g1"],"baselines":true}`,
 		`{"baselines": true, "matches_per_pair": -2}`,
 		`{"baselines": true, "path_mode": "XX"}`,
 		`{"baselines": true, "parallelism": -1}`,

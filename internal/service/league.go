@@ -86,9 +86,10 @@ func (s *Server) handleLeague(w http.ResponseWriter, r *http.Request) {
 
 // resolveLeague decodes a league body and fails what can never run up
 // front, with the job's own rules, so the client gets a 400 and the store
-// no record instead of a failed job: no champions and no baselines can
-// never seat a league, and the knobs must pass the league's checks once
-// its defaults apply.
+// no record instead of a failed job: the champions are seated through
+// Archive.Select, as the job and `adhocga league` seat them, so an unknown
+// ID is rejected; fewer than two seats can never play a league; and the
+// knobs must pass the league's checks once its defaults apply.
 func (s *Server) resolveLeague(body []byte) (adhocga.LeagueJobSpec, error) {
 	var spec adhocga.LeagueJobSpec
 	if len(body) > 0 {
@@ -96,8 +97,17 @@ func (s *Server) resolveLeague(body []byte) (adhocga.LeagueJobSpec, error) {
 			return spec, fmt.Errorf("body: %w", err)
 		}
 	}
-	if len(spec.ChampionIDs) == 0 && s.opts.Champions.Len() == 0 && !spec.IncludeBaselines {
-		return spec, fmt.Errorf("champion archive is empty and baselines are off — nothing to seat")
+	champs, err := s.opts.Champions.Select(spec.ChampionIDs)
+	if err != nil {
+		return spec, err
+	}
+	seats := len(champs)
+	if spec.IncludeBaselines {
+		seats += len(league.BaselineSeats())
+	}
+	if seats < 2 {
+		return spec, fmt.Errorf("league: only %d seats (archive has %d champions; add baselines or harvest champions)",
+			seats, s.opts.Champions.Len())
 	}
 	mode, err := network.ModeByName(spec.PathMode)
 	if err != nil {

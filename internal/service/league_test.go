@@ -173,15 +173,8 @@ func TestChampionsAndLeagueEndToEnd(t *testing.T) {
 
 	// Malformed and unsatisfiable submissions.
 	code, body = doJSON(t, http.MethodPost, base+"/v1/league", `{"champions": ["missing"]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("league with unknown champion: %d %s, want 202 (fails as a job)", code, body)
-	}
-	var doomed JobInfo
-	if err := json.Unmarshal(body, &doomed); err != nil {
-		t.Fatal(err)
-	}
-	if bad := waitState(t, base, doomed.ID); bad.State != string(adhocga.JobFailed) {
-		t.Fatalf("unknown-champion league ended %q, want failed", bad.State)
+	if code != http.StatusBadRequest {
+		t.Fatalf("league with unknown champion: %d %s, want 400", code, body)
 	}
 	if code, body = doJSON(t, http.MethodPost, base+"/v1/league", `{not json`); code != http.StatusBadRequest {
 		t.Fatalf("bad body: %d %s", code, body)
@@ -195,6 +188,35 @@ func TestLeagueRejectsEmptySeating(t *testing.T) {
 	code, body := doJSON(t, http.MethodPost, base+"/v1/league", `{"seed": 1}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("empty seating: %d %s, want 400", code, body)
+	}
+}
+
+// TestLeagueRejectsUnseatableLeague: a league naming a champion the
+// archive does not hold, or seating fewer than two, can never play, so
+// it is a 400 that says why and writes no record, as `adhocga league`
+// exits 2 for it.
+func TestLeagueRejectsUnseatableLeague(t *testing.T) {
+	arch := league.NewMemArchive()
+	champ := league.Champion{ID: league.ChampionID("job-1", "x", 0, 1), Genome: "0101011011111"}
+	if err := champ.Fill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Put(champ); err != nil {
+		t.Fatal(err)
+	}
+	store := jobstore.NewMem()
+	base, _ := newLeagueServer(t, store, arch)
+	for _, tc := range []struct{ body, want string }{
+		{`{"champions":["nope/x/r0/g1"],"baselines":true}`, `unknown champion \"nope/x/r0/g1\"`},
+		{`{"champions":["job-1/x/r0/g1"]}`, "only 1 seats"},
+	} {
+		code, body := doJSON(t, http.MethodPost, base+"/v1/league", tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Fatalf("%s: %d %s, want 400 saying %s", tc.body, code, body, tc.want)
+		}
+	}
+	if recs, err := store.List(); err != nil || len(recs) != 0 {
+		t.Fatalf("rejected leagues left %d records (err %v)", len(recs), err)
 	}
 }
 

@@ -781,13 +781,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // deliver is the one delivery loop behind NDJSON, SSE and WebSocket: it
-// hands every event of sub to send as the job's cached frame (the hub
-// marshals each event once, however many streams fan it out; frame plus
-// "\n" is byte-identical to json.Encoder.Encode, which the goldens pin)
-// and, when ping is non-nil, calls it on every keepalive tick. It returns
-// nil after the terminal event, the subscription's error when it ended
-// otherwise, ctx's error once the stream is detached, or the first send,
-// ping or framing error.
+// reads sub's cursor and hands every event to send as the job's cached
+// frame (the hub marshals each event once, however many streams fan it
+// out; frame plus "\n" is byte-identical to json.Encoder.Encode, which the
+// goldens pin) and, while waiting for the job, calls ping, when non-nil,
+// on every keepalive tick. It returns nil after the terminal event, the
+// subscription's error when it ended otherwise, ctx's error once the
+// stream is detached, or the first send, ping or framing error.
 func (s *Server) deliver(ctx context.Context, j *adhocga.Job, sub *adhocga.Subscription,
 	send func(seq int, frame []byte) error, ping func() error) error {
 	var tick <-chan time.Time
@@ -797,11 +797,13 @@ func (s *Server) deliver(ctx context.Context, j *adhocga.Job, sub *adhocga.Subsc
 		tick = c
 	}
 	for {
-		select {
-		case e, open := <-sub.C:
-			if !open {
-				return sub.Err()
-			}
+		e, wake, err := sub.Next()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		case wake == nil:
 			b, err := j.Frame(e)
 			if err != nil {
 				return err
@@ -809,6 +811,10 @@ func (s *Server) deliver(ctx context.Context, j *adhocga.Job, sub *adhocga.Subsc
 			if err := send(e.Seq, b); err != nil {
 				return err
 			}
+			continue
+		}
+		select {
+		case <-wake:
 		case <-tick:
 			if err := ping(); err != nil {
 				return err

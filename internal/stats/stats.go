@@ -32,7 +32,7 @@ func Variance(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(xs)-1)
 }

@@ -67,8 +67,8 @@ func (s Strategy) Classify() Category {
 	case coop <= 1.0/13.0:
 		return CategoryDefector
 	}
-	low := (s.ForwardFractionAt(Trust0) + s.ForwardFractionAt(Trust1)) / 2
-	high := (s.ForwardFractionAt(Trust2) + s.ForwardFractionAt(Trust3)) / 2
+	low := float64((s.ForwardFractionAt(Trust0) + s.ForwardFractionAt(Trust1)) / 2)
+	high := float64((s.ForwardFractionAt(Trust2) + s.ForwardFractionAt(Trust3)) / 2)
 	switch {
 	case high >= low+0.5:
 		return CategoryReciprocal
@@ -102,7 +102,7 @@ func (c *Census) MeanTrustMonotonicity() float64 {
 	}
 	sum := 0.0
 	for _, r := range c.rows {
-		sum += unpack(r.g).TrustMonotonicity() * float64(r.n)
+		sum += float64(unpack(r.g).TrustMonotonicity() * float64(r.n))
 	}
 	return sum / float64(c.total)
 }

@@ -162,7 +162,7 @@ func (c *Census) MeanCooperativeness() float64 {
 	}
 	sum := 0.0
 	for _, r := range c.rows {
-		sum += unpack(r.g).Cooperativeness() * float64(r.n)
+		sum += float64(unpack(r.g).Cooperativeness() * float64(r.n))
 	}
 	return sum / float64(c.total)
 }

@@ -385,9 +385,9 @@ func (s *Store) Evaluate(id network.NodeID, band float64) (strategy.TrustLevel, 
 	srcF := float64(r.forwards)
 	act := strategy.ActivityMedium
 	switch {
-	case srcF < av-band*av:
+	case srcF < av-float64(band*av):
 		act = strategy.ActivityLow
-	case srcF > av+band*av:
+	case srcF > av+float64(band*av):
 		act = strategy.ActivityHigh
 	}
 	return r.level, act, true

@@ -36,10 +36,10 @@ func (s JobState) Terminal() bool {
 // use.
 //
 // Events flow through the job's streaming hub (see hub.go): a bounded ring
-// buffer plus a compacted per-stream snapshot, fanned out to any number of
-// subscribers with per-subscriber backpressure. A job's event memory is
-// bounded by its HubConfig regardless of how many generations it runs or
-// how many clients watch it.
+// buffer plus a compacted per-stream snapshot, read by any number of
+// subscription cursors with per-subscriber backpressure. A job's event
+// memory is bounded by its HubConfig regardless of how many generations it
+// runs or how many clients watch it.
 type Job struct {
 	id   string
 	kind string
@@ -123,11 +123,11 @@ func (j *Job) Frame(e Event) ([]byte, error) { return j.hub.frame(e) }
 
 // Subscribe attaches one subscription to the job's event stream with
 // explicit replay and backpressure control (see SubscribeOptions and
-// Backpressure). The subscription's channel closes after the terminal
-// KindDone event, when ctx is cancelled, or when backpressure evicts the
-// subscriber; Subscription.Err distinguishes the three. The job itself is
-// never affected by its subscribers beyond the bounded BlockWithDeadline
-// wait.
+// Backpressure): a cursor the caller reads with Subscription.Next. It
+// ends after the terminal KindDone event, when ctx is cancelled, or when
+// backpressure evicts the subscriber; Next's error distinguishes the
+// three. The job itself is never affected by its subscribers beyond the
+// bounded BlockWithDeadline wait.
 func (j *Job) Subscribe(ctx context.Context, opts SubscribeOptions) *Subscription {
 	if opts.From < 0 {
 		opts.From = 0
@@ -142,8 +142,9 @@ func (j *Job) Subscribe(ctx context.Context, opts SubscribeOptions) *Subscriptio
 // BlockWithDeadline policy: an actively-draining consumer sees every event
 // with no gaps, and only a consumer that stops draining for longer than
 // the hub's one-second block deadline is evicted (the channel closes
-// early in that case). The channel is closed after the terminal KindDone event. Use
-// EventsContext to detach early.
+// early in that case). The channel is closed after the terminal KindDone
+// event. Use EventsContext to detach early. One goroutine per call feeds
+// the channel from a Subscription cursor until the stream ends.
 func (j *Job) Events() <-chan Event {
 	return j.EventsContext(context.Background())
 }
@@ -152,7 +153,25 @@ func (j *Job) Events() <-chan Event {
 // subscription stops and the channel is closed without draining the
 // remaining history. The job itself is unaffected.
 func (j *Job) EventsContext(ctx context.Context) <-chan Event {
-	return j.Subscribe(ctx, SubscribeOptions{Policy: BlockWithDeadline}).C
+	sub := j.Subscribe(ctx, SubscribeOptions{Policy: BlockWithDeadline})
+	out := make(chan Event)
+	go func() {
+		defer close(out)
+		for {
+			e, wake, err := sub.Next()
+			if err != nil {
+				return
+			}
+			if wake != nil {
+				<-wake
+				continue
+			}
+			if !sub.hand(out, e) {
+				return
+			}
+		}
+	}()
+	return out
 }
 
 // Wait blocks until the job reaches a terminal state or ctx is done. It

@@ -91,16 +91,16 @@ func WithJobRetention(n int) SessionOption {
 
 // WithHubConfig sizes every job's streaming hub: its ring capacity, which
 // is the event retention and replay depth. A zero RingSize keeps
-// DefaultRingSize. Each subscriber gets a 64-event send buffer (unless
-// SubscribeOptions.Buffer sets another), and the producer waits at most
-// one second for an archival subscriber that stopped draining before it
-// evicts it. Together with WithJobRetention this bounds a long-lived
-// session's event memory: a finished job's ring is fitted to the events
-// it retained (at most RingSize), it caches no frames and keeps no
-// subscriber maps once nobody streams it, and it keeps a snapshot map
-// (the latest event per stream) only if its ring lapped. So a retained
-// job holds at most RingSize events plus, past a lap, one per stream,
-// and a short job holds only its own events.
+// DefaultRingSize. A subscriber is a cursor into that ring with no buffer
+// of its own, and the producer waits at most one second for an archival
+// subscriber that stopped reading before it evicts it. Together with
+// WithJobRetention this bounds a long-lived session's event memory: a
+// finished job's ring is fitted to the events it retained (at most
+// RingSize), it caches no frames and keeps no subscriber maps once nobody
+// streams it, and it keeps a snapshot map (the latest event per stream)
+// only if its ring lapped. So a retained job holds at most RingSize
+// events plus, past a lap, one per stream, and a short job holds only its
+// own events.
 func WithHubConfig(cfg HubConfig) SessionOption {
 	return func(s *Session) { s.hubCfg = cfg }
 }

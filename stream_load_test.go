@@ -73,11 +73,11 @@ func TestStreamLoadThousandsOfSubscribers(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				sub := job.Subscribe(context.Background(), SubscribeOptions{
-					Live: true, Policy: DropResync, Buffer: 16,
+					Live: true, Policy: DropResync,
 				})
 				o := outcome{ok: true}
 				last := -1
-				for e := range sub.C {
+				for e := range follow(sub) {
 					if e.Seq <= last {
 						o.ok = false
 					}
@@ -141,10 +141,10 @@ func TestStreamSubscriberMemoryFlat(t *testing.T) {
 		t.Skip("load test: skipped in -short mode")
 	}
 	// Attach thousands of idle subscribers to a quiet hub and measure the
-	// marginal footprint: heap (channel buffer, bookkeeping) plus
-	// goroutine stacks (one pump each). The bound is loose; the point is
-	// flatness — cost per subscriber independent of job length, which the
-	// ring guarantees by construction.
+	// marginal footprint: heap (the cursor and its map entries) plus
+	// goroutine stacks (none: a subscription runs no goroutine). The
+	// point is flatness — cost per subscriber independent of job length,
+	// which the ring guarantees by construction.
 	j := testJob(HubConfig{})
 	readMem := func() (heap, stack uint64) {
 		runtime.GC()
@@ -156,15 +156,19 @@ func TestStreamSubscriberMemoryFlat(t *testing.T) {
 	subs := make([]*Subscription, loadSubscribers)
 	for i := range subs {
 		subs[i] = j.Subscribe(context.Background(), SubscribeOptions{
-			Live: true, Policy: DropResync, Buffer: 16,
+			Live: true, Policy: DropResync,
 		})
 	}
 	heap1, stack1 := readMem()
 	perSub := (heap1 - heap0 + stack1 - stack0) / loadSubscribers
 	t.Logf("memory: %d subscribers, heap +%d KiB, stacks +%d KiB, %d B/subscriber",
 		loadSubscribers, (heap1-heap0)>>10, (stack1-stack0)>>10, perSub)
-	if perSub > 128<<10 {
-		t.Errorf("%d bytes per idle subscriber; want well under 128 KiB", perSub)
+	// The bound: 8 runs (6 plain, 2 under -race, amd64, Go 1.24) measured
+	// 277–278 B every time. 512 B leaves room for another Go release's
+	// map layout, while a goroutine per subscriber (a stack of at least
+	// 2 KiB) fails it.
+	if perSub > 512 {
+		t.Errorf("%d bytes per idle subscriber; want at most 512", perSub)
 	}
 
 	// Emit a long stream: per-subscriber memory must not scale with the
@@ -181,19 +185,12 @@ func TestStreamSubscriberMemoryFlat(t *testing.T) {
 		t.Errorf("heap grew %d B during the stream — per-subscriber cost is not flat", growth)
 	}
 
-	// Cleanly tear down: finish the job and drain every subscription (the
-	// pumps are parked on full buffers and need their consumers back).
+	// Cleanly tear down: finish the job and read every cursor to its end.
 	j.finish(nil, nil)
-	var wg sync.WaitGroup
 	for _, sub := range subs {
-		wg.Add(1)
-		go func(sub *Subscription) {
-			defer wg.Done()
-			for range sub.C {
-			}
-		}(sub)
+		for range follow(sub) {
+		}
 	}
-	wg.Wait()
 	if n := j.StreamStats().Subscribers; n > 0 {
 		t.Errorf("%d subscribers still attached after finish + drain", n)
 	}
