@@ -1,8 +1,6 @@
 package adhocga
 
 import (
-	"io"
-
 	"adhocga/internal/baselines"
 	"adhocga/internal/bitstring"
 	"adhocga/internal/core"
@@ -14,7 +12,6 @@ import (
 	"adhocga/internal/island"
 	"adhocga/internal/league"
 	"adhocga/internal/network"
-	"adhocga/internal/rng"
 	"adhocga/internal/scenario"
 	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
@@ -63,16 +60,6 @@ func NewStrategy(g Genome) Strategy { return strategy.New(g) }
 // grouping spaces: "010 101 101 111 1" or "0101011011111".
 func ParseStrategy(s string) (Strategy, error) { return strategy.Parse(s) }
 
-// RandomStrategy returns a uniformly random strategy drawn from a
-// deterministic stream seeded with seed.
-func RandomStrategy(seed uint64) Strategy { return strategy.Random(rng.New(seed)) }
-
-// AllForward returns the fully cooperative strategy.
-func AllForward() Strategy { return strategy.AllForward() }
-
-// AllDiscard returns the fully selfish strategy (CSN behavior).
-func AllDiscard() Strategy { return strategy.AllDiscard() }
-
 // Environment is one tournament environment: a name and a CSN count
 // (Table 1).
 type Environment = tournament.Environment
@@ -85,9 +72,6 @@ type PathMode = network.PathMode
 
 // ShorterPaths returns the SP path mode (Table 2, left).
 func ShorterPaths() PathMode { return network.ShorterPaths() }
-
-// LongerPaths returns the LP path mode (Table 2, right).
-func LongerPaths() PathMode { return network.LongerPaths() }
 
 // EvolutionConfig parameterizes one evolutionary run; see
 // DefaultEvolutionConfig and the core package for field semantics.
@@ -167,30 +151,9 @@ const (
 	AdversaryOnOff     = game.AdvOnOff
 )
 
-// MixedPaths returns a path mode whose hop-length distribution linearly
-// blends SP (alpha 0) and LP (alpha 1) — the route-length landscape the
-// dynamics rewiring walk moves through.
-func MixedPaths(alpha float64) PathMode { return network.MixedPaths(alpha) }
-
 // RecoverySummary aggregates cooperation dips and recovery times after
 // churn barriers; CaseResult.Recovery carries one for churning scenarios.
 type RecoverySummary = experiment.RecoverySummary
-
-// SummarizeRecovery scans a per-generation cooperation series for the
-// effect of perturbation barriers at the given interval. tol ≤ 0 uses the
-// default tolerance.
-func SummarizeRecovery(series []float64, interval int, tol float64) *RecoverySummary {
-	return experiment.SummarizeRecovery(series, interval, tol)
-}
-
-// Case is one of the paper's four evaluation cases (Table 4).
-type Case = experiment.Case
-
-// Cases returns the four evaluation cases of Table 4.
-func Cases() []Case { return experiment.Cases() }
-
-// CaseByID returns the evaluation case with id 1–4.
-func CaseByID(id int) (Case, error) { return experiment.CaseByID(id) }
 
 // Scale selects the computational budget of a reproduction run.
 type Scale = experiment.Scale
@@ -243,21 +206,8 @@ type ScenarioFamily = scenario.Family
 // replicate streams.
 type ScenarioRun = experiment.ScenarioRun
 
-// ScenarioFamilies returns the registered scenario families.
-func ScenarioFamilies() []ScenarioFamily { return scenario.Families() }
-
 // ScenarioFamilyByName resolves a registered scenario family.
 func ScenarioFamilyByName(name string) (ScenarioFamily, error) { return scenario.FamilyByName(name) }
-
-// LoadScenarios reads one scenario spec or a JSON array of specs.
-func LoadScenarios(r io.Reader) ([]ScenarioSpec, error) { return scenario.Load(r) }
-
-// LoadScenarioFile loads scenario specs from a JSON file.
-func LoadScenarioFile(path string) ([]ScenarioSpec, error) { return scenario.LoadFile(path) }
-
-// SaveScenarios writes scenario specs as JSON in a shape LoadScenarios
-// accepts.
-func SaveScenarios(w io.Writer, specs []ScenarioSpec) error { return scenario.Save(w, specs) }
 
 // Profile is a named fixed (non-evolved) strategy for baseline mixes.
 type Profile = baselines.Profile
@@ -318,17 +268,9 @@ func NewChampionArchive() *ChampionArchive { return league.NewMemArchive() }
 // in dir, persisted through the jobstore WAL machinery.
 func OpenChampionArchive(dir string) (*ChampionArchive, error) { return league.OpenDir(dir) }
 
-// LeagueSeat is one league participant: a named strategy expanded to a
-// homogeneous team per match side.
-type LeagueSeat = league.Seat
-
 // LeagueTable is a league outcome: standings sorted best-first plus the
 // head-to-head matrix. Deterministic JSON at a fixed seed.
 type LeagueTable = league.Table
 
 // LeagueStanding is one seat's row in a LeagueTable.
 type LeagueStanding = league.Standing
-
-// BaselineSeats returns the scripted league seats: all-forward,
-// never-forward, and the paper's Table 7 reciprocal winner.
-func BaselineSeats() []LeagueSeat { return league.BaselineSeats() }

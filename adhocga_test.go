@@ -2,7 +2,6 @@ package adhocga
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -26,12 +25,8 @@ func TestFacadeStrategyRoundtrip(t *testing.T) {
 	if s.DecideUnknown() != Forward {
 		t.Error("facade DecideUnknown wrong")
 	}
-	if AllForward().Cooperativeness() != 1 || AllDiscard().Cooperativeness() != 0 {
-		t.Error("facade extremes wrong")
-	}
-	a, b := RandomStrategy(5), RandomStrategy(5)
-	if !a.Equal(b) {
-		t.Error("RandomStrategy not deterministic per seed")
+	if again := NewStrategy(s.Genome()); !again.Equal(s) {
+		t.Errorf("NewStrategy(Genome) = %v, want %v", again, s)
 	}
 }
 
@@ -39,15 +34,12 @@ func TestFacadeEnvironmentsAndCases(t *testing.T) {
 	if len(PaperEnvironments()) != 4 {
 		t.Error("PaperEnvironments wrong")
 	}
-	if len(Cases()) != 4 {
-		t.Error("Cases wrong")
+	fam, err := ScenarioFamilyByName("table4")
+	if err != nil || len(fam.Specs()) != 4 || fam.Specs()[1].ID != 2 {
+		t.Errorf("table4 family: %+v, %v", fam, err)
 	}
-	c, err := CaseByID(2)
-	if err != nil || c.ID != 2 {
-		t.Errorf("CaseByID: %v, %v", c, err)
-	}
-	if ShorterPaths().Name != "SP" || LongerPaths().Name != "LP" {
-		t.Error("path modes wrong")
+	if ShorterPaths().Name != "SP" {
+		t.Error("path mode wrong")
 	}
 	if ScalePaper.Generations != 500 || ScaleSmoke.Generations <= 0 {
 		t.Error("scales wrong")
@@ -103,27 +95,9 @@ func TestFacadeRunMixSmoke(t *testing.T) {
 }
 
 func TestFacadeScenarioSmoke(t *testing.T) {
-	if len(ScenarioFamilies()) < 4 {
-		t.Error("scenario families missing")
-	}
-	fam, err := ScenarioFamilyByName("table4")
-	if err != nil || len(fam.Specs()) != 4 {
-		t.Errorf("table4 family: %+v, %v", fam, err)
-	}
-	specs, err := LoadScenarios(strings.NewReader(
-		`{"name":"facade","environments":[{"csn":3}],"repetitions":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := SaveScenarios(&buf, specs); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"facade"`) {
-		t.Errorf("saved spec missing name: %s", buf.String())
-	}
+	spec := ScenarioSpec{Name: "facade", Environments: []ScenarioEnv{{CSN: 3}}, Repetitions: 2}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	results, err := facadeSession(t).RunScenarios(context.Background(), []ScenarioRun{{Spec: specs[0], Seed: 8}}, sc, RunOptions{})
+	results, err := facadeSession(t).RunScenarios(context.Background(), []ScenarioRun{{Spec: spec, Seed: 8}}, sc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,23 +137,7 @@ func runLeague(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		return 0
 	}
 
-	// Select up front so an unknown champion or a seatless league is a
-	// usage error (exit 2) rather than a failed job.
-	champs, err := archive.Select(ids)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	seats := len(champs)
-	if *baselines {
-		seats += len(league.BaselineSeats())
-	}
-	if seats < 2 {
-		fmt.Fprintf(stderr, "adhocga league: only %d seats (archive has %d champions; add -baselines or -harvest)\n", seats, archive.Len())
-		return 2
-	}
-
-	table, err := session.RunLeague(ctx, adhocga.LeagueJobSpec{
+	spec := adhocga.LeagueJobSpec{
 		ChampionIDs:      ids,
 		IncludeBaselines: *baselines,
 		PerSide:          *perSide,
@@ -163,7 +147,14 @@ func runLeague(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		PathMode:         c.mode,
 		Seed:             c.seed,
 		Parallelism:      c.par,
-	})
+	}
+	// Validate up front so an unknown champion or a seatless league is a
+	// usage error (exit 2) rather than a failed job.
+	if err := spec.Validate(archive); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	table, err := session.RunLeague(ctx, spec)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		if ctx.Err() != nil {

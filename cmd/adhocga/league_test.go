@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"adhocga/internal/league"
 )
 
 // TestOutputGolden pins stdout byte for byte against files recorded from
@@ -123,6 +125,40 @@ func TestSeatChampionByID(t *testing.T) {
 	want := []string{"champion/" + id, "baseline/all-forward", "baseline/never-forward", "baseline/paper-winner"}
 	if !reflect.DeepEqual(table.Seats, want) {
 		t.Fatalf("seats = %q, want %q", table.Seats, want)
+	}
+}
+
+// TestLeagueRejectsUnseatableLeague: a league naming a champion the
+// archive does not hold, seating fewer than two, or seating one twice
+// exits 2 with the words adhocd's 400 carries for the same league.
+func TestLeagueRejectsUnseatableLeague(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "hof")
+	arch, err := league.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	champ := league.Champion{ID: league.ChampionID("job-1", "x", 0, 1), Genome: "0101011011111"}
+	if err := champ.Fill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Put(champ); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ids", "nope/x/r0/g1", "-baselines"}, `league: unknown champion "nope/x/r0/g1"`},
+		{[]string{"-ids", "job-1/x/r0/g1"}, "league: only 1 seats (archive has 1 champions; add baselines or harvest champions)"},
+		{[]string{"-ids", "job-1/x/r0/g1", "-ids", "job-1/x/r0/g1"}, `league: duplicate seat "champion/job-1/x/r0/g1"`},
+	} {
+		code, _, errOut := runCLI(t, append([]string{"league", "-archive", dir}, tc.args...)...)
+		if code != 2 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 saying %s", tc.args, code, errOut, tc.want)
+		}
 	}
 }
 

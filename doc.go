@@ -25,19 +25,19 @@
 // this API over HTTP, SSE, and WebSocket (internal/service), through one
 // delivery loop for all three transports.
 //
-// The workload kinds (each a JobSpec with a Session convenience method):
+// The workload kinds, each a JobSpec for Session.Submit (the batch, mix
+// and league kinds also have a Session method that submits and waits):
 //
-//   - EvolveSpec / Session.Evolve runs one evolutionary experiment and
-//     returns the cooperation trajectory and final strategy population;
-//   - IslandsSpec / Session.EvolveIslands runs it on the island-model
-//     engine: the population sharded into subpopulations evolved
-//     concurrently, with periodic elite migration over a pluggable
-//     topology (ring, fully-connected, random-pairs) — deterministic for
-//     a fixed seed at any parallelism level, bit-identical to Evolve
-//     with one island;
+//   - EvolveSpec runs one evolutionary experiment and returns the
+//     cooperation trajectory and final strategy population;
+//   - IslandsSpec runs it on the island-model engine: the population
+//     sharded into subpopulations evolved concurrently, with periodic
+//     elite migration over a pluggable topology (ring, fully-connected,
+//     random-pairs) — deterministic for a fixed seed at any parallelism
+//     level, bit-identical to EvolveSpec with one island;
 //   - ScenariosSpec / Session.RunScenarios runs any batch of
 //     declarative, JSON-serializable ScenarioSpecs — user-authored or
-//     from the built-in registry (ScenarioFamilies: table4, csn-grid,
+//     from the built-in registry (ScenarioFamilyByName: table4, csn-grid,
 //     tournament-size, mixed-env, table4-islands, island-topology-sweep,
 //     churn-sweep, adversary-grid) — every (scenario × replicate) pair
 //     one work unit on the session pool, bit-identical at any
@@ -47,8 +47,8 @@
 //     specs, so both run here;
 //   - MixSpec / Session.RunMix plays fixed (non-evolved) behavior mixes
 //     through the same network model for baseline comparisons;
-//   - IPDRPSpec / Session.RunIPDRP evolves the IPDRP substrate the
-//     paper's game generalizes;
+//   - IPDRPSpec evolves the IPDRP substrate the paper's game
+//     generalizes;
 //   - LeagueJobSpec / Session.RunLeague plays a round-robin league of
 //     archived champions and scripted baselines.
 //

@@ -69,7 +69,7 @@ type Event struct {
 // the §6.2 cooperation observables and the population's fitness moments.
 // Scenario is the index of the scenario (or sweep point) within the job's
 // batch and Rep the replicate within it; both are 0 for single-run jobs
-// (Session.Evolve, Session.RunIPDRP).
+// (EvolveSpec, IPDRPSpec).
 type GenerationEvent struct {
 	Scenario    int     `json:"scenario"`
 	Rep         int     `json:"rep"`
@@ -141,7 +141,7 @@ type DoneEvent struct {
 // PartialSeries folds a job's generation events into per-scenario mean
 // cooperation series — the tool for emitting a meaningful partial result
 // when a job is cancelled mid-flight (SIGINT in the CLIs): feed it every
-// event as it streams, then render Series for whatever generations
+// event as it streams, then RenderInterrupted for whatever generations
 // completed. Not safe for concurrent use; feed it from a single event
 // consumer.
 type PartialSeries struct {
@@ -186,12 +186,12 @@ func (p *PartialSeries) Add(e Event) {
 	}
 }
 
-// LastGeneration returns the highest generation index observed across all
+// lastGeneration returns the highest generation index observed across all
 // scenarios (0 when no generation event arrived).
-func (p *PartialSeries) LastGeneration() int { return p.lastGen }
+func (p *PartialSeries) lastGeneration() int { return p.lastGen }
 
-// Empty reports whether no generation events were folded.
-func (p *PartialSeries) Empty() bool { return len(p.sums) == 0 }
+// empty reports whether no generation events were folded.
+func (p *PartialSeries) empty() bool { return len(p.sums) == 0 }
 
 // RenderInterrupted writes the standard interruption report for a
 // cancelled job: an "interrupted at generation N" marker followed by one
@@ -200,13 +200,13 @@ func (p *PartialSeries) Empty() bool { return len(p.sums) == 0 }
 // the job's batch. Both CLIs call this on SIGINT so a cancelled run
 // still emits the series streamed so far instead of dying mid-write.
 func RenderInterrupted(w io.Writer, p *PartialSeries, names []string) {
-	if p.Empty() {
+	if p.empty() {
 		fmt.Fprintln(w, "interrupted before any generation completed — no partial series to report")
 		return
 	}
-	fmt.Fprintf(w, "interrupted at generation %d — partial cooperation series (mean over replicates observed so far):\n", p.LastGeneration())
+	fmt.Fprintf(w, "interrupted at generation %d — partial cooperation series (mean over replicates observed so far):\n", p.lastGeneration())
 	for i, name := range names {
-		series := p.Series(i, false)
+		series := p.series(i, false)
 		if series == nil {
 			fmt.Fprintf(w, "%s: no completed generations\n", name)
 			continue
@@ -220,13 +220,13 @@ func RenderInterrupted(w io.Writer, p *PartialSeries, names []string) {
 	}
 }
 
-// Series returns scenario scen's per-generation mean cooperation over the
+// series returns scenario scen's per-generation mean cooperation over the
 // replicates observed, from generation 0 through the last generation any
 // of them reached. envMean selects the unweighted per-environment mean
 // (the multi-environment Fig 4 number) instead of the overall level. Gaps
 // (generations no replicate reported) carry the previous value forward so
 // the series is renderable.
-func (p *PartialSeries) Series(scen int, envMean bool) []float64 {
+func (p *PartialSeries) series(scen int, envMean bool) []float64 {
 	m := p.sums[scen]
 	if len(m) == 0 {
 		return nil

@@ -45,28 +45,8 @@ func ExampleSession_RunMix() {
 	// cooperation in range: true
 }
 
-// Evolve strategies in a small CSN-free network for a few generations.
-func ExampleSession_Evolve() {
-	session := adhocga.NewSession()
-	defer session.Close()
-	cfg := adhocga.DefaultEvolutionConfig(adhocga.PaperEnvironments()[:1], adhocga.ShorterPaths(), 42)
-	cfg.PopulationSize = 20
-	cfg.Eval.TournamentSize = 10
-	cfg.Eval.Tournament.Rounds = 10
-	cfg.Generations = 3
-	res, err := session.Evolve(context.Background(), cfg)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("generations recorded:", len(res.CoopSeries))
-	fmt.Println("final strategies:", len(res.FinalStrategies))
-	// Output:
-	// generations recorded: 3
-	// final strategies: 20
-}
-
-// Submit an evolution as a job on a Session and stream its unified event
-// feed — the streaming form of ExampleSession_Evolve.
+// Evolve strategies in a small CSN-free network for a few generations:
+// submit the run as a job on a Session and stream its unified event feed.
 func ExampleSession_Submit() {
 	session := adhocga.NewSession(adhocga.WithPoolSize(2))
 	defer session.Close()

@@ -3,7 +3,7 @@
 // engine's aggregate view with the serial engine on the same budget.
 //
 // The run is deterministic for the fixed seed at any GOMAXPROCS; one
-// island would be bit-identical to Session.Evolve.
+// island would be bit-identical to an EvolveSpec job.
 package main
 
 import (

@@ -210,11 +210,3 @@ func TestTablesHandleNilResults(t *testing.T) {
 	_ = Fig4Table(map[int]*CaseResult{}).Render()
 	_ = Fig4Chart(map[int]*CaseResult{})
 }
-
-func TestPaperFig4FinalIsCopy(t *testing.T) {
-	m := PaperFig4Final()
-	m[1] = 0
-	if PaperFig4Final()[1] != 0.97 {
-		t.Error("PaperFig4Final exposed internal map")
-	}
-}

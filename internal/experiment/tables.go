@@ -213,12 +213,3 @@ func Table8(case3 *CaseResult) *report.Table {
 func Table9(case4 *CaseResult) *report.Table {
 	return SubStrategyTable("Table 9 — evolved sub-strategies, case 4 (long paths)", case4)
 }
-
-// PaperFig4Final exposes the paper's Fig 4 endpoints for tests and docs.
-func PaperFig4Final() map[int]float64 {
-	out := make(map[int]float64, len(paperFig4Final))
-	for k, v := range paperFig4Final {
-		out[k] = v
-	}
-	return out
-}

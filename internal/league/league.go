@@ -15,9 +15,8 @@ import (
 
 // Seat kinds: where a league participant came from.
 const (
-	SeatChampion   = "champion"   // archived hall-of-fame strategy
-	SeatBaseline   = "baseline"   // scripted agent
-	SeatPopulation = "population" // current-population snapshot
+	SeatChampion = "champion" // archived hall-of-fame strategy
+	SeatBaseline = "baseline" // scripted agent
 )
 
 // Seat is one league participant: a named strategy. In a match the seat
@@ -50,12 +49,6 @@ func ChampionSeat(c Champion) (Seat, error) {
 		return Seat{}, err
 	}
 	return Seat{Name: "champion/" + c.ID, Kind: SeatChampion, Genome: c.Genome, Strategy: s}, nil
-}
-
-// PopulationSeat wraps a current-population strategy (typically a run's
-// final best genome) as a league seat.
-func PopulationSeat(name string, s strategy.Strategy) Seat {
-	return Seat{Name: "population/" + name, Kind: SeatPopulation, Strategy: s}
 }
 
 // Config parameterizes a league run: who plays, how each pairing is
@@ -104,8 +97,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks a defaulted config.
+// Validate applies the defaults and checks the config: at least two
+// seats, unique non-empty seat names, and the engine knobs.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	if len(c.Seats) < 2 {
 		return fmt.Errorf("league: need at least 2 seats, have %d", len(c.Seats))
 	}

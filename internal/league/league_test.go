@@ -260,18 +260,6 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-func TestPopulationSeat(t *testing.T) {
-	c := testChampion(t, "x", "0101011011111")
-	s, err := c.Strategy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seat := PopulationSeat("final-best", s)
-	if seat.Name != "population/final-best" || seat.Kind != SeatPopulation {
-		t.Fatalf("PopulationSeat = %+v", seat)
-	}
-}
-
 // BenchmarkRoundRobin measures one full league in island-hof's shape: 16
 // population seats of random strategies plus the three baselines, 10
 // players per side, 2 matches per pair and 100 rounds per match, 342
@@ -280,7 +268,7 @@ func BenchmarkRoundRobin(b *testing.B) {
 	r := rng.New(16)
 	seats := BaselineSeats()
 	for i := 0; i < 16; i++ {
-		seats = append(seats, PopulationSeat(fmt.Sprintf("p%d", i), strategy.Random(r)))
+		seats = append(seats, Seat{Name: fmt.Sprintf("population/p%d", i), Strategy: strategy.Random(r)})
 	}
 	cfg := Config{Seats: seats, PerSide: 10, MatchesPerPair: 2, Rounds: 100, Seed: 7}
 	var matches int

@@ -6,7 +6,6 @@ import (
 
 	"adhocga"
 	"adhocga/internal/league"
-	"adhocga/internal/network"
 )
 
 // The league surface: the champion archive's read endpoints and the
@@ -85,11 +84,8 @@ func (s *Server) handleLeague(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveLeague decodes a league body and fails what can never run up
-// front, with the job's own rules, so the client gets a 400 and the store
-// no record instead of a failed job: the champions are seated through
-// Archive.Select, as the job and `adhocga league` seat them, so an unknown
-// ID is rejected; fewer than two seats can never play a league; and the
-// knobs must pass the league's checks once its defaults apply.
+// front, with the job's own seating rule (LeagueJobSpec.Validate), so the
+// client gets a 400 and the store no record instead of a failed job.
 func (s *Server) resolveLeague(body []byte) (adhocga.LeagueJobSpec, error) {
 	var spec adhocga.LeagueJobSpec
 	if len(body) > 0 {
@@ -97,30 +93,7 @@ func (s *Server) resolveLeague(body []byte) (adhocga.LeagueJobSpec, error) {
 			return spec, fmt.Errorf("body: %w", err)
 		}
 	}
-	champs, err := s.opts.Champions.Select(spec.ChampionIDs)
-	if err != nil {
-		return spec, err
-	}
-	seats := len(champs)
-	if spec.IncludeBaselines {
-		seats += len(league.BaselineSeats())
-	}
-	if seats < 2 {
-		return spec, fmt.Errorf("league: only %d seats (archive has %d champions; add baselines or harvest champions)",
-			seats, s.opts.Champions.Len())
-	}
-	mode, err := network.ModeByName(spec.PathMode)
-	if err != nil {
-		return spec, err
-	}
-	return spec, league.Config{
-		PerSide:        spec.PerSide,
-		CSN:            spec.CSN,
-		MatchesPerPair: spec.MatchesPerPair,
-		Rounds:         spec.Rounds,
-		Mode:           mode,
-		Parallelism:    spec.Parallelism,
-	}.ValidateKnobs()
+	return spec, spec.Validate(s.opts.Champions)
 }
 
 // leagueOf extracts a finished league job's table (nil for every other

@@ -192,9 +192,9 @@ func TestLeagueRejectsEmptySeating(t *testing.T) {
 }
 
 // TestLeagueRejectsUnseatableLeague: a league naming a champion the
-// archive does not hold, or seating fewer than two, can never play, so
-// it is a 400 that says why and writes no record, as `adhocga league`
-// exits 2 for it.
+// archive does not hold, seating fewer than two, or seating one twice
+// can never play, so it is a 400 that says why and writes no record, as
+// `adhocga league` exits 2 for it.
 func TestLeagueRejectsUnseatableLeague(t *testing.T) {
 	arch := league.NewMemArchive()
 	champ := league.Champion{ID: league.ChampionID("job-1", "x", 0, 1), Genome: "0101011011111"}
@@ -209,6 +209,7 @@ func TestLeagueRejectsUnseatableLeague(t *testing.T) {
 	for _, tc := range []struct{ body, want string }{
 		{`{"champions":["nope/x/r0/g1"],"baselines":true}`, `unknown champion \"nope/x/r0/g1\"`},
 		{`{"champions":["job-1/x/r0/g1"]}`, "only 1 seats"},
+		{`{"champions":["job-1/x/r0/g1","job-1/x/r0/g1"]}`, `duplicate seat \"champion/job-1/x/r0/g1\"`},
 	} {
 		code, body := doJSON(t, http.MethodPost, base+"/v1/league", tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {

@@ -129,7 +129,7 @@ func coreHooks(prefix string, cfg core.Config) []callerHook {
 // eventOptions returns a copy of opts with the session's pool installed
 // and every observation hook emitting events. Every batch spec's run goes
 // through here, so a job observes the same events whether it arrives via
-// Submit, a Session convenience method, or the HTTP service.
+// Submit, Session.RunScenarios, or the HTTP service.
 func eventOptions(opts RunOptions, s *Session, emit func(Event)) (RunOptions, error) {
 	if err := rejectCallerHooks(
 		callerHook{"RunOptions.Pool", opts.Pool != nil},
@@ -160,8 +160,7 @@ func eventOptions(opts RunOptions, s *Session, emit func(Event)) (RunOptions, er
 	return opts, nil
 }
 
-// EvolveSpec runs one serial evolutionary experiment (the Evolve entry
-// point). Result type: *EvolutionResult — partial on cancellation.
+// EvolveSpec runs one serial evolutionary experiment. Result type: *EvolutionResult — partial on cancellation.
 // Events: KindGeneration per generation, KindChurn at dynamics barriers.
 type EvolveSpec struct {
 	Config EvolutionConfig
@@ -187,10 +186,9 @@ func (sp EvolveSpec) run(ctx context.Context, s *Session, emit func(Event)) (any
 	})
 }
 
-// IslandsSpec runs one island-model evolutionary experiment (the
-// EvolveIslands entry point). Result type: *IslandResult — partial on
-// cancellation. Events: KindIslands per generation, KindChurn at dynamics
-// barriers.
+// IslandsSpec runs one island-model evolutionary experiment. Result
+// type: *IslandResult — partial on cancellation. Events: KindIslands per
+// generation, KindChurn at dynamics barriers.
 type IslandsSpec struct {
 	Config IslandConfig
 }
@@ -223,8 +221,8 @@ func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (an
 	})
 }
 
-// ScenariosSpec runs a batch of declarative scenarios (the RunScenarios
-// entry point). Zero Defaults falls back to the session default scale.
+// ScenariosSpec runs a batch of declarative scenarios (also
+// Session.RunScenarios). Zero Defaults falls back to the session default scale.
 // Result type: []*CaseResult, in input order. Events: KindGeneration /
 // KindIslands per replicate generation, KindChurn at dynamics barriers,
 // KindReplicate per finished replicate.
@@ -248,8 +246,8 @@ func (sp ScenariosSpec) run(ctx context.Context, s *Session, emit func(Event)) (
 	return experiment.RunScenariosContext(ctx, sp.Runs, s.scaleOr(sp.Defaults), opts)
 }
 
-// MixSpec plays one fixed-population baseline tournament (the RunMix
-// entry point). Result type: *MixResult. A mix is a single bounded
+// MixSpec plays one fixed-population baseline tournament (also
+// Session.RunMix). Result type: *MixResult. A mix is a single bounded
 // tournament, far below generation granularity, so it runs to completion
 // once started; cancellation only prevents a queued mix from starting.
 // Events: the terminal KindDone only.
@@ -266,8 +264,7 @@ func (sp MixSpec) run(ctx context.Context, s *Session, _ func(Event)) (any, erro
 	})
 }
 
-// IPDRPSpec evolves the IPDRP substrate (the RunIPDRP entry point).
-// Result type: *IPDRPResult — partial on cancellation. Events:
+// IPDRPSpec evolves the IPDRP substrate. Result type: *IPDRPResult — partial on cancellation. Events:
 // KindGeneration per generation (fitness moments from the GA population;
 // MeanEnvCoop mirrors Coop, IPDRP having a single environment).
 type IPDRPSpec struct {

@@ -40,29 +40,44 @@ type LeagueJobSpec struct {
 // Kind returns "league".
 func (LeagueJobSpec) Kind() string { return "league" }
 
-func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any, error) {
-	arch := s.champions
+// Validate reports whether sp can run over arch: every named champion is
+// in the archive and decodes, at least two distinct seats result, the
+// path mode is known, and the knobs pass the league's checks once its
+// defaults apply. It applies the job's own seating rule, so the daemon
+// and the CLI reject what the job would fail, with the job's words.
+func (sp LeagueJobSpec) Validate(arch *ChampionArchive) error {
+	_, err := sp.config(arch)
+	return err
+}
+
+// config seats sp over arch — the selected champions in order, then the
+// baselines if asked — and builds the league configuration.
+func (sp LeagueJobSpec) config(arch *league.Archive) (league.Config, error) {
 	if arch == nil {
-		return nil, fmt.Errorf("adhocga: league job needs a champion archive — build the session with WithChampionArchive")
+		return league.Config{}, fmt.Errorf("adhocga: league job needs a champion archive — build the session with WithChampionArchive")
 	}
 	champs, err := arch.Select(sp.ChampionIDs)
 	if err != nil {
-		return nil, err
+		return league.Config{}, err
 	}
 	seats := make([]league.Seat, 0, len(champs)+3)
 	for _, c := range champs {
 		seat, err := league.ChampionSeat(c)
 		if err != nil {
-			return nil, err
+			return league.Config{}, err
 		}
 		seats = append(seats, seat)
 	}
 	if sp.IncludeBaselines {
 		seats = append(seats, league.BaselineSeats()...)
 	}
+	if len(seats) < 2 {
+		return league.Config{}, fmt.Errorf("league: only %d seats (archive has %d champions; add baselines or harvest champions)",
+			len(seats), arch.Len())
+	}
 	mode, err := network.ModeByName(sp.PathMode)
 	if err != nil {
-		return nil, fmt.Errorf("adhocga: league job: %w", err)
+		return league.Config{}, fmt.Errorf("league: %w", err)
 	}
 	cfg := league.Config{
 		Seats:          seats,
@@ -74,9 +89,17 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 		Seed:           sp.Seed,
 		Parallelism:    sp.Parallelism,
 	}
+	return cfg, cfg.Validate()
+}
+
+func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any, error) {
+	cfg, err := sp.config(s.champions)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Parallelism == 0 {
 		// The pool's size, not GOMAXPROCS, which a server raises to keep
-		// a P free for I/O. A negative count fails the league's Validate.
+		// a P free for I/O.
 		cfg.Parallelism = s.PoolSize()
 	}
 	// One pool slot for the whole league; its matches fan out over the

@@ -3,6 +3,7 @@ package adhocga
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -164,6 +165,39 @@ func TestRunLeagueWithoutArchive(t *testing.T) {
 	}
 	if _, err := s.RunLeague(context.Background(), LeagueJobSpec{IncludeBaselines: true}); err == nil {
 		t.Fatal("league ran without a champion archive")
+	}
+	if err := (LeagueJobSpec{IncludeBaselines: true}).Validate(nil); err == nil {
+		t.Fatal("Validate passed a league without a champion archive")
+	}
+}
+
+// TestLeagueValidateMatchesJob: Validate rejects exactly what the league
+// job fails on, with the job's words, and passes what the job runs.
+func TestLeagueValidateMatchesJob(t *testing.T) {
+	arch := NewChampionArchive()
+	champ := Champion{ID: "job-1/x/r0/g1", Genome: "0101011011111"}
+	if err := champ.Fill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Put(champ); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(WithPoolSize(1), WithChampionArchive(arch))
+	defer s.Close()
+	for _, sp := range []LeagueJobSpec{
+		{ChampionIDs: []string{"nope/x/r0/g1"}, IncludeBaselines: true},
+		{ChampionIDs: []string{champ.ID}},
+		{ChampionIDs: []string{champ.ID, champ.ID}, IncludeBaselines: true},
+		{IncludeBaselines: true, PathMode: "XP"},
+		{IncludeBaselines: true, PerSide: -1},
+		{IncludeBaselines: true, Parallelism: -1},
+		{ChampionIDs: []string{champ.ID}, IncludeBaselines: true, PerSide: 1, MatchesPerPair: 1, Rounds: 2},
+	} {
+		verr := sp.Validate(arch)
+		_, jerr := s.RunLeague(context.Background(), sp)
+		if fmt.Sprint(verr) != fmt.Sprint(jerr) {
+			t.Errorf("%+v: Validate says %v, the job %v", sp, verr, jerr)
+		}
 	}
 }
 

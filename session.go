@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -300,27 +301,27 @@ func (s *Session) prune() {
 	if terminal <= s.retain {
 		return
 	}
-	kept := s.order[:0]
-	for _, j := range s.order {
-		if terminal > s.retain && j.State().Terminal() {
-			delete(s.jobs, j.id)
-			terminal--
-			// Fold the evicted hub's counters into the retired accumulator
-			// so StreamTotals stays monotonic across evictions.
-			st := j.StreamStats()
-			s.retired.Emitted += st.Emitted
-			s.retired.Overwritten += st.Overwritten
-			s.retired.Resyncs += st.Resyncs
-			s.retired.Evictions += st.Evictions
-			if st.MaxStall > s.retired.MaxStall {
-				s.retired.MaxStall = st.MaxStall
-			}
-			s.logger.Debug("job evicted by retention", "job", j.id, "state", string(j.State()))
-			continue
+	// DeleteFunc zeroes the vacated tail, so an evicted job and its hub
+	// do not stay reachable from the backing array.
+	s.order = slices.DeleteFunc(s.order, func(j *Job) bool {
+		if terminal <= s.retain || !j.State().Terminal() {
+			return false
 		}
-		kept = append(kept, j)
-	}
-	s.order = kept
+		delete(s.jobs, j.id)
+		terminal--
+		// Fold the evicted hub's counters into the retired accumulator
+		// so StreamTotals stays monotonic across evictions.
+		st := j.StreamStats()
+		s.retired.Emitted += st.Emitted
+		s.retired.Overwritten += st.Overwritten
+		s.retired.Resyncs += st.Resyncs
+		s.retired.Evictions += st.Evictions
+		if st.MaxStall > s.retired.MaxStall {
+			s.retired.MaxStall = st.MaxStall
+		}
+		s.logger.Debug("job evicted by retention", "job", j.id, "state", string(j.State()))
+		return true
+	})
 }
 
 // SessionStats is a point-in-time census of the session's jobs and
@@ -428,24 +429,10 @@ func (s *Session) Close() {
 	s.wg.Wait()
 }
 
-// Typed convenience wrappers: submit one spec and wait for it. Each
-// returns the job's typed result; on cancellation the error wraps
-// context.Canceled and engine-level results are the documented partial
-// ones.
-
-// Evolve runs one serial evolutionary experiment on the session.
-func (s *Session) Evolve(ctx context.Context, cfg EvolutionConfig) (*EvolutionResult, error) {
-	res, err := s.submitAndWait(ctx, EvolveSpec{Config: cfg})
-	out, _ := res.(*EvolutionResult)
-	return out, err
-}
-
-// EvolveIslands runs one island-model experiment on the session.
-func (s *Session) EvolveIslands(ctx context.Context, cfg IslandConfig) (*IslandResult, error) {
-	res, err := s.submitAndWait(ctx, IslandsSpec{Config: cfg})
-	out, _ := res.(*IslandResult)
-	return out, err
-}
+// Typed convenience wrappers for the workloads shipped callers run
+// synchronously: submit one spec and wait for it. Each returns the job's
+// typed result; on cancellation the error wraps context.Canceled. Every
+// other workload is Submit with its spec.
 
 // RunScenarios runs a batch of declarative scenarios on the session.
 func (s *Session) RunScenarios(ctx context.Context, runs []ScenarioRun, defaults Scale, opts RunOptions) ([]*CaseResult, error) {
@@ -458,13 +445,6 @@ func (s *Session) RunScenarios(ctx context.Context, runs []ScenarioRun, defaults
 func (s *Session) RunMix(ctx context.Context, cfg MixConfig) (*MixResult, error) {
 	res, err := s.submitAndWait(ctx, MixSpec{Config: cfg})
 	out, _ := res.(*MixResult)
-	return out, err
-}
-
-// RunIPDRP evolves the IPDRP substrate on the session.
-func (s *Session) RunIPDRP(ctx context.Context, cfg IPDRPConfig) (*IPDRPResult, error) {
-	res, err := s.submitAndWait(ctx, IPDRPSpec{Config: cfg})
-	out, _ := res.(*IPDRPResult)
 	return out, err
 }
 

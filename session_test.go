@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -47,10 +48,14 @@ func TestSessionEvolveBitIdenticalToEngine(t *testing.T) {
 	}
 	s := NewSession(WithPoolSize(2))
 	defer s.Close()
-	viaSession, err := s.Evolve(context.Background(), smallConfig(4, 11))
+	j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(4, 11)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	viaSession := j.Result().(*EvolutionResult)
 	if !reflect.DeepEqual(direct.CoopSeries, viaSession.CoopSeries) {
 		t.Errorf("session path diverged:\nengine:  %v\nsession: %v", direct.CoopSeries, viaSession.CoopSeries)
 	}
@@ -218,9 +223,15 @@ func TestSubmitSweepMixIPDRP(t *testing.T) {
 	icfg := DefaultIPDRPConfig(5)
 	icfg.Generations = 3
 	icfg.Rounds = 10
-	ires, err := s.RunIPDRP(ctx, icfg)
-	if err != nil || len(ires.CoopSeries) != 3 {
-		t.Fatalf("ipdrp: %v %v", ires, err)
+	j, err := s.Submit(ctx, IPDRPSpec{Config: icfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ires := j.Result().(*IPDRPResult); len(ires.CoopSeries) != 3 {
+		t.Fatalf("ipdrp: %d generations", len(ires.CoopSeries))
 	}
 }
 
@@ -429,6 +440,34 @@ func TestJobRetentionEvictsOldTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestPruneReleasesEvictedJobs: one prune that evicts several terminal
+// jobs leaves none of them in the order slice's backing array, where
+// they and their hubs would stay reachable.
+func TestPruneReleasesEvictedJobs(t *testing.T) {
+	s := NewSession(WithJobRetention(1))
+	defer s.Close()
+	var jobs []*Job
+	for i := range 4 {
+		j := newJob(fmt.Sprintf("job-%d", i+1), "evolve", HubConfig{}, s.logger)
+		j.cancel = func() {}
+		j.finish(nil, nil)
+		s.jobs[j.id] = j
+		s.order = append(s.order, j)
+		jobs = append(jobs, j)
+	}
+	s.prune()
+	if len(s.order) != 1 || s.order[0] != jobs[3] {
+		t.Fatalf("prune kept %d jobs, want only the newest", len(s.order))
+	}
+	for i, j := range s.order[:cap(s.order)] {
+		for _, evicted := range jobs[:3] {
+			if j == evicted {
+				t.Errorf("evicted %s still reachable at order[%d]", j.id, i)
+			}
+		}
+	}
+}
+
 func TestEventJSONDeterministic(t *testing.T) {
 	s := NewSession(WithPoolSize(1))
 	defer s.Close()
@@ -457,7 +496,7 @@ func TestEventJSONDeterministic(t *testing.T) {
 
 func TestPartialSeriesFolding(t *testing.T) {
 	var p PartialSeries
-	if !p.Empty() {
+	if !p.empty() {
 		t.Error("fresh accumulator not empty")
 	}
 	add := func(scen, rep, gen int, coop float64) {
@@ -469,10 +508,10 @@ func TestPartialSeriesFolding(t *testing.T) {
 	add(0, 1, 0, 0.4)
 	add(0, 0, 1, 0.6)
 	p.Add(Event{Kind: KindReplicate, Replicate: &ReplicateEvent{Done: 1, Total: 2}}) // ignored
-	if p.Empty() || p.LastGeneration() != 1 {
-		t.Errorf("lastGen %d", p.LastGeneration())
+	if p.empty() || p.lastGeneration() != 1 {
+		t.Errorf("lastGen %d", p.lastGeneration())
 	}
-	got := p.Series(0, false)
+	got := p.series(0, false)
 	want := []float64{0.3, 0.6}
 	if len(got) != len(want) {
 		t.Fatalf("series %v, want %v", got, want)
@@ -482,17 +521,17 @@ func TestPartialSeriesFolding(t *testing.T) {
 			t.Errorf("series %v, want %v", got, want)
 		}
 	}
-	env := p.Series(0, true)
+	env := p.series(0, true)
 	if diff := env[0] - 0.15; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("env series %v", env)
 	}
-	if p.Series(3, false) != nil {
+	if p.series(3, false) != nil {
 		t.Error("unknown scenario should be nil")
 	}
 	// Gap fill: generation 3 observed, 2 missing.
 	add(1, 0, 0, 0.1)
 	add(1, 0, 3, 0.5)
-	s1 := p.Series(1, false)
+	s1 := p.series(1, false)
 	if !reflect.DeepEqual(s1, []float64{0.1, 0.1, 0.1, 0.5}) {
 		t.Errorf("gap-filled series %v", s1)
 	}
