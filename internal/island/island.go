@@ -176,6 +176,7 @@ func (c Config) islandConfig(per int, seed uint64) core.Config {
 	cfg.PopulationSize = per
 	cfg.Seed = seed
 	cfg.OnGeneration = nil
+	cfg.OnChurn = nil
 	cfg.OnCheckpoint = nil
 	return cfg
 }
@@ -358,6 +359,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			if err := e.islands[i].Reproduce(); err != nil {
 				return nil, fmt.Errorf("island %d: generation %d reproduction: %w", i, gen, err)
 			}
+		}
+		if dyn := e.islands[0].Dynamics(); dyn != nil && dyn.Barrier(gen) && e.cfg.Core.OnChurn != nil {
+			e.cfg.Core.OnChurn(gen)
 		}
 	}
 	return res, nil

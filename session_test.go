@@ -198,6 +198,29 @@ func TestSubmitChurnScenarioEmitsChurnEvents(t *testing.T) {
 	}
 }
 
+// TestIslandChurnOncePerBarrier pins that an island run reports each
+// dynamics barrier once, not once per island.
+func TestIslandChurnOncePerBarrier(t *testing.T) {
+	s := NewSession(WithPoolSize(1))
+	defer s.Close()
+	cfg := smallConfig(8, 13)
+	cfg.Eval.TournamentSize = 8
+	cfg.Dynamics = &DynamicsConfig{ChurnRate: 0.3, Interval: 2}
+	j, err := s.Submit(context.Background(), IslandsSpec{Config: IslandConfig{Core: cfg, Count: 2, Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGen := map[int]int{}
+	for _, e := range drain(t, j) {
+		if e.Kind == KindChurn {
+			perGen[e.Churn.Gen]++
+		}
+	}
+	if want := map[int]int{1: 1, 3: 1, 5: 1}; !reflect.DeepEqual(perGen, want) {
+		t.Errorf("churn events per generation %v, want %v", perGen, want)
+	}
+}
+
 func TestSubmitSweepMixIPDRP(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
