@@ -114,16 +114,6 @@ func (c Config) Validate() error {
 		}
 		seen[s.Name] = true
 	}
-	return c.validateKnobs()
-}
-
-// ValidateKnobs applies the defaults and checks everything Validate does
-// but the seats: what a league request can be judged on before its seats
-// are resolved from the champion archive.
-func (c Config) ValidateKnobs() error { return c.withDefaults().validateKnobs() }
-
-// validateKnobs checks a defaulted config's engine knobs.
-func (c Config) validateKnobs() error {
 	if c.PerSide < 1 {
 		return fmt.Errorf("league: per-side count must be ≥ 1, got %d", c.PerSide)
 	}

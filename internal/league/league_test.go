@@ -204,37 +204,25 @@ func TestLeagueTableShape(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	base := goldenConfig(t)
+	// Zero knobs take their defaults, so seats alone make a valid league.
+	if err := (Config{Seats: base.Seats}).Validate(); err != nil {
+		t.Fatalf("seats with default knobs: %v", err)
+	}
 	for name, mutate := range map[string]func(*Config){
-		"one seat":        func(c *Config) { c.Seats = c.Seats[:1] },
-		"empty seat name": func(c *Config) { c.Seats[0].Name = "" },
-		"duplicate seat":  func(c *Config) { c.Seats[1].Name = c.Seats[0].Name },
-		"negative csn":    func(c *Config) { c.CSN = -1 },
+		"one seat":             func(c *Config) { c.Seats = c.Seats[:1] },
+		"empty seat name":      func(c *Config) { c.Seats[0].Name = "" },
+		"duplicate seat":       func(c *Config) { c.Seats[1].Name = c.Seats[0].Name },
+		"negative csn":         func(c *Config) { c.CSN = -1 },
+		"negative per side":    func(c *Config) { c.PerSide = -1 },
+		"negative matches":     func(c *Config) { c.MatchesPerPair = -2 },
+		"negative rounds":      func(c *Config) { c.Rounds = -1 },
+		"negative parallelism": func(c *Config) { c.Parallelism = -1 },
 	} {
 		cfg := base
 		cfg.Seats = append([]Seat(nil), base.Seats...)
 		mutate(&cfg)
 		if _, err := RunContext(context.Background(), cfg); err == nil {
 			t.Errorf("%s: RunContext accepted invalid config", name)
-		}
-	}
-}
-
-// TestValidateKnobs: the seatless check a league request is judged on
-// applies the defaults first (a zero config is valid) and shares every
-// knob rule with Validate.
-func TestValidateKnobs(t *testing.T) {
-	if err := (Config{}).ValidateKnobs(); err != nil {
-		t.Fatalf("zero config after defaults: %v", err)
-	}
-	for name, cfg := range map[string]Config{
-		"per side":    {PerSide: -1},
-		"csn":         {CSN: -1},
-		"matches":     {MatchesPerPair: -2},
-		"rounds":      {Rounds: -1},
-		"parallelism": {Parallelism: -1},
-	} {
-		if err := cfg.ValidateKnobs(); err == nil {
-			t.Errorf("%s: ValidateKnobs accepted %+v", name, cfg)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"adhocga"
 	"adhocga/internal/league"
-	"adhocga/internal/network"
 )
 
 // rejectLeavesNoRecord drives a body the resolver rejected through the
@@ -98,9 +97,9 @@ func FuzzSubmitBody(f *testing.F) {
 
 // FuzzLeagueBody is FuzzSubmitBody's sibling for POST /v1/league, whose
 // body is a LeagueJobSpec rather than a scenario batch. No body may panic
-// resolveLeague. An accepted body's path mode must resolve and its knobs
-// pass the league's checks once the defaults apply, and its record must
-// re-run as the same spec; a rejected one must be a 400 from the handler
+// resolveLeague. An accepted body must pass the job's own builder
+// (LeagueJobSpec.Validate, which seats it and checks every knob), and its
+// record must re-run as the same spec; a rejected one must be a 400 from the handler
 // that leaves the store unchanged.
 //
 //	go test -fuzz FuzzLeagueBody -fuzztime 30s -run '^$' ./internal/service/
@@ -133,16 +132,8 @@ func FuzzLeagueBody(f *testing.F) {
 			}
 			return
 		}
-		mode, err := network.ModeByName(spec.PathMode)
-		if err != nil {
-			t.Fatalf("accepted path mode %q: %v", spec.PathMode, err)
-		}
-		knobs := league.Config{
-			PerSide: spec.PerSide, CSN: spec.CSN, MatchesPerPair: spec.MatchesPerPair,
-			Rounds: spec.Rounds, Mode: mode, Parallelism: spec.Parallelism,
-		}
-		if err := knobs.ValidateKnobs(); err != nil {
-			t.Fatalf("accepted knobs fail the league's checks: %v", err)
+		if err := spec.Validate(arch); err != nil {
+			t.Fatalf("accepted league fails the job's validation: %v", err)
 		}
 		rec, err := newRecord("job-1", spec)
 		if err != nil {
