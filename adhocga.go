@@ -77,12 +77,8 @@ func ShorterPaths() PathMode { return network.ShorterPaths() }
 // DefaultEvolutionConfig and the core package for field semantics.
 type EvolutionConfig = core.Config
 
-// GenerationStats is the serial engine's per-generation snapshot; a job
-// reports it as a KindGeneration event.
-type GenerationStats = core.GenerationStats
-
 // PopulationStats summarizes a generation's fitness distribution and
-// genome diversity (also used by the IPDRP substrate's hook).
+// genome diversity (EvolutionResult.FinalFitness).
 type PopulationStats = ga.PopulationStats
 
 // EvolutionResult holds a run's cooperation history and final population.
@@ -109,11 +105,6 @@ type IslandResult = island.Result
 
 // IslandTrace is one island's per-generation convergence history.
 type IslandTrace = island.Trace
-
-// IslandGenerationStats is the island engine's per-generation snapshot:
-// run-wide cooperation plus per-island fitness and diversity. A job
-// reports it as a KindIslands event.
-type IslandGenerationStats = island.GenerationStats
 
 // IslandTopology selects which islands exchange migrants.
 type IslandTopology = island.Topology
@@ -170,8 +161,8 @@ var (
 type CaseResult = experiment.CaseResult
 
 // RunOptions tune a scenario batch (Session.RunScenarios, ScenariosSpec):
-// its seed and parallelism. Its hooks and Pool belong to the session; a
-// spec that sets one fails its job.
+// its seed and parallelism. The batch runs on the session's pool and
+// reports through the job's events.
 type RunOptions = experiment.Options
 
 // ScenarioSpec declaratively describes one evolutionary experiment:
@@ -245,11 +236,6 @@ type IPDRPResult = ipdrp.Result
 // DefaultIPDRPConfig mirrors the scale of Namikawa and Ishibuchi's
 // experiments (population 100, roulette selection).
 func DefaultIPDRPConfig(seed uint64) IPDRPConfig { return ipdrp.DefaultConfig(seed) }
-
-// Checkpoint is a champion checkpoint: the best genome of one generation
-// with its fitness context (see EvolutionConfig.CheckpointInterval). A
-// job reports it as a KindCheckpoint event.
-type Checkpoint = core.Checkpoint
 
 // Champion is one hall-of-fame record: a checkpointed best-of-generation
 // strategy with its provenance (job, scenario, replicate seed) and

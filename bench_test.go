@@ -23,6 +23,7 @@ import (
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
 	"adhocga/internal/ipdrp"
+	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
@@ -136,7 +137,7 @@ func runAblation(b *testing.B, seed uint64, mutate func(*core.Config)) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := engine.Run()
+		res, err := engine.Run(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,6 +266,12 @@ func csnRuns(counts ...int) []experiment.ScenarioRun {
 	return runs
 }
 
+// runBatch runs a scenario batch on a fresh pool of GOMAXPROCS slots and
+// discards its events: the bare batch layer, without a Session.
+func runBatch(runs []experiment.ScenarioRun, sc experiment.Scale, opts experiment.Options) ([]*experiment.CaseResult, error) {
+	return experiment.RunScenarios(context.Background(), runner.NewPool(0), runs, sc, opts, nil)
+}
+
 // BenchmarkCSNSweep traces evolved cooperation against the selfish-node
 // count — the curve the paper samples at 0/10/25/30 (extension).
 func BenchmarkCSNSweep(b *testing.B) {
@@ -273,7 +280,7 @@ func BenchmarkCSNSweep(b *testing.B) {
 	var points []*experiment.CaseResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiment.RunScenarios(csnRuns(counts...), sc, experiment.Options{Seed: 59})
+		points, err = runBatch(csnRuns(counts...), sc, experiment.Options{Seed: 59})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +303,7 @@ var sweepThroughputCounts = []int{0, 5, 10, 15, 20, 25, 30, 35}
 // sweep. Compare units/s against BenchmarkSweepThroughputBarrier.
 func BenchmarkSweepThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunScenarios(csnRuns(sweepThroughputCounts...),
+		if _, err := runBatch(csnRuns(sweepThroughputCounts...),
 			sweepThroughputScale, experiment.Options{Seed: 60}); err != nil {
 			b.Fatal(err)
 		}
@@ -312,7 +319,7 @@ func BenchmarkSweepThroughputBarrier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for pi, run := range csnRuns(sweepThroughputCounts...) {
 			run.Seed = uint64(60 + pi)
-			if _, err := experiment.RunScenarios([]experiment.ScenarioRun{run},
+			if _, err := runBatch([]experiment.ScenarioRun{run},
 				sweepThroughputScale, experiment.Options{}); err != nil {
 				b.Fatal(err)
 			}
@@ -355,7 +362,7 @@ func BenchmarkSessionThroughput(b *testing.B) {
 	})
 	b.Run("legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunScenarios(csnRuns(sweepThroughputCounts...),
+			if _, err := runBatch(csnRuns(sweepThroughputCounts...),
 				sweepThroughputScale, experiment.Options{Seed: 61}); err != nil {
 				b.Fatal(err)
 			}
@@ -371,7 +378,7 @@ func BenchmarkIPDRP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := ipdrp.DefaultConfig(57)
 		cfg.Generations = 50
-		res, err := ipdrp.Run(cfg)
+		res, err := ipdrp.Run(context.Background(), cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

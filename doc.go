@@ -18,10 +18,10 @@
 // and cancels cooperatively at generation barriers (Cancel) — so
 // uncancelled runs stay bit-identical to the direct engines, and millions
 // of users' worth of jobs can multiplex one process without
-// oversubscribing it. Events are the only way to observe a job: the
-// engine configs' OnGeneration/OnChurn/OnCheckpoint hooks and the
-// RunOptions hooks belong to the session, and a spec that arrives with
-// one set fails with an error naming the field. cmd/adhocd serves exactly
+// oversubscribing it. Events are the only way to observe a job: each
+// engine's run entry takes the job's emit function and builds the events
+// itself, and no engine config or RunOptions field carries a callback a
+// caller could set. cmd/adhocd serves exactly
 // this API over HTTP, SSE, and WebSocket (internal/service), through one
 // delivery loop for all three transports.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"adhocga/internal/dynamics"
@@ -28,7 +29,7 @@ func TestDynamicsRunReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run()
+		res, err := e.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,10 +8,10 @@
 //	mutation → next generation, repeated for a fixed number of
 //	generations.
 //
-// The Engine reports per-generation observables (cooperation level,
-// fitness moments, diversity) through a hook and returns the full history
-// plus the final strategy population, which the experiment harness turns
-// into the paper's figures and tables.
+// The Engine emits per-generation observables (cooperation level, fitness
+// moments, diversity) as job events (internal/event) and returns the full
+// history plus the final strategy population, which the experiment
+// harness turns into the paper's figures and tables.
 package core
 
 import (
@@ -20,6 +20,7 @@ import (
 
 	"adhocga/internal/bitstring"
 	"adhocga/internal/dynamics"
+	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
 	"adhocga/internal/metrics"
@@ -46,26 +47,13 @@ type Config struct {
 	// build without the layer.
 	Dynamics *dynamics.Config
 
-	// OnGeneration, when non-nil, receives each generation's snapshot
-	// right after evaluation (before reproduction).
-	OnGeneration func(GenerationStats)
-
-	// OnChurn, when non-nil, is called after every dynamics barrier that
-	// actually fired (churn and/or landscape rewiring), with the index of
-	// the generation whose reproduction the barrier followed. It is purely
-	// observational — the hook never consumes engine randomness — so
-	// setting it cannot change results.
-	OnChurn func(generation int)
-
-	// CheckpointInterval and OnCheckpoint extract hall-of-fame champions:
-	// when both are set (interval > 0, hook non-nil), the hook receives a
-	// Checkpoint right after the evaluation of every CheckpointInterval-th
-	// generation (0, interval, 2·interval, …) and always of the final one.
-	// Like OnChurn it is purely observational — the hook never consumes
-	// engine randomness and the champion genome is deep-copied — so
-	// enabling checkpoints cannot change results.
+	// CheckpointInterval, when positive, extracts hall-of-fame champions:
+	// Run emits a checkpoint event right after the evaluation of every
+	// CheckpointInterval-th generation (0, interval, 2·interval, …) and
+	// always of the final one. It is purely observational — it never
+	// consumes engine randomness — so enabling checkpoints cannot change
+	// results.
 	CheckpointInterval int
-	OnCheckpoint       func(Checkpoint)
 
 	// Constraint, when non-nil, is applied in place to every genome as it
 	// enters the population (initialization and reproduction). It
@@ -147,33 +135,6 @@ func (c *Config) Validate() error {
 	return c.GA.Validate()
 }
 
-// GenerationStats is the per-generation snapshot handed to OnGeneration
-// and accumulated into the run history.
-type GenerationStats struct {
-	Generation int
-	// Cooperation is the overall cooperation level of the generation:
-	// delivered / originated over all normal-sourced games (§6.2).
-	Cooperation float64
-	// CoopPerEnv is the cooperation level measured independently per
-	// tournament environment (Table 5).
-	CoopPerEnv []float64
-	// MeanEnvCooperation is the unweighted mean of CoopPerEnv, the Fig 4
-	// summary number for multi-environment cases.
-	MeanEnvCooperation float64
-	Fitness            ga.PopulationStats
-}
-
-// Checkpoint is the observational champion snapshot handed to
-// OnCheckpoint: the best-fitness individual of a just-evaluated
-// generation, deep-copied so it stays valid after the engine evolves on.
-type Checkpoint struct {
-	Generation  int
-	Best        strategy.Strategy
-	Fitness     float64
-	MeanFitness float64
-	Cooperation float64
-}
-
 // CheckpointDue reports whether a run of the given length fires a
 // checkpoint at generation gen under the given interval: every
 // interval-th generation plus the final one. Interval <= 0 disables
@@ -183,6 +144,27 @@ func CheckpointDue(gen, interval, generations int) bool {
 		return false
 	}
 	return gen%interval == 0 || gen == generations-1
+}
+
+// CheckpointEvent builds the champion checkpoint event of generation gen:
+// best is the generation's fittest individual, meanFit the population's
+// mean fitness and coop its cooperation level; seed is the run's master
+// seed, the replay provenance a hall-of-fame archive records.
+func CheckpointEvent(gen int, seed uint64, best ga.Individual, meanFit, coop float64) event.Event {
+	return event.Event{Kind: event.KindCheckpoint, Checkpoint: &event.Checkpoint{
+		Gen:     gen,
+		Seed:    seed,
+		Genome:  strategy.New(best.Genome).Key(),
+		Fitness: best.Fitness,
+		MeanFit: meanFit,
+		Coop:    coop,
+	}}
+}
+
+// ChurnEvent builds the event reporting that a dynamics barrier fired
+// after the reproduction of generation gen.
+func ChurnEvent(gen int) event.Event {
+	return event.Event{Kind: event.KindChurn, Churn: &event.Churn{Gen: gen}}
 }
 
 // Result is the outcome of a run.
@@ -372,7 +354,8 @@ func (e *Engine) EvaluateGeneration(collector *metrics.Collector) error {
 // perturbation barrier fires here after reproduction — churn replaces a
 // seeded fraction of the offspring with naive immigrants under fresh
 // identities, and the rewiring walk may shift the route-length landscape
-// for the coming generations.
+// for the coming generations. Reproduce reports nothing; Run emits the
+// barrier's churn event after it.
 func (e *Engine) Reproduce() error {
 	next, err := ga.NextGenerationInto(e.genomes, &e.cfg.GA, e.r, &e.repro[e.reproParity])
 	if err != nil {
@@ -391,9 +374,6 @@ func (e *Engine) Reproduce() error {
 		e.dyn.Churn(e.genomes, e.normals, &e.registry, e.cfg.Constraint)
 		if e.dyn.Rewire() {
 			e.gen.SetMode(e.dyn.PathMode())
-		}
-		if e.cfg.OnChurn != nil {
-			e.cfg.OnChurn(gen)
 		}
 	}
 	return nil
@@ -428,22 +408,26 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Run executes the configured number of generations and returns the run
 // history. It is deterministic for a given Config (including Seed).
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation. The context is checked
-// once per generation, at the barrier before evaluation — never inside a
-// generation — so an uncancelled run consumes the RNG stream exactly as
-// Run does and stays bit-identical to it.
 //
-// On cancellation the partial Result recorded so far is returned together
-// with an error wrapping ctx.Err(): the cooperation series covers every
-// completed generation, while the Final* views stay unset (FinalCollector
-// is nil) because the population has already been reproduced past the
-// last evaluated generation. Callers distinguish interruption from
-// failure with errors.Is(err, context.Canceled).
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
+// Each generation emits, right after evaluation, a generation event and,
+// when CheckpointInterval makes it due, a checkpoint event; each dynamics
+// barrier emits a churn event after the reproduction it followed. Events
+// are stamped scenario 0, replicate 0. emit runs on the calling goroutine
+// and never consumes engine randomness; a nil emit discards the events.
+//
+// The context is checked once per generation, at the barrier before
+// evaluation — never inside a generation — so an uncancelled run consumes
+// the RNG stream exactly as an uncancellable one would. On cancellation
+// the partial Result recorded so far is returned together with an error
+// wrapping ctx.Err(): the cooperation series covers every completed
+// generation, while the Final* views stay unset (FinalCollector is nil)
+// because the population has already been reproduced past the last
+// evaluated generation. Callers distinguish interruption from failure
+// with errors.Is(err, context.Canceled).
+func (e *Engine) Run(ctx context.Context, emit func(event.Event)) (*Result, error) {
+	if emit == nil {
+		emit = func(event.Event) {}
+	}
 	res := NewResult(e.cfg.Generations, len(e.cfg.Eval.Environments))
 	collector := metrics.NewCollector()
 
@@ -458,25 +442,16 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 
 		res.Record(collector)
 
-		if e.cfg.OnGeneration != nil {
-			e.cfg.OnGeneration(GenerationStats{
-				Generation:         gen,
-				Cooperation:        collector.CooperationLevel(),
-				CoopPerEnv:         collector.CooperationPerEnv(),
-				MeanEnvCooperation: collector.MeanEnvCooperation(),
-				Fitness:            fitStats,
-			})
-		}
-
-		if e.cfg.OnCheckpoint != nil && CheckpointDue(gen, e.cfg.CheckpointInterval, e.cfg.Generations) {
-			best := e.genomes[fitStats.BestIndex]
-			e.cfg.OnCheckpoint(Checkpoint{
-				Generation:  gen,
-				Best:        strategy.New(best.Genome.Clone()),
-				Fitness:     best.Fitness,
-				MeanFitness: fitStats.MeanFitness,
-				Cooperation: collector.CooperationLevel(),
-			})
+		emit(event.Event{Kind: event.KindGeneration, Generation: &event.Generation{
+			Gen:         gen,
+			Coop:        collector.CooperationLevel(),
+			MeanEnvCoop: collector.MeanEnvCooperation(),
+			BestFit:     fitStats.BestFitness,
+			MeanFit:     fitStats.MeanFitness,
+			Diversity:   fitStats.Diversity,
+		}})
+		if CheckpointDue(gen, e.cfg.CheckpointInterval, e.cfg.Generations) {
+			emit(CheckpointEvent(gen, e.cfg.Seed, e.genomes[fitStats.BestIndex], fitStats.MeanFitness, collector.CooperationLevel()))
 		}
 
 		if gen == e.cfg.Generations-1 {
@@ -490,16 +465,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		if err := e.Reproduce(); err != nil {
 			return nil, fmt.Errorf("core: generation %d reproduction: %w", gen, err)
 		}
+		if e.dyn != nil && e.dyn.Barrier(gen) {
+			emit(ChurnEvent(gen))
+		}
 	}
 	return res, nil
-}
-
-// Strategies returns the engine's current strategy population (a copy);
-// useful for inspecting state between manual stepping in tests.
-func (e *Engine) Strategies() []strategy.Strategy {
-	out := make([]strategy.Strategy, len(e.genomes))
-	for i, ind := range e.genomes {
-		out[i] = strategy.New(ind.Genome.Clone())
-	}
-	return out
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
 	"adhocga/internal/network"
@@ -65,7 +68,7 @@ func TestRunProducesFullHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run()
+	res, err := e.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run()
+		res, err := e.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +131,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ra.Run()
+	a, err := ra.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rb.Run()
+	b, err := rb.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,32 +155,38 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestOnGenerationHook pins Run's emit path: one generation event per
+// generation, in order, carrying the cooperation level the result
+// records.
 func TestOnGenerationHook(t *testing.T) {
 	envs := []tournament.Environment{{Name: "A", CSN: 0}}
-	cfg := smallConfig(3, envs, 4)
 	var gens []int
 	var coops []float64
-	cfg.OnGeneration = func(s GenerationStats) {
-		gens = append(gens, s.Generation)
-		coops = append(coops, s.Cooperation)
-		if len(s.CoopPerEnv) != 1 {
-			t.Errorf("hook saw %d env levels", len(s.CoopPerEnv))
-		}
-	}
-	e, err := New(cfg)
+	e, err := New(smallConfig(3, envs, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	res, err := e.Run(context.Background(), func(ev event.Event) {
+		if ev.Kind != event.KindGeneration {
+			t.Errorf("unexpected %s event from a static run without checkpoints", ev.Kind)
+			return
+		}
+		gens = append(gens, ev.Generation.Gen)
+		coops = append(coops, ev.Generation.Coop)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gens) != 4 {
-		t.Fatalf("hook called %d times", len(gens))
+		t.Fatalf("emit called %d times", len(gens))
 	}
 	for i, g := range gens {
 		if g != i {
-			t.Errorf("hook generation %d at position %d", g, i)
+			t.Errorf("event generation %d at position %d", g, i)
 		}
+	}
+	if !reflect.DeepEqual(coops, res.CoopSeries) {
+		t.Errorf("event cooperation %v, result series %v", coops, res.CoopSeries)
 	}
 }
 
@@ -213,7 +222,7 @@ func TestEvolutionIncreasesCooperationWithoutCSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run()
+	res, err := e.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +248,7 @@ func TestTrustOnlyConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run()
+	res, err := e.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,16 +270,16 @@ func TestStrategiesAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := e.Strategies()
+	ss := e.SnapshotStrategies()
 	if len(ss) != 20 {
 		t.Fatalf("%d strategies", len(ss))
 	}
-	// Accessor returns copies: mutating them must not affect the engine.
-	g := ss[0].Genome()
-	g.Flip(0)
-	ss2 := e.Strategies()
-	if !ss[0].Equal(ss2[0]) {
-		t.Error("Strategies exposed internal state")
+	// Snapshots are copies: the engine evolving its genomes in place
+	// must not change a snapshot already taken.
+	e.Population()[0].Genome.Flip(0)
+	ss2 := e.SnapshotStrategies()
+	if ss[0].Equal(ss2[0]) {
+		t.Error("SnapshotStrategies shares the engine's genome storage")
 	}
 }
 
@@ -285,7 +294,7 @@ func BenchmarkGeneration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
+		if _, err := e.Run(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,10 +8,12 @@ package core
 // It is skipped unless -probe is set, since it takes tens of seconds.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"testing"
 
+	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/network"
 	"adhocga/internal/tournament"
@@ -25,17 +27,16 @@ func TestProbeCooperation(t *testing.T) {
 	}
 	cfg := PaperConfig([]tournament.Environment{{Name: "TE1", CSN: 0}}, network.ShorterPaths(), 1)
 	cfg.Generations = 60
-	cfg.OnGeneration = func(s GenerationStats) {
-		if s.Generation%5 == 0 || s.Generation < 10 {
-			fmt.Printf("gen %3d  coop %.3f  fit mean %.3f best %.3f div %.3f\n",
-				s.Generation, s.Cooperation, s.Fitness.MeanFitness, s.Fitness.BestFitness, s.Fitness.Diversity)
-		}
-	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	if _, err := e.Run(context.Background(), func(ev event.Event) {
+		if g := ev.Generation; g != nil && (g.Gen%5 == 0 || g.Gen < 10) {
+			fmt.Printf("gen %3d  coop %.3f  fit mean %.3f best %.3f div %.3f\n",
+				g.Gen, g.Coop, g.MeanFit, g.BestFit, g.Diversity)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +71,7 @@ func TestProbeCase2Basin(t *testing.T) {
 					results <- -1
 					return
 				}
-				res, err := e.Run()
+				res, err := e.Run(context.Background(), nil)
 				if err != nil {
 					t.Error(err)
 					results <- -1
@@ -125,7 +126,7 @@ func TestProbeCase4Basin(t *testing.T) {
 					results <- out{}
 					return
 				}
-				res, err := e.Run()
+				res, err := e.Run(context.Background(), nil)
 				if err != nil {
 					t.Error(err)
 					results <- out{}

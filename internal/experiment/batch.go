@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"adhocga/internal/core"
+	"adhocga/internal/event"
 	"adhocga/internal/island"
 	"adhocga/internal/rng"
 	"adhocga/internal/runner"
@@ -58,7 +59,7 @@ func specJob(spec scenario.Spec, defaults Scale, fallbackSeed uint64) (job, erro
 	}, nil
 }
 
-// runJobs executes a batch of jobs over one shared bounded worker pool:
+// runJobs executes a batch of jobs on the shared bounded worker pool:
 // every (job × replicate) pair becomes one work unit in a single queue, so
 // workers cross job boundaries freely and no cores idle between
 // scenarios. Per-replicate seeds are derived up front, in (job, replicate)
@@ -67,7 +68,7 @@ func specJob(spec scenario.Spec, defaults Scale, fallbackSeed uint64) (job, erro
 // job alone. Cancellation is cooperative: running replicates stop at their
 // next generation barrier, queued ones never start, and the returned error
 // joins every replicate failure (task-index order) with ctx.Err().
-func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, error) {
+func runJobs(ctx context.Context, pool *runner.Pool, jobs []job, opts Options, emit func(event.Event)) ([]*CaseResult, error) {
 	type unit struct {
 		job, rep int
 		seed     uint64
@@ -91,6 +92,7 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 	task := func(i int) error {
 		u := units[i]
 		j := &jobs[u.job]
+		emitUnit := func(ev event.Event) { emit(stamp(ev, u.job, u.rep)) }
 		if j.spec.Islands != nil {
 			// Island replicate: the island engine fans its per-generation
 			// evaluation out over its own transient workers. Workers may
@@ -102,29 +104,16 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 				return err
 			}
 			icfg.Parallelism = opts.Parallelism
-			if icfg.Parallelism <= 0 && opts.Pool != nil {
+			if icfg.Parallelism <= 0 {
 				// Size the workers from the shared pool, not GOMAXPROCS,
 				// which a server raises to keep a P free for I/O.
-				icfg.Parallelism = opts.Pool.Size()
-			}
-			if opts.OnIslandGeneration != nil {
-				icfg.OnGeneration = func(gs island.GenerationStats) {
-					opts.OnIslandGeneration(u.job, u.rep, gs)
-				}
-			}
-			if opts.OnChurn != nil {
-				icfg.Core.OnChurn = func(gen int) { opts.OnChurn(u.job, u.rep, gen) }
-			}
-			if opts.OnCheckpoint != nil {
-				icfg.OnCheckpoint = func(cp core.Checkpoint) {
-					opts.OnCheckpoint(u.job, u.rep, u.seed, cp)
-				}
+				icfg.Parallelism = pool.Size()
 			}
 			engine, err := island.New(icfg)
 			if err != nil {
 				return err
 			}
-			ires, err := engine.RunContext(ctx)
+			ires, err := engine.Run(ctx, emitUnit)
 			if err != nil {
 				return err
 			}
@@ -136,38 +125,21 @@ func runJobs(ctx context.Context, jobs []job, opts Options) ([]*CaseResult, erro
 		if err != nil {
 			return err
 		}
-		if opts.OnGeneration != nil {
-			cfg.OnGeneration = func(gs core.GenerationStats) {
-				opts.OnGeneration(u.job, u.rep, gs)
-			}
-		}
-		if opts.OnChurn != nil {
-			cfg.OnChurn = func(gen int) { opts.OnChurn(u.job, u.rep, gen) }
-		}
-		if opts.OnCheckpoint != nil {
-			cfg.OnCheckpoint = func(cp core.Checkpoint) {
-				opts.OnCheckpoint(u.job, u.rep, u.seed, cp)
-			}
-		}
 		engine, err := core.New(cfg)
 		if err != nil {
 			return err
 		}
-		res, err := engine.RunContext(ctx)
+		res, err := engine.Run(ctx, emitUnit)
 		if err != nil {
 			return err
 		}
 		results[u.job][u.rep] = res
 		return nil
 	}
-	ropts := runner.Options{Parallelism: opts.Parallelism, OnDone: opts.OnReplicate}
-	var err error
-	if opts.Pool != nil {
-		err = opts.Pool.Run(ctx, len(units), task, ropts)
-	} else {
-		err = runner.RunContext(ctx, len(units), task, ropts)
+	onDone := func(done, total int) {
+		emit(event.Event{Kind: event.KindReplicate, Replicate: &event.Replicate{Done: done, Total: total}})
 	}
-	if err != nil {
+	if err := pool.Run(ctx, len(units), task, runner.Options{Parallelism: opts.Parallelism, OnDone: onDone}); err != nil {
 		return nil, err
 	}
 	out := make([]*CaseResult, len(jobs))
@@ -198,26 +170,29 @@ type ScenarioRun struct {
 	Seed uint64
 }
 
-// RunScenarios runs a batch of declarative scenarios over one shared
-// worker pool and aggregates each into a CaseResult, in input order.
-// Scenario fields left at zero fall back to the paper's parameterization
-// and to the defaults scale.
+// RunScenarios runs a batch of declarative scenarios on the shared worker
+// pool and aggregates each into a CaseResult, in input order. Scenario
+// fields left at zero fall back to the paper's parameterization and to
+// the defaults scale. opts.Parallelism caps this batch's share of the
+// pool; concurrent batches on one pool stay jointly bounded by its size.
 //
 // Each scenario's master seed is, in order of precedence: the spec's own
 // pinned Seed, the ScenarioRun's Seed, or a per-scenario stream derived
 // from Options.Seed (so unpinned scenarios in one batch never share
 // replicate streams). Deterministic for fixed seeds regardless of
 // parallelism.
-func RunScenarios(runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResult, error) {
-	return RunScenariosContext(context.Background(), runs, defaults, opts)
-}
-
-// RunScenariosContext is RunScenarios with cooperative cancellation:
-// replicates stop at their next generation barrier and no new replicate
-// starts once ctx is done. On cancellation it returns nil results and an
-// error satisfying errors.Is(err, ctx.Err()); stream partial progress
-// through the Options hooks (or the Session event layer) if you need it.
-func RunScenariosContext(ctx context.Context, runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResult, error) {
+//
+// Every replicate's engine events reach emit stamped with the scenario's
+// index in runs and the replicate's index within it, and each finished
+// replicate emits a replicate event. emit is called concurrently from
+// pool workers; a nil emit discards the events.
+//
+// Cancellation is cooperative: replicates stop at their next generation
+// barrier and no new replicate starts once ctx is done. On cancellation
+// RunScenarios returns nil results and an error satisfying
+// errors.Is(err, ctx.Err()); the events emitted so far are the partial
+// view.
+func RunScenarios(ctx context.Context, pool *runner.Pool, runs []ScenarioRun, defaults Scale, opts Options, emit func(event.Event)) ([]*CaseResult, error) {
 	if err := (runner.Options{Parallelism: opts.Parallelism}).Validate(); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
@@ -236,5 +211,25 @@ func RunScenariosContext(ctx context.Context, runs []ScenarioRun, defaults Scale
 		}
 		jobs[i] = j
 	}
-	return runJobs(ctx, jobs, opts)
+	if emit == nil {
+		emit = func(event.Event) {}
+	}
+	return runJobs(ctx, pool, jobs, opts, emit)
+}
+
+// stamp sets the batch position of an engine event's payload: the
+// scenario index and the replicate within it. Engines emit every payload
+// at scenario 0, replicate 0.
+func stamp(ev event.Event, scen, rep int) event.Event {
+	switch {
+	case ev.Generation != nil:
+		ev.Generation.Scenario, ev.Generation.Rep = scen, rep
+	case ev.Islands != nil:
+		ev.Islands.Scenario, ev.Islands.Rep = scen, rep
+	case ev.Churn != nil:
+		ev.Churn.Scenario, ev.Churn.Rep = scen, rep
+	case ev.Checkpoint != nil:
+		ev.Checkpoint.Scenario, ev.Checkpoint.Rep = scen, rep
+	}
+	return ev
 }

@@ -9,11 +9,37 @@ import (
 	"sync"
 	"testing"
 
-	"adhocga/internal/core"
-	"adhocga/internal/island"
+	"adhocga/internal/event"
 	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 )
+
+// runScenarios runs a batch on a fresh pool sized like the batch's
+// parallelism (0: GOMAXPROCS) and discards its events.
+func runScenarios(runs []ScenarioRun, sc Scale, opts Options) ([]*CaseResult, error) {
+	return RunScenarios(context.Background(), runner.NewPool(opts.Parallelism), runs, sc, opts, nil)
+}
+
+// replicateCounter returns an emit function that checks every replicate
+// event's total against want, plus a reader of the number of replicate
+// events seen and the last Done value.
+func replicateCounter(t *testing.T, want int) (func(event.Event), func() (calls, last int)) {
+	var mu sync.Mutex
+	var calls, last int
+	emit := func(ev event.Event) {
+		if ev.Kind != event.KindReplicate {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		last = ev.Replicate.Done
+		if ev.Replicate.Total != want {
+			t.Errorf("total = %d, want %d", ev.Replicate.Total, want)
+		}
+	}
+	return emit, func() (int, int) { mu.Lock(); defer mu.Unlock(); return calls, last }
+}
 
 func tinyScale() Scale {
 	return Scale{Name: "tiny", Generations: 2, Rounds: 15, Repetitions: 2}
@@ -51,7 +77,7 @@ func TestRunScenariosMatchesRunCase(t *testing.T) {
 		{Spec: specs[0], Seed: 11},
 		{Spec: specs[2], Seed: 13},
 	}
-	batched, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 4})
+	batched, err := runScenarios(runs, tinyScale(), Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +89,7 @@ func TestRunScenariosMatchesRunCase(t *testing.T) {
 		if got, want := caseResultFingerprint(t, batched[i]), caseResultFingerprint(t, alone); got != want {
 			t.Errorf("case %d: batched result differs from the standalone run", caseID)
 		}
-		if batched[i].Case.ID != caseID || batched[i].Case.Name != Cases()[caseID-1].Name {
+		if batched[i].Case.ID != caseID || batched[i].Case.Name != scenario.Table4()[caseID-1].Name {
 			t.Errorf("case identity lost: %+v", batched[i].Case)
 		}
 	}
@@ -75,11 +101,11 @@ func TestRunScenariosDeterministicAcrossParallelism(t *testing.T) {
 		{Spec: scenario.Spec{Name: "b", Environments: []scenario.EnvSpec{{CSN: 10}}, PathMode: "LP"}, Seed: 4},
 		{Spec: scenario.Spec{Name: "c", Environments: []scenario.EnvSpec{{CSN: 30}}, Repetitions: 3}, Seed: 5},
 	}
-	seq, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 1})
+	seq, err := runScenarios(runs, tinyScale(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 8})
+	par, err := runScenarios(runs, tinyScale(), Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +129,7 @@ func TestRunScenariosSpecOverridesReachEngine(t *testing.T) {
 		Rounds:         10,
 		Repetitions:    2,
 	}
-	res, err := RunScenarios([]ScenarioRun{{Spec: spec, Seed: 9}}, tinyScale(), Options{})
+	res, err := runScenarios([]ScenarioRun{{Spec: spec, Seed: 9}}, tinyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +146,11 @@ func TestRunScenariosSpecOverridesReachEngine(t *testing.T) {
 
 func TestRunScenariosPinnedSeedWins(t *testing.T) {
 	spec := scenario.Spec{Name: "pinned", Environments: []scenario.EnvSpec{{CSN: 0}}, Seed: 77}
-	a, err := RunScenarios([]ScenarioRun{{Spec: spec, Seed: 1}}, tinyScale(), Options{})
+	a, err := runScenarios([]ScenarioRun{{Spec: spec, Seed: 1}}, tinyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenarios([]ScenarioRun{{Spec: spec, Seed: 2}}, tinyScale(), Options{})
+	b, err := runScenarios([]ScenarioRun{{Spec: spec, Seed: 2}}, tinyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +164,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 		return scenario.Spec{Name: name, Environments: []scenario.EnvSpec{{CSN: 0}}}
 	}
 	runs := []ScenarioRun{{Spec: spec("a")}, {Spec: spec("b")}}
-	first, err := RunScenarios(runs, tinyScale(), Options{Seed: 1})
+	first, err := runScenarios(runs, tinyScale(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +173,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 		t.Error("two unpinned scenarios produced identical results")
 	}
 	// The batch seed must matter...
-	other, err := RunScenarios(runs, tinyScale(), Options{Seed: 2})
+	other, err := runScenarios(runs, tinyScale(), Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +181,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 		t.Error("changing Options.Seed did not change unpinned scenario results")
 	}
 	// ...and be reproducible.
-	again, err := RunScenarios(runs, tinyScale(), Options{Seed: 1})
+	again, err := runScenarios(runs, tinyScale(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +192,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 	}
 	// Pinning one run's seed must not shift its neighbor's stream.
 	pinned := []ScenarioRun{{Spec: spec("a"), Seed: 999}, {Spec: spec("b")}}
-	mixed, err := RunScenarios(pinned, tinyScale(), Options{Seed: 1})
+	mixed, err := runScenarios(pinned, tinyScale(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,21 +203,21 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 
 func TestRunScenariosRejectsBadSpecs(t *testing.T) {
 	bad := []ScenarioRun{{Spec: scenario.Spec{Name: "no envs"}}}
-	if _, err := RunScenarios(bad, tinyScale(), Options{}); err == nil {
+	if _, err := runScenarios(bad, tinyScale(), Options{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 	impossible := []ScenarioRun{{Spec: scenario.Spec{
 		Name:         "csn over tournament size",
 		Environments: []scenario.EnvSpec{{CSN: 60}},
 	}}}
-	if _, err := RunScenarios(impossible, tinyScale(), Options{}); err == nil {
+	if _, err := runScenarios(impossible, tinyScale(), Options{}); err == nil {
 		t.Error("impossible spec accepted")
 	}
 }
 
 func TestRunScenariosRejectsNegativeParallelism(t *testing.T) {
 	runs := []ScenarioRun{{Spec: scenario.Spec{Name: "a", Environments: []scenario.EnvSpec{{CSN: 0}}}, Seed: 1}}
-	if _, err := RunScenarios(runs, tinyScale(), Options{Parallelism: -1}); err == nil || !strings.Contains(err.Error(), "parallelism") {
+	if _, err := runScenarios(runs, tinyScale(), Options{Parallelism: -1}); err == nil || !strings.Contains(err.Error(), "parallelism") {
 		t.Errorf("negative parallelism: err %v, want one naming parallelism", err)
 	}
 }
@@ -201,24 +227,18 @@ func TestRunScenariosProgressSpansBatch(t *testing.T) {
 		{Spec: scenario.Spec{Name: "a", Environments: []scenario.EnvSpec{{CSN: 0}}}, Seed: 1},
 		{Spec: scenario.Spec{Name: "b", Environments: []scenario.EnvSpec{{CSN: 0}}, Repetitions: 3}, Seed: 2},
 	}
-	var calls, last int
-	_, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 1, OnReplicate: func(done, total int) {
-		calls++
-		last = done
-		if total != 5 { // 2 + 3 replicates flattened into one queue
-			t.Errorf("total = %d, want 5", total)
-		}
-	}})
+	emit, seen := replicateCounter(t, 5) // 2 + 3 replicates flattened into one queue
+	_, err := RunScenarios(context.Background(), runner.NewPool(1), runs, tinyScale(), Options{Parallelism: 1}, emit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 5 || last != 5 {
+	if calls, last := seen(); calls != 5 || last != 5 {
 		t.Errorf("calls=%d last=%d", calls, last)
 	}
 }
 
 func TestRunScenariosEmptyBatch(t *testing.T) {
-	out, err := RunScenarios(nil, tinyScale(), Options{})
+	out, err := runScenarios(nil, tinyScale(), Options{})
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %v", out, err)
 	}
@@ -241,9 +261,10 @@ func TestDeepEqualAcrossParallelismFullStructure(t *testing.T) {
 	}
 }
 
-// The Options hooks and a shared Pool are observation and scheduling only:
-// a hooked batch on a pool equals the bare batch bit for bit, and every
-// hook fires for both the serial and the island engine.
+// Events and the shared pool are observation and scheduling only: a batch
+// observed through emit on a shared pool equals the bare batch bit for
+// bit, and every event kind arrives stamped with its scenario for both
+// the serial and the island engine.
 func TestRunScenariosHooksAndPoolLeaveResultsUnchanged(t *testing.T) {
 	churn := &scenario.DynamicsSpec{ChurnRate: 0.2, Interval: 1}
 	serial := scenario.Spec{Name: "serial churn", Environments: []scenario.EnvSpec{{CSN: 2}},
@@ -253,31 +274,33 @@ func TestRunScenariosHooksAndPoolLeaveResultsUnchanged(t *testing.T) {
 	islands.Dynamics = churn
 	runs := []ScenarioRun{{Spec: serial}, {Spec: islands}}
 
-	bare, err := RunScenarios(runs, tinyScale(), Options{Seed: 4})
+	bare, err := runScenarios(runs, tinyScale(), Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	calls := map[string][2]int{} // hook → calls per scenario
-	count := func(hook string, scen int) {
+	calls := map[event.Kind][2]int{} // kind → events per scenario
+	emit := func(ev event.Event) {
+		var scen int
+		switch {
+		case ev.Generation != nil:
+			scen = ev.Generation.Scenario
+		case ev.Islands != nil:
+			scen = ev.Islands.Scenario
+		case ev.Churn != nil:
+			scen = ev.Churn.Scenario
+		case ev.Checkpoint != nil:
+			scen = ev.Checkpoint.Scenario
+		default:
+			return
+		}
 		mu.Lock()
-		c := calls[hook]
+		c := calls[ev.Kind]
 		c[scen]++
-		calls[hook] = c
+		calls[ev.Kind] = c
 		mu.Unlock()
 	}
-	hooked, err := RunScenarios(runs, tinyScale(), Options{
-		Seed: 4,
-		Pool: runner.NewPool(2),
-		OnGeneration: func(scen, _ int, _ core.GenerationStats) {
-			count("generation", scen)
-		},
-		OnIslandGeneration: func(scen, _ int, _ island.GenerationStats) {
-			count("islands", scen)
-		},
-		OnChurn:      func(scen, _, _ int) { count("churn", scen) },
-		OnCheckpoint: func(scen, _ int, _ uint64, _ core.Checkpoint) { count("checkpoint", scen) },
-	})
+	hooked, err := RunScenarios(context.Background(), runner.NewPool(2), runs, tinyScale(), Options{Seed: 4}, emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,15 +310,15 @@ func TestRunScenariosHooksAndPoolLeaveResultsUnchanged(t *testing.T) {
 		}
 	}
 	// tinyScale: 2 generations × 2 replicates per scenario, so one churn
-	// barrier per replicate — fired by each of the 2 islands on its own.
-	want := map[string][2]int{
-		"generation": {4, 0},
-		"islands":    {0, 4},
-		"churn":      {2, 4},
-		"checkpoint": {4, 4},
+	// barrier per replicate, reported once however many islands it has.
+	want := map[event.Kind][2]int{
+		event.KindGeneration: {4, 0},
+		event.KindIslands:    {0, 4},
+		event.KindChurn:      {2, 2},
+		event.KindCheckpoint: {4, 4},
 	}
 	if !reflect.DeepEqual(calls, want) {
-		t.Errorf("hook calls per scenario = %v, want %v", calls, want)
+		t.Errorf("events per scenario = %v, want %v", calls, want)
 	}
 
 	if hooked[0].Recovery == nil {
@@ -312,7 +335,7 @@ func TestRunScenariosHooksAndPoolLeaveResultsUnchanged(t *testing.T) {
 func TestRunScenariosContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := RunScenariosContext(ctx, csnRuns(0), tinyScale(), Options{})
+	out, err := RunScenarios(ctx, runner.NewPool(0), csnRuns(0), tinyScale(), Options{}, nil)
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled batch = %v, %v; want nil, context.Canceled", out, err)
 	}

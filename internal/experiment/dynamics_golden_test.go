@@ -34,7 +34,7 @@ func TestDynamicsGoldenBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		res, err := RunScenarios([]ScenarioRun{{Spec: dynGoldenSpec(), Seed: 42}}, sc,
+		res, err := runScenarios([]ScenarioRun{{Spec: dynGoldenSpec(), Seed: 42}}, sc,
 			Options{Seed: 42, Parallelism: procs})
 		if err != nil {
 			t.Fatal(err)
@@ -79,11 +79,11 @@ func TestDynamicsDisabledSpecMatchesPlainRun(t *testing.T) {
 	}
 	withBlock := base
 	withBlock.Dynamics = &scenario.DynamicsSpec{}
-	plain, err := RunScenarios([]ScenarioRun{{Spec: base, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
+	plain, err := runScenarios([]ScenarioRun{{Spec: base, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := RunScenarios([]ScenarioRun{{Spec: withBlock, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
+	blocked, err := runScenarios([]ScenarioRun{{Spec: withBlock, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDynamicsFamiliesEndToEnd(t *testing.T) {
 		for _, spec := range f.Specs() {
 			runs = append(runs, ScenarioRun{Spec: spec})
 		}
-		results, err := RunScenarios(runs, sc, Options{Seed: 3})
+		results, err := runScenarios(runs, sc, Options{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}

@@ -15,10 +15,8 @@ import (
 	"fmt"
 
 	"adhocga/internal/core"
-	"adhocga/internal/island"
 	"adhocga/internal/metrics"
 	"adhocga/internal/network"
-	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 	"adhocga/internal/stats"
 	"adhocga/internal/strategy"
@@ -59,38 +57,6 @@ type Case struct {
 	Name         string
 	Environments []tournament.Environment
 	Mode         network.PathMode
-}
-
-// Cases returns the four evaluation cases of Table 4:
-//
-//	case 1: the CSN-free environment TE1, shorter paths
-//	case 2: the 30-CSN environment TE4 ("60% of the population"), shorter paths
-//	case 3: all environments TE1–TE4, shorter paths
-//	case 4: all environments TE1–TE4, longer paths
-//
-// The definitions live in the scenario registry (scenario.Table4) so the
-// spec and Case forms cannot drift apart.
-func Cases() []Case {
-	specs := scenario.Table4()
-	cases := make([]Case, len(specs))
-	for i, s := range specs {
-		mode, err := s.Mode()
-		if err != nil {
-			panic(fmt.Sprintf("experiment: registry spec %q: %v", s.Name, err))
-		}
-		cases[i] = Case{ID: s.ID, Name: s.Name, Environments: s.Envs(), Mode: mode}
-	}
-	return cases
-}
-
-// CaseByID returns the Table 4 case with the given id (1–4).
-func CaseByID(id int) (Case, error) {
-	for _, c := range Cases() {
-		if c.ID == id {
-			return c, nil
-		}
-	}
-	return Case{}, fmt.Errorf("experiment: no evaluation case %d", id)
 }
 
 // EnvSummary aggregates one environment's final-generation observables
@@ -153,41 +119,7 @@ type CaseResult struct {
 // Options tune a RunScenarios batch.
 type Options struct {
 	Seed        uint64
-	Parallelism int // worker pool size; 0 means GOMAXPROCS, negative is an error
-	// OnReplicate, when non-nil, is called as each replicate finishes
-	// (from multiple goroutines) with the number completed so far.
-	OnReplicate func(done, total int)
-
-	// Pool, when non-nil, runs the batch's replicate units on the given
-	// shared execution capacity instead of transient per-call workers, so
-	// concurrent batches — e.g. several jobs of one Session — stay jointly
-	// bounded by the pool size. Parallelism still caps this batch's share.
-	// Scheduling only; results are identical either way.
-	Pool *runner.Pool
-
-	// The observation hooks below stream per-replicate progress out of a
-	// running batch. They belong to the Session/Job event layer: a
-	// ScenariosSpec fills them with its emit path, and one that arrives
-	// with any of them (or Pool) set fails its job — callers observe
-	// jobs through Job.Events. Each may be called concurrently from pool
-	// workers; none consumes engine randomness, so setting them never
-	// changes results. scenario is the index of the scenario in the
-	// batch, rep the replicate index within it.
-
-	// OnGeneration receives every serial replicate's per-generation
-	// snapshot right after evaluation.
-	OnGeneration func(scenario, rep int, stats core.GenerationStats)
-	// OnIslandGeneration receives every island-model replicate's
-	// per-generation aggregate and per-island snapshot.
-	OnIslandGeneration func(scenario, rep int, stats island.GenerationStats)
-	// OnChurn fires after each dynamics barrier that perturbed a
-	// replicate, with the generation whose reproduction it followed.
-	OnChurn func(scenario, rep, generation int)
-	// OnCheckpoint fires at every champion checkpoint of a replicate
-	// (serial or island) when the scenario enables them
-	// (scenario.Spec.Checkpoints > 0), with the replicate's master seed —
-	// the provenance a hall-of-fame archive records.
-	OnCheckpoint func(scenario, rep int, seed uint64, cp core.Checkpoint)
+	Parallelism int // worker cap for this batch; 0 means GOMAXPROCS, negative is an error; the pool bounds it either way
 }
 
 // Aggregate folds one scenario's replicate results into a CaseResult: the

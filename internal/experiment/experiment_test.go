@@ -1,16 +1,19 @@
 package experiment
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 )
 
 // runCase runs Table 4 case id the way every case now runs: as a
 // one-scenario batch whose master seed is pinned to opts.Seed.
 func runCase(id int, sc Scale, opts Options) (*CaseResult, error) {
-	out, err := RunScenarios([]ScenarioRun{{Spec: scenario.Table4()[id-1], Seed: opts.Seed}}, sc, opts)
+	out, err := runScenarios([]ScenarioRun{{Spec: scenario.Table4()[id-1], Seed: opts.Seed}}, sc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -18,36 +21,32 @@ func runCase(id int, sc Scale, opts Options) (*CaseResult, error) {
 }
 
 func TestCasesMatchTable4(t *testing.T) {
-	cases := Cases()
-	if len(cases) != 4 {
-		t.Fatalf("%d cases", len(cases))
+	specs := scenario.Table4()
+	if len(specs) != 4 {
+		t.Fatalf("%d cases", len(specs))
 	}
-	// Case 1: only TE1 (0 CSN), SP.
-	if len(cases[0].Environments) != 1 || cases[0].Environments[0].CSN != 0 || cases[0].Mode.Name != "SP" {
-		t.Errorf("case 1 = %+v", cases[0])
+	type shape struct {
+		csn  []int
+		mode string
 	}
-	// Case 2: only the 30-CSN environment, SP.
-	if len(cases[1].Environments) != 1 || cases[1].Environments[0].CSN != 30 || cases[1].Mode.Name != "SP" {
-		t.Errorf("case 2 = %+v", cases[1])
+	want := []shape{
+		{[]int{0}, "SP"},             // case 1: only TE1 (0 CSN)
+		{[]int{30}, "SP"},            // case 2: only the 30-CSN environment
+		{[]int{0, 10, 25, 30}, "SP"}, // case 3: all four environments
+		{[]int{0, 10, 25, 30}, "LP"}, // case 4: all four, longer paths
 	}
-	// Cases 3 and 4: all four environments; SP vs LP.
-	if len(cases[2].Environments) != 4 || cases[2].Mode.Name != "SP" {
-		t.Errorf("case 3 = %+v", cases[2])
-	}
-	if len(cases[3].Environments) != 4 || cases[3].Mode.Name != "LP" {
-		t.Errorf("case 4 = %+v", cases[3])
-	}
-}
-
-func TestCaseByID(t *testing.T) {
-	for id := 1; id <= 4; id++ {
-		c, err := CaseByID(id)
-		if err != nil || c.ID != id {
-			t.Errorf("CaseByID(%d) = %+v, %v", id, c, err)
+	for i, spec := range specs {
+		mode, err := spec.Mode()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := CaseByID(5); err == nil {
-		t.Error("CaseByID(5) succeeded")
+		got := shape{mode: mode.Name}
+		for _, env := range spec.Envs() {
+			got.csn = append(got.csn, env.CSN)
+		}
+		if spec.ID != i+1 || !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("case %d = id %d %+v, want %+v", i+1, spec.ID, got, want[i])
+		}
 	}
 }
 
@@ -125,19 +124,12 @@ func TestRunCaseDeterministicAcrossParallelism(t *testing.T) {
 
 func TestRunCaseProgressCallback(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 3}
-	var calls int
-	var last int
-	_, err := runCase(1, sc, Options{Seed: 3, Parallelism: 1, OnReplicate: func(done, total int) {
-		calls++
-		last = done
-		if total != 3 {
-			t.Errorf("total = %d", total)
-		}
-	}})
+	emit, seen := replicateCounter(t, 3)
+	_, err := RunScenarios(context.Background(), runner.NewPool(1), []ScenarioRun{{Spec: scenario.Table4()[0], Seed: 3}}, sc, Options{Seed: 3, Parallelism: 1}, emit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 || last != 3 {
+	if calls, last := seen(); calls != 3 || last != 3 {
 		t.Errorf("callback calls=%d last=%d", calls, last)
 	}
 }

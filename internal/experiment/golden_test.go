@@ -97,7 +97,7 @@ func TestCSNSweepGoldenBitIdentical(t *testing.T) {
 	// Golden values recorded from the pre-runner sweep, which barriered
 	// between points; the flattened single-queue sweep must match exactly.
 	for _, par := range []int{1, 8} {
-		points, err := RunScenarios(csnRuns(0, 10, 25), goldenScale(),
+		points, err := runScenarios(csnRuns(0, 10, 25), goldenScale(),
 			Options{Seed: 7, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ func csnRuns(counts ...int) []ScenarioRun {
 
 func TestCSNSweepShape(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	points, err := RunScenarios(csnRuns(0, 10, 30), sc, Options{Seed: 1})
+	points, err := runScenarios(csnRuns(0, 10, 30), sc, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestCSNSweepShape(t *testing.T) {
 // replicate runs, by the same resolution every scenario goes through.
 func TestCSNSweepValidatesRange(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 1, Rounds: 5, Repetitions: 1}
-	if _, err := RunScenarios(csnRuns(0, 50), sc, Options{}); err == nil || !strings.Contains(err.Error(), "50 CSN") {
+	if _, err := runScenarios(csnRuns(0, 50), sc, Options{}); err == nil || !strings.Contains(err.Error(), "50 CSN") {
 		t.Errorf("CSN=50 of 50: err = %v", err)
 	}
-	if _, err := RunScenarios(csnRuns(-1), sc, Options{}); err == nil || !strings.Contains(err.Error(), "negative CSN") {
+	if _, err := runScenarios(csnRuns(-1), sc, Options{}); err == nil || !strings.Contains(err.Error(), "negative CSN") {
 		t.Errorf("negative CSN: err = %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestCSNSweepMonotone(t *testing.T) {
 		t.Skip("short mode")
 	}
 	sc := Scale{Name: "sweep", Generations: 20, Rounds: 300, Repetitions: 1}
-	points, err := RunScenarios(csnRuns(0, 15, 30), sc, Options{Seed: 7})
+	points, err := runScenarios(csnRuns(0, 15, 30), sc, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"adhocga/internal/bitstring"
+	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/rng"
 )
@@ -154,9 +155,6 @@ type Config struct {
 	Payoffs     Payoffs
 	GA          ga.Config
 	Seed        uint64
-	// OnGeneration, when non-nil, receives (generation, cooperation rate,
-	// fitness stats) after each generation's play.
-	OnGeneration func(gen int, coopRate float64, stats ga.PopulationStats)
 }
 
 // DefaultConfig mirrors the scale of [12]: population 100, 100 rounds,
@@ -208,18 +206,23 @@ type playerState struct {
 
 // Run evolves a population of IPDRP strategies and returns the cooperation
 // trajectory. Deterministic for a given config.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation, checked once per
-// generation before play — never inside one — so an uncancelled run is
-// bit-identical to Run. On cancellation the partial Result (the
-// cooperation series of every completed generation, no final population)
-// is returned together with an error wrapping ctx.Err().
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+//
+// After each generation's play Run emits a generation event: the
+// cooperation rate (as both Coop and MeanEnvCoop, IPDRP having a single
+// environment) and the population's fitness moments. emit runs on the
+// calling goroutine; a nil emit discards the events.
+//
+// Cancellation is checked once per generation before play — never inside
+// one — so an uncancelled run is bit-identical to an uncancellable one.
+// On cancellation the partial Result (the cooperation series of every
+// completed generation, no final population) is returned together with
+// an error wrapping ctx.Err().
+func Run(ctx context.Context, cfg Config, emit func(event.Event)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if emit == nil {
+		emit = func(event.Event) {}
 	}
 	r := rng.New(cfg.Seed)
 	genomes := make([]ga.Individual, cfg.Population)
@@ -267,9 +270,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		coopRate := float64(coopMoves) / float64(totalMoves)
 		res.CoopSeries = append(res.CoopSeries, coopRate)
-		if cfg.OnGeneration != nil {
-			cfg.OnGeneration(gen, coopRate, ga.Stats(genomes))
-		}
+		stats := ga.Stats(genomes)
+		emit(event.Event{Kind: event.KindGeneration, Generation: &event.Generation{
+			Gen:         gen,
+			Coop:        coopRate,
+			MeanEnvCoop: coopRate,
+			BestFit:     stats.BestFitness,
+			MeanFit:     stats.MeanFitness,
+			Diversity:   stats.Diversity,
+		}})
 		if gen == cfg.Generations-1 {
 			res.FinalStrategies = make([]Strategy, cfg.Population)
 			for i := range states {

@@ -1,10 +1,11 @@
 package ipdrp
 
 import (
+	"context"
 	"testing"
 
 	"adhocga/internal/bitstring"
-	"adhocga/internal/ga"
+	"adhocga/internal/event"
 	"adhocga/internal/rng"
 )
 
@@ -111,13 +112,13 @@ func TestRunMechanics(t *testing.T) {
 	cfg.Rounds = 30
 	cfg.Generations = 10
 	var hookGens int
-	cfg.OnGeneration = func(gen int, coop float64, _ ga.PopulationStats) {
+	res, err := Run(context.Background(), cfg, func(ev event.Event) {
 		hookGens++
-		if coop < 0 || coop > 1 {
-			t.Errorf("generation %d cooperation rate %v", gen, coop)
+		g := ev.Generation
+		if g.Coop < 0 || g.Coop > 1 || g.MeanEnvCoop != g.Coop {
+			t.Errorf("generation %d cooperation rate %v (env mean %v)", g.Gen, g.Coop, g.MeanEnvCoop)
 		}
-	}
-	res, err := Run(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRunDeterministic(t *testing.T) {
 		cfg.Population = 20
 		cfg.Rounds = 20
 		cfg.Generations = 5
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestDefectionDominatesUnderRandomPairing(t *testing.T) {
 	cfg.Population = 60
 	cfg.Rounds = 50
 	cfg.Generations = 40
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestAllCPopulationStaysCooperative(t *testing.T) {
 	cfg.Population = 10
 	cfg.Rounds = 10
 	cfg.Generations = 1
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCensusAfterEvolution(t *testing.T) {
 	cfg.Population = 40
 	cfg.Rounds = 40
 	cfg.Generations = 30
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func BenchmarkIPDRPGeneration(b *testing.B) {
 	cfg.Generations = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

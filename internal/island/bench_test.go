@@ -1,6 +1,7 @@
 package island
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -62,7 +63,7 @@ func BenchmarkIslandEvolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(); err != nil {
+				if _, err := eng.Run(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package island
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestOneIslandDynamicsBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialEng.Run()
+	serial, err := serialEng.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestOneIslandDynamicsBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := isl.Run()
+	got, err := isl.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestIslandDynamicsDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 
 	"adhocga/internal/core"
+	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/metrics"
 	"adhocga/internal/rng"
@@ -53,8 +54,7 @@ type Config struct {
 	// Core is the serial-engine configuration of the whole run. Its
 	// PopulationSize is the total across islands and must divide evenly
 	// by Count; its Seed is the root seed all island and migration
-	// streams derive from; its OnGeneration hook is ignored (use the
-	// island-level OnGeneration instead).
+	// streams derive from.
 	Core core.Config
 	// Count is the number of islands (≥1). One island degenerates to the
 	// serial engine, bit for bit.
@@ -80,30 +80,6 @@ type Config struct {
 	// evaluation; ≤0 means GOMAXPROCS. It affects wall-clock only, never
 	// results.
 	Parallelism int
-	// OnGeneration, when non-nil, receives each generation's aggregate
-	// and per-island snapshot at the barrier, after evaluation and before
-	// migration.
-	OnGeneration func(GenerationStats)
-	// OnCheckpoint, when non-nil and Core.CheckpointInterval > 0, receives
-	// the cross-island champion (best of the just-evaluated generation over
-	// all islands, ties broken by lowest island then lowest index) at every
-	// Core.CheckpointInterval-th barrier and at the final one. It fires
-	// after evaluation and before migration, is purely observational, and
-	// never consumes any engine or migration randomness. Core.OnCheckpoint
-	// is ignored (per-island hooks are stripped, like Core.OnGeneration).
-	OnCheckpoint func(core.Checkpoint)
-}
-
-// GenerationStats is the per-generation snapshot handed to OnGeneration.
-type GenerationStats struct {
-	Generation int
-	// Cooperation and MeanEnvCooperation are the run-wide §6.2 levels,
-	// aggregated over every island's tournaments this generation.
-	Cooperation        float64
-	MeanEnvCooperation float64
-	// Islands holds each island's fitness/diversity statistics, in island
-	// order.
-	Islands []ga.PopulationStats
 }
 
 // Trace is one island's per-generation convergence history.
@@ -168,16 +144,11 @@ func (c Config) withDefaults() Config {
 }
 
 // islandConfig builds island i's serial-engine configuration: the shared
-// Core with the per-island population share and the island's own seed. The
-// OnGeneration hook is stripped — the island engine reports through its own
-// hook at barriers.
+// Core with the per-island population share and the island's own seed.
 func (c Config) islandConfig(per int, seed uint64) core.Config {
 	cfg := c.Core
 	cfg.PopulationSize = per
 	cfg.Seed = seed
-	cfg.OnGeneration = nil
-	cfg.OnChurn = nil
-	cfg.OnCheckpoint = nil
 	return cfg
 }
 
@@ -264,17 +235,27 @@ func New(cfg Config) (*Engine, error) {
 // their observables into the aggregate series, migration runs at every
 // Interval-th barrier, and each island then reproduces with its own
 // stream. Deterministic for a fixed Config at any parallelism level.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation, checked once per
-// generation at the barrier before the islands evaluate — never inside a
-// generation — so an uncancelled run is bit-identical to Run. On
-// cancellation the partial Result (aggregate series and per-island traces
-// for every completed generation; no final views, no champion) is
-// returned together with an error wrapping ctx.Err().
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
+//
+// At each barrier, after evaluation and before migration, Run emits an
+// islands event (run-wide cooperation plus each island's convergence
+// point) and, when Core.CheckpointInterval makes it due, a checkpoint
+// event for the cross-island champion (best of the generation over all
+// islands, ties broken by lowest island then lowest index) carrying
+// Core.Seed. Each dynamics barrier emits one churn event after the
+// islands reproduce. Events are stamped scenario 0, replicate 0. emit
+// runs on the calling goroutine and never consumes engine or migration
+// randomness; a nil emit discards the events.
+//
+// The context is checked once per generation at the barrier before the
+// islands evaluate — never inside a generation — so an uncancelled run is
+// bit-identical to an uncancellable one. On cancellation the partial
+// Result (aggregate series and per-island traces for every completed
+// generation; no final views, no champion) is returned together with an
+// error wrapping ctx.Err().
+func (e *Engine) Run(ctx context.Context, emit func(event.Event)) (*Result, error) {
+	if emit == nil {
+		emit = func(event.Event) {}
+	}
 	n := len(e.islands)
 	gens := e.cfg.Core.Generations
 	res := &Result{
@@ -298,26 +279,26 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		// Barrier: fold the per-island observables into the run-wide view
 		// and record each island's convergence point.
 		merged.Reset()
+		per := make([]event.IslandPoint, n)
 		for i := range e.islands {
 			merged.Merge(e.collectors[i])
-			islandStats[i] = ga.Stats(e.islands[i].Population())
+			st := ga.Stats(e.islands[i].Population())
+			islandStats[i] = st
 			tr := &res.PerIsland[i]
-			tr.Best = append(tr.Best, islandStats[i].BestFitness)
-			tr.Mean = append(tr.Mean, islandStats[i].MeanFitness)
-			tr.Diversity = append(tr.Diversity, islandStats[i].Diversity)
+			tr.Best = append(tr.Best, st.BestFitness)
+			tr.Mean = append(tr.Mean, st.MeanFitness)
+			tr.Diversity = append(tr.Diversity, st.Diversity)
+			per[i] = event.IslandPoint{BestFit: st.BestFitness, MeanFit: st.MeanFitness, Diversity: st.Diversity}
 		}
 		res.Aggregate.Record(merged)
 
-		if e.cfg.OnGeneration != nil {
-			e.cfg.OnGeneration(GenerationStats{
-				Generation:         gen,
-				Cooperation:        merged.CooperationLevel(),
-				MeanEnvCooperation: merged.MeanEnvCooperation(),
-				Islands:            append([]ga.PopulationStats(nil), islandStats...),
-			})
-		}
-
-		if e.cfg.OnCheckpoint != nil && core.CheckpointDue(gen, e.cfg.Core.CheckpointInterval, gens) {
+		emit(event.Event{Kind: event.KindIslands, Islands: &event.Islands{
+			Gen:         gen,
+			Coop:        merged.CooperationLevel(),
+			MeanEnvCoop: merged.MeanEnvCooperation(),
+			PerIsland:   per,
+		}})
+		if core.CheckpointDue(gen, e.cfg.Core.CheckpointInterval, gens) {
 			bi, mean := 0, 0.0
 			for i, st := range islandStats {
 				if st.BestFitness > islandStats[bi].BestFitness {
@@ -326,13 +307,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 				mean += st.MeanFitness
 			}
 			best := e.islands[bi].Population()[islandStats[bi].BestIndex]
-			e.cfg.OnCheckpoint(core.Checkpoint{
-				Generation:  gen,
-				Best:        strategy.New(best.Genome.Clone()),
-				Fitness:     best.Fitness,
-				MeanFitness: mean / float64(n),
-				Cooperation: merged.CooperationLevel(),
-			})
+			emit(core.CheckpointEvent(gen, e.cfg.Core.Seed, best, mean/float64(n), merged.CooperationLevel()))
 		}
 
 		if gen == gens-1 {
@@ -354,14 +329,15 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 
 		// Reproduction, serially in island order; each island consumes
 		// only its own stream, so order affects nothing but is kept fixed
-		// for clarity.
+		// for clarity. Every island shares the dynamics interval, so the
+		// barrier is reported once for the whole replicate.
 		for i := range e.islands {
 			if err := e.islands[i].Reproduce(); err != nil {
 				return nil, fmt.Errorf("island %d: generation %d reproduction: %w", i, gen, err)
 			}
 		}
-		if dyn := e.islands[0].Dynamics(); dyn != nil && dyn.Barrier(gen) && e.cfg.Core.OnChurn != nil {
-			e.cfg.Core.OnChurn(gen)
+		if dyn := e.islands[0].Dynamics(); dyn != nil && dyn.Barrier(gen) {
+			emit(core.ChurnEvent(gen))
 		}
 	}
 	return res, nil

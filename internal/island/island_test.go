@@ -1,6 +1,7 @@
 package island
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,10 +9,12 @@ import (
 
 	"adhocga/internal/bitstring"
 	"adhocga/internal/core"
+	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
 	"adhocga/internal/network"
 	"adhocga/internal/rng"
+	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
 )
 
@@ -184,7 +187,7 @@ func TestOneIslandBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialEng.Run()
+	serial, err := serialEng.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestOneIslandBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := isl.Run()
+	got, err := isl.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := eng.Run()
+					res, err := eng.Run(context.Background(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -320,7 +323,7 @@ func TestTopologyAliasesRunToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alias %q rejected: %v", alias, err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("alias %q failed at runtime: %v", alias, err)
 		}
@@ -455,7 +458,7 @@ func TestMigrationChangesOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,15 +478,16 @@ func TestMigrationChangesOutcome(t *testing.T) {
 }
 
 // TestCheckpointHookFiresAcrossIslands pins the cross-island checkpoint
-// contract: the hook fires at every CheckpointInterval-th barrier plus
-// the final one, hands over the best-of-all-islands champion for that
-// generation, and — being purely observational — never changes the run.
+// contract: Run emits a checkpoint event at every CheckpointInterval-th
+// barrier plus the final one, carrying the best-of-all-islands champion
+// for that generation and the root seed, and — being purely
+// observational — checkpoints never change the run.
 func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 	cfg := testConfig(24, 6, 42)
 	cfg.CheckpointInterval = 2
 
-	var checkpoints []core.Checkpoint
-	var gens []GenerationStats
+	var checkpoints []*event.Checkpoint
+	var gens []*event.Islands
 	eng, err := New(Config{
 		Core:        cfg,
 		Count:       2,
@@ -491,17 +495,18 @@ func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 		Interval:    2,
 		Migrants:    1,
 		Parallelism: 2,
-		OnGeneration: func(gs GenerationStats) {
-			gens = append(gens, gs)
-		},
-		OnCheckpoint: func(cp core.Checkpoint) {
-			checkpoints = append(checkpoints, cp)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withHooks, err := eng.Run()
+	withHooks, err := eng.Run(context.Background(), func(ev event.Event) {
+		switch ev.Kind {
+		case event.KindIslands:
+			gens = append(gens, ev.Islands)
+		case event.KindCheckpoint:
+			checkpoints = append(checkpoints, ev.Checkpoint)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,34 +517,37 @@ func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 		t.Fatalf("%d checkpoints, want %d", len(checkpoints), len(wantGens))
 	}
 	for i, cp := range checkpoints {
-		if cp.Generation != wantGens[i] {
-			t.Errorf("checkpoint %d at generation %d, want %d", i, cp.Generation, wantGens[i])
+		if cp.Gen != wantGens[i] {
+			t.Errorf("checkpoint %d at generation %d, want %d", i, cp.Gen, wantGens[i])
 		}
-		if cp.Best.Genome().Len() == 0 {
-			t.Errorf("checkpoint %d has an empty champion genome", i)
+		if len(cp.Genome) != strategy.Bits {
+			t.Errorf("checkpoint %d champion genome %q", i, cp.Genome)
+		}
+		if cp.Seed != cfg.Seed {
+			t.Errorf("checkpoint %d seed %d, want the root seed %d", i, cp.Seed, cfg.Seed)
 		}
 		// The champion must be the best over *all* islands at that
-		// barrier — cross-checked against the OnGeneration snapshot.
-		gs := gens[cp.Generation]
-		bestFit, meanSum := gs.Islands[0].BestFitness, 0.0
-		for _, st := range gs.Islands {
-			if st.BestFitness > bestFit {
-				bestFit = st.BestFitness
+		// barrier — cross-checked against the islands event.
+		gs := gens[cp.Gen]
+		bestFit, meanSum := gs.PerIsland[0].BestFit, 0.0
+		for _, st := range gs.PerIsland {
+			if st.BestFit > bestFit {
+				bestFit = st.BestFit
 			}
-			meanSum += st.MeanFitness
+			meanSum += st.MeanFit
 		}
 		if cp.Fitness != bestFit {
 			t.Errorf("checkpoint %d fitness %v, want cross-island best %v", i, cp.Fitness, bestFit)
 		}
-		if want := meanSum / float64(len(gs.Islands)); cp.MeanFitness != want {
-			t.Errorf("checkpoint %d mean fitness %v, want %v", i, cp.MeanFitness, want)
+		if want := meanSum / float64(len(gs.PerIsland)); cp.MeanFit != want {
+			t.Errorf("checkpoint %d mean fitness %v, want %v", i, cp.MeanFit, want)
 		}
-		if cp.Cooperation != gs.Cooperation {
-			t.Errorf("checkpoint %d cooperation %v, want %v", i, cp.Cooperation, gs.Cooperation)
+		if cp.Coop != gs.Coop {
+			t.Errorf("checkpoint %d cooperation %v, want %v", i, cp.Coop, gs.Coop)
 		}
 	}
 
-	// Observational: the same run without any hooks is bit-identical.
+	// Observational: the same run without checkpoints is bit-identical.
 	bare := cfg
 	bare.CheckpointInterval = 0
 	plainEng, err := New(Config{
@@ -548,7 +556,7 @@ func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := plainEng.Run()
+	plain, err := plainEng.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,15 +171,6 @@ func (c *Collector) CooperationLevel() float64 {
 	return float64(delivered) / float64(games)
 }
 
-// CooperationPerEnv returns one cooperation level per environment.
-func (c *Collector) CooperationPerEnv() []float64 {
-	out := make([]float64, len(c.envs))
-	for i := range c.envs {
-		out[i] = c.envs[i].CooperationLevel()
-	}
-	return out
-}
-
 // MeanEnvCooperation returns the unweighted mean of the per-environment
 // cooperation levels — the Fig 4 summary number for multi-environment
 // cases (see DESIGN.md on the paper's swapped 38%/54% prose).

@@ -117,10 +117,6 @@ func TestPerEnvironmentSeparation(t *testing.T) {
 	if math.Abs(c.MeanEnvCooperation()-0.5) > 1e-12 {
 		t.Errorf("mean env coop %v", c.MeanEnvCooperation())
 	}
-	per := c.CooperationPerEnv()
-	if len(per) != 2 || per[0] != 1 || per[1] != 0 {
-		t.Errorf("per-env coop %v", per)
-	}
 }
 
 func TestFractions(t *testing.T) {

@@ -113,8 +113,8 @@ func paperEnvs() []EnvSpec {
 	return specs
 }
 
-// Table4 returns the paper's four evaluation cases as specs. Their
-// resolved configurations are exactly what experiment.Cases() runs.
+// Table4 returns the paper's four evaluation cases as specs: the batch
+// every Table 4 run (CLI, benchmarks, reproduction tests) submits.
 func Table4() []Spec {
 	envs := paperEnvs()
 	return []Spec{

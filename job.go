@@ -5,31 +5,22 @@ import (
 	"errors"
 	"log/slog"
 	"sync"
+
+	"adhocga/internal/event"
 )
 
-// JobState is a job's lifecycle phase.
-type JobState string
+// JobState is a job's lifecycle phase; DoneEvent carries the final one.
+type JobState = event.JobState
 
 // Job lifecycle states. A job is terminal exactly when its state is
-// JobDone, JobFailed, or JobCancelled.
+// JobDone, JobFailed, or JobCancelled (JobState.Terminal).
 const (
-	// JobQueued: submitted, waiting for a session job slot.
-	JobQueued JobState = "queued"
-	// JobRunning: holding a job slot, work in progress.
-	JobRunning JobState = "running"
-	// JobDone: finished successfully; Result holds the outcome.
-	JobDone JobState = "done"
-	// JobFailed: finished with a non-cancellation error.
-	JobFailed JobState = "failed"
-	// JobCancelled: stopped cooperatively at a generation barrier (or
-	// while still queued) by context cancellation.
-	JobCancelled JobState = "cancelled"
+	JobQueued    = event.JobQueued
+	JobRunning   = event.JobRunning
+	JobDone      = event.JobDone
+	JobFailed    = event.JobFailed
+	JobCancelled = event.JobCancelled
 )
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
 
 // Job is the handle to one submitted workload: inspect its state, stream
 // its events, wait for or cancel it. All methods are safe for concurrent

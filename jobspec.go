@@ -7,7 +7,6 @@ import (
 	"adhocga/internal/baselines"
 	"adhocga/internal/core"
 	"adhocga/internal/experiment"
-	"adhocga/internal/ga"
 	"adhocga/internal/ipdrp"
 	"adhocga/internal/island"
 	"adhocga/internal/runner"
@@ -53,113 +52,6 @@ func runPooled(ctx context.Context, s *Session, fn func() (any, error)) (any, er
 	return res, err // non-nil only when cancelled before the slot was won
 }
 
-// generationEvent adapts a core snapshot to the unified event shape.
-func generationEvent(scen, rep int, gs core.GenerationStats) Event {
-	return Event{Kind: KindGeneration, Generation: &GenerationEvent{
-		Scenario:    scen,
-		Rep:         rep,
-		Gen:         gs.Generation,
-		Coop:        gs.Cooperation,
-		MeanEnvCoop: gs.MeanEnvCooperation,
-		BestFit:     gs.Fitness.BestFitness,
-		MeanFit:     gs.Fitness.MeanFitness,
-		Diversity:   gs.Fitness.Diversity,
-	}}
-}
-
-// islandsEvent adapts an island snapshot to the unified event shape.
-func islandsEvent(scen, rep int, gs island.GenerationStats) Event {
-	per := make([]IslandPoint, len(gs.Islands))
-	for i, st := range gs.Islands {
-		per[i] = IslandPoint{BestFit: st.BestFitness, MeanFit: st.MeanFitness, Diversity: st.Diversity}
-	}
-	return Event{Kind: KindIslands, Islands: &IslandsEvent{
-		Scenario:    scen,
-		Rep:         rep,
-		Gen:         gs.Generation,
-		Coop:        gs.Cooperation,
-		MeanEnvCoop: gs.MeanEnvCooperation,
-		PerIsland:   per,
-	}}
-}
-
-// checkpointEvent adapts a champion checkpoint to the unified event shape.
-func checkpointEvent(scen, rep int, seed uint64, cp core.Checkpoint) Event {
-	return Event{Kind: KindCheckpoint, Checkpoint: &CheckpointEvent{
-		Scenario: scen,
-		Rep:      rep,
-		Gen:      cp.Generation,
-		Seed:     seed,
-		Genome:   cp.Best.Key(),
-		Fitness:  cp.Fitness,
-		MeanFit:  cp.MeanFitness,
-		Coop:     cp.Cooperation,
-	}}
-}
-
-// callerHook is one hook slot a spec may arrive with: its field name and
-// whether the caller filled it.
-type callerHook struct {
-	field string
-	set   bool
-}
-
-// rejectCallerHooks fails a job whose spec fills a slot the session
-// owns. A job is observed only through its events (Job.Events), so the
-// engine hooks are the session's emit path, not a caller's; the pool is
-// the session's too. The error names the first filled field.
-func rejectCallerHooks(hooks ...callerHook) error {
-	for _, h := range hooks {
-		if h.set {
-			return fmt.Errorf("adhocga: %s is set; the session owns it — observe the job through Job.Events", h.field)
-		}
-	}
-	return nil
-}
-
-// coreHooks lists a serial engine config's hook slots under prefix.
-func coreHooks(prefix string, cfg core.Config) []callerHook {
-	return []callerHook{
-		{prefix + ".OnGeneration", cfg.OnGeneration != nil},
-		{prefix + ".OnChurn", cfg.OnChurn != nil},
-		{prefix + ".OnCheckpoint", cfg.OnCheckpoint != nil},
-	}
-}
-
-// eventOptions returns a copy of opts with the session's pool installed
-// and every observation hook emitting events. Every batch spec's run goes
-// through here, so a job observes the same events whether it arrives via
-// Submit, Session.RunScenarios, or the HTTP service.
-func eventOptions(opts RunOptions, s *Session, emit func(Event)) (RunOptions, error) {
-	if err := rejectCallerHooks(
-		callerHook{"RunOptions.Pool", opts.Pool != nil},
-		callerHook{"RunOptions.OnReplicate", opts.OnReplicate != nil},
-		callerHook{"RunOptions.OnGeneration", opts.OnGeneration != nil},
-		callerHook{"RunOptions.OnIslandGeneration", opts.OnIslandGeneration != nil},
-		callerHook{"RunOptions.OnChurn", opts.OnChurn != nil},
-		callerHook{"RunOptions.OnCheckpoint", opts.OnCheckpoint != nil},
-	); err != nil {
-		return opts, err
-	}
-	opts.Pool = s.pool
-	opts.OnReplicate = func(done, total int) {
-		emit(Event{Kind: KindReplicate, Replicate: &ReplicateEvent{Done: done, Total: total}})
-	}
-	opts.OnGeneration = func(scen, rep int, gs core.GenerationStats) {
-		emit(generationEvent(scen, rep, gs))
-	}
-	opts.OnIslandGeneration = func(scen, rep int, gs island.GenerationStats) {
-		emit(islandsEvent(scen, rep, gs))
-	}
-	opts.OnChurn = func(scen, rep, gen int) {
-		emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Scenario: scen, Rep: rep, Gen: gen}})
-	}
-	opts.OnCheckpoint = func(scen, rep int, seed uint64, cp core.Checkpoint) {
-		emit(checkpointEvent(scen, rep, seed, cp))
-	}
-	return opts, nil
-}
-
 // EvolveSpec runs one serial evolutionary experiment. Result type: *EvolutionResult — partial on cancellation.
 // Events: KindGeneration per generation, KindChurn at dynamics barriers.
 type EvolveSpec struct {
@@ -170,19 +62,12 @@ type EvolveSpec struct {
 func (EvolveSpec) Kind() string { return "evolve" }
 
 func (sp EvolveSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	cfg := sp.Config
-	if err := rejectCallerHooks(coreHooks("EvolutionConfig", cfg)...); err != nil {
-		return nil, err
-	}
-	cfg.OnGeneration = func(gs GenerationStats) { emit(generationEvent(0, 0, gs)) }
-	cfg.OnChurn = func(gen int) { emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}}) }
-	cfg.OnCheckpoint = func(cp core.Checkpoint) { emit(checkpointEvent(0, 0, cfg.Seed, cp)) }
 	return runPooled(ctx, s, func() (any, error) {
-		engine, err := core.New(cfg)
+		engine, err := core.New(sp.Config)
 		if err != nil {
 			return nil, err
 		}
-		return engine.RunContext(ctx)
+		return engine.Run(ctx, emit)
 	})
 }
 
@@ -198,26 +83,17 @@ func (IslandsSpec) Kind() string { return "islands" }
 
 func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
 	cfg := sp.Config
-	hooks := append(coreHooks("IslandConfig.Core", cfg.Core),
-		callerHook{"IslandConfig.OnGeneration", cfg.OnGeneration != nil},
-		callerHook{"IslandConfig.OnCheckpoint", cfg.OnCheckpoint != nil})
-	if err := rejectCallerHooks(hooks...); err != nil {
-		return nil, err
-	}
 	if cfg.Parallelism <= 0 {
 		// The pool's size, not GOMAXPROCS, which a server raises to keep
 		// a P free for I/O.
 		cfg.Parallelism = s.PoolSize()
 	}
-	cfg.OnGeneration = func(gs IslandGenerationStats) { emit(islandsEvent(0, 0, gs)) }
-	cfg.Core.OnChurn = func(gen int) { emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}}) }
-	cfg.OnCheckpoint = func(cp core.Checkpoint) { emit(checkpointEvent(0, 0, cfg.Core.Seed, cp)) }
 	return runPooled(ctx, s, func() (any, error) {
 		engine, err := island.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		return engine.RunContext(ctx)
+		return engine.Run(ctx, emit)
 	})
 }
 
@@ -239,11 +115,7 @@ func (sp ScenariosSpec) run(ctx context.Context, s *Session, emit func(Event)) (
 	if len(sp.Runs) == 0 {
 		return nil, fmt.Errorf("adhocga: scenarios job has no scenarios")
 	}
-	opts, err := eventOptions(sp.Opts, s, emit)
-	if err != nil {
-		return nil, err
-	}
-	return experiment.RunScenariosContext(ctx, sp.Runs, s.scaleOr(sp.Defaults), opts)
+	return experiment.RunScenarios(ctx, s.pool, sp.Runs, s.scaleOr(sp.Defaults), sp.Opts, emit)
 }
 
 // MixSpec plays one fixed-population baseline tournament (also
@@ -275,21 +147,7 @@ type IPDRPSpec struct {
 func (IPDRPSpec) Kind() string { return "ipdrp" }
 
 func (sp IPDRPSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	cfg := sp.Config
-	if err := rejectCallerHooks(callerHook{"IPDRPConfig.OnGeneration", cfg.OnGeneration != nil}); err != nil {
-		return nil, err
-	}
-	cfg.OnGeneration = func(gen int, coopRate float64, stats ga.PopulationStats) {
-		emit(Event{Kind: KindGeneration, Generation: &GenerationEvent{
-			Gen:         gen,
-			Coop:        coopRate,
-			MeanEnvCoop: coopRate,
-			BestFit:     stats.BestFitness,
-			MeanFit:     stats.MeanFitness,
-			Diversity:   stats.Diversity,
-		}})
-	}
 	return runPooled(ctx, s, func() (any, error) {
-		return ipdrp.RunContext(ctx, cfg)
+		return ipdrp.Run(ctx, sp.Config, emit)
 	})
 }

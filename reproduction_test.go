@@ -16,7 +16,7 @@ import (
 // batch whose master seed is pinned to opts.Seed.
 func runCase(tb testing.TB, id int, sc experiment.Scale, opts experiment.Options) *experiment.CaseResult {
 	tb.Helper()
-	out, err := experiment.RunScenarios([]experiment.ScenarioRun{{Spec: scenario.Table4()[id-1], Seed: opts.Seed}}, sc, opts)
+	out, err := runBatch([]experiment.ScenarioRun{{Spec: scenario.Table4()[id-1], Seed: opts.Seed}}, sc, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"adhocga/internal/core"
-	"adhocga/internal/experiment"
 )
 
 // smallConfig is a seconds-scale evolution configuration for session
@@ -42,7 +41,7 @@ func TestSessionEvolveBitIdenticalToEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := engine.Run()
+	direct, err := engine.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestSubmitScenariosStreamsReplicateAndGenerationEvents(t *testing.T) {
 	}
 	// The session path must agree with the bare experiment layer bit for
 	// bit.
-	direct, err := experiment.RunScenarios(runs, sc, RunOptions{Parallelism: 1})
+	direct, err := runBatch(runs, sc, RunOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +523,7 @@ func TestPartialSeriesFolding(t *testing.T) {
 	}
 	add := func(scen, rep, gen int, coop float64) {
 		p.Add(Event{Kind: KindGeneration, Generation: &GenerationEvent{
-			Scenario: scen, Rep: rep, Gen: gen, Coop: coop, MeanEnvCoop: coop / 2,
+			Scenario: scen, Rep: rep, Gen: gen, Coop: coop,
 		}})
 	}
 	add(0, 0, 0, 0.2)
@@ -534,7 +533,7 @@ func TestPartialSeriesFolding(t *testing.T) {
 	if p.empty() || p.lastGeneration() != 1 {
 		t.Errorf("lastGen %d", p.lastGeneration())
 	}
-	got := p.series(0, false)
+	got := p.series(0)
 	want := []float64{0.3, 0.6}
 	if len(got) != len(want) {
 		t.Fatalf("series %v, want %v", got, want)
@@ -544,17 +543,13 @@ func TestPartialSeriesFolding(t *testing.T) {
 			t.Errorf("series %v, want %v", got, want)
 		}
 	}
-	env := p.series(0, true)
-	if diff := env[0] - 0.15; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("env series %v", env)
-	}
-	if p.series(3, false) != nil {
+	if p.series(3) != nil {
 		t.Error("unknown scenario should be nil")
 	}
 	// Gap fill: generation 3 observed, 2 missing.
 	add(1, 0, 0, 0.1)
 	add(1, 0, 3, 0.5)
-	s1 := p.series(1, false)
+	s1 := p.series(1)
 	if !reflect.DeepEqual(s1, []float64{0.1, 0.1, 0.1, 0.5}) {
 		t.Errorf("gap-filled series %v", s1)
 	}
