@@ -137,7 +137,7 @@ func runAblation(b *testing.B, seed uint64, mutate func(*core.Config)) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := engine.Run(context.Background(), nil)
+		res, err := engine.Run(context.Background(), discard)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func csnRuns(counts ...int) []experiment.ScenarioRun {
 // runBatch runs a scenario batch on a fresh pool of GOMAXPROCS slots and
 // discards its events: the bare batch layer, without a Session.
 func runBatch(runs []experiment.ScenarioRun, sc experiment.Scale, opts experiment.Options) ([]*experiment.CaseResult, error) {
-	return experiment.RunScenarios(context.Background(), runner.NewPool(0), runs, sc, opts, nil)
+	return experiment.RunScenarios(context.Background(), runner.NewPool(0), runs, sc, opts, discard)
 }
 
 // BenchmarkCSNSweep traces evolved cooperation against the selfish-node
@@ -378,7 +378,7 @@ func BenchmarkIPDRP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := ipdrp.DefaultConfig(57)
 		cfg.Generations = 50
-		res, err := ipdrp.Run(context.Background(), cfg, nil)
+		res, err := ipdrp.Run(context.Background(), cfg, discard)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestDynamicsRunReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(context.Background(), nil)
+		res, err := e.Run(context.Background(), discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -413,7 +413,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // when CheckpointInterval makes it due, a checkpoint event; each dynamics
 // barrier emits a churn event after the reproduction it followed. Events
 // are stamped scenario 0, replicate 0. emit runs on the calling goroutine
-// and never consumes engine randomness; a nil emit discards the events.
+// and never consumes engine randomness.
 //
 // The context is checked once per generation, at the barrier before
 // evaluation — never inside a generation — so an uncancelled run consumes
@@ -425,9 +425,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // evaluated generation. Callers distinguish interruption from failure
 // with errors.Is(err, context.Canceled).
 func (e *Engine) Run(ctx context.Context, emit func(event.Event)) (*Result, error) {
-	if emit == nil {
-		emit = func(event.Event) {}
-	}
 	res := NewResult(e.cfg.Generations, len(e.cfg.Eval.Environments))
 	collector := metrics.NewCollector()
 

@@ -13,6 +13,9 @@ import (
 	"adhocga/internal/tournament"
 )
 
+// discard is the emit function of runs whose events a test ignores.
+func discard(event.Event) {}
+
 // smallConfig returns a fast configuration: 20 players, tournament size
 // 10, few rounds and generations.
 func smallConfig(seed uint64, envs []tournament.Environment, generations int) Config {
@@ -68,7 +71,7 @@ func TestRunProducesFullHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(context.Background(), nil)
+	res, err := e.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(context.Background(), nil)
+		res, err := e.Run(context.Background(), discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +134,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ra.Run(context.Background(), nil)
+	a, err := ra.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rb.Run(context.Background(), nil)
+	b, err := rb.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +225,7 @@ func TestEvolutionIncreasesCooperationWithoutCSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(context.Background(), nil)
+	res, err := e.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestTrustOnlyConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(context.Background(), nil)
+	res, err := e.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +297,7 @@ func BenchmarkGeneration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(context.Background(), nil); err != nil {
+		if _, err := e.Run(context.Background(), discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -71,7 +71,7 @@ func TestProbeCase2Basin(t *testing.T) {
 					results <- -1
 					return
 				}
-				res, err := e.Run(context.Background(), nil)
+				res, err := e.Run(context.Background(), discard)
 				if err != nil {
 					t.Error(err)
 					results <- -1
@@ -126,7 +126,7 @@ func TestProbeCase4Basin(t *testing.T) {
 					results <- out{}
 					return
 				}
-				res, err := e.Run(context.Background(), nil)
+				res, err := e.Run(context.Background(), discard)
 				if err != nil {
 					t.Error(err)
 					results <- out{}

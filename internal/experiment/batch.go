@@ -185,7 +185,7 @@ type ScenarioRun struct {
 // Every replicate's engine events reach emit stamped with the scenario's
 // index in runs and the replicate's index within it, and each finished
 // replicate emits a replicate event. emit is called concurrently from
-// pool workers; a nil emit discards the events.
+// pool workers.
 //
 // Cancellation is cooperative: replicates stop at their next generation
 // barrier and no new replicate starts once ctx is done. On cancellation
@@ -210,9 +210,6 @@ func RunScenarios(ctx context.Context, pool *runner.Pool, runs []ScenarioRun, de
 			return nil, err
 		}
 		jobs[i] = j
-	}
-	if emit == nil {
-		emit = func(event.Event) {}
 	}
 	return runJobs(ctx, pool, jobs, opts, emit)
 }

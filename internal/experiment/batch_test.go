@@ -14,10 +14,13 @@ import (
 	"adhocga/internal/scenario"
 )
 
+// discard is the emit function of runs whose events a test ignores.
+func discard(event.Event) {}
+
 // runScenarios runs a batch on a fresh pool sized like the batch's
 // parallelism (0: GOMAXPROCS) and discards its events.
 func runScenarios(runs []ScenarioRun, sc Scale, opts Options) ([]*CaseResult, error) {
-	return RunScenarios(context.Background(), runner.NewPool(opts.Parallelism), runs, sc, opts, nil)
+	return RunScenarios(context.Background(), runner.NewPool(opts.Parallelism), runs, sc, opts, discard)
 }
 
 // replicateCounter returns an emit function that checks every replicate
@@ -335,7 +338,7 @@ func TestRunScenariosHooksAndPoolLeaveResultsUnchanged(t *testing.T) {
 func TestRunScenariosContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := RunScenarios(ctx, runner.NewPool(0), csnRuns(0), tinyScale(), Options{}, nil)
+	out, err := RunScenarios(ctx, runner.NewPool(0), csnRuns(0), tinyScale(), Options{}, discard)
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled batch = %v, %v; want nil, context.Canceled", out, err)
 	}

@@ -210,7 +210,7 @@ type playerState struct {
 // After each generation's play Run emits a generation event: the
 // cooperation rate (as both Coop and MeanEnvCoop, IPDRP having a single
 // environment) and the population's fitness moments. emit runs on the
-// calling goroutine; a nil emit discards the events.
+// calling goroutine.
 //
 // Cancellation is checked once per generation before play — never inside
 // one — so an uncancelled run is bit-identical to an uncancellable one.
@@ -220,9 +220,6 @@ type playerState struct {
 func Run(ctx context.Context, cfg Config, emit func(event.Event)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if emit == nil {
-		emit = func(event.Event) {}
 	}
 	r := rng.New(cfg.Seed)
 	genomes := make([]ga.Individual, cfg.Population)

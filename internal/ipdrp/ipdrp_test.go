@@ -106,6 +106,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// discard is the emit function of runs whose events a test ignores.
+func discard(event.Event) {}
+
 func TestRunMechanics(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Population = 20
@@ -139,7 +142,7 @@ func TestRunDeterministic(t *testing.T) {
 		cfg.Population = 20
 		cfg.Rounds = 20
 		cfg.Generations = 5
-		res, err := Run(context.Background(), cfg, nil)
+		res, err := Run(context.Background(), cfg, discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +165,7 @@ func TestDefectionDominatesUnderRandomPairing(t *testing.T) {
 	cfg.Population = 60
 	cfg.Rounds = 50
 	cfg.Generations = 40
-	res, err := Run(context.Background(), cfg, nil)
+	res, err := Run(context.Background(), cfg, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestAllCPopulationStaysCooperative(t *testing.T) {
 	cfg.Population = 10
 	cfg.Rounds = 10
 	cfg.Generations = 1
-	res, err := Run(context.Background(), cfg, nil)
+	res, err := Run(context.Background(), cfg, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,7 @@ func TestCensusAfterEvolution(t *testing.T) {
 	cfg.Population = 40
 	cfg.Rounds = 40
 	cfg.Generations = 30
-	res, err := Run(context.Background(), cfg, nil)
+	res, err := Run(context.Background(), cfg, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +252,7 @@ func BenchmarkIPDRPGeneration(b *testing.B) {
 	cfg.Generations = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), cfg, nil); err != nil {
+		if _, err := Run(context.Background(), cfg, discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,7 +63,7 @@ func BenchmarkIslandEvolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(context.Background(), nil); err != nil {
+				if _, err := eng.Run(context.Background(), discard); err != nil {
 					b.Fatal(err)
 				}
 			}

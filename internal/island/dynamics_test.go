@@ -35,7 +35,7 @@ func TestOneIslandDynamicsBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialEng.Run(context.Background(), nil)
+	serial, err := serialEng.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestOneIslandDynamicsBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := isl.Run(context.Background(), nil)
+	got, err := isl.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestIslandDynamicsDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(context.Background(), nil)
+		res, err := eng.Run(context.Background(), discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -244,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 // Core.Seed. Each dynamics barrier emits one churn event after the
 // islands reproduce. Events are stamped scenario 0, replicate 0. emit
 // runs on the calling goroutine and never consumes engine or migration
-// randomness; a nil emit discards the events.
+// randomness.
 //
 // The context is checked once per generation at the barrier before the
 // islands evaluate — never inside a generation — so an uncancelled run is
@@ -253,9 +253,6 @@ func New(cfg Config) (*Engine, error) {
 // generation; no final views, no champion) is returned together with an
 // error wrapping ctx.Err().
 func (e *Engine) Run(ctx context.Context, emit func(event.Event)) (*Result, error) {
-	if emit == nil {
-		emit = func(event.Event) {}
-	}
 	n := len(e.islands)
 	gens := e.cfg.Core.Generations
 	res := &Result{

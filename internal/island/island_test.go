@@ -18,6 +18,9 @@ import (
 	"adhocga/internal/tournament"
 )
 
+// discard is the emit function of runs whose events a test ignores.
+func discard(event.Event) {}
+
 // testConfig builds a small, fast evolution configuration whose population
 // divides evenly into 1, 2, 3, 4, 6 or 8 islands while still satisfying
 // the tournament-size constraint (T−CSN = 4 normals ≤ 6 = pop/8).
@@ -187,7 +190,7 @@ func TestOneIslandBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialEng.Run(context.Background(), nil)
+	serial, err := serialEng.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestOneIslandBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := isl.Run(context.Background(), nil)
+	got, err := isl.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +288,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := eng.Run(context.Background(), nil)
+					res, err := eng.Run(context.Background(), discard)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -323,7 +326,7 @@ func TestTopologyAliasesRunToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alias %q rejected: %v", alias, err)
 		}
-		res, err := eng.Run(context.Background(), nil)
+		res, err := eng.Run(context.Background(), discard)
 		if err != nil {
 			t.Fatalf("alias %q failed at runtime: %v", alias, err)
 		}
@@ -458,7 +461,7 @@ func TestMigrationChangesOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(context.Background(), nil)
+		res, err := eng.Run(context.Background(), discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,7 +559,7 @@ func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := plainEng.Run(context.Background(), nil)
+	plain, err := plainEng.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,8 @@ func runPooled(ctx context.Context, s *Session, fn func() (any, error)) (any, er
 }
 
 // EvolveSpec runs one serial evolutionary experiment. Result type: *EvolutionResult — partial on cancellation.
-// Events: KindGeneration per generation, KindChurn at dynamics barriers.
+// Events: KindGeneration per generation, KindChurn at dynamics barriers,
+// KindCheckpoint when the config sets CheckpointInterval.
 type EvolveSpec struct {
 	Config EvolutionConfig
 }
@@ -73,7 +74,8 @@ func (sp EvolveSpec) run(ctx context.Context, s *Session, emit func(Event)) (any
 
 // IslandsSpec runs one island-model evolutionary experiment. Result
 // type: *IslandResult — partial on cancellation. Events: KindIslands per
-// generation, KindChurn at dynamics barriers.
+// generation, KindChurn at dynamics barriers (once per barrier, not per
+// island), KindCheckpoint when Core.CheckpointInterval is set.
 type IslandsSpec struct {
 	Config IslandConfig
 }
@@ -101,7 +103,8 @@ func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (an
 // Session.RunScenarios). Zero Defaults falls back to the session default scale.
 // Result type: []*CaseResult, in input order. Events: KindGeneration /
 // KindIslands per replicate generation, KindChurn at dynamics barriers,
-// KindReplicate per finished replicate.
+// KindCheckpoint when a scenario sets checkpoints, KindReplicate per
+// finished replicate.
 type ScenariosSpec struct {
 	Runs     []ScenarioRun
 	Defaults Scale

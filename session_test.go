@@ -23,6 +23,9 @@ func smallConfig(gens int, seed uint64) EvolutionConfig {
 	return cfg
 }
 
+// discard is the emit function of runs whose events a test ignores.
+func discard(Event) {}
+
 // drain collects a job's full event stream.
 func drain(t *testing.T, j *Job) []Event {
 	t.Helper()
@@ -41,7 +44,7 @@ func TestSessionEvolveBitIdenticalToEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := engine.Run(context.Background(), nil)
+	direct, err := engine.Run(context.Background(), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
