@@ -12,9 +12,10 @@ import (
 // re-exports it under the root names. Every long-running workload reports
 // mid-flight progress only as a stream of Event values on its Job handle.
 // Each engine's run entry takes an emit function and builds these events
-// itself: the serial and island engines and IPDRP emit generation, churn
-// and checkpoint events, and the batch layer stamps each one with its
-// scenario and replicate and adds a replicate event per finished unit.
+// itself: the serial and island engines emit generation (or islands),
+// churn and checkpoint events, IPDRP emits generation events, and the
+// batch layer stamps each one with its scenario and replicate and adds a
+// replicate event per finished unit.
 // A spec's run hands the engine the job's emit, so a job reports the same
 // events whether it arrives via Submit, Session.RunScenarios, or the HTTP
 // service, and no engine config carries an observation hook a caller
