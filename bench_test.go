@@ -14,6 +14,7 @@ package adhocga
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"adhocga/internal/baselines"
@@ -266,7 +267,7 @@ func csnRuns(counts ...int) []experiment.ScenarioRun {
 	return runs
 }
 
-// runBatch runs a scenario batch on a fresh pool of GOMAXPROCS slots and
+// runBatch runs a scenario batch on a fresh pool of the default size and
 // discards its events: the bare batch layer, without a Session.
 func runBatch(runs []experiment.ScenarioRun, sc experiment.Scale, opts experiment.Options) ([]*experiment.CaseResult, error) {
 	return experiment.RunScenarios(context.Background(), runner.NewPool(0), runs, sc, opts, discard)
@@ -341,6 +342,10 @@ func BenchmarkSweepThroughputBarrier(b *testing.B) {
 func BenchmarkSessionThroughput(b *testing.B) {
 	units := float64(len(sweepThroughputCounts) * sweepThroughputScale.Repetitions)
 	b.Run("submit", func(b *testing.B) {
+		// NewSession raises GOMAXPROCS to keep a P beyond its pool. Put
+		// it back, so every -count repetition (and "legacy" after them)
+		// starts from the -cpu value with a pool of that size.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		session := NewSession()
 		defer session.Close()
 		for i := 0; i < b.N; i++ {

@@ -4,10 +4,12 @@
 // JSON the CLIs' -scenario flag accepts, poll job status, and stream
 // per-generation events as NDJSON or SSE while the GA runs.
 //
-// The server keeps one Go scheduler slot (P) beyond the pool, raising
-// GOMAXPROCS to min(pool, cores)+1 when it is lower, so submits,
-// handshakes and status calls are answered while every pool slot
-// computes. An explicit GOMAXPROCS environment setting is left alone.
+// The pool bounds every CPU-bound goroutine of every job, island
+// evaluations and league matches included, and the session keeps one Go
+// scheduler slot (P) beyond it, raising GOMAXPROCS to min(pool, cores)+1
+// when it is lower, so submits, handshakes, status calls and event
+// streams are answered while every pool slot computes. An explicit
+// GOMAXPROCS environment setting is left alone.
 //
 // Usage:
 //

@@ -227,25 +227,6 @@ func compactionKey(e Event) streamKey {
 	}
 }
 
-// hand sends e on out for Job.EventsContext's adapter. It also wakes on
-// the hub's appends and detaches, since one may end the subscription
-// while nobody receives, and reports false once it has ended.
-func (s *Subscription) hand(out chan<- Event, e Event) bool {
-	for {
-		s.hub.mu.Lock()
-		err, wake := s.sub.err, await(&s.hub.notify)
-		s.hub.mu.Unlock()
-		if err != nil {
-			return false
-		}
-		select {
-		case out <- e:
-			return true
-		case <-wake:
-		}
-	}
-}
-
 // subscriber is the hub-internal state of one subscription.
 type subscriber struct {
 	policy Backpressure

@@ -94,26 +94,19 @@ func runJobs(ctx context.Context, pool *runner.Pool, jobs []job, opts Options, e
 		j := &jobs[u.job]
 		emitUnit := func(ev event.Event) { emit(stamp(ev, u.job, u.rep)) }
 		if j.spec.Islands != nil {
-			// Island replicate: the island engine fans its per-generation
-			// evaluation out over its own transient workers. Workers may
-			// briefly oversubscribe the CPU when many replicates run at
-			// once; that affects wall-clock only — results are
-			// deterministic at any parallelism level.
+			// Island replicate: this task holds a pool slot, and the island
+			// engine runs its per-generation evaluations on it plus any
+			// slots free at the time, so the pool bounds both levels.
 			icfg, err := j.spec.IslandConfig(u.seed)
 			if err != nil {
 				return err
 			}
 			icfg.Parallelism = opts.Parallelism
-			if icfg.Parallelism <= 0 {
-				// Size the workers from the shared pool, not GOMAXPROCS,
-				// which a server raises to keep a P free for I/O.
-				icfg.Parallelism = pool.Size()
-			}
 			engine, err := island.New(icfg)
 			if err != nil {
 				return err
 			}
-			ires, err := engine.Run(ctx, emitUnit)
+			ires, err := engine.Run(ctx, pool, emitUnit)
 			if err != nil {
 				return err
 			}

@@ -18,7 +18,7 @@ import (
 func discard(event.Event) {}
 
 // runScenarios runs a batch on a fresh pool sized like the batch's
-// parallelism (0: GOMAXPROCS) and discards its events.
+// parallelism (0: min(GOMAXPROCS, NumCPU)) and discards its events.
 func runScenarios(runs []ScenarioRun, sc Scale, opts Options) ([]*CaseResult, error) {
 	return RunScenarios(context.Background(), runner.NewPool(opts.Parallelism), runs, sc, opts, discard)
 }

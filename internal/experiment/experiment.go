@@ -119,7 +119,7 @@ type CaseResult struct {
 // Options tune a RunScenarios batch.
 type Options struct {
 	Seed        uint64
-	Parallelism int // worker cap for this batch; 0 means GOMAXPROCS, negative is an error; the pool bounds it either way
+	Parallelism int // cap on this batch's share of the pool, island evaluations included; 0 means the whole pool, negative is an error
 }
 
 // Aggregate folds one scenario's replicate results into a CaseResult: the

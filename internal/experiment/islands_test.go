@@ -1,9 +1,17 @@
 package experiment
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"adhocga/internal/event"
+	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
 )
 
@@ -52,18 +60,52 @@ func TestRunScenariosIslandSummary(t *testing.T) {
 	}
 }
 
+// TestRunScenariosIslandsDeterministicAcrossParallelism: an island
+// scenario gives byte-identical results, island summaries and events on
+// pools of 1, 2 and 4 slots, with and without a worker cap. Replicates
+// interleave their events differently on each pool, so events compare
+// per stream: each replicate's in emission order, and the replicate
+// counts as a set.
 func TestRunScenariosIslandsDeterministicAcrossParallelism(t *testing.T) {
-	run := func(par int) string {
-		res, err := runScenarios([]ScenarioRun{islandRun(4)}, tinyScale(), Options{Seed: 11, Parallelism: par})
+	type outcome struct {
+		result, islands string
+		streams         map[string][]string
+	}
+	run := func(pool, par int) outcome {
+		var mu sync.Mutex
+		streams := map[string][]string{}
+		emit := func(ev event.Event) {
+			b, err := json.Marshal(ev)
+			if err != nil {
+				t.Error(err)
+			}
+			key := "replicate"
+			if ev.Islands != nil {
+				key = fmt.Sprintf("rep %d", ev.Islands.Rep)
+			}
+			mu.Lock()
+			streams[key] = append(streams[key], string(b))
+			mu.Unlock()
+		}
+		res, err := RunScenarios(context.Background(), runner.NewPool(pool), []ScenarioRun{islandRun(4)}, tinyScale(),
+			Options{Seed: 11, Parallelism: par}, emit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return caseResultFingerprint(t, res[0])
+		slices.Sort(streams["replicate"])
+		islands, err := json.Marshal(res[0].Islands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{caseResultFingerprint(t, res[0]), string(islands), streams}
 	}
-	want := run(1)
-	for _, par := range []int{2, 8} {
-		if got := run(par); got != want {
-			t.Errorf("parallelism %d diverged from serial", par)
+	want := run(1, 1)
+	if len(want.streams) != 3 {
+		t.Fatalf("event streams %v, want two replicates and the replicate counts", want.streams)
+	}
+	for _, tc := range []struct{ pool, par int }{{1, 0}, {2, 0}, {4, 0}, {4, 2}, {4, 8}} {
+		if got := run(tc.pool, tc.par); !reflect.DeepEqual(got, want) {
+			t.Errorf("pool %d, parallelism %d diverged from the serial run", tc.pool, tc.par)
 		}
 	}
 }

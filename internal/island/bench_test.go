@@ -10,6 +10,7 @@ import (
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
 	"adhocga/internal/network"
+	"adhocga/internal/runner"
 	"adhocga/internal/tournament"
 )
 
@@ -63,7 +64,7 @@ func BenchmarkIslandEvolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(context.Background(), discard); err != nil {
+				if _, err := eng.Run(context.Background(), runner.NewPool(runtime.GOMAXPROCS(0)), discard); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"adhocga/internal/core"
 	"adhocga/internal/dynamics"
+	"adhocga/internal/runner"
 )
 
 // dynTestConfig is testConfig with the full perturbation layer enabled:
@@ -47,7 +48,7 @@ func TestOneIslandDynamicsBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := isl.Run(context.Background(), discard)
+	got, err := isl.Run(context.Background(), runner.NewPool(0), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestIslandDynamicsDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(context.Background(), discard)
+		res, err := eng.Run(context.Background(), runner.NewPool(0), discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Package island implements an island-model (distributed) genetic
 // algorithm on top of the serial evolution engine of internal/core: the
 // population of §5 is sharded into N subpopulations ("islands") evolved
-// concurrently on the shared worker pool (internal/runner), with periodic
-// migration of elite genomes between islands over a pluggable topology.
+// concurrently on the caller's execution pool (internal/runner), with
+// periodic migration of elite genomes between islands over a pluggable
+// topology.
 // Island models are the standard scaling path for GAs on ad hoc network
 // problems (Danoy et al., "Optimal Design of Ad Hoc Injection Networks by
 // Using Genetic Algorithms"), and migration schemes of this shape are
@@ -11,8 +12,8 @@
 //
 // # Determinism contract
 //
-// Results are bit-identical for a fixed Config regardless of worker count
-// or GOMAXPROCS:
+// Results are bit-identical for a fixed Config regardless of worker count,
+// pool size or GOMAXPROCS:
 //
 //   - every island owns an independent rng.Source stream whose seed is
 //     derived up front from the root seed, in island order, before any
@@ -76,9 +77,9 @@ type Config struct {
 	// Replace selects which residents incoming migrants evict; empty
 	// means ReplaceWorst.
 	Replace Replacement
-	// Parallelism is the worker count for per-generation island
-	// evaluation; ≤0 means GOMAXPROCS. It affects wall-clock only, never
-	// results.
+	// Parallelism caps how many of the pool's slots per-generation
+	// island evaluation uses; ≤0 means no cap beyond the pool. It affects
+	// wall-clock only, never results.
 	Parallelism int
 }
 
@@ -231,10 +232,15 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Run executes the configured number of generations: every generation,
-// all islands evaluate concurrently on the worker pool, the barrier merges
+// all islands evaluate concurrently on pool, the barrier merges
 // their observables into the aggregate series, migration runs at every
 // Interval-th barrier, and each island then reproduces with its own
 // stream. Deterministic for a fixed Config at any parallelism level.
+//
+// The calling goroutine must hold one of pool's slots (it runs inside a
+// pool task): each generation's evaluations run through pool.Share, on
+// that goroutine plus any slots free at the time, so the engine never
+// runs more evaluations at once than the pool has slots.
 //
 // At each barrier, after evaluation and before migration, Run emits an
 // islands event (run-wide cooperation plus each island's convergence
@@ -252,7 +258,7 @@ func New(cfg Config) (*Engine, error) {
 // Result (aggregate series and per-island traces for every completed
 // generation; no final views, no champion) is returned together with an
 // error wrapping ctx.Err().
-func (e *Engine) Run(ctx context.Context, emit func(event.Event)) (*Result, error) {
+func (e *Engine) Run(ctx context.Context, pool *runner.Pool, emit func(event.Event)) (*Result, error) {
 	n := len(e.islands)
 	gens := e.cfg.Core.Generations
 	res := &Result{
@@ -266,7 +272,7 @@ func (e *Engine) Run(ctx context.Context, emit func(event.Event)) (*Result, erro
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("island: interrupted before generation %d: %w", gen, err)
 		}
-		err := runner.RunContext(ctx, n, func(i int) error {
+		err := pool.Share(ctx, n, func(i int) error {
 			return e.islands[i].EvaluateGeneration(e.collectors[i])
 		}, runner.Options{Parallelism: e.cfg.Parallelism})
 		if err != nil {

@@ -1,7 +1,9 @@
 package island
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	"adhocga/internal/game"
 	"adhocga/internal/network"
 	"adhocga/internal/rng"
+	"adhocga/internal/runner"
 	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
 )
@@ -199,7 +202,7 @@ func TestOneIslandBitIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := isl.Run(context.Background(), discard)
+	got, err := isl.Run(context.Background(), runner.NewPool(0), discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,49 +265,57 @@ func fingerprint(res *Result) runFingerprint {
 }
 
 // TestDeterministicAcrossParallelism pins the multi-island determinism
-// contract: a fixed-seed 4-island run produces identical output at any
-// worker count and any GOMAXPROCS.
+// contract: a fixed-seed 4-island run produces identical results and
+// event bytes on pools of 1, 2 and 4 slots, at any worker cap and any
+// GOMAXPROCS.
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	for _, topo := range []Topology{Ring, FullyConnected, RandomPairs} {
 		for _, replace := range []Replacement{ReplaceWorst, ReplaceRandom} {
 			t.Run(fmt.Sprintf("%s-%s", topo, replace), func(t *testing.T) {
-				run := func(par, gomaxprocs int) runFingerprint {
+				type outcome struct {
+					fp     runFingerprint
+					events string
+				}
+				run := func(pool, par, gomaxprocs int) outcome {
 					if gomaxprocs > 0 {
 						prev := runtime.GOMAXPROCS(gomaxprocs)
 						defer runtime.GOMAXPROCS(prev)
 					}
 					eng, err := New(Config{
-						Core:     testConfig(24, 6, 99),
-						Count:    4,
-						Topology: topo,
-						Interval: 2,
-						Migrants: 2,
-						Replace:  replace,
-						// Parallelism ≤0 resolves to GOMAXPROCS inside
-						// the runner, so the gomaxprocs variants exercise
-						// genuinely different worker counts.
+						Core:        testConfig(24, 6, 99),
+						Count:       4,
+						Topology:    topo,
+						Interval:    2,
+						Migrants:    2,
+						Replace:     replace,
 						Parallelism: par,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := eng.Run(context.Background(), discard)
+					var events bytes.Buffer
+					enc := json.NewEncoder(&events)
+					res, err := eng.Run(context.Background(), runner.NewPool(pool), func(ev event.Event) {
+						if err := enc.Encode(ev); err != nil {
+							t.Error(err)
+						}
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return fingerprint(res)
+					return outcome{fingerprint(res), events.String()}
 				}
-				want := run(1, 1)
-				if want.Moved == 0 {
+				want := run(1, 0, 1)
+				if want.fp.Moved == 0 {
 					t.Fatal("no migration happened; test is vacuous")
 				}
-				for _, par := range []int{2, 8} {
-					if got := run(par, 0); !reflect.DeepEqual(got, want) {
-						t.Errorf("parallelism %d diverged from serial", par)
+				for _, tc := range []struct{ pool, par, gomaxprocs int }{
+					{2, 0, 0}, {4, 0, 0}, {4, 2, 0}, {4, 0, 8},
+				} {
+					if got := run(tc.pool, tc.par, tc.gomaxprocs); !reflect.DeepEqual(got, want) {
+						t.Errorf("pool %d, parallelism %d, GOMAXPROCS %d diverged from the 1-slot pool",
+							tc.pool, tc.par, tc.gomaxprocs)
 					}
-				}
-				if got := run(0, 8); !reflect.DeepEqual(got, want) {
-					t.Error("GOMAXPROCS=8 diverged from GOMAXPROCS=1")
 				}
 			})
 		}
@@ -326,7 +337,7 @@ func TestTopologyAliasesRunToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alias %q rejected: %v", alias, err)
 		}
-		res, err := eng.Run(context.Background(), discard)
+		res, err := eng.Run(context.Background(), runner.NewPool(0), discard)
 		if err != nil {
 			t.Fatalf("alias %q failed at runtime: %v", alias, err)
 		}
@@ -461,7 +472,7 @@ func TestMigrationChangesOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(context.Background(), discard)
+		res, err := eng.Run(context.Background(), runner.NewPool(0), discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +513,7 @@ func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withHooks, err := eng.Run(context.Background(), func(ev event.Event) {
+	withHooks, err := eng.Run(context.Background(), runner.NewPool(0), func(ev event.Event) {
 		switch ev.Kind {
 		case event.KindIslands:
 			gens = append(gens, ev.Islands)
@@ -559,7 +570,7 @@ func TestCheckpointHookFiresAcrossIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := plainEng.Run(context.Background(), discard)
+	plain, err := plainEng.Run(context.Background(), runner.NewPool(0), discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,9 @@ type Config struct {
 	Mode network.PathMode
 	Game game.Config
 	Seed uint64
-	// Parallelism bounds concurrent matches (0 = GOMAXPROCS). It cannot
-	// change results: match seeds are pre-derived and outcomes land in
-	// index-addressed slots.
+	// Parallelism caps how many of the pool's slots the matches use (0 =
+	// no cap beyond the pool). It cannot change results: match seeds are
+	// pre-derived and outcomes land in index-addressed slots.
 	Parallelism int
 }
 
@@ -179,10 +179,15 @@ func (t *Table) Winner() string {
 // side scoring the mean eq. 1 fitness of its players. The side with the
 // higher mean wins the match; exact ties split the point.
 //
-// Deterministic for a fixed config at any Parallelism/GOMAXPROCS: match
-// seeds are drawn from the root seed in (pair, repetition) order before
-// any match runs, and every match owns all of its mutable state.
-func RunContext(ctx context.Context, cfg Config) (*Table, error) {
+// The calling goroutine must hold one of pool's slots (it runs inside a
+// pool task): the matches run through pool.Share, on that goroutine plus
+// any slots free at the time.
+//
+// Deterministic for a fixed config at any Parallelism, pool size or
+// GOMAXPROCS: match seeds are drawn from the root seed in (pair,
+// repetition) order before any match runs, and every match owns all of
+// its mutable state.
+func RunContext(ctx context.Context, pool *runner.Pool, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -204,7 +209,7 @@ func RunContext(ctx context.Context, cfg Config) (*Table, error) {
 		}
 	}
 
-	err := runner.RunContext(ctx, len(matches), func(i int) error {
+	err := pool.Share(ctx, len(matches), func(i int) error {
 		m := &matches[i]
 		pa, pb, err := playMatch(cfg.Seats[m.a], cfg.Seats[m.b], cfg, m.seed)
 		if err != nil {

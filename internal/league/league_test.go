@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"adhocga/internal/rng"
+	"adhocga/internal/runner"
 	"adhocga/internal/strategy"
 )
 
@@ -43,9 +44,9 @@ func goldenConfig(t *testing.T) Config {
 	}
 }
 
-func tableJSON(t *testing.T, cfg Config) []byte {
+func tableJSON(t *testing.T, pool *runner.Pool, cfg Config) []byte {
 	t.Helper()
-	table, err := RunContext(context.Background(), cfg)
+	table, err := RunContext(context.Background(), pool, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func tableJSON(t *testing.T, cfg Config) []byte {
 //
 //	go test -run TestLeagueGolden -update ./internal/league/
 func TestLeagueGolden(t *testing.T) {
-	got := tableJSON(t, goldenConfig(t))
+	got := tableJSON(t, runner.NewPool(0), goldenConfig(t))
 	golden := filepath.Join("testdata", "league_table.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -84,17 +85,18 @@ func TestLeagueGolden(t *testing.T) {
 
 // TestLeagueDeterministicAcrossParallelism is the contract the package
 // doc promises: the marshaled table is byte-identical at GOMAXPROCS
-// 1, 2, and 8, crossed with explicit Parallelism settings.
+// 1, 2, and 8 on a pool of as many slots, crossed with explicit
+// Parallelism settings.
 func TestLeagueDeterministicAcrossParallelism(t *testing.T) {
 	cfg := goldenConfig(t)
-	want := tableJSON(t, cfg)
+	want := tableJSON(t, runner.NewPool(1), cfg)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, par := range []int{0, 1, 2, 8} {
 			cfg.Parallelism = par
-			if got := tableJSON(t, cfg); string(got) != string(want) {
+			if got := tableJSON(t, runner.NewPool(procs), cfg); string(got) != string(want) {
 				t.Fatalf("GOMAXPROCS=%d Parallelism=%d table differs:\ngot  %s\nwant %s", procs, par, got, want)
 			}
 		}
@@ -125,7 +127,7 @@ func TestLeagueDeterministicAcrossRestart(t *testing.T) {
 			}
 			seats = append(seats, seat)
 		}
-		return tableJSON(t, Config{Seats: seats, PerSide: 3, CSN: 2, MatchesPerPair: 2, Rounds: 20, Seed: 42})
+		return tableJSON(t, runner.NewPool(0), Config{Seats: seats, PerSide: 3, CSN: 2, MatchesPerPair: 2, Rounds: 20, Seed: 42})
 	}
 
 	a, err := OpenDir(dir)
@@ -155,7 +157,7 @@ func TestLeagueDeterministicAcrossRestart(t *testing.T) {
 
 func TestLeagueTableShape(t *testing.T) {
 	cfg := goldenConfig(t)
-	table, err := RunContext(context.Background(), cfg)
+	table, err := RunContext(context.Background(), runner.NewPool(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestConfigValidate(t *testing.T) {
 		cfg := base
 		cfg.Seats = append([]Seat(nil), base.Seats...)
 		mutate(&cfg)
-		if _, err := RunContext(context.Background(), cfg); err == nil {
+		if _, err := RunContext(context.Background(), runner.NewPool(0), cfg); err == nil {
 			t.Errorf("%s: RunContext accepted invalid config", name)
 		}
 	}
@@ -243,7 +245,7 @@ func TestDefaults(t *testing.T) {
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, goldenConfig(t)); err == nil {
+	if _, err := RunContext(ctx, runner.NewPool(0), goldenConfig(t)); err == nil {
 		t.Fatal("RunContext ignored cancelled context")
 	}
 }
@@ -262,7 +264,7 @@ func BenchmarkRoundRobin(b *testing.B) {
 	var matches int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, err := RunContext(context.Background(), cfg)
+		table, err := RunContext(context.Background(), runner.NewPool(0), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

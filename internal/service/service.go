@@ -81,8 +81,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -187,11 +185,10 @@ type Server struct {
 	resumed   int
 }
 
-// New builds a Server over the given session. It also keeps one P (a
-// GOMAXPROCS scheduler slot) beyond what the session's compute pool can
-// occupy; see reserveIOProc.
+// New builds a Server over the given session. The session already keeps
+// one P (a GOMAXPROCS scheduler slot) beyond what its compute pool can
+// occupy, so handlers answer while every pool slot computes.
 func New(session *adhocga.Session, opts Options) *Server {
-	reserveIOProc(session.PoolSize())
 	if opts.KeepaliveInterval <= 0 {
 		opts.KeepaliveInterval = 15 * time.Second
 	}
@@ -234,28 +231,6 @@ func New(session *adhocga.Session, opts Options) *Server {
 		s.registerPprof()
 	}
 	return s
-}
-
-// procMu serializes reserveIOProc's read-then-raise, so two servers built
-// at once can never lower GOMAXPROCS.
-var procMu sync.Mutex
-
-// reserveIOProc raises GOMAXPROCS to min(pool, NumCPU)+1 when it is lower.
-// With every P running a compute goroutine, a goroutine the network wakes
-// (a submit, a WebSocket handshake, a status call) waits for sysmon's
-// ~10 ms netpoll and preemption; a spare P picks it up at once. The NumCPU
-// cap keeps default pools, which are sized from GOMAXPROCS, from ratcheting
-// it up one more with every server built. GOMAXPROCS is never lowered, and
-// an operator's GOMAXPROCS environment setting is left alone.
-func reserveIOProc(pool int) {
-	if os.Getenv("GOMAXPROCS") != "" {
-		return
-	}
-	procMu.Lock()
-	defer procMu.Unlock()
-	if want := min(pool, runtime.NumCPU()) + 1; runtime.GOMAXPROCS(0) < want {
-		runtime.GOMAXPROCS(want)
-	}
 }
 
 // Shutdown cancels every live stream — WebSocket, SSE, NDJSON — so their

@@ -28,7 +28,8 @@ func TestEvaluateWithAdversariesSeats(t *testing.T) {
 		Tournament:     *testConfig(5),
 	}
 	rec := &participantRecorder{}
-	if err := EvaluateWithAdversaries(normals, csn, byz, registry, cfg, network.NewGenerator(cfg.Tournament.Mode), rng.New(3), rec); err != nil {
+	var es EvalState
+	if err := es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, network.NewGenerator(cfg.Tournament.Mode), rng.New(3), rec); err != nil {
 		t.Fatal(err)
 	}
 	// Every byz player must have played: they hold a seat in every
@@ -62,7 +63,8 @@ func TestEvaluateWithAdversariesRejectsOvercrowding(t *testing.T) {
 		Environments:   []Environment{{Name: "TE", CSN: 2}},
 		Tournament:     *testConfig(5),
 	}
-	err := EvaluateWithAdversaries(normals, csn, byz, registry, cfg, network.NewGenerator(cfg.Tournament.Mode), rng.New(3), nil)
+	var es EvalState
+	err := es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, network.NewGenerator(cfg.Tournament.Mode), rng.New(3), nil)
 	if err == nil {
 		t.Fatal("overcrowded tournament accepted")
 	}
@@ -92,7 +94,8 @@ func TestEvaluateWithEmptyAdversariesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2, c2, r2, cfg2 := build()
-	if err := EvaluateWithAdversaries(n2, c2, nil, r2, cfg2, network.NewGenerator(cfg2.Tournament.Mode), rng.New(5), nil); err != nil {
+	var es EvalState
+	if err := es.EvaluateWithAdversaries(n2, c2, nil, r2, cfg2, network.NewGenerator(cfg2.Tournament.Mode), rng.New(5), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range n1 {

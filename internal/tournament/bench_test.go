@@ -87,7 +87,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	var es EvalState
 	var counter gameCounter
 	r := rng.New(2)
-	if err := es.Evaluate(normals, csn, registry, cfg, gen, r, &counter); err != nil {
+	if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, &counter); err != nil {
 		b.Fatal(err)
 	}
 
@@ -95,7 +95,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	b.ResetTimer()
 	r = rng.New(2)
 	for i := 0; i < b.N; i++ {
-		if err := es.Evaluate(normals, csn, registry, cfg, gen, r, nil); err != nil {
+		if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,12 +117,12 @@ func TestEvaluateZeroAllocs(t *testing.T) {
 	r := rng.New(8)
 	// Warm: grow the EvalState, generator scratch, and every dense store.
 	for i := 0; i < 3; i++ {
-		if err := es.Evaluate(normals, csn, registry, cfg, gen, r, nil); err != nil {
+		if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := es.Evaluate(normals, csn, registry, cfg, gen, r, nil); err != nil {
+		if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -58,7 +58,7 @@ func (c *EvalConfig) MaxCSN() int {
 // ready to use; one warmed by a first pass makes every later pass with
 // the same shapes allocation-free, which is why the engine keeps one
 // EvalState for the lifetime of a run instead of calling the package-level
-// functions. It must not be shared between goroutines.
+// Evaluate. It must not be shared between goroutines.
 type EvalState struct {
 	plays        []int
 	unplayed     []int
@@ -89,25 +89,13 @@ func Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalCon
 	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, rec)
 }
 
-// EvaluateWithAdversaries is Evaluate with an additional cohort of
-// Byzantine adversaries (internal/dynamics): unlike the per-environment
-// CSN, the byz players take a seat in every tournament of every
-// environment, shrinking the normal seats to T − Si − len(byz). With an
-// empty cohort it is Evaluate, bit for bit.
-func EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
-	var es EvalState
-	return es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, gen, r, rec)
-}
-
-// Evaluate is the state-reusing form of the package-level Evaluate.
-func (es *EvalState) Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
-	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, rec)
-}
-
-// EvaluateWithAdversaries is the state-reusing form of the package-level
-// EvaluateWithAdversaries: identical draws and results, but all working
-// buffers come from (and return to) the EvalState, so a warm state runs
-// the whole pass without heap allocation.
+// EvaluateWithAdversaries is the state-reusing form of Evaluate, with an
+// additional cohort of Byzantine adversaries (internal/dynamics): unlike
+// the per-environment CSN, the byz players take a seat in every
+// tournament of every environment, shrinking the normal seats to
+// T − Si − len(byz). With an empty cohort it is Evaluate, bit for bit;
+// all working buffers come from (and return to) the EvalState, so a warm
+// state runs the whole pass without heap allocation.
 func (es *EvalState) EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
 	if err := cfg.Validate(len(normals)); err != nil {
 		return err

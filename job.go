@@ -3,6 +3,7 @@ package adhocga
 import (
 	"context"
 	"errors"
+	"iter"
 	"log/slog"
 	"sync"
 
@@ -127,27 +128,30 @@ func (j *Job) Subscribe(ctx context.Context, opts SubscribeOptions) *Subscriptio
 }
 
 // Events streams the job's events from the oldest retained one — for jobs
-// within the ring capacity that is the very first, so a subscriber
-// attaching after the job started (or even after it finished) replays the
-// full history, then follows live. The subscription uses the archival
-// BlockWithDeadline policy: an actively-draining consumer sees every event
-// with no gaps, and only a consumer that stops draining for longer than
-// the hub's one-second block deadline is evicted (the channel closes
-// early in that case). The channel is closed after the terminal KindDone
-// event. Use EventsContext to detach early. One goroutine per call feeds
-// the channel from a Subscription cursor until the stream ends.
-func (j *Job) Events() <-chan Event {
+// within the ring capacity that is the very first, so a loop started after
+// the job started (or even after it finished) replays the full history,
+// then follows live. Each range over the sequence reads its own
+// subscription cursor, attached when the loop starts, with the archival
+// BlockWithDeadline policy: a loop that keeps reading sees every event
+// with no gaps, and only one that stalls inside its body for longer than
+// the hub's one-second block deadline is evicted (the loop ends early in
+// that case). The sequence ends after the terminal KindDone event.
+// Leaving the loop early detaches the subscription at once, so the job
+// never waits on an abandoned loop. No goroutine runs on the caller's
+// behalf.
+func (j *Job) Events() iter.Seq[Event] {
 	return j.EventsContext(context.Background())
 }
 
 // EventsContext is Events with a detach control: when ctx is cancelled the
-// subscription stops and the channel is closed without draining the
-// remaining history. The job itself is unaffected.
-func (j *Job) EventsContext(ctx context.Context) <-chan Event {
-	sub := j.Subscribe(ctx, SubscribeOptions{Policy: BlockWithDeadline})
-	out := make(chan Event)
-	go func() {
-		defer close(out)
+// subscription stops and the loop ends without reading the remaining
+// history. The job itself is unaffected.
+func (j *Job) EventsContext(ctx context.Context) iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		sub := j.Subscribe(ctx, SubscribeOptions{Policy: BlockWithDeadline})
+		// Leaving the loop early frees the producer from this cursor at
+		// once; after the terminal event the subscription is already gone.
+		defer j.hub.detach(sub.sub, errLoopLeft)
 		for {
 			e, wake, err := sub.Next()
 			if err != nil {
@@ -157,13 +161,15 @@ func (j *Job) EventsContext(ctx context.Context) <-chan Event {
 				<-wake
 				continue
 			}
-			if !sub.hand(out, e) {
+			if !yield(e) {
 				return
 			}
 		}
-	}()
-	return out
+	}
 }
+
+// errLoopLeft ends the subscription of a Job.Events loop left early.
+var errLoopLeft = errors.New("adhocga: events loop left early")
 
 // Wait blocks until the job reaches a terminal state or ctx is done. It
 // returns the job's terminal error (nil for success) — or ctx.Err() when

@@ -31,14 +31,13 @@ type JobSpec interface {
 }
 
 // runPooled executes fn on one shared session pool slot, so engine-level
-// jobs (a single serial engine, an island engine, a mix, an IPDRP run)
-// count against the same capacity their batch siblings' replicates do —
-// flooding a session with Submit calls cannot run more engines at once
-// than the pool has slots. The island engine's per-generation evaluation
-// workers inside that slot are the one documented exception (transient,
-// wall-clock-only oversubscription — same tradeoff as island replicates
-// in a batch). fn's partial result and original error are preserved on
-// cancellation.
+// jobs (a single serial engine, an island engine, a mix, an IPDRP run, a
+// league) count against the same capacity their batch siblings'
+// replicates do — flooding a session with Submit calls cannot run more
+// engines at once than the pool has slots. An island engine or a league
+// fans out from inside that slot through the pool too, borrowing only
+// slots that are free, so the pool bounds all of a job's work. fn's
+// partial result and original error are preserved on cancellation.
 func runPooled(ctx context.Context, s *Session, fn func() (any, error)) (any, error) {
 	var res any
 	var ferr error
@@ -84,18 +83,12 @@ type IslandsSpec struct {
 func (IslandsSpec) Kind() string { return "islands" }
 
 func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	cfg := sp.Config
-	if cfg.Parallelism <= 0 {
-		// The pool's size, not GOMAXPROCS, which a server raises to keep
-		// a P free for I/O.
-		cfg.Parallelism = s.PoolSize()
-	}
 	return runPooled(ctx, s, func() (any, error) {
-		engine, err := island.New(cfg)
+		engine, err := island.New(sp.Config)
 		if err != nil {
 			return nil, err
 		}
-		return engine.Run(ctx, emit)
+		return engine.Run(ctx, s.pool, emit)
 	})
 }
 

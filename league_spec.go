@@ -97,16 +97,10 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Parallelism == 0 {
-		// The pool's size, not GOMAXPROCS, which a server raises to keep
-		// a P free for I/O.
-		cfg.Parallelism = s.PoolSize()
-	}
-	// One pool slot for the whole league; its matches fan out over the
-	// league's own bounded workers (the islands tradeoff: transient,
-	// wall-clock-only oversubscription, results unaffected).
+	// The league holds one pool slot and plays its matches on it plus
+	// any slots free at the time.
 	return runPooled(ctx, s, func() (any, error) {
-		return league.RunContext(ctx, cfg)
+		return league.RunContext(ctx, s.pool, cfg)
 	})
 }
 

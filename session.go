@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -53,8 +55,10 @@ type Session struct {
 type SessionOption func(*Session)
 
 // WithPoolSize sets the session execution pool's slot count — the maximum
-// number of replicate units running at once across all jobs. n ≤ 0 (the
-// default) means GOMAXPROCS.
+// number of CPU-bound goroutines the session runs at once across all
+// jobs: replicates, engines, and the island evaluations and league
+// matches they fan out. n ≤ 0 (the default) means min(GOMAXPROCS,
+// NumCPU), measured before NewSession reserves its spare P.
 func WithPoolSize(n int) SessionOption {
 	return func(s *Session) { s.pool = runner.NewPool(n) }
 }
@@ -124,7 +128,9 @@ func WithChampionArchive(a *league.Archive) SessionOption {
 	return func(s *Session) { s.champions = a }
 }
 
-// NewSession builds a Session from its functional options.
+// NewSession builds a Session from its functional options. It also keeps
+// one P (a GOMAXPROCS scheduler slot) beyond what the session's pool can
+// occupy; see reserveIOProc.
 func NewSession(opts ...SessionOption) *Session {
 	s := &Session{
 		scale: ScaleDefault,
@@ -139,7 +145,32 @@ func NewSession(opts ...SessionOption) *Session {
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
 	}
+	reserveIOProc(s.pool.Size())
 	return s
+}
+
+// procMu serializes reserveIOProc's read-then-raise, so two sessions built
+// at once can never lower GOMAXPROCS.
+var procMu sync.Mutex
+
+// reserveIOProc raises GOMAXPROCS to min(pool, NumCPU)+1 when it is lower.
+// With every P running a compute goroutine, a goroutine woken by an event
+// append or by the network (an event consumer, a submit, a WebSocket
+// handshake) waits for the runtime's ~10 ms preemption tick or sysmon's
+// netpoll; a spare P picks it up at once. The pool bounds every CPU-bound
+// goroutine, so the spare P stays spare. The NumCPU cap, with default
+// pools sized min(GOMAXPROCS, NumCPU), keeps a second session from taking
+// the spare P or ratcheting GOMAXPROCS up again. GOMAXPROCS is never
+// lowered, and an operator's GOMAXPROCS environment setting is left alone.
+func reserveIOProc(pool int) {
+	if os.Getenv("GOMAXPROCS") != "" {
+		return
+	}
+	procMu.Lock()
+	defer procMu.Unlock()
+	if want := min(pool, runtime.NumCPU()) + 1; runtime.GOMAXPROCS(0) < want {
+		runtime.GOMAXPROCS(want)
+	}
 }
 
 // PoolSize returns the session execution pool's slot count.
