@@ -151,10 +151,6 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 	}
 	all := append(append([]*game.Player{}, players...), csn...)
 	registry := tournament.BuildRegistry(players, csn)
-	for _, p := range all {
-		p.Rep.EnsureSize(len(registry))
-		p.Rep.SetTable(cfg.Game.TrustTable)
-	}
 
 	gossipWeight := cfg.GossipWeight
 	if cfg.GossipInterval > 0 && gossipWeight == 0 {

@@ -212,9 +212,8 @@ type Engine struct {
 	// repro is the double-buffered offspring arena: Reproduce writes each
 	// new generation into repro[reproParity] while reading parents from
 	// the other buffer (or from init/immigrant vectors), then flips the
-	// parity. Two buffers suffice because strategies are reinstalled from
-	// the live genomes at the start of every EvaluateGeneration, before
-	// the buffer they previously shared is ever rewritten.
+	// parity. Installed strategies are packed copies of the genomes, so
+	// nothing else reads a buffer once its generation has reproduced.
 	repro       [2]ga.Buffers
 	reproParity int
 }
@@ -270,14 +269,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.registry = tournament.BuildRegistry(e.normals, e.csn, e.byz)
-	// Pre-size every dense reputation store to the registry and install
-	// the configured trust table, so the generational loop never grows a
-	// store or recomputes cached levels mid-run.
-	table := cfg.Eval.Tournament.Game.TrustTable
-	for _, p := range e.registry {
-		p.Rep.EnsureSize(len(e.registry))
-		p.Rep.SetTable(table)
-	}
 	return e, nil
 }
 
@@ -328,12 +319,6 @@ func (r *Result) Record(c *metrics.Collector) {
 // as the serial loop does; callers that interleave work between generations
 // (the island engine's migration barriers) must not touch the stream.
 func (e *Engine) EvaluateGeneration(collector *metrics.Collector) error {
-	// The installed strategies share the genome vectors (no clone): the
-	// evaluation pass never writes genomes, Reproduce writes only the
-	// opposite arena buffer, and this reinstall runs before that buffer
-	// ever comes around again — so the bits a strategy reads are immutable
-	// for exactly as long as the strategy is installed. Snapshots that
-	// outlive the engine deep-copy (SnapshotStrategies).
 	for i, ind := range e.genomes {
 		e.normals[i].Strategy = strategy.New(ind.Genome)
 	}
@@ -392,13 +377,12 @@ func (e *Engine) Dynamics() *dynamics.Model { return e.dyn }
 func (e *Engine) Population() []ga.Individual { return e.genomes }
 
 // SnapshotStrategies returns the strategies installed by the most recent
-// EvaluateGeneration, one per individual in population order. Each entry
-// is backed by its own genome copy, so snapshots stay valid after the
-// engine evolves further.
+// EvaluateGeneration, one per individual in population order. Strategies
+// are values, so snapshots stay valid after the engine evolves further.
 func (e *Engine) SnapshotStrategies() []strategy.Strategy {
 	out := make([]strategy.Strategy, len(e.normals))
 	for i, p := range e.normals {
-		out[i] = strategy.New(p.Strategy.Genome())
+		out[i] = p.Strategy
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"adhocga/internal/event"
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
+	"adhocga/internal/metrics"
 	"adhocga/internal/network"
 	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
@@ -277,12 +278,31 @@ func TestStrategiesAccessor(t *testing.T) {
 	if len(ss) != 20 {
 		t.Fatalf("%d strategies", len(ss))
 	}
-	// Snapshots are copies: the engine evolving its genomes in place
-	// must not change a snapshot already taken.
-	e.Population()[0].Genome.Flip(0)
-	ss2 := e.SnapshotStrategies()
-	if ss[0].Equal(ss2[0]) {
-		t.Error("SnapshotStrategies shares the engine's genome storage")
+	// A snapshot does not change as the engine evolves: reproduce and
+	// evaluate the next generation, then compare against the keys taken
+	// before.
+	keys := make([]string, len(ss))
+	for i, s := range ss {
+		keys[i] = s.Key()
+	}
+	if err := e.EvaluateGeneration(metrics.NewCollector()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reproduce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EvaluateGeneration(metrics.NewCollector()); err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	for i, s := range e.SnapshotStrategies() {
+		changed = changed || s.Key() != keys[i]
+		if ss[i].Key() != keys[i] {
+			t.Fatalf("snapshot entry %d changed across Reproduce: %s, was %s", i, ss[i].Key(), keys[i])
+		}
+	}
+	if !changed {
+		t.Error("the population did not change across Reproduce; the check above proved nothing")
 	}
 }
 

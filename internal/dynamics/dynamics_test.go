@@ -9,6 +9,7 @@ import (
 	"adhocga/internal/network"
 	"adhocga/internal/rng"
 	"adhocga/internal/strategy"
+	"adhocga/internal/trust"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -215,14 +216,24 @@ func TestChurnConstraintAppliesToImmigrants(t *testing.T) {
 func TestChurnForgetsReputationBothWays(t *testing.T) {
 	const n = 6
 	pop, players, registry := buildPopulation(t, n)
-	// Everyone has observed everyone.
-	for _, p := range players {
-		for _, q := range players {
-			if p != q {
-				p.Rep.Observe(q.ID, true)
+	// Everyone has observed everyone forward once, written the way a
+	// tournament writes stores: through a trust.Matrix.
+	var mx trust.Matrix
+	stores := make([]*trust.Store, n)
+	ids := make([]network.NodeID, n)
+	for i, p := range players {
+		stores[i], ids[i] = p.Rep, p.ID
+	}
+	mx.Load(stores, ids, len(registry))
+	for o := range n {
+		for q := range n {
+			if o != q {
+				mx.Cells[o*n+q] = trust.Counters{Requests: 1, Forwards: 1}
 			}
 		}
+		mx.Known[o], mx.ForwardsSum[o] = n-1, n-1
 	}
+	mx.Save()
 	m, err := NewModel(Config{ChurnRate: 0.34, IDHeadroom: 1}, rng.New(11), n, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -237,11 +248,11 @@ func TestChurnForgetsReputationBothWays(t *testing.T) {
 	}
 	fresh := 0
 	for _, p := range players {
-		if p.Rep.KnownCount() == 0 {
+		if known, _ := p.Rep.Totals(); known == 0 {
 			fresh++
 			// No peer may remember the replaced identity.
 			for _, q := range players {
-				if q != p && q.Rep.Known(p.ID) {
+				if q != p && q.Rep.Counters(p.ID).Requests > 0 {
 					t.Errorf("player %d still remembers churned identity %d", q.ID, p.ID)
 				}
 			}

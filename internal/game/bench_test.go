@@ -7,10 +7,10 @@ import (
 	"adhocga/internal/strategy"
 )
 
-// benchPlayers builds a source plus k intermediates with mixed behavior and
-// warms every reputation store so the benchmark measures the steady state
-// (all observation records already exist).
-func benchPlayers(k int) (*Player, []*Player, Config) {
+// benchBoard seats a source plus k intermediates with mixed behavior and
+// warms the board so the benchmark measures the steady state (all
+// observation records already exist).
+func benchBoard(k int) (*Board, Config) {
 	cfg := DefaultConfig()
 	src := NewNormal(0, strategy.AllForward())
 	inters := make([]*Player, k)
@@ -21,45 +21,47 @@ func benchPlayers(k int) (*Player, []*Player, Config) {
 		}
 		inters[i] = NewNormal(network.NodeID(i+1), s)
 	}
+	b, _ := seat(src, inters)
 	for i := 0; i < 32; i++ {
-		Play(src, inters, &cfg, nil)
+		playSeated(b, k, &cfg)
 	}
-	return src, inters, cfg
+	return b, cfg
 }
 
-// TestPlayZeroAllocsSteadyState pins the dense-store guarantee: once every
-// participant's reputation records exist, a game performs no heap
-// allocations at all — no map inserts, no closures, no scratch growth.
+// TestPlayZeroAllocsSteadyState pins the board guarantee: a game performs
+// no heap allocations at all — no map inserts, no closures, no scratch
+// growth.
 func TestPlayZeroAllocsSteadyState(t *testing.T) {
-	src, inters, cfg := benchPlayers(5)
+	b, cfg := benchBoard(5)
+	paths := []network.Path{{Src: 0, Dst: 6, Intermediates: []network.NodeID{1, 2, 3, 4, 5}}}
 	allocs := testing.AllocsPerRun(1000, func() {
-		Play(src, inters, &cfg, nil)
+		b.Play(0, paths, nil, &cfg)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Play allocates %v times per game, want 0", allocs)
 	}
 }
 
-// BenchmarkPlay measures one steady-state game on a 5-intermediate path:
-// decisions, payoffs, and the O(k²) reputation updates. The dense-store
-// acceptance bar is ≥2× ns/op over the map-based seed and 0 allocs/op.
-func BenchmarkPlay(b *testing.B) {
-	src, inters, cfg := benchPlayers(5)
+// benchPlay measures one steady-state game on a k-intermediate path.
+func benchPlay(b *testing.B, k int) {
+	board, cfg := benchBoard(k)
+	inter := make([]network.NodeID, k)
+	for i := range inter {
+		inter[i] = network.NodeID(i + 1)
+	}
+	paths := []network.Path{{Src: 0, Dst: network.NodeID(k + 1), Intermediates: inter}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Play(src, inters, &cfg, nil)
+		board.Play(0, paths, nil, &cfg)
 	}
 }
+
+// BenchmarkPlay measures one steady-state game on a 5-intermediate path:
+// decisions, payoffs, and the O(k²) reputation updates, 0 allocs/op.
+func BenchmarkPlay(b *testing.B) { benchPlay(b, 5) }
 
 // BenchmarkPlayLongPath is the same measurement at the paper's maximum path
 // length (9 intermediates = 10 hops), where the k² observation loop
 // dominates.
-func BenchmarkPlayLongPath(b *testing.B) {
-	src, inters, cfg := benchPlayers(9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Play(src, inters, &cfg, nil)
-	}
-}
+func BenchmarkPlayLongPath(b *testing.B) { benchPlay(b, 9) }

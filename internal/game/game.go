@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"adhocga/internal/network"
+	"adhocga/internal/rng"
 	"adhocga/internal/strategy"
 	"adhocga/internal/trust"
 )
@@ -155,20 +156,7 @@ type Config struct {
 	// a network with no reputation system, where selfishness goes
 	// unnoticed. Ablation use only.
 	BlindDecisions bool
-
-	// tablesSynced promises that every player deciding under this config
-	// already has TrustTable installed in its store, letting Decide skip
-	// its per-decision table compare. Only a driver that syncs all
-	// participants itself (tournament.PlayWith does, once per tournament)
-	// may set it, via MarkTablesSynced.
-	tablesSynced bool
 }
-
-// MarkTablesSynced records that the caller has installed cfg.TrustTable
-// into the reputation store of every player that will decide under this
-// config, so per-decision re-sync checks can be skipped. Callers that
-// cannot guarantee this for the config's whole lifetime must not call it.
-func (c *Config) MarkTablesSynced() { c.tablesSynced = true }
 
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
@@ -258,30 +246,6 @@ func (p *Player) ResetForGeneration() {
 	p.Acct.Reset()
 }
 
-// Decide returns the player's forwarding decision about a packet from src,
-// together with the trust level that prices the decision in the payoff
-// table. Unknown sources are decided by strategy bit 12 and priced at
-// cfg.UnknownTrust.
-//
-// The trust level comes from the store's cache (maintained on every
-// observation), so a decision is a single dense lookup: no map probes, no
-// rate division. The store's table is re-synced from cfg when it differs —
-// a three-float compare in the common case — so custom-table configs stay
-// correct without explicit wiring.
-func (p *Player) Decide(src network.NodeID, cfg *Config) (strategy.Decision, strategy.TrustLevel) {
-	if cfg.BlindDecisions {
-		return p.Strategy.DecideUnknown(), cfg.UnknownTrust
-	}
-	if !cfg.tablesSynced && cfg.TrustTable != p.Rep.TrustTable() {
-		p.Rep.SetTable(cfg.TrustTable)
-	}
-	tl, act, known := p.Rep.Evaluate(src, cfg.ActivityBand)
-	if !known {
-		return p.Strategy.DecideUnknown(), cfg.UnknownTrust
-	}
-	return p.Strategy.Decide(tl, act), tl
-}
-
 // Recorder observes completed games; the metrics package implements it.
 // The inters slice is only valid during the call.
 type Recorder interface {
@@ -291,10 +255,54 @@ type Recorder interface {
 	RecordGame(src *Player, inters []*Player, firstDrop int)
 }
 
-// Play runs one game: the source src sends a packet along the given
-// intermediates. Decisions, payoffs, reputation updates, and the optional
-// Recorder notification all happen here. It reports whether the packet was
-// delivered.
+// Board is the slot-indexed state one tournament plays on: participant i
+// is slot i. Rep holds the participants' reputation about each other
+// (trust.Matrix), Strat and Acct their strategies and payoff accounts.
+// Load gathers it from the players and Save scatters it back; in between,
+// Play reads and writes nothing else. A Board is reused across
+// tournaments and must not be shared between goroutines.
+type Board struct {
+	Rep   trust.Matrix
+	Strat []strategy.Strategy
+	Acct  []Account
+
+	stores []*trust.Store
+	ids    []network.NodeID
+}
+
+// Load seats the players in slot order, with every reputation store sized
+// to cover NodeIDs 0..size-1 (the registry).
+func (b *Board) Load(players []*Player, size int) {
+	b.stores, b.ids = b.stores[:0], b.ids[:0]
+	b.Strat, b.Acct = b.Strat[:0], b.Acct[:0]
+	for _, p := range players {
+		b.stores = append(b.stores, p.Rep)
+		b.ids = append(b.ids, p.ID)
+		b.Strat = append(b.Strat, p.Strategy)
+		b.Acct = append(b.Acct, p.Acct)
+	}
+	b.Rep.Load(b.stores, b.ids, size)
+}
+
+// Save writes the accounts and reputation back to the players Load seated.
+func (b *Board) Save(players []*Player) {
+	for i, p := range players {
+		p.Acct = b.Acct[i]
+	}
+	b.Rep.Save()
+}
+
+// Play runs one game: the participant in slot src sends a packet along one
+// of the candidate paths (slot-indexed, as network.Generator.Candidates
+// draws them). It rates the candidates and picks the best (§3.1, ties
+// drawn from r) when there is more than one; the intermediates decide in
+// order; every participant that saw the packet is paid and updates its
+// reputation. It returns the index of the chosen path and the position of
+// the first dropper on it, or -1 when the packet was delivered.
+//
+// Each decision derives the trust level and the §3.2 activity from the
+// decider's counters about the source at that moment. Unknown sources are
+// decided by strategy bit 12 and priced at cfg.UnknownTrust.
 //
 // Reputation semantics (Fig 1a, pinned down in DESIGN.md): on success,
 // every participant observes every intermediate (except itself) as having
@@ -303,72 +311,91 @@ type Recorder interface {
 // j==k); nodes after the dropper never saw the packet and learn nothing;
 // the dropper itself propagates the alert but records no observations, as
 // in the figure.
-func Play(src *Player, inters []*Player, cfg *Config, rec Recorder) bool {
-	var idbuf [network.MaxHops - 1]network.NodeID
-	var ids []network.NodeID
-	if len(inters) <= len(idbuf) {
-		ids = idbuf[:len(inters)]
-	} else {
-		ids = make([]network.NodeID, len(inters))
+func (b *Board) Play(src int, paths []network.Path, r *rng.Source, cfg *Config) (best, firstDrop int) {
+	m := &b.Rep
+	n := m.N
+	cells := m.Cells
+	if len(paths) > 1 {
+		// A single candidate needs no rating (selection would return 0
+		// without consuming randomness), which skips rating for the
+		// majority of games: Table 3 yields one route 50–80% of the time.
+		var buf [network.MaxAlternatePaths]float64
+		ratings := buf[:0]
+		row := cells[src*n : src*n+n]
+		for i := range paths {
+			rating := 1.0
+			for _, p := range paths[i].Intermediates {
+				f := network.UnknownRate
+				if c := row[p]; c.Requests > 0 {
+					f = c.Rate()
+				}
+				rating *= f
+			}
+			ratings = append(ratings, rating)
+		}
+		best = network.SelectBestRated(r, ratings)
 	}
-	for i, p := range inters {
-		ids[i] = p.ID
-	}
-	return PlayIDs(src, inters, ids, cfg, rec)
-}
-
-// PlayIDs is Play for callers that already hold the intermediates' IDs —
-// the tournament passes the chosen path's Intermediates directly, which
-// skips re-gathering IDs from the players on every game.
-// ids[i] must equal inters[i].ID.
-func PlayIDs(src *Player, inters []*Player, ids []network.NodeID, cfg *Config, rec Recorder) bool {
-	firstDrop := -1
-	for i, node := range inters {
-		dec, tl := node.Decide(src.ID, cfg)
+	inters := paths[best].Intermediates
+	pay := &cfg.Payoffs
+	firstDrop = -1
+	for i, x := range inters {
+		c := cells[int(x)*n+src]
+		dec, tl := b.Strat[x].DecideUnknown(), cfg.UnknownTrust
+		if c.Requests > 0 && !cfg.BlindDecisions {
+			tl = cfg.TrustTable.Level(c.Rate())
+			dec = b.Strat[x].Decide(tl, trust.Activity(c.Forwards, m.Known[x], m.ForwardsSum[x], cfg.ActivityBand))
+		}
+		a := &b.Acct[x]
+		a.Events++
 		if dec == strategy.Forward {
-			node.Acct.ForwardPayoff += cfg.Payoffs.Forward[tl]
-			node.Acct.Events++
-			node.Acct.Forwards++
+			a.ForwardPayoff += pay.Forward[tl]
+			a.Forwards++
 			continue
 		}
-		node.Acct.DiscardPayoff += cfg.Payoffs.Discard[tl]
-		node.Acct.Events++
-		node.Acct.Discards++
+		a.DiscardPayoff += pay.Discard[tl]
+		a.Discards++
 		firstDrop = i
 		break
 	}
-	delivered := firstDrop == -1
 
-	src.Acct.Events++
-	src.Acct.Sent++
-	if delivered {
-		src.Acct.SourcePayoff += cfg.Payoffs.SourceSuccess
-		src.Acct.Delivered++
+	s := &b.Acct[src]
+	s.Events++
+	s.Sent++
+	seen, upTo := inters, len(inters)-1 // who received the packet; who observes
+	if firstDrop < 0 {
+		s.SourcePayoff += pay.SourceSuccess
+		s.Delivered++
 	} else {
-		src.Acct.SourcePayoff += cfg.Payoffs.SourceFailure
+		s.SourcePayoff += pay.SourceFailure
+		seen, upTo = inters[:firstDrop+1], firstDrop-1 // the dropper records nothing
 	}
 
-	// Reputation updates: bulk observation runs over the dense stores
-	// (allocation-free in steady state — no closure, no map inserts, one
-	// store call per observer). Within 0..last, "forwarded" is simply
-	// j != firstDrop: on success firstDrop is -1, and on a drop
-	// last == firstDrop so only the dropper itself is observed as
-	// dropping. ObservePath skips the observer's own entry.
-	last := len(inters) - 1 // last intermediate that received the packet
-	if !delivered {
-		last = firstDrop
+	// Observation: the source (o = -1) and intermediates 0..upTo each see
+	// every intermediate that received the packet except themselves, as
+	// forwarding unless it is the dropper.
+	for o := -1; o <= upTo; o++ {
+		obs := src
+		if o >= 0 {
+			obs = int(inters[o])
+		}
+		row := cells[obs*n : obs*n+n]
+		known, fwd := 0, uint64(0)
+		for j, p := range seen {
+			if j == o {
+				continue
+			}
+			c := &row[p]
+			if c.Requests == 0 {
+				known++
+			}
+			c.Requests++
+			if j != firstDrop {
+				c.Forwards++
+				fwd++
+			}
+		}
+		m.Known[obs] += known
+		m.ForwardsSum[obs] += fwd
 	}
-	src.Rep.ObservePath(ids[:last+1], src.ID, firstDrop)
-	upTo := last // on success, every intermediate observes
-	if !delivered {
-		upTo = firstDrop - 1 // the dropper records nothing
-	}
-	for i := 0; i <= upTo; i++ {
-		inters[i].Rep.ObservePath(ids[:last+1], inters[i].ID, firstDrop)
-	}
-
-	if rec != nil {
-		rec.RecordGame(src, inters, firstDrop)
-	}
-	return delivered
+	return best, firstDrop
 }

@@ -7,6 +7,7 @@ import (
 	"adhocga/internal/network"
 	"adhocga/internal/rng"
 	"adhocga/internal/strategy"
+	"adhocga/internal/trust"
 )
 
 func defaultCfg() *Config {
@@ -103,11 +104,75 @@ func TestAccountFitnessEq1(t *testing.T) {
 	}
 }
 
+// play seats src and inters on a fresh board in that order and plays one
+// game over the single path through every intermediate, then writes the
+// board back to the players. It reports whether the packet was delivered.
+func play(src *Player, inters []*Player, cfg *Config) bool {
+	b, players := seat(src, inters)
+	firstDrop := playSeated(b, len(inters), cfg)
+	b.Save(players)
+	return firstDrop < 0
+}
+
+// seat loads src and inters onto a board (slot 0 is src, slot i the i-th
+// intermediate), stores sized to cover every ID.
+func seat(src *Player, inters []*Player) (*Board, []*Player) {
+	players := append([]*Player{src}, inters...)
+	size := 0
+	for _, p := range players {
+		size = max(size, int(p.ID)+1)
+	}
+	var b Board
+	b.Load(players, size)
+	return &b, players
+}
+
+// playSeated plays slot 0's packet through slots 1..k and returns the
+// first dropper's position.
+func playSeated(b *Board, k int, cfg *Config) int {
+	inter := make([]network.NodeID, k)
+	for i := range inter {
+		inter[i] = network.NodeID(i + 1)
+	}
+	path := network.Path{Src: 0, Dst: network.NodeID(k + 1), Intermediates: inter}
+	_, firstDrop := b.Play(0, []network.Path{path}, nil, cfg)
+	return firstDrop
+}
+
+// know makes slot o of the board hold the given counters about slot p.
+func know(b *Board, o, p int, c trust.Counters) {
+	m := &b.Rep
+	old := &m.Cells[o*m.N+p]
+	if old.Requests == 0 && c.Requests > 0 {
+		m.Known[o]++
+	}
+	m.ForwardsSum[o] += uint64(c.Forwards) - uint64(old.Forwards)
+	*old = c
+}
+
+// rateOf returns p's forwarding rate for id and whether p knows id.
+func rateOf(p *Player, id network.NodeID) (float64, bool) {
+	c := p.Rep.Counters(id)
+	if c.Requests == 0 {
+		return 0, false
+	}
+	return c.Rate(), true
+}
+
+// knows reports whether p has any data about id.
+func knows(p *Player, id network.NodeID) bool { return p.Rep.Counters(id).Requests > 0 }
+
+// knownCount returns the number of nodes p has data about.
+func knownCount(p *Player) int {
+	known, _ := p.Rep.Totals()
+	return known
+}
+
 func TestPlayAllForwardDelivers(t *testing.T) {
 	cfg := defaultCfg()
 	ps := normals(4, strategy.AllForward())
 	src, inters := ps[0], ps[1:]
-	delivered := Play(src, inters, cfg, nil)
+	delivered := play(src, inters, cfg)
 	if !delivered {
 		t.Fatal("all-forward chain did not deliver")
 	}
@@ -133,7 +198,7 @@ func TestPlayFirstIntermediateDrops(t *testing.T) {
 	src := NewNormal(0, strategy.AllForward())
 	dropper := NewSelfish(1)
 	after := NewNormal(2, strategy.AllForward())
-	delivered := Play(src, []*Player{dropper, after}, cfg, nil)
+	delivered := play(src, []*Player{dropper, after}, cfg)
 	if delivered {
 		t.Fatal("packet delivered through a selfish first hop")
 	}
@@ -149,15 +214,15 @@ func TestPlayFirstIntermediateDrops(t *testing.T) {
 	if after.Acct.Events != 0 {
 		t.Errorf("downstream node has %d events", after.Acct.Events)
 	}
-	if after.Rep.KnownCount() != 0 {
+	if knownCount(after) != 0 {
 		t.Error("downstream node learned something it could not observe")
 	}
 	// The source observed the drop.
-	if rate, known := src.Rep.ForwardingRate(1); !known || rate != 0 {
+	if rate, known := rateOf(src, 1); !known || rate != 0 {
 		t.Errorf("source's rate for dropper = %v,%v, want 0,true", rate, known)
 	}
 	// The source knows nothing about the node after the dropper.
-	if src.Rep.Known(2) {
+	if knows(src, 2) {
 		t.Error("source learned about a node that never received the packet")
 	}
 }
@@ -169,7 +234,7 @@ func TestPlayMidChainDropReputationFlow(t *testing.T) {
 	b := NewNormal(1, strategy.AllForward())
 	c := NewNormal(2, strategy.AllForward())
 	d := NewSelfish(3)
-	delivered := Play(a, []*Player{b, c, d}, cfg, nil)
+	delivered := play(a, []*Player{b, c, d}, cfg)
 	if delivered {
 		t.Fatal("delivered through CSN")
 	}
@@ -178,38 +243,38 @@ func TestPlayMidChainDropReputationFlow(t *testing.T) {
 		id   network.NodeID
 		rate float64
 	}{{1, 1}, {2, 1}, {3, 0}} {
-		rate, known := a.Rep.ForwardingRate(tc.id)
+		rate, known := rateOf(a, tc.id)
 		if !known || rate != tc.rate {
 			t.Errorf("A's rate for %d = %v,%v, want %v,true", tc.id, rate, known, tc.rate)
 		}
 	}
 	// B updates about C and D, not about itself or A.
-	if b.Rep.Known(1) || b.Rep.Known(0) {
+	if knows(b, 1) || knows(b, 0) {
 		t.Error("B has reputation data about itself or the source")
 	}
-	if rate, known := b.Rep.ForwardingRate(2); !known || rate != 1 {
+	if rate, known := rateOf(b, 2); !known || rate != 1 {
 		t.Errorf("B's rate for C = %v,%v", rate, known)
 	}
-	if rate, known := b.Rep.ForwardingRate(3); !known || rate != 0 {
+	if rate, known := rateOf(b, 3); !known || rate != 0 {
 		t.Errorf("B's rate for D = %v,%v", rate, known)
 	}
 	// C updates about B (upstream forwarder) and D (observed drop).
-	if rate, known := c.Rep.ForwardingRate(1); !known || rate != 1 {
+	if rate, known := rateOf(c, 1); !known || rate != 1 {
 		t.Errorf("C's rate for B = %v,%v", rate, known)
 	}
-	if rate, known := c.Rep.ForwardingRate(3); !known || rate != 0 {
+	if rate, known := rateOf(c, 3); !known || rate != 0 {
 		t.Errorf("C's rate for D = %v,%v", rate, known)
 	}
 	// The dropper D records nothing (Fig 1a shows no update at D).
-	if d.Rep.KnownCount() != 0 {
-		t.Errorf("dropper recorded %d observations", d.Rep.KnownCount())
+	if knownCount(d) != 0 {
+		t.Errorf("dropper recorded %d observations", knownCount(d))
 	}
 }
 
 func TestPlaySuccessAllParticipantsObserve(t *testing.T) {
 	cfg := defaultCfg()
 	ps := normals(4, strategy.AllForward())
-	Play(ps[0], ps[1:], cfg, nil)
+	play(ps[0], ps[1:], cfg)
 	// Every participant (incl. the last intermediate) observes every other
 	// intermediate as having forwarded.
 	for _, observer := range ps {
@@ -217,16 +282,16 @@ func TestPlaySuccessAllParticipantsObserve(t *testing.T) {
 			if observer == observed {
 				continue
 			}
-			rate, known := observer.Rep.ForwardingRate(observed.ID)
+			rate, known := rateOf(observer, observed.ID)
 			if !known || rate != 1 {
 				t.Errorf("player %d rate for %d = %v,%v, want 1,true",
 					observer.ID, observed.ID, rate, known)
 			}
 		}
-		if observer.Rep.Known(observer.ID) {
+		if knows(observer, observer.ID) {
 			t.Errorf("player %d observed itself", observer.ID)
 		}
-		if observer != ps[0] && observer.Rep.Known(ps[0].ID) {
+		if observer != ps[0] && knows(observer, ps[0].ID) {
 			t.Errorf("player %d has data about the source, which forwarded nothing", observer.ID)
 		}
 	}
@@ -238,16 +303,33 @@ func TestPlayDirectContactNoIntermediates(t *testing.T) {
 	// no reputation.
 	cfg := defaultCfg()
 	src := NewNormal(0, strategy.AllDiscard()) // even a defector delivers directly
-	delivered := Play(src, nil, cfg, nil)
+	delivered := play(src, nil, cfg)
 	if !delivered {
 		t.Fatal("direct contact failed to deliver")
 	}
 	if src.Acct.SourcePayoff != cfg.Payoffs.SourceSuccess || src.Acct.Events != 1 {
 		t.Errorf("source account %+v", src.Acct)
 	}
-	if src.Rep.KnownCount() != 0 {
+	if knownCount(src) != 0 {
 		t.Error("direct contact produced reputation data")
 	}
+}
+
+// decideOnce plays one game in which decider is the only intermediate,
+// after setting what it knows about the source, and returns the decider's
+// decision and the payoff it was priced at.
+func decideOnce(t *testing.T, decider *Player, known trust.Counters, cfg *Config) (strategy.Decision, float64) {
+	t.Helper()
+	decider.Acct.Reset()
+	src := NewNormal(5, strategy.AllForward())
+	b, players := seat(src, []*Player{decider})
+	know(b, 1, 0, known)
+	firstDrop := playSeated(b, 1, cfg)
+	b.Save(players)
+	if firstDrop < 0 {
+		return strategy.Forward, decider.Acct.ForwardPayoff
+	}
+	return strategy.Discard, decider.Acct.DiscardPayoff
 }
 
 func TestDecideUsesTrustAndActivity(t *testing.T) {
@@ -255,25 +337,48 @@ func TestDecideUsesTrustAndActivity(t *testing.T) {
 	// Strategy: forward only for trust ≥ 2.
 	p := NewNormal(9, strategy.ForwardAtOrAbove(strategy.Trust2, strategy.Discard))
 	// Unknown source → bit 12 → discard, priced at unknown trust (1).
-	dec, tl := p.Decide(5, cfg)
-	if dec != strategy.Discard || tl != strategy.Trust1 {
-		t.Errorf("unknown source: %v at %v", dec, tl)
+	dec, pay := decideOnce(t, p, trust.Counters{}, cfg)
+	if dec != strategy.Discard || pay != cfg.Payoffs.Discard[strategy.Trust1] {
+		t.Errorf("unknown source: %v at %v", dec, pay)
 	}
 	// Source with perfect forwarding record → trust 3 → forward.
-	for i := 0; i < 10; i++ {
-		p.Rep.Observe(5, true)
-	}
-	dec, tl = p.Decide(5, cfg)
-	if dec != strategy.Forward || tl != strategy.Trust3 {
-		t.Errorf("trusted source: %v at %v", dec, tl)
+	dec, pay = decideOnce(t, p, trust.Counters{Requests: 10, Forwards: 10}, cfg)
+	if dec != strategy.Forward || pay != cfg.Payoffs.Forward[strategy.Trust3] {
+		t.Errorf("trusted source: %v at %v", dec, pay)
 	}
 	// Source with terrible record → trust 0 → discard.
-	for i := 0; i < 50; i++ {
-		p.Rep.Observe(6, false)
+	dec, pay = decideOnce(t, p, trust.Counters{Requests: 50}, cfg)
+	if dec != strategy.Discard || pay != cfg.Payoffs.Discard[strategy.Trust0] {
+		t.Errorf("untrusted source: %v at %v", dec, pay)
 	}
-	dec, tl = p.Decide(6, cfg)
-	if dec != strategy.Discard || tl != strategy.Trust0 {
-		t.Errorf("untrusted source: %v at %v", dec, tl)
+}
+
+// TestDecideActivityBand: a decider that forwards only low-activity
+// sources sees the §3.2 band around the mean pf of everything it knows.
+func TestDecideActivityBand(t *testing.T) {
+	cfg := defaultCfg()
+	// Forward at trust 3 only when the source's activity is LO.
+	p := NewNormal(9, strategy.MustParse("000 000 000 100 0"))
+	src := NewNormal(5, strategy.AllForward())
+	other := NewNormal(7, strategy.AllForward())
+	for _, tc := range []struct {
+		srcF, otherF uint32
+		want         strategy.Decision
+	}{
+		{4, 16, strategy.Forward}, // av 10, band [8,12]: 4 is LO
+		{8, 12, strategy.Discard}, // 8 sits on the inclusive band edge: MI
+		{16, 4, strategy.Discard}, // HI
+	} {
+		p.Acct.Reset()
+		b, players := seat(src, []*Player{p, other})
+		know(b, 1, 0, trust.Counters{Requests: tc.srcF, Forwards: tc.srcF})
+		know(b, 1, 2, trust.Counters{Requests: tc.otherF, Forwards: tc.otherF})
+		path := network.Path{Src: 0, Dst: 2, Intermediates: []network.NodeID{1}}
+		_, firstDrop := b.Play(0, []network.Path{path}, nil, cfg)
+		b.Save(players)
+		if got := firstDrop < 0; got != (tc.want == strategy.Forward) {
+			t.Errorf("source pf %d beside %d: forwarded = %v, want %v", tc.srcF, tc.otherF, got, tc.want)
+		}
 	}
 }
 
@@ -281,10 +386,7 @@ func TestSelfishAlwaysDiscards(t *testing.T) {
 	cfg := defaultCfg()
 	p := NewSelfish(1)
 	// Even a perfectly trusted source gets dropped.
-	for i := 0; i < 10; i++ {
-		p.Rep.Observe(2, true)
-	}
-	if dec, _ := p.Decide(2, cfg); dec != strategy.Discard {
+	if dec, _ := decideOnce(t, p, trust.Counters{Requests: 10, Forwards: 10}, cfg); dec != strategy.Discard {
 		t.Error("selfish node forwarded")
 	}
 	if p.Type != Selfish || p.Type.String() != "selfish" {
@@ -295,43 +397,28 @@ func TestSelfishAlwaysDiscards(t *testing.T) {
 	}
 }
 
+// TestBlindDecisionsHideReputation: under the §4.2 counterfactual every
+// source looks unknown, so bit 12 decides at the unknown price.
+func TestBlindDecisionsHideReputation(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.BlindDecisions = true
+	p := NewNormal(9, strategy.ForwardAtOrAbove(strategy.Trust2, strategy.Discard))
+	dec, pay := decideOnce(t, p, trust.Counters{Requests: 10, Forwards: 10}, cfg)
+	if dec != strategy.Discard || pay != cfg.Payoffs.Discard[cfg.UnknownTrust] {
+		t.Errorf("blind decision about a trusted source: %v at %v", dec, pay)
+	}
+}
+
 func TestResetForGeneration(t *testing.T) {
 	p := NewNormal(0, strategy.AllForward())
-	p.Rep.Observe(1, true)
-	p.Acct.Events = 5
+	play(NewNormal(1, strategy.AllForward()), []*Player{p}, defaultCfg())
+	play(p, []*Player{NewNormal(1, strategy.AllForward())}, defaultCfg())
+	if knownCount(p) == 0 || p.Acct.Events == 0 {
+		t.Fatal("setup left the player blank")
+	}
 	p.ResetForGeneration()
-	if p.Rep.KnownCount() != 0 || p.Acct.Events != 0 {
+	if knownCount(p) != 0 || p.Acct.Events != 0 {
 		t.Error("ResetForGeneration left state behind")
-	}
-}
-
-type captureRecorder struct {
-	src       *Player
-	nInters   int
-	firstDrop int
-	calls     int
-}
-
-func (c *captureRecorder) RecordGame(src *Player, inters []*Player, firstDrop int) {
-	c.src = src
-	c.nInters = len(inters)
-	c.firstDrop = firstDrop
-	c.calls++
-}
-
-func TestPlayNotifiesRecorder(t *testing.T) {
-	cfg := defaultCfg()
-	rec := &captureRecorder{}
-	src := NewNormal(0, strategy.AllForward())
-	drop := NewSelfish(1)
-	Play(src, []*Player{drop}, cfg, rec)
-	if rec.calls != 1 || rec.src != src || rec.nInters != 1 || rec.firstDrop != 0 {
-		t.Errorf("recorder saw %+v", rec)
-	}
-	ok := normals(3, strategy.AllForward())
-	Play(ok[0], ok[1:], cfg, rec)
-	if rec.calls != 2 || rec.firstDrop != -1 {
-		t.Errorf("recorder after success: %+v", rec)
 	}
 }
 
@@ -340,10 +427,10 @@ func TestPlayPayoffUsesDecidersTrustLevel(t *testing.T) {
 	src := NewNormal(0, strategy.AllForward())
 	inter := NewNormal(1, strategy.AllForward())
 	// inter trusts the source at level 3.
-	for i := 0; i < 10; i++ {
-		inter.Rep.Observe(0, true)
-	}
-	Play(src, []*Player{inter}, cfg, nil)
+	b, players := seat(src, []*Player{inter})
+	know(b, 1, 0, trust.Counters{Requests: 10, Forwards: 10})
+	playSeated(b, 1, cfg)
+	b.Save(players)
 	if inter.Acct.ForwardPayoff != cfg.Payoffs.Forward[strategy.Trust3] {
 		t.Errorf("forward payoff %v, want trust-3 price %v",
 			inter.Acct.ForwardPayoff, cfg.Payoffs.Forward[strategy.Trust3])
@@ -366,7 +453,7 @@ func TestPlayInvariantsRandomized(t *testing.T) {
 			}
 		}
 		src, inters := players[0], players[1:]
-		delivered := Play(src, inters, cfg, nil)
+		delivered := play(src, inters, cfg)
 
 		totalEvents := src.Acct.Events
 		drops := 0
@@ -390,7 +477,7 @@ func TestPlayInvariantsRandomized(t *testing.T) {
 		}
 		// Reputation: requests about node j can only come from observers.
 		for _, p := range players {
-			if p.Rep.Known(p.ID) {
+			if knows(p, p.ID) {
 				t.Fatal("self-observation")
 			}
 		}
@@ -400,20 +487,9 @@ func TestPlayInvariantsRandomized(t *testing.T) {
 func BenchmarkPlayDeliveredChain(b *testing.B) {
 	cfg := defaultCfg()
 	ps := normals(10, strategy.AllForward())
+	board, _ := seat(ps[0], ps[1:])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Play(ps[0], ps[1:], cfg, nil)
-	}
-}
-
-func BenchmarkDecide(b *testing.B) {
-	cfg := defaultCfg()
-	p := NewNormal(0, strategy.MustParse("010 101 101 111 1"))
-	for i := 0; i < 100; i++ {
-		p.Rep.Observe(1, i%4 != 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = p.Decide(1, cfg)
+		playSeated(board, 9, cfg)
 	}
 }

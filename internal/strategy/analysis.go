@@ -86,7 +86,7 @@ func (c *Census) CategoryCensus() map[Category]float64 {
 		return out
 	}
 	for _, r := range c.rows {
-		out[unpack(r.g).Classify()] += float64(r.n)
+		out[Strategy{p: r.g}.Classify()] += float64(r.n)
 	}
 	for cat := range out {
 		out[cat] /= float64(c.total)
@@ -102,7 +102,7 @@ func (c *Census) MeanTrustMonotonicity() float64 {
 	}
 	sum := 0.0
 	for _, r := range c.rows {
-		sum += float64(unpack(r.g).TrustMonotonicity() * float64(r.n))
+		sum += float64(Strategy{p: r.g}.TrustMonotonicity() * float64(r.n))
 	}
 	return sum / float64(c.total)
 }

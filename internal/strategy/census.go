@@ -11,7 +11,7 @@ import (
 // views of a census.
 //
 // A census is one row per distinct strategy, holding the packed 13-bit
-// genome (see pack) and its count, sorted by genome. A genome's numeric
+// genome (Strategy's own representation) and its count, sorted by genome. A genome's numeric
 // order is its Key order, so every view walks the rows in Key order: Top
 // breaks ties by Key and the float means sum in the same order on every
 // call. A retained census costs 8 bytes per distinct strategy and no
@@ -35,7 +35,7 @@ func NewCensus() *Census { return &Census{} }
 
 // Add records one strategy occurrence.
 func (c *Census) Add(s Strategy) {
-	r := censusRow{g: s.pack(), n: 1}
+	r := censusRow{g: s.p, n: 1}
 	if i, found := slices.BinarySearchFunc(c.rows, r, compareRows); found {
 		c.rows[i].n++
 	} else {
@@ -54,7 +54,7 @@ func (c *Census) AddAll(ss []Strategy) {
 	rows := make([]censusRow, len(c.rows), len(c.rows)+len(ss))
 	copy(rows, c.rows)
 	for _, s := range ss {
-		rows = append(rows, censusRow{g: s.pack(), n: 1})
+		rows = append(rows, censusRow{g: s.p, n: 1})
 	}
 	slices.SortFunc(rows, compareRows)
 	merged := rows[:0]
@@ -92,7 +92,7 @@ func (c *Census) Top(k int) []Entry {
 	entries := make([]Entry, 0, len(c.rows))
 	for _, r := range c.rows {
 		entries = append(entries, Entry{
-			Strategy: unpack(r.g),
+			Strategy: Strategy{p: r.g},
 			Count:    int(r.n),
 			Fraction: float64(r.n) / float64(c.total),
 		})
@@ -119,7 +119,7 @@ type SubEntry struct {
 func (c *Census) SubStrategies(t TrustLevel, minFraction float64) []SubEntry {
 	sub := make(map[string]int)
 	for _, r := range c.rows {
-		sub[unpack(r.g).SubStrategy(t)] += int(r.n)
+		sub[Strategy{p: r.g}.SubStrategy(t)] += int(r.n)
 	}
 	out := make([]SubEntry, 0, len(sub))
 	for pattern, n := range sub {
@@ -147,7 +147,7 @@ func (c *Census) UnknownForwardFraction() float64 {
 	}
 	fwd := 0
 	for _, r := range c.rows {
-		if unpack(r.g).DecideUnknown() == Forward {
+		if (Strategy{p: r.g}).DecideUnknown() == Forward {
 			fwd += int(r.n)
 		}
 	}
@@ -162,7 +162,7 @@ func (c *Census) MeanCooperativeness() float64 {
 	}
 	sum := 0.0
 	for _, r := range c.rows {
-		sum += float64(unpack(r.g).Cooperativeness() * float64(r.n))
+		sum += float64(Strategy{p: r.g}.Cooperativeness() * float64(r.n))
 	}
 	return sum / float64(c.total)
 }

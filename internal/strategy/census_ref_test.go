@@ -119,9 +119,11 @@ func (c *refCensus) CategoryCensus() map[Category]float64 {
 
 // genomeStrategy builds the strategy whose bit i is bit i of g.
 func genomeStrategy(g uint16) Strategy {
-	s := AllDiscard()
+	var s Strategy
 	for i := 0; i < Bits; i++ {
-		s.bits.Set(i, g&(1<<i) != 0)
+		if g&(1<<i) != 0 {
+			s.p |= 1 << (UnknownBit - i)
+		}
 	}
 	return s
 }

@@ -14,6 +14,7 @@ package strategy
 
 import (
 	"fmt"
+	"math/bits"
 
 	"adhocga/internal/bitstring"
 	"adhocga/internal/rng"
@@ -97,24 +98,33 @@ const Bits = NumTrustLevels*NumActivityLevels + 1
 const UnknownBit = Bits - 1
 
 // Strategy is a decision table over (TrustLevel, ActivityLevel) plus an
-// unknown-node rule, backed by a 13-bit genome. The zero value is the
-// invalid empty strategy; construct with New, Random, Parse, or one of the
-// canonical constructors.
+// unknown-node rule: the 13-bit genome packed into a uint16, genome bit i
+// at bit UnknownBit−i, so packed strategies order numerically as their
+// Keys do and a decision is one shift. The zero value is AllDiscard;
+// construct others with New, Random, Parse, or one of the canonical
+// constructors.
 type Strategy struct {
-	bits bitstring.Bits
+	p uint16
 }
 
-// New wraps a 13-bit genome as a Strategy. It panics if the genome has the
+// New packs a 13-bit genome as a Strategy. It panics if the genome has the
 // wrong length, since that indicates a programming error in the GA wiring.
 func New(b bitstring.Bits) Strategy {
 	if b.Len() != Bits {
 		panic(fmt.Sprintf("strategy: genome has %d bits, want %d", b.Len(), Bits))
 	}
-	return Strategy{bits: b}
+	var p uint16
+	for i := 0; i < Bits; i++ {
+		p <<= 1
+		if b.Get(i) {
+			p |= 1
+		}
+	}
+	return Strategy{p: p}
 }
 
 // Random returns a uniformly random strategy.
-func Random(r *rng.Source) Strategy { return Strategy{bits: bitstring.Random(r, Bits)} }
+func Random(r *rng.Source) Strategy { return New(bitstring.Random(r, Bits)) }
 
 // Parse decodes the paper's notation, with or without grouping spaces:
 // "010 101 101 111 1" or "0101011011111". The groups are trust 0..3 then
@@ -127,7 +137,7 @@ func Parse(s string) (Strategy, error) {
 	if b.Len() != Bits {
 		return Strategy{}, fmt.Errorf("strategy: parsed %d bits, want %d", b.Len(), Bits)
 	}
-	return Strategy{bits: b}, nil
+	return New(b), nil
 }
 
 // MustParse is Parse that panics on error, for literals.
@@ -146,60 +156,55 @@ func bitIndex(t TrustLevel, a ActivityLevel) int {
 	return int(t)*NumActivityLevels + int(a)
 }
 
+// bit reports genome bit i.
+func (s Strategy) bit(i int) bool { return s.p>>(UnknownBit-i)&1 != 0 }
+
 // Decide returns the decision for a known source with the given trust and
 // activity levels. It panics on invalid levels.
 func (s Strategy) Decide(t TrustLevel, a ActivityLevel) Decision {
 	if !t.Valid() || !a.Valid() {
-		panic(fmt.Sprintf("strategy: invalid levels (%v, %v)", t, a))
+		panic("strategy: invalid trust or activity level")
 	}
-	if s.bits.Get(bitIndex(t, a)) {
-		return Forward
-	}
-	return Discard
+	return Decision(s.p >> (UnknownBit - bitIndex(t, a)) & 1)
 }
 
 // DecideUnknown returns the decision against an unknown source node
 // (bit 12).
-func (s Strategy) DecideUnknown() Decision {
-	if s.bits.Get(UnknownBit) {
-		return Forward
-	}
-	return Discard
-}
+func (s Strategy) DecideUnknown() Decision { return Decision(s.p & 1) }
 
-// Genome returns a copy of the underlying 13-bit genome.
-func (s Strategy) Genome() bitstring.Bits { return s.bits.Clone() }
+// Genome returns the strategy as a fresh 13-bit genome.
+func (s Strategy) Genome() bitstring.Bits {
+	b := bitstring.New(Bits)
+	for i := 0; i < Bits; i++ {
+		b.Set(i, s.bit(i))
+	}
+	return b
+}
 
 // Key returns a canonical ungrouped string ("0101011011111") usable as a
 // map key. Strategies are equal iff their Keys are equal.
-func (s Strategy) Key() string { return s.bits.Compact() }
-
-// pack returns the genome as a 13-bit integer with bit 0 most
-// significant, so packed genomes order numerically as their Keys do.
-func (s Strategy) pack() uint16 {
-	var p uint16
-	for i := 0; i < Bits; i++ {
-		p <<= 1
-		if s.bits.Get(i) {
-			p |= 1
-		}
+func (s Strategy) Key() string {
+	var buf [Bits]byte
+	for i := range buf {
+		buf[i] = '0' + byte(s.p>>(UnknownBit-i)&1)
 	}
-	return p
-}
-
-// unpack is the inverse of pack.
-func unpack(p uint16) Strategy {
-	b := bitstring.New(Bits)
-	for i := 0; i < Bits; i++ {
-		b.Set(i, p&(1<<(Bits-1-i)) != 0)
-	}
-	return Strategy{bits: b}
+	return string(buf[:])
 }
 
 // String renders the strategy in the paper's grouped notation:
 // "010 101 101 111 1".
 func (s Strategy) String() string {
-	return s.bits.GroupString(NumActivityLevels, NumActivityLevels, NumActivityLevels, NumActivityLevels, 1)
+	var buf [Bits + NumTrustLevels]byte
+	n := 0
+	for i := 0; i < Bits; i++ {
+		if i > 0 && i%NumActivityLevels == 0 {
+			buf[n] = ' '
+			n++
+		}
+		buf[n] = '0' + byte(s.p>>(UnknownBit-i)&1)
+		n++
+	}
+	return string(buf[:n])
 }
 
 // SubStrategy returns the 3-bit decision string for one trust level, the
@@ -211,7 +216,7 @@ func (s Strategy) SubStrategy(t TrustLevel) string {
 	}
 	buf := make([]byte, NumActivityLevels)
 	for a := 0; a < NumActivityLevels; a++ {
-		if s.bits.Get(bitIndex(t, ActivityLevel(a))) {
+		if s.bit(bitIndex(t, ActivityLevel(a))) {
 			buf[a] = '1'
 		} else {
 			buf[a] = '0'
@@ -223,38 +228,30 @@ func (s Strategy) SubStrategy(t TrustLevel) string {
 // Cooperativeness returns the fraction of the 13 decisions that are
 // Forward; 1.0 is the always-forward strategy.
 func (s Strategy) Cooperativeness() float64 {
-	return float64(s.bits.OneCount()) / float64(Bits)
+	return float64(bits.OnesCount16(s.p)) / float64(Bits)
 }
 
 // Equal reports whether two strategies make identical decisions.
-func (s Strategy) Equal(o Strategy) bool { return s.bits.Equal(o.bits) }
+func (s Strategy) Equal(o Strategy) bool { return s == o }
 
 // AllForward returns the fully cooperative strategy (forward in every
 // situation, including unknown sources).
-func AllForward() Strategy {
-	b := bitstring.New(Bits)
-	for i := 0; i < Bits; i++ {
-		b.Set(i, true)
-	}
-	return Strategy{bits: b}
-}
+func AllForward() Strategy { return Strategy{p: 1<<Bits - 1} }
 
 // AllDiscard returns the fully selfish strategy. This is the behavior of
 // the paper's constantly selfish nodes (CSN, §4.3).
-func AllDiscard() Strategy { return Strategy{bits: bitstring.New(Bits)} }
+func AllDiscard() Strategy { return Strategy{} }
 
 // ForwardAtOrAbove returns a trust-threshold strategy: forward whenever the
 // source's trust level is ≥ min, regardless of activity, and apply the
 // given unknown-node decision. Used by the baselines and ablations.
 func ForwardAtOrAbove(min TrustLevel, unknown Decision) Strategy {
-	b := bitstring.New(Bits)
-	for t := TrustLevel(0); t < NumTrustLevels; t++ {
+	var s Strategy
+	for t := min; t < NumTrustLevels; t++ {
 		for a := ActivityLevel(0); a < NumActivityLevels; a++ {
-			if t >= min {
-				b.Set(bitIndex(t, a), true)
-			}
+			s.p |= 1 << (UnknownBit - bitIndex(t, a))
 		}
 	}
-	b.Set(UnknownBit, unknown == Forward)
-	return Strategy{bits: b}
+	s.p |= uint16(unknown & 1)
+	return s
 }

@@ -155,11 +155,11 @@ func TestGossipLiarLaundersBadReputation(t *testing.T) {
 		honest := game.NewNormal(1, strategy.AllForward())
 		// The honest peer has watched the defector drop everything.
 		for i := 0; i < 20; i++ {
-			honest.Rep.Observe(defectorID, false)
+			observe(honest, defectorID, false)
 		}
 		liar := game.NewByzantine(2, game.AdvLiar, strategy.AllForward())
 		for i := 0; i < 20; i++ {
-			liar.Rep.Observe(defectorID, false)
+			observe(liar, defectorID, false)
 		}
 		participants := []*game.Player{receiver, honest}
 		if withLiar {
@@ -172,21 +172,18 @@ func TestGossipLiarLaundersBadReputation(t *testing.T) {
 		var sc Scratch
 		// Drive gossip many times so the receiver eventually samples
 		// every peer in the pool.
-		r := rng.New(4)
-		for i := 0; i < 50; i++ {
-			gossip(participants, cfg, r, &sc)
-		}
+		gossipRounds(participants, cfg, rng.New(4), 50, false, &sc)
 		return receiver
 	}
 	// Honest gossip filters the negative report entirely (CORE's
 	// positive-only exchange), so the receiver learns nothing about the
 	// defector — and certainly nothing good.
 	honestOnly := build(false)
-	if rate, known := honestOnly.Rep.ForwardingRate(defectorID); known && rate > 0.01 {
+	if rate, known := rateOf(honestOnly, defectorID); known && rate > 0.01 {
 		t.Fatalf("honest gossip gave the defector rate %v, want unknown or ~0", rate)
 	}
 	withLiar := build(true)
-	rate, known := withLiar.Rep.ForwardingRate(defectorID)
+	rate, known := rateOf(withLiar, defectorID)
 	if !known || rate <= 0.4 {
 		t.Errorf("liar failed to launder the defector: rate %v (known %v)", rate, known)
 	}
@@ -201,7 +198,7 @@ func TestGossipWithoutLiarsUnchanged(t *testing.T) {
 		for i, p := range players {
 			for j := range players {
 				if i != j {
-					p.Rep.Observe(network.NodeID(j), true)
+					observe(p, network.NodeID(j), true)
 				}
 			}
 		}
@@ -211,9 +208,7 @@ func TestGossipWithoutLiarsUnchanged(t *testing.T) {
 		cfg.GossipMinRate = 0.5
 		r := rng.New(21)
 		var sc Scratch
-		for i := 0; i < 10; i++ {
-			gossip(players, cfg, r, &sc)
-		}
+		gossipRounds(players, cfg, r, 10, false, &sc)
 		return r, players
 	}
 	r1, p1 := run()
@@ -223,7 +218,7 @@ func TestGossipWithoutLiarsUnchanged(t *testing.T) {
 	}
 	for i := range p1 {
 		for j := range p1 {
-			if p1[i].Rep.Requests(network.NodeID(j)) != p2[i].Rep.Requests(network.NodeID(j)) {
+			if p1[i].Rep.Counters(network.NodeID(j)) != p2[i].Rep.Counters(network.NodeID(j)) {
 				t.Errorf("player %d's view of %d diverged", i, j)
 			}
 		}

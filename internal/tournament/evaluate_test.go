@@ -141,7 +141,7 @@ func TestEvaluateBeginsEnvironmentsInOrder(t *testing.T) {
 func TestEvaluateClearsStateAtStart(t *testing.T) {
 	normals, csn, registry := evalSetup(20, 0, strategy.AllForward())
 	// Pollute state.
-	normals[0].Rep.Observe(3, false)
+	observe(normals[0], 3, false)
 	normals[0].Acct.Events = 99
 	cfg := evalConfig(10, 1, 1, []Environment{{Name: "A", CSN: 0}})
 	gen := network.NewGenerator(cfg.Tournament.Mode)

@@ -17,9 +17,10 @@ import (
 // bit-identical.
 func storeFingerprint(p *game.Player) string {
 	var sb strings.Builder
-	for _, id := range p.Rep.KnownNodes() {
-		rate, _ := p.Rep.ForwardingRate(id)
-		fmt.Fprintf(&sb, "%d:%d/%d:%x;", id, p.Rep.Forwards(id), p.Rep.Requests(id), rate)
+	for id := network.NodeID(0); id < 32; id++ {
+		if c := p.Rep.Counters(id); c.Requests > 0 {
+			fmt.Fprintf(&sb, "%d:%d/%d:%x;", id, c.Forwards, c.Requests, c.Rate())
+		}
 	}
 	return sb.String()
 }
@@ -81,26 +82,34 @@ func TestGossipMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergePositiveAscendingOrder pins the dense-store traversal contract
-// directly: merged peers land in the receiver exactly as the source holds
-// them, and KnownNodes reports them in ascending ID order without sorting.
-func TestMergePositiveAscendingOrder(t *testing.T) {
+// TestMergeSkipsSelfAndNegatives pins the gossip merge on a seated
+// board: merged peers land in the receiver exactly as the source holds
+// them, scaled by the weight, except the receiver itself and peers below
+// the rate filter. Peers outside the tournament merge through the stores.
+func TestMergeSkipsSelfAndNegatives(t *testing.T) {
 	teacher := game.NewNormal(0, strategy.AllForward())
-	for _, id := range []network.NodeID{9, 3, 7, 1} {
-		teacher.Rep.Observe(id, true)
-		teacher.Rep.Observe(id, true)
-	}
 	student := game.NewNormal(1, strategy.AllForward())
-	student.Rep.MergePositive(student.ID, teacher.Rep, 0, 0.5)
-
-	got := student.Rep.KnownNodes()
-	want := []network.NodeID{3, 7, 9} // id 1 is the student itself: skipped
-	if len(got) != len(want) {
-		t.Fatalf("KnownNodes = %v, want %v", got, want)
+	for _, id := range []network.NodeID{9, 3, 7, 1} {
+		observe(teacher, id, true)
+		observe(teacher, id, true)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("KnownNodes = %v, want ascending %v", got, want)
+	observe(teacher, 5, false) // a negative report: filtered out
+	cfg := testConfig(1)
+	cfg.GossipWeight = 0.5
+	cfg.GossipMinRate = 0.5
+	var sc Scratch
+	gossipRounds([]*game.Player{teacher, student}, cfg, rng.New(1), 1, false, &sc)
+
+	for id := network.NodeID(0); id < 10; id++ {
+		want := uint32(0)
+		if id == 3 || id == 7 || id == 9 { // id 1 is the student itself: skipped
+			want = 1
 		}
+		if c := student.Rep.Counters(id); c.Requests != want || c.Forwards != want {
+			t.Errorf("student's record of %d = %+v, want %d/%d", id, c, want, want)
+		}
+	}
+	if known, fsum := student.Rep.Totals(); known != 3 || fsum != 3 {
+		t.Errorf("student totals = %d known, %d forwards; want 3, 3", known, fsum)
 	}
 }

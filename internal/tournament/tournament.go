@@ -54,11 +54,11 @@ type Config struct {
 
 	// Gossip enables CORE-style second-hand reputation exchange (an
 	// extension beyond the paper's first-hand-only mechanism; see
-	// trust.MergePositive): every GossipInterval rounds each normal
+	// trust.Matrix.Merge): every GossipInterval rounds each normal
 	// player imports one random peer's positive observations at
 	// GossipWeight credibility. Byzantine gossip liars join the peer pool
-	// and inject inverted observations (trust.MergeInverted); only normal
-	// players receive. GossipInterval 0 disables it.
+	// and inject inverted observations; only normal players receive.
+	// GossipInterval 0 disables it.
 	GossipInterval int
 	GossipWeight   float64
 	GossipMinRate  float64
@@ -66,9 +66,11 @@ type Config struct {
 	// RoundDriver, when non-nil, is notified before every tournament
 	// round with the full participant set — the perturbation hook the
 	// dynamics layer uses to advance round-scheduled adversaries (on-off
-	// attackers swap strategies here). It must not consume the
-	// tournament's RNG stream: a nil driver and a driver that only swaps
-	// strategies replay the identical random sequence.
+	// attackers swap strategies here). It may change strategies only:
+	// accounts and stores are written back at the end of the tournament.
+	// It must not consume the tournament's RNG stream: a nil driver and a
+	// driver that only swaps strategies replay the identical random
+	// sequence.
 	RoundDriver RoundDriver
 }
 
@@ -99,15 +101,15 @@ type Recorder interface {
 	BeginEnvironment(index int, env Environment)
 }
 
-// Scratch holds the reusable per-tournament buffers of Play. One Scratch
-// serves any number of sequential PlayWith calls (the evaluation scheme
-// keeps a single Scratch across all tournaments of a generation); it must
-// not be shared between goroutines.
+// Scratch holds the reusable per-tournament buffers of Play: the
+// slot-indexed game.Board every round plays on, the recorder's path view
+// and the gossip pool. One Scratch serves any number of sequential
+// PlayWith calls (the evaluation scheme keeps a single Scratch across all
+// tournaments of a generation); it must not be shared between goroutines.
 type Scratch struct {
-	ids     []network.NodeID
-	inters  []*game.Player
-	normals []*game.Player
-	ratings []float64
+	board  game.Board
+	inters []*game.Player
+	pool   []int
 }
 
 // Play runs one tournament over the given participants: cfg.Rounds rounds,
@@ -120,94 +122,79 @@ func Play(participants []*game.Player, registry []*game.Player, cfg *Config, gen
 }
 
 // PlayWith is Play with caller-owned scratch buffers, the allocation-free
-// steady-state form: with warm scratch and participant stores pre-sized to
-// the registry, a full tournament performs zero heap allocations.
+// steady-state form: with warm scratch, a full tournament performs zero
+// heap allocations.
+//
+// The participants are seated on the scratch's game.Board: their
+// counters about each other are gathered into a T×T matrix, every round
+// is played on slot indices 0..T−1, and the matrix, the accounts and the
+// stores are written back at the end, so reputation persists across
+// tournaments exactly as §4.4 says.
 func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config, gen *network.Generator, r *rng.Source, rec game.Recorder, sc *Scratch) {
-	ids := sc.ids[:0]
-	for _, p := range participants {
-		ids = append(ids, p.ID)
-		// Dense stores sized to the registry: every peer lookup from here
-		// on is a bounds-checked index and Observe never grows. Installing
-		// the trust table here (a no-op when unchanged) lets every Decide
-		// of the tournament skip its per-decision table compare.
-		p.Rep.EnsureSize(len(registry))
-		p.Rep.SetTable(cfg.Game.TrustTable)
-	}
-	cfg.Game.MarkTablesSynced()
-	sc.ids = ids
+	b := &sc.board
+	b.Load(participants, len(registry))
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.RoundDriver != nil {
 			cfg.RoundDriver.BeginRound(round, participants)
+			for i, p := range participants {
+				b.Strat[i] = p.Strategy
+			}
 		}
-		for _, src := range participants {
+		for src := range participants {
 			// Step 2: random destination and intermediates (generator);
-			// Step 3: rate each candidate and pick the best reputation
-			// (or a uniform pick under the RandomPath ablation).
-			paths := gen.Candidates(r, src.ID, ids)
-			best := 0
+			// step 3: the best-reputation route (or a uniform pick under
+			// the RandomPath ablation); steps 4–6: the game itself.
+			paths := gen.Candidates(r, src, len(participants))
 			if cfg.PathChoice == RandomPath {
-				best = r.Intn(len(paths))
-			} else if len(paths) > 1 {
-				// A single candidate needs no rating (selection would
-				// return 0 without consuming randomness), which skips the
-				// rate refresh for the majority of games — Table 3 yields
-				// one route 50–80% of the time. Multi-candidate games
-				// rate in one fused walk that refreshes only the entries
-				// the ratings read (RatePaths) instead of flushing the
-				// whole store.
-				sc.ratings = src.Rep.RatePaths(paths, sc.ratings)
-				best = network.SelectBestRated(r, sc.ratings)
+				pick := r.Intn(len(paths))
+				paths = paths[pick : pick+1]
 			}
-			path := paths[best]
-			inters := sc.inters[:0]
-			for _, id := range path.Intermediates {
-				inters = append(inters, registry[id])
+			best, firstDrop := b.Play(src, paths, r, &cfg.Game)
+			if rec != nil {
+				inters := sc.inters[:0]
+				for _, x := range paths[best].Intermediates {
+					inters = append(inters, participants[x])
+				}
+				sc.inters = inters
+				rec.RecordGame(participants[src], inters, firstDrop)
 			}
-			sc.inters = inters
-			// Steps 4–6: play the game; payoffs and reputation updates
-			// happen inside game.PlayIDs (the path's Intermediates double
-			// as the observation ID list).
-			game.PlayIDs(src, inters, path.Intermediates, &cfg.Game, rec)
 		}
 		if cfg.GossipInterval > 0 && (round+1)%cfg.GossipInterval == 0 {
 			gossip(participants, cfg, r, sc)
 		}
 	}
+	b.Save(participants)
 }
 
-// gossip performs one round of second-hand reputation exchange: each
-// normal player merges the observations of one uniformly chosen other
-// peer. The peer pool is the normal players plus any Byzantine gossip
-// liars among the participants — liars share (inverted) data but never
-// receive, and CSN neither share nor receive. With no liars present the
-// pool is exactly the normal players, so the random draws replay the
-// pre-adversary sequence bit for bit.
+// gossip performs one round of second-hand reputation exchange on the
+// board: each normal player merges the observations of one uniformly
+// chosen other peer. The peer pool is the normal players plus any
+// Byzantine gossip liars among the participants — liars share (inverted)
+// data but never receive, and CSN neither share nor receive. With no liars
+// present the pool is exactly the normal players, so the random draws
+// replay the pre-adversary sequence bit for bit.
 func gossip(participants []*game.Player, cfg *Config, r *rng.Source, sc *Scratch) {
-	pool := sc.normals[:0]
-	for _, p := range participants {
+	pool := sc.pool[:0]
+	for i, p := range participants {
 		if p.Type == game.Normal {
-			pool = append(pool, p)
+			pool = append(pool, i)
 		}
 	}
 	receivers := len(pool)
-	for _, p := range participants {
+	for i, p := range participants {
 		if p.Adv == game.AdvLiar {
-			pool = append(pool, p)
+			pool = append(pool, i)
 		}
 	}
-	sc.normals = pool
+	sc.pool = pool
 	if receivers == 0 || len(pool) < 2 {
 		return
 	}
-	for _, p := range pool[:receivers] {
-		peer := pool[r.Intn(len(pool))]
-		for peer == p {
-			peer = pool[r.Intn(len(pool))]
+	for _, dst := range pool[:receivers] {
+		src := pool[r.Intn(len(pool))]
+		for src == dst {
+			src = pool[r.Intn(len(pool))]
 		}
-		if peer.Adv == game.AdvLiar {
-			p.Rep.MergeInverted(p.ID, peer.Rep, cfg.GossipMinRate, cfg.GossipWeight)
-		} else {
-			p.Rep.MergePositive(p.ID, peer.Rep, cfg.GossipMinRate, cfg.GossipWeight)
-		}
+		sc.board.Rep.Merge(dst, src, cfg.GossipMinRate, cfg.GossipWeight, participants[src].Adv == game.AdvLiar)
 	}
 }

@@ -182,7 +182,7 @@ func TestGossipSpreadsPositiveReputation(t *testing.T) {
 		Play(players, registry, cfg, gen, rng.New(31), nil)
 		known := 0
 		for _, p := range players {
-			known += p.Rep.KnownCount()
+			known += knownCount(p)
 		}
 		return float64(known) / float64(len(players))
 	}
@@ -198,11 +198,11 @@ func TestGossipExcludesSelfishNodes(t *testing.T) {
 	// exchange positive reports among themselves.
 	teacher := game.NewNormal(0, strategy.AllForward())
 	for i := 0; i < 10; i++ {
-		teacher.Rep.Observe(5, true)
+		observe(teacher, 5, true)
 	}
 	student := game.NewNormal(1, strategy.AllForward())
 	csn := game.NewSelfish(2)
-	csn.Rep.Observe(5, true) // CSN knowledge must never be shared
+	observe(csn, 5, true) // CSN knowledge must never be shared
 
 	cfg := testConfig(1)
 	cfg.GossipInterval = 1
@@ -210,14 +210,12 @@ func TestGossipExcludesSelfishNodes(t *testing.T) {
 	cfg.GossipMinRate = 0.5
 	participants := []*game.Player{teacher, student, csn}
 	var sc Scratch
-	for i := 0; i < 50; i++ { // enough exchanges for the pair to meet
-		gossip(participants, cfg, rng.New(uint64(i)), &sc)
-	}
-	if csn.Rep.KnownCount() != 1 || csn.Rep.Requests(5) != 1 {
+	gossipRounds(participants, cfg, nil, 50, true, &sc) // enough exchanges for the pair to meet
+	if knownCount(csn) != 1 || csn.Rep.Counters(5).Requests != 1 {
 		t.Errorf("CSN store changed by gossip: %d entries, %d requests",
-			csn.Rep.KnownCount(), csn.Rep.Requests(5))
+			knownCount(csn), csn.Rep.Counters(5).Requests)
 	}
-	if !student.Rep.Known(5) {
+	if !knows(student, 5) {
 		t.Error("student never received the positive report")
 	}
 }

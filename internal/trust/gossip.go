@@ -1,95 +1,95 @@
 package trust
 
-import (
-	"math"
-
-	"adhocga/internal/network"
-)
+import "math"
 
 // Second-hand reputation exchange, the extension the paper's related work
 // discusses (§2): CORE exchanges only positive ratings so that "a
 // malicious broadcast of negative rankings for legitimate nodes is
 // avoided"; CONFIDANT and Buchegger & Le Boudec's rumor-spreading study
-// weigh second-hand reports below first-hand observation. MergePositive
+// weigh second-hand reports below first-hand observation. Merge
 // implements that scheme: import another node's observations about third
 // parties, but only favorable ones, and scaled down by a weight.
 
-// MergePositive imports src's observations about third parties into s:
-// for every node src knows with a forwarding rate of at least minRate,
-// s's counters grow by weight times src's counters (rounded, with a floor
-// of one request so that tiny weights still register the node as known).
-// Nodes about whom the receiver is the subject (self) are skipped, as are
-// negative reports (rate below minRate).
+// Merge imports slot src's observations about third parties into slot
+// dst: for every node src knows with a forwarding rate of at least
+// minRate, dst's counters grow by weight times src's counters (rounded,
+// with a floor of one request so that tiny weights still register the
+// node as known). Reports about dst itself are skipped, as are negative
+// reports (rate below minRate).
 //
-// Peers are visited in ascending NodeID order — a free guarantee of the
-// dense store (the map representation iterated in random order; the merge
-// is commutative, so results were already order-independent, but the fixed
-// order makes the traversal itself deterministic and cache-friendly).
+// With invert set, src is a Byzantine gossip liar (see internal/dynamics):
+// its forwarding counters are inverted before the filter, as a liar would
+// report them — every observed drop becomes a claimed forward and vice
+// versa — so its "positive" reports about heavy droppers pass the
+// positive-only filter while its slander of reliable forwarders is
+// discarded.
 //
-// The merge is additive: gossiping the same data twice counts it twice.
+// Peers outside the tournament are merged store to store and participants
+// cell to cell, so no more of the matrix moves than the two rows. The
+// merge is additive: gossiping the same data twice counts it twice.
 // Callers model credibility by keeping weight well below 1, matching the
 // "more relevance is given to ... own experience" design of CORE.
-func (s *Store) MergePositive(self network.NodeID, src *Store, minRate, weight float64) {
-	s.merge(self, src, minRate, weight, false)
-}
-
-// MergeInverted is the gossip-liar variant of MergePositive (see
-// internal/dynamics): the receiver imports src's observations with the
-// forwarding counters inverted, as a Byzantine liar would report them —
-// every observed drop becomes a claimed forward and vice versa. The
-// receiver's minRate filter still applies, but to the lied rate, so a
-// liar's "positive" reports about heavy droppers pass the CORE-style
-// positive-only filter while its slander of reliable forwarders is
-// discarded. Deterministic and allocation-identical to MergePositive.
-func (s *Store) MergeInverted(self network.NodeID, src *Store, minRate, weight float64) {
-	s.merge(self, src, minRate, weight, true)
-}
-
-func (s *Store) merge(self network.NodeID, src *Store, minRate, weight float64, invert bool) {
+func (m *Matrix) Merge(dst, src int, minRate, weight float64, invert bool) {
 	if weight <= 0 {
 		return
 	}
-	for id := range src.rec {
-		rec := &src.rec[id]
-		if network.NodeID(id) == self || rec.requests == 0 {
+	known, fwd := 0, uint64(0)
+	from := m.stores[src].rec
+	m.stores[dst].EnsureSize(len(from))
+	to := m.stores[dst].rec
+	for id, c := range from {
+		if c.Requests == 0 || m.slot[id] != 0 {
 			continue
 		}
-		forwards := uint64(rec.forwards)
-		if invert {
-			forwards = uint64(rec.requests) - forwards
-		}
-		// Rate from the counters, not the cached view — the cache may be
-		// pending a flush.
-		if float64(forwards)/float64(rec.requests) < minRate {
-			continue
-		}
-		addReq := uint64(math.Round(float64(rec.requests) * weight))
-		if addReq == 0 {
-			addReq = 1
-		}
-		addFwd := uint64(math.Round(float64(forwards) * weight))
-		if addFwd > addReq {
-			addFwd = addReq
-		}
-		s.EnsureSize(id + 1)
-		dst := &s.rec[id]
-		if dst.requests == 0 {
-			s.known++
-		}
-		// The only non-unit counter increments in the store: saturate at
-		// the uint32 record ceiling instead of wrapping (unreachable in
-		// any realistic run — see the record doc).
-		newReq := uint64(dst.requests) + addReq
-		newFwd := uint64(dst.forwards) + addFwd
-		if newReq > math.MaxUint32 {
-			newReq = math.MaxUint32
-		}
-		if newFwd > math.MaxUint32 {
-			newFwd = math.MaxUint32
-		}
-		s.forwardsSum += newFwd - uint64(dst.forwards)
-		dst.requests = uint32(newReq)
-		dst.forwards = uint32(newFwd)
-		dst.dirty = true
+		k, f := merge(&to[id], c, minRate, weight, invert)
+		known += k
+		fwd += f
 	}
+	n := m.N
+	toRow, fromRow := m.Cells[dst*n:dst*n+n], m.Cells[src*n:src*n+n]
+	for p, c := range fromRow {
+		if p == dst {
+			continue
+		}
+		k, f := merge(&toRow[p], c, minRate, weight, invert)
+		known += k
+		fwd += f
+	}
+	m.Known[dst] += known
+	m.ForwardsSum[dst] += fwd
 }
+
+// merge folds one second-hand record src into dst (see Matrix.Merge) and
+// reports whether dst became known and how much its pf grew.
+func merge(dst *Counters, src Counters, minRate, weight float64, invert bool) (known int, addedFwd uint64) {
+	if src.Requests == 0 {
+		return 0, 0
+	}
+	forwards := uint64(src.Forwards)
+	if invert {
+		forwards = uint64(src.Requests) - forwards
+	}
+	if float64(forwards)/float64(src.Requests) < minRate {
+		return 0, 0
+	}
+	addReq := uint64(math.Round(float64(src.Requests) * weight))
+	if addReq == 0 {
+		addReq = 1
+	}
+	addFwd := uint64(math.Round(float64(forwards) * weight))
+	if addFwd > addReq {
+		addFwd = addReq
+	}
+	if dst.Requests == 0 {
+		known = 1
+	}
+	// The only non-unit counter increments: saturate at the uint32
+	// ceiling instead of wrapping (unreachable in any realistic run — see
+	// the Counters doc).
+	newReq := min(uint64(dst.Requests)+addReq, math.MaxUint32)
+	newFwd := min(uint64(dst.Forwards)+addFwd, math.MaxUint32)
+	addedFwd = newFwd - uint64(dst.Forwards)
+	dst.Requests, dst.Forwards = uint32(newReq), uint32(newFwd)
+	return known, addedFwd
+}
+

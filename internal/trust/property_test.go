@@ -10,17 +10,13 @@ import (
 )
 
 // Property-based tests: a Store is driven through long random
-// interleavings of every mutating operation (observe, bulk observe,
-// flush, resize, forget, reset, table swap, gossip merges) against a
-// naive counter model, checking after every step that
+// interleavings of every mutating operation (observe, resize, forget,
+// reset, matrix round trips with in-matrix observations, gossip merges)
+// against a naive counter model, checking after every step that the known
+// count, the activity sum, and per-node counters stay exact.
 //
-//   - the dense rate view always equals a from-scratch recomputation,
-//   - the cached Fig 1b trust level never leaks a stale value through
-//     Evaluate, regardless of when flushes happen,
-//   - known count, activity mean, and per-node counters stay exact.
-//
-// The model is deliberately dumb — two maps and a division — so any
-// disagreement indicts the Store's caching, not the model.
+// The model is deliberately dumb — two maps — so any disagreement indicts
+// the Store or the Matrix, not the model.
 
 type refModel struct {
 	req, fwd map[int]uint64
@@ -47,88 +43,67 @@ func (m *refModel) reset() {
 	m.fwd = map[int]uint64{}
 }
 
-func (m *refModel) rate(id int) (float64, bool) {
-	if m.req[id] == 0 {
-		return 0, false
+// merge applies MergePositive's (or, inverted, a liar's) rule for every
+// peer src knows except self.
+func (m *refModel) merge(src *refModel, self int, minRate, weight float64, invert bool) {
+	for id := range src.req {
+		if id == self {
+			continue
+		}
+		fwd := src.fwd[id]
+		if invert {
+			fwd = src.req[id] - src.fwd[id]
+		}
+		if float64(fwd)/float64(src.req[id]) < minRate {
+			continue
+		}
+		addReq := uint64(math.Round(float64(src.req[id]) * weight))
+		if addReq == 0 {
+			addReq = 1
+		}
+		addFwd := uint64(math.Round(float64(fwd) * weight))
+		if addFwd > addReq {
+			addFwd = addReq
+		}
+		m.req[id] += addReq
+		m.fwd[id] += addFwd
 	}
-	return float64(m.fwd[id]) / float64(m.req[id]), true
 }
 
-func (m *refModel) meanForwards() (float64, bool) {
-	if len(m.req) == 0 {
-		return 0, false
-	}
+// checkAgainst verifies every invariant of s against the model.
+func checkAgainst(t *testing.T, s *Store, m *refModel, band float64) {
+	t.Helper()
 	var sum uint64
 	for id := range m.req {
 		sum += m.fwd[id]
 	}
-	return float64(sum) / float64(len(m.req)), true
-}
-
-// checkAgainst verifies every invariant of s against the model. flush
-// controls whether the dense rate view is pulled (flushing pending
-// records) before per-node checks — exercising both the flushed and the
-// pending-dirty read paths.
-func checkAgainst(t *testing.T, s *Store, m *refModel, table Table, band float64, flush bool) {
-	t.Helper()
-	if got, want := s.KnownCount(), len(m.req); got != want {
-		t.Fatalf("KnownCount = %d, model has %d", got, want)
+	if known, fsum := s.Totals(); known != len(m.req) || fsum != sum {
+		t.Fatalf("Totals = %d/%d, model %d/%d", known, fsum, len(m.req), sum)
 	}
-	gotMean, gotOK := s.MeanForwards()
-	wantMean, wantOK := m.meanForwards()
-	if gotOK != wantOK || math.Abs(gotMean-wantMean) > 1e-12 {
-		t.Fatalf("MeanForwards = %v/%v, model %v/%v", gotMean, gotOK, wantMean, wantOK)
-	}
-	if flush {
-		rates := s.PathRates()
-		for id := range rates {
-			want := network.UnknownRate
-			if r, ok := m.rate(id); ok {
-				want = r
-			}
-			if rates[id] != want {
-				t.Fatalf("rates[%d] = %v, model %v", id, rates[id], want)
-			}
-		}
-	}
-	// Per-node checks through the un-flushed read paths.
-	for id := 0; id < s.Size()+2; id++ {
+	for id := 0; id < len(s.rec)+2; id++ {
 		nid := network.NodeID(id)
-		wantRate, wantKnown := m.rate(id)
-		if s.Known(nid) != wantKnown {
-			t.Fatalf("Known(%d) = %v, model %v", id, s.Known(nid), wantKnown)
+		c := s.Counters(nid)
+		if uint64(c.Requests) != m.req[id] || uint64(c.Forwards) != m.fwd[id] {
+			t.Fatalf("counters(%d) = %d/%d, model %d/%d", id, c.Requests, c.Forwards, m.req[id], m.fwd[id])
 		}
-		if s.Requests(nid) != m.req[id] || s.Forwards(nid) != m.fwd[id] {
-			t.Fatalf("counters(%d) = %d/%d, model %d/%d",
-				id, s.Requests(nid), s.Forwards(nid), m.req[id], m.fwd[id])
-		}
-		gotRate, gotKnown := s.ForwardingRate(nid)
-		if gotKnown != wantKnown || (wantKnown && gotRate != wantRate) {
-			t.Fatalf("ForwardingRate(%d) = %v/%v, model %v/%v", id, gotRate, gotKnown, wantRate, wantKnown)
-		}
-		level, act, known := s.Evaluate(nid, band)
-		if known != wantKnown {
-			t.Fatalf("Evaluate(%d) known = %v, model %v", id, known, wantKnown)
+		act, known := activityOf(s, nid, band)
+		if known != (m.req[id] > 0) {
+			t.Fatalf("activity of %d known = %v, model %v", id, known, m.req[id] > 0)
 		}
 		if !known {
 			continue
 		}
-		// The cached level must equal the table applied to the exact
-		// counter rate — a stale dirty record would fail here.
-		if want := table.Level(wantRate); level != want {
-			t.Fatalf("Evaluate(%d) level = %v, recompute %v (rate %v)", id, level, want, wantRate)
-		}
-		av, _ := m.meanForwards()
+		av := float64(sum) / float64(len(m.req))
 		srcF := float64(m.fwd[id])
-		wantAct := strategy.ActivityMedium
+		want := strategy.ActivityMedium
 		switch {
 		case srcF < av-band*av:
-			wantAct = strategy.ActivityLow
+			want = strategy.ActivityLow
 		case srcF > av+band*av:
-			wantAct = strategy.ActivityHigh
+			want = strategy.ActivityHigh
 		}
-		if act != wantAct {
-			t.Fatalf("Evaluate(%d) activity = %v, recompute %v", id, act, wantAct)
+		if act != want {
+			t.Fatalf("activity of %d = %v, recompute %v", id, act, want)
 		}
 	}
 }
@@ -139,140 +114,147 @@ func TestStorePropertyRandomInterleavings(t *testing.T) {
 		steps  = 400
 		maxID  = 24
 		band   = DefaultActivityBand
-		selfID = network.NodeID(maxID) // outside the observed range
+		selfID = maxID // outside the observed range
+		peerID = maxID + 1
 	)
-	tables := []Table{
-		DefaultTable(),
-		{Thresholds: [3]float64{0.8, 0.5, 0.2}},
-		{Thresholds: [3]float64{0.95, 0.7, 0.4}},
-	}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		r := rng.New(seed)
-		s := NewStore()
-		m := newRefModel()
-		table := DefaultTable()
-
+		s, m := NewStore(), newRefModel()
 		// peer is a second store gossiped from, with its own model.
-		peer := NewStore()
-		pm := newRefModel()
+		peer, pm := NewStore(), newRefModel()
 
 		for step := 0; step < steps; step++ {
-			switch op := r.Intn(12); op {
-			case 0, 1, 2, 3: // single observation (the dominant op in real runs)
+			switch op := r.Intn(10); op {
+			case 0, 1, 2: // single observation
 				id := r.Intn(maxID)
 				fwd := r.Bool(0.6)
-				s.Observe(network.NodeID(id), fwd)
+				observe(s, network.NodeID(id), fwd)
 				m.observe(id, fwd)
-			case 4: // bulk path observation
+			case 3, 4: // a tournament: gather some participants, observe in the matrix, scatter
 				n := 1 + r.Intn(6)
-				ids := make([]network.NodeID, n)
-				for i := range ids {
-					ids[i] = network.NodeID(r.Intn(maxID))
+				ids := []network.NodeID{selfID}
+				for len(ids) < n+1 {
+					id := network.NodeID(r.Intn(maxID))
+					dup := false
+					for _, x := range ids {
+						dup = dup || x == id
+					}
+					if !dup {
+						ids = append(ids, id)
+					}
 				}
-				firstDrop := -1
-				if r.Bool(0.5) {
-					firstDrop = r.Intn(n)
+				stores := []*Store{s}
+				for range ids[1:] {
+					stores = append(stores, NewStore())
 				}
-				s.ObservePath(ids, selfID, firstDrop)
-				for j, id := range ids {
-					m.observe(int(id), j != firstDrop)
+				var mx Matrix
+				mx.Load(stores, ids, 2*maxID)
+				for k := 0; k < 5; k++ {
+					p := 1 + r.Intn(n)
+					fwd := r.Bool(0.5)
+					c := &mx.Cells[p]
+					if c.Requests == 0 {
+						mx.Known[0]++
+					}
+					c.Requests++
+					if fwd {
+						c.Forwards++
+						mx.ForwardsSum[0]++
+					}
+					m.observe(int(ids[p]), fwd)
 				}
-			case 5: // flush via the dense view
-				s.PathRates()
-			case 6: // resize
+				mx.Save()
+			case 5: // resize
 				s.EnsureSize(r.Intn(2 * maxID))
-			case 7: // forget (the dynamics identity-remap primitive)
+			case 6: // forget (the dynamics identity-remap primitive)
 				id := r.Intn(2 * maxID)
 				s.Forget(network.NodeID(id))
 				m.forget(id)
-			case 8: // table swap recomputes cached levels
-				table = tables[r.Intn(len(tables))]
-				s.SetTable(table)
-			case 9: // feed the gossip peer
+			case 7: // feed the gossip peer
 				id := r.Intn(maxID)
 				fwd := r.Bool(0.8)
-				peer.Observe(network.NodeID(id), fwd)
+				observe(peer, network.NodeID(id), fwd)
 				pm.observe(id, fwd)
-			case 10: // gossip merge, honest or lying
+			case 8: // gossip merge, honest or lying, with some peers seated
 				minRate := 0.5
 				weight := 0.25 + r.Float64()*0.5
 				invert := r.Bool(0.3)
-				if invert {
-					s.MergeInverted(selfID, peer, minRate, weight)
-				} else {
-					s.MergePositive(selfID, peer, minRate, weight)
+				ids := []network.NodeID{selfID, peerID}
+				stores := []*Store{s, peer}
+				for k := r.Intn(3); k > 0; k-- {
+					id := network.NodeID(r.Intn(maxID))
+					dup := false
+					for _, x := range ids {
+						dup = dup || x == id
+					}
+					if !dup {
+						ids = append(ids, id)
+						stores = append(stores, NewStore())
+					}
 				}
-				for id := range pm.req {
-					if network.NodeID(id) == selfID {
-						continue
-					}
-					fwd := pm.fwd[id]
-					if invert {
-						fwd = pm.req[id] - pm.fwd[id]
-					}
-					if float64(fwd)/float64(pm.req[id]) < minRate {
-						continue
-					}
-					addReq := uint64(math.Round(float64(pm.req[id]) * weight))
-					if addReq == 0 {
-						addReq = 1
-					}
-					addFwd := uint64(math.Round(float64(fwd) * weight))
-					if addFwd > addReq {
-						addFwd = addReq
-					}
-					m.req[id] += addReq
-					m.fwd[id] += addFwd
-				}
-			case 11: // generation reset (rare)
+				var mx Matrix
+				mx.Load(stores, ids, 2*maxID)
+				mx.Merge(0, 1, minRate, weight, invert)
+				mx.Save()
+				m.merge(pm, selfID, minRate, weight, invert)
+			case 9: // generation reset (rare)
 				if r.Bool(0.1) {
 					s.Reset()
 					m.reset()
 				}
 			}
-			// Alternate between flushed and pending-dirty verification so
-			// stale caches cannot hide behind a convenient flush.
-			checkAgainst(t, s, m, table, band, step%3 == 0)
+			checkAgainst(t, s, m, band)
 		}
 	}
 }
 
 // TestForgetUnknownAndOutOfRangeIsNoOp pins Forget's edge cases directly.
 func TestForgetUnknownAndOutOfRangeIsNoOp(t *testing.T) {
-	s := NewStoreSized(4)
-	s.Observe(1, true)
+	s := NewStore()
+	s.EnsureSize(4)
+	observe(s, 1, true)
 	s.Forget(2)   // known range, never observed
 	s.Forget(100) // beyond the store
-	if s.KnownCount() != 1 || !s.Known(1) {
-		t.Errorf("no-op forgets disturbed the store: known=%d", s.KnownCount())
+	if known, _ := s.Totals(); known != 1 || s.Counters(1).Requests == 0 {
+		t.Errorf("no-op forgets disturbed the store: known=%d", known)
 	}
 	s.Forget(1)
-	if s.KnownCount() != 0 || s.Known(1) {
+	if known, fsum := s.Totals(); known != 0 || fsum != 0 || s.Counters(1) != (Counters{}) {
 		t.Error("forget left the node known")
 	}
-	if rate := s.PathRates()[1]; rate != network.UnknownRate {
-		t.Errorf("forgotten node's rate = %v, want UnknownRate", rate)
-	}
 	// Re-observation after forgetting starts from scratch.
-	s.Observe(1, false)
-	if rate, known := s.ForwardingRate(1); !known || rate != 0 {
+	observe(s, 1, false)
+	if rate, known := rateOf(s, 1); !known || rate != 0 {
 		t.Errorf("re-observed node rate = %v/%v, want 0/true", rate, known)
 	}
 }
 
-// TestForgetWhileDirtyDoesNotResurrect pins the interaction between
-// Forget and the lazy flush: a record forgotten while pending a flush must
-// not be resurrected by the next PathRates call.
-func TestForgetWhileDirtyDoesNotResurrect(t *testing.T) {
-	s := NewStoreSized(3)
-	s.Observe(2, true)
-	s.Observe(2, true) // dirty, queued for flush
-	s.Forget(2)
-	rates := s.PathRates()
-	if rates[2] != network.UnknownRate {
-		t.Errorf("stale dirty entry resurrected rate %v", rates[2])
+// TestMatrixRoundTrip: Load then Save with no play in between leaves
+// every store as it was, and Save clears the participant marks so a later
+// Load with other participants merges the former ones through the stores.
+func TestMatrixRoundTrip(t *testing.T) {
+	a, b, c := NewStore(), NewStore(), NewStore()
+	observe(a, 1, true)
+	observe(a, 7, false)
+	observe(b, 0, true)
+	var m Matrix
+	m.Load([]*Store{a, b}, []network.NodeID{0, 1}, 8)
+	if m.N != 2 || m.Cells[1] != (Counters{Requests: 1, Forwards: 1}) || m.Cells[2] != (Counters{Requests: 1, Forwards: 1}) {
+		t.Fatalf("gathered cells %+v", m.Cells)
 	}
-	if level, _, known := s.Evaluate(2, DefaultActivityBand); known {
-		t.Errorf("forgotten node still evaluates (level %v)", level)
+	if m.Known[0] != 2 || m.ForwardsSum[0] != 1 {
+		t.Fatalf("gathered totals %d/%d, want 2/1", m.Known[0], m.ForwardsSum[0])
+	}
+	m.Save()
+	if a.Counters(7) != (Counters{Requests: 1}) || a.Counters(1) != (Counters{Requests: 1, Forwards: 1}) {
+		t.Error("round trip changed a store")
+	}
+	// Node 0 now sits outside the matrix: b's report about it merges
+	// through the stores.
+	m.Load([]*Store{c, b}, []network.NodeID{2, 1}, 8)
+	m.Merge(0, 1, 0, 1, false)
+	m.Save()
+	if c.Counters(0) != (Counters{Requests: 1, Forwards: 1}) {
+		t.Errorf("non-participant merge gave %+v", c.Counters(0))
 	}
 }
