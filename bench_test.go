@@ -167,7 +167,14 @@ func BenchmarkAblationNoReputationSystem(b *testing.B) {
 // rather than by the payoff shaping itself.
 func BenchmarkAblationFlatDiscardPayoffs(b *testing.B) {
 	coop := runAblation(b, 51, func(cfg *core.Config) {
-		cfg.Eval.Tournament.Game.Payoffs = game.NoReputationPayoffs()
+		// The counterfactual table of §4.2: "If such system was not used,
+		// the payoff for selfish behavior (discarding packets) would
+		// always be higher than for forwarding."
+		cfg.Eval.Tournament.Game.Payoffs = game.PayoffTable{
+			SourceSuccess: 5,
+			Forward:       [strategy.NumTrustLevels]float64{0.3, 0.5, 1.0, 2.0},
+			Discard:       [strategy.NumTrustLevels]float64{3.0, 3.0, 3.0, 3.0},
+		}
 	})
 	b.ReportMetric(coop*100, "coop%")
 }

@@ -106,19 +106,6 @@ func DefaultPayoffs() PayoffTable {
 	}
 }
 
-// NoReputationPayoffs returns the counterfactual table the paper describes
-// in §4.2: "If such system was not used, the payoff for selfish behavior
-// (discarding packets) would always be higher than for forwarding." It is
-// used by the ablation benchmark to show cooperation collapsing.
-func NoReputationPayoffs() PayoffTable {
-	return PayoffTable{
-		SourceSuccess: 5,
-		SourceFailure: 0,
-		Forward:       [strategy.NumTrustLevels]float64{0.3, 0.5, 1.0, 2.0},
-		Discard:       [strategy.NumTrustLevels]float64{3.0, 3.0, 3.0, 3.0},
-	}
-}
-
 // Validate checks structural sanity: no negative payoffs, success paying
 // at least failure, and forwarding payoff non-decreasing in trust (the
 // §4.2 design property "the higher the trust level is the higher payoff").

@@ -30,9 +30,6 @@ func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultPayoffs().Validate(); err != nil {
 		t.Fatalf("default payoffs invalid: %v", err)
 	}
-	if err := NoReputationPayoffs().Validate(); err != nil {
-		t.Fatalf("ablation payoffs invalid: %v", err)
-	}
 }
 
 func TestPayoffTableProperties(t *testing.T) {

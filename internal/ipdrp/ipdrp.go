@@ -100,14 +100,6 @@ func (s Strategy) Key() string { return s.bits.Compact() }
 // String renders the strategy as first-move + response block, e.g. "1 1001".
 func (s Strategy) String() string { return s.bits.GroupString(1, 4) }
 
-// Canonical strategies.
-func AllC() Strategy { return MustParse("11111") }
-func AllD() Strategy { return MustParse("00000") }
-
-// TitForTat opens cooperating and repeats the previous opponent's move
-// (of whoever it met last round — the random-pairing twist).
-func TitForTat() Strategy { return MustParse("11010") }
-
 // Payoffs is the Prisoner's Dilemma payoff matrix. Defaults satisfy
 // T > R > P > S and 2R > T+S.
 type Payoffs struct {

@@ -30,13 +30,10 @@ func TestStrategyBitLayout(t *testing.T) {
 			t.Errorf("Next(%v,%v) = %v, want %v", c.mine, c.opp, got, c.want)
 		}
 	}
-	if !s.Genome().Equal(TitForTat().Genome()) {
-		t.Error("11010 should equal TitForTat()")
-	}
 }
 
 func TestCanonicalStrategies(t *testing.T) {
-	allc, alld := AllC(), AllD()
+	allc, alld := MustParse("11111"), MustParse("00000")
 	for _, mine := range []Move{Cooperate, Defect} {
 		for _, opp := range []Move{Cooperate, Defect} {
 			if allc.Next(mine, opp) != Cooperate {
@@ -53,8 +50,9 @@ func TestCanonicalStrategies(t *testing.T) {
 	if Cooperate.String() != "C" || Defect.String() != "D" {
 		t.Error("move strings wrong")
 	}
-	if TitForTat().String() != "1 1010" {
-		t.Errorf("TFT renders as %q", TitForTat().String())
+	// Tit-for-tat: open cooperating, repeat the previous opponent's move.
+	if tft := MustParse("11010"); tft.String() != "1 1010" {
+		t.Errorf("TFT renders as %q", tft.String())
 	}
 }
 
@@ -209,12 +207,12 @@ func TestKeyUniqueness(t *testing.T) {
 }
 
 func TestCensus(t *testing.T) {
-	res := &Result{FinalStrategies: []Strategy{AllD(), AllD(), AllD(), AllC()}}
+	res := &Result{FinalStrategies: []Strategy{MustParse("00000"), MustParse("00000"), MustParse("00000"), MustParse("11111")}}
 	census := res.Census()
 	if len(census) != 2 {
 		t.Fatalf("%d census entries", len(census))
 	}
-	if !census[0].Strategy.Genome().Equal(AllD().Genome()) || census[0].Fraction != 0.75 {
+	if !census[0].Strategy.Genome().Equal(MustParse("00000").Genome()) || census[0].Fraction != 0.75 {
 		t.Errorf("top entry %+v", census[0])
 	}
 	// Fractions sum to 1.

@@ -7,6 +7,9 @@ import (
 	"adhocga/internal/rng"
 )
 
+// hopsOf returns the hop count of a path (number of edges).
+func hopsOf(p Path) int { return len(p.Intermediates) + 1 }
+
 func TestCandidatesInvariants(t *testing.T) {
 	r := rng.New(7)
 	g := NewGenerator(ShorterPaths())
@@ -16,7 +19,7 @@ func TestCandidatesInvariants(t *testing.T) {
 		if len(paths) < 1 || len(paths) > MaxAlternatePaths {
 			t.Fatalf("%d candidate paths", len(paths))
 		}
-		hops := paths[0].Hops()
+		hops := hopsOf(paths[0])
 		if hops < MinHops || hops > MaxHops {
 			t.Fatalf("hop count %d", hops)
 		}
@@ -28,7 +31,7 @@ func TestCandidatesInvariants(t *testing.T) {
 			if p.Dst != dst {
 				t.Fatal("candidates disagree on destination")
 			}
-			if p.Hops() != hops {
+			if hopsOf(p) != hops {
 				t.Fatal("candidates disagree on hop count")
 			}
 			if p.Dst == NodeID(src) {
@@ -53,8 +56,8 @@ func TestCandidatesInvariants(t *testing.T) {
 // "everyone but src" list of slots, and every path a partial Fisher–Yates
 // over its own copy of the pool.
 func referenceCandidates(r *rng.Source, mode PathMode, src NodeID, n int) []Path {
-	hops := min(mode.Lengths.Sample(r), n-1)
-	count := mode.Alternates.Sample(r, hops)
+	hops := min(mode.Lengths.hops(r.Uint64()), n-1)
+	count := mode.Alternates.count(r.Uint64(), hops)
 	var others []NodeID
 	for id := NodeID(0); id < NodeID(n); id++ {
 		if id != src {
@@ -122,8 +125,8 @@ func TestCandidatesClampsHopsForSmallSets(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		paths := g.Candidates(r, 0, 5) // max feasible hops = 4
 		for _, p := range paths {
-			if p.Hops() > 4 {
-				t.Fatalf("hop count %d exceeds feasibility for 5 participants", p.Hops())
+			if hopsOf(p) > 4 {
+				t.Fatalf("hop count %d exceeds feasibility for 5 participants", hopsOf(p))
 			}
 		}
 	}
@@ -145,7 +148,7 @@ func TestCandidatesHopFrequenciesFollowMode(t *testing.T) {
 	counts := map[int]int{}
 	const draws = 50000
 	for i := 0; i < draws; i++ {
-		counts[g.Candidates(r, 0, 50)[0].Hops()]++
+		counts[hopsOf(g.Candidates(r, 0, 50)[0])]++
 	}
 	d := ShorterPathLengths()
 	for hops := MinHops; hops <= MaxHops; hops++ {

@@ -30,9 +30,6 @@ type Path struct {
 	Intermediates []NodeID
 }
 
-// Hops returns the hop count of the path (number of edges).
-func (p Path) Hops() int { return len(p.Intermediates) + 1 }
-
 // String renders the path like "3 -> 7 -> 1 -> 9".
 func (p Path) String() string {
 	s := fmt.Sprintf("%d", p.Src)
@@ -89,10 +86,8 @@ func NewLengthDist(probs map[int]float64) (LengthDist, error) {
 	return LengthDist{cat: cat}, nil
 }
 
-// Sample draws a hop count.
-func (d LengthDist) Sample(r *rng.Source) int { return d.hops(r.Uint64()) }
-
-// hops is the hop count Sample picks when the engine step yields draw.
+// hops is the hop count the distribution picks when the engine step
+// yields draw.
 func (d LengthDist) hops(draw uint64) int { return MinHops + d.cat.Outcome(draw) }
 
 // Prob returns the probability of the given hop count.
@@ -209,14 +204,8 @@ type AlternatesDist struct {
 // Table3Alternates returns the paper's alternate-path distribution.
 func Table3Alternates() AlternatesDist { return table3 }
 
-// Sample draws the number of available paths (1..3) for the given hop
-// count.
-func (d AlternatesDist) Sample(r *rng.Source, hops int) int {
-	return d.count(r.Uint64(), hops)
-}
-
-// count is the number of paths Sample picks when the engine step yields
-// draw.
+// count is the number of available paths (1..3) the distribution picks
+// for the given hop count when the engine step yields draw.
 func (d AlternatesDist) count(draw uint64, hops int) int {
 	return d.row(hops).Outcome(draw) + 1
 }

@@ -7,17 +7,6 @@ import (
 	"adhocga/internal/rng"
 )
 
-func TestPathHops(t *testing.T) {
-	p := Path{Src: 0, Dst: 4, Intermediates: []NodeID{1, 2, 3}}
-	if p.Hops() != 4 {
-		t.Errorf("Hops = %d, want 4", p.Hops())
-	}
-	direct := Path{Src: 0, Dst: 1, Intermediates: []NodeID{5}}
-	if direct.Hops() != 2 {
-		t.Errorf("2-hop path Hops = %d", direct.Hops())
-	}
-}
-
 func TestPathContains(t *testing.T) {
 	p := Path{Src: 0, Dst: 4, Intermediates: []NodeID{1, 2}}
 	if !p.Contains(1) || !p.Contains(2) {
@@ -61,7 +50,7 @@ func TestLengthDistSampleFrequencies(t *testing.T) {
 	const draws = 200000
 	counts := map[int]int{}
 	for i := 0; i < draws; i++ {
-		h := d.Sample(r)
+		h := d.hops(r.Uint64())
 		if h < MinHops || h > MaxHops {
 			t.Fatalf("sampled %d hops", h)
 		}
@@ -123,7 +112,7 @@ func TestAlternatesSampleRange(t *testing.T) {
 	d := Table3Alternates()
 	for hops := MinHops; hops <= MaxHops; hops++ {
 		for i := 0; i < 500; i++ {
-			n := d.Sample(r, hops)
+			n := d.count(r.Uint64(), hops)
 			if n < 1 || n > MaxAlternatePaths {
 				t.Fatalf("Sample(hops=%d) = %d", hops, n)
 			}

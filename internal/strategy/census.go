@@ -72,9 +72,6 @@ func (c *Census) AddAll(ss []Strategy) {
 // Total returns the number of occurrences recorded.
 func (c *Census) Total() int { return c.total }
 
-// Distinct returns the number of distinct strategies recorded.
-func (c *Census) Distinct() int { return len(c.rows) }
-
 // Entry is one census row: a strategy, its occurrence count, and its
 // frequency among all recorded occurrences.
 type Entry struct {
@@ -152,17 +149,4 @@ func (c *Census) UnknownForwardFraction() float64 {
 		}
 	}
 	return float64(fwd) / float64(c.total)
-}
-
-// MeanCooperativeness returns the occurrence-weighted mean fraction of
-// Forward bits across the census.
-func (c *Census) MeanCooperativeness() float64 {
-	if c.total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range c.rows {
-		sum += float64(Strategy{p: r.g}.Cooperativeness() * float64(r.n))
-	}
-	return sum / float64(c.total)
 }

@@ -16,8 +16,8 @@ func TestCensusTop(t *testing.T) {
 		c.Add(a)
 	}
 	c.Add(b)
-	if c.Total() != 4 || c.Distinct() != 2 {
-		t.Fatalf("Total=%d Distinct=%d", c.Total(), c.Distinct())
+	if c.Total() != 4 || len(c.rows) != 2 {
+		t.Fatalf("Total=%d Distinct=%d", c.Total(), len(c.rows))
 	}
 	top := c.Top(5)
 	if len(top) != 2 {
@@ -46,8 +46,8 @@ func TestCensusTopBounds(t *testing.T) {
 		{-1, 0},
 		{0, 0},
 		{1, 1},
-		{c.Distinct(), c.Distinct()},
-		{c.Distinct() + 5, c.Distinct()},
+		{len(c.rows), len(c.rows)},
+		{len(c.rows) + 5, len(c.rows)},
 	} {
 		got := c.Top(tc.k)
 		if got == nil || len(got) != tc.want {
@@ -60,13 +60,13 @@ func TestCensusTopBounds(t *testing.T) {
 // records without NewCensus.
 func TestZeroCensus(t *testing.T) {
 	var c Census
-	if c.Total() != 0 || c.Distinct() != 0 || len(c.Top(3)) != 0 || c.MeanCooperativeness() != 0 {
-		t.Fatalf("zero census not empty: total %d, distinct %d", c.Total(), c.Distinct())
+	if c.Total() != 0 || len(c.rows) != 0 || len(c.Top(3)) != 0 {
+		t.Fatalf("zero census not empty: total %d, distinct %d", c.Total(), len(c.rows))
 	}
 	c.Add(AllForward())
 	c.AddAll([]Strategy{AllDiscard(), AllForward()})
-	if c.Total() != 3 || c.Distinct() != 2 || c.Top(1)[0].Count != 2 {
-		t.Errorf("zero census after 3 adds: total %d, distinct %d, top %+v", c.Total(), c.Distinct(), c.Top(1))
+	if c.Total() != 3 || len(c.rows) != 2 || c.Top(1)[0].Count != 2 {
+		t.Errorf("zero census after 3 adds: total %d, distinct %d, top %+v", c.Total(), len(c.rows), c.Top(1))
 	}
 }
 
@@ -134,18 +134,6 @@ func TestCensusUnknownForwardFraction(t *testing.T) {
 		t.Errorf("UnknownForwardFraction = %v", got)
 	}
 	if NewCensus().UnknownForwardFraction() != 0 {
-		t.Error("empty census should return 0")
-	}
-}
-
-func TestCensusMeanCooperativeness(t *testing.T) {
-	c := NewCensus()
-	c.Add(AllForward())
-	c.Add(AllDiscard())
-	if got := c.MeanCooperativeness(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("MeanCooperativeness = %v, want 0.5", got)
-	}
-	if NewCensus().MeanCooperativeness() != 0 {
 		t.Error("empty census should return 0")
 	}
 }

@@ -92,4 +92,3 @@ func merge(dst *Counters, src Counters, minRate, weight float64, invert bool) (k
 	dst.Requests, dst.Forwards = uint32(newReq), uint32(newFwd)
 	return known, addedFwd
 }
-

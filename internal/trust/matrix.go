@@ -52,9 +52,9 @@ func (m *Matrix) Load(stores []*Store, ids []network.NodeID, size int) {
 	for o, s := range stores {
 		row := m.Cells[o*n : o*n+n]
 		for p, id := range ids {
-			row[p] = s.rec[id]
+			row[p] = s.Counters(id)
 		}
-		m.Known[o], m.ForwardsSum[o] = s.known, s.forwardsSum
+		m.Known[o], m.ForwardsSum[o] = s.Totals()
 	}
 }
 
