@@ -75,11 +75,33 @@ func TestTournamentRoundZeroAllocs(t *testing.T) {
 // BenchmarkEvaluate measures one full Fig 3 evaluation pass (TE1–TE4,
 // tournament size 50, L=2) at 30 rounds per tournament — the hot loop of
 // every generation — through a warm EvalState, exactly as the engine runs
-// it. The dense-store acceptance bar is ≥2× ns/game over the map-based
-// seed with ~0 allocs/game.
+// it, with ~0 allocs/game.
 func BenchmarkEvaluate(b *testing.B) {
 	normals, csn, registry := benchPopulation(1)
+	benchEvaluate(b, normals, csn, nil, registry, benchEvalConfig(30))
+}
+
+// BenchmarkEvaluateGossip is BenchmarkEvaluate with second-hand
+// reputation exchange as the shipped gossip scenarios run it: every 10
+// rounds at weight 0.25, with two gossip liars in every tournament. Each
+// exchange merges a whole store, so this is where the board's merge path
+// shows.
+func BenchmarkEvaluateGossip(b *testing.B) {
+	normals, csn, registry := benchPopulation(1)
+	byz := []*game.Player{
+		game.NewByzantine(network.NodeID(len(registry)), game.AdvLiar, strategy.AllForward()),
+		game.NewByzantine(network.NodeID(len(registry)+1), game.AdvLiar, strategy.AllForward()),
+	}
+	registry = BuildRegistry(normals, csn, byz)
 	cfg := benchEvalConfig(30)
+	cfg.Tournament.GossipInterval = 10
+	cfg.Tournament.GossipWeight = 0.25
+	cfg.Tournament.GossipMinRate = 0.5
+	benchEvaluate(b, normals, csn, byz, registry, cfg)
+}
+
+// benchEvaluate times warm evaluation passes and reports ns/game.
+func benchEvaluate(b *testing.B, normals, csn, byz, registry []*game.Player, cfg *EvalConfig) {
 	gen := network.NewGenerator(cfg.Tournament.Mode)
 
 	// Count games once so ns/game can be derived from the timed loop; this
@@ -87,7 +109,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	var es EvalState
 	var counter gameCounter
 	r := rng.New(2)
-	if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, &counter); err != nil {
+	if err := es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, gen, r, &counter); err != nil {
 		b.Fatal(err)
 	}
 
@@ -95,7 +117,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	b.ResetTimer()
 	r = rng.New(2)
 	for i := 0; i < b.N; i++ {
-		if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, nil); err != nil {
+		if err := es.EvaluateWithAdversaries(normals, csn, byz, registry, cfg, gen, r, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
