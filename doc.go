@@ -54,12 +54,11 @@
 //
 // The simulation core is dense and allocation-free in steady state:
 // NodeIDs are dense integers (enforced by tournament.BuildRegistry), so
-// reputation memory is a flat NodeID-indexed slice with cached forwarding
-// rates and Fig 1b trust levels maintained lazily on counter change, path
-// rating consumes the store's dense []float64 rate view, and the game and
-// tournament loops reuse scratch buffers instead of allocating — with
-// results bit-identical to the original map-based implementation (golden
-// tests pin the exact float bits). See DESIGN.md for the density
+// reputation memory is a flat NodeID-indexed slice of counters; each
+// tournament gathers its participants' counters about each other into a
+// slot-indexed T×T matrix, plays every round on it in one game loop, and
+// scatters it back — with results bit-identical to the original
+// map-based implementation (golden tests pin the exact float bits). See DESIGN.md for the density
 // invariant and the README "Performance" section for measurements.
 //
 // Implementation lives in internal/ packages (rng, bitstring, strategy,

@@ -12,7 +12,7 @@
 //     genomes under fresh node identities. Identity turnover exercises the
 //     dense storage layer in place — new NodeIDs extend the registry until
 //     a bounded headroom is reached (trust.Store.EnsureSize resizes every
-//     dense store and rate view), after which departed IDs are recycled
+//     dense store), after which departed IDs are recycled
 //     FIFO (trust.Store.Forget remaps the recycled slot without
 //     reallocation). Link rewiring under mobility is modeled as a seeded
 //     random walk of the route-length landscape between the paper's SP and
@@ -22,7 +22,7 @@
 //   - Adversarial behaviors. A fixed cohort of non-evolving Byzantine
 //     players joins every tournament (but never reproduction): free-riders
 //     that source packets and never forward, gossip liars that inject
-//     inverted reputation reports (trust.MergeInverted), and on-off
+//     inverted reputation reports (trust.Matrix.Merge with invert), and on-off
 //     attackers that alternate between trust-building forwarding phases
 //     and discard bursts, driven through the tournament's RoundDriver
 //     perturbation hook.
@@ -321,7 +321,7 @@ func (m *Model) Churn(pop []ga.Individual, players []*game.Player, registry *[]*
 	}
 	m.touched = touched
 	// In-place remap, one pass over the registry: every live dense store
-	// (and its rate view) drops whatever it knew under any touched
+	// drops whatever it knew under any touched
 	// identity. The generational evaluation happens to reset all stores
 	// anyway, but that is the evaluation scheme's policy, not this
 	// layer's: the churn contract is that a replaced identity carries no

@@ -62,7 +62,7 @@ const (
 	AdvFreeRider
 	// AdvLiar forwards reliably to keep its own reputation high, but
 	// injects inverted observations when chosen as a gossip peer
-	// (trust.MergeInverted).
+	// (trust.Matrix.Merge with invert set).
 	AdvLiar
 	// AdvOnOff alternates between a forwarding phase (building trust) and
 	// a discarding phase, on a fixed round schedule driven by the dynamics

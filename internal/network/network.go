@@ -17,8 +17,10 @@ import (
 	"adhocga/internal/rng"
 )
 
-// NodeID identifies a node (player) within one tournament. IDs are dense
-// small integers assigned by the tournament runner.
+// NodeID identifies a node (player). IDs are dense small integers
+// assigned by the tournament runner. Paths drawn by Generator.Candidates
+// carry slots — positions among one tournament's participants — in the
+// same type.
 type NodeID int
 
 // Path is a source route: the source, the ordered intermediate nodes, and

@@ -245,7 +245,7 @@ func (s Spec) Validate() error {
 		if err := d.Config().Validate(); err != nil {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
-		// Liars only misbehave through gossip (MergeInverted); without a
+		// Liars only misbehave through gossip (inverted merges); without a
 		// gossip channel they would sit in every tournament as extra
 		// always-forwarders, silently *helping* cooperation while being
 		// reported as adversaries.

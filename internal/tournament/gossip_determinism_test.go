@@ -57,7 +57,7 @@ func runGossipTournament(seed uint64) []string {
 // TestGossipMergeDeterministic verifies that second-hand reputation
 // exchange is fully deterministic: the same seed must produce
 // bit-identical merged stores on every run. The dense store makes
-// MergePositive iterate peers in ascending NodeID order (the map
+// the merge iterate peers in ascending NodeID order (the map
 // representation iterated randomly; the merge was already commutative,
 // but this pins the property against future non-commutative extensions).
 func TestGossipMergeDeterministic(t *testing.T) {

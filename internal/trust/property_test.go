@@ -43,7 +43,7 @@ func (m *refModel) reset() {
 	m.fwd = map[int]uint64{}
 }
 
-// merge applies MergePositive's (or, inverted, a liar's) rule for every
+// merge applies Matrix.Merge's honest (or, inverted, a liar's) rule for every
 // peer src knows except self.
 func (m *refModel) merge(src *refModel, self int, minRate, weight float64, invert bool) {
 	for id := range src.req {
