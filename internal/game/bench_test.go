@@ -21,7 +21,7 @@ func benchBoard(k int) (*Board, Config) {
 		}
 		inters[i] = NewNormal(network.NodeID(i+1), s)
 	}
-	b, _ := seat(src, inters)
+	b := seat(src, inters)
 	for i := 0; i < 32; i++ {
 		playSeated(b, k, &cfg)
 	}
@@ -33,9 +33,9 @@ func benchBoard(k int) (*Board, Config) {
 // growth.
 func TestPlayZeroAllocsSteadyState(t *testing.T) {
 	b, cfg := benchBoard(5)
-	paths := []network.Path{{Src: 0, Dst: 6, Intermediates: []network.NodeID{1, 2, 3, 4, 5}}}
+	paths := chain(5)
 	allocs := testing.AllocsPerRun(1000, func() {
-		b.Play(0, paths, nil, &cfg)
+		b.Play(0, paths, nil, &cfg, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Play allocates %v times per game, want 0", allocs)
@@ -45,15 +45,11 @@ func TestPlayZeroAllocsSteadyState(t *testing.T) {
 // benchPlay measures one steady-state game on a k-intermediate path.
 func benchPlay(b *testing.B, k int) {
 	board, cfg := benchBoard(k)
-	inter := make([]network.NodeID, k)
-	for i := range inter {
-		inter[i] = network.NodeID(i + 1)
-	}
-	paths := []network.Path{{Src: 0, Dst: network.NodeID(k + 1), Intermediates: inter}}
+	paths := chain(k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		board.Play(0, paths, nil, &cfg)
+		board.Play(0, paths, nil, &cfg, nil)
 	}
 }
 

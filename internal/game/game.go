@@ -253,13 +253,16 @@ type Board struct {
 	Strat []strategy.Strategy
 	Acct  []Account
 
-	stores []*trust.Store
-	ids    []network.NodeID
+	players []*Player
+	stores  []*trust.Store
+	ids     []network.NodeID
+	inters  []*Player // the recorder's view of a game's route
 }
 
 // Load seats the players in slot order, with every reputation store sized
 // to cover NodeIDs 0..size-1 (the registry).
 func (b *Board) Load(players []*Player, size int) {
+	b.players = players
 	b.stores, b.ids = b.stores[:0], b.ids[:0]
 	b.Strat, b.Acct = b.Strat[:0], b.Acct[:0]
 	for _, p := range players {
@@ -272,11 +275,12 @@ func (b *Board) Load(players []*Player, size int) {
 }
 
 // Save writes the accounts and reputation back to the players Load seated.
-func (b *Board) Save(players []*Player) {
-	for i, p := range players {
+func (b *Board) Save() {
+	for i, p := range b.players {
 		p.Acct = b.Acct[i]
 	}
 	b.Rep.Save()
+	b.players = nil
 }
 
 // Play runs one game: the participant in slot src sends a packet along one
@@ -298,7 +302,10 @@ func (b *Board) Save(players []*Player) {
 // j==k); nodes after the dropper never saw the packet and learn nothing;
 // the dropper itself propagates the alert but records no observations, as
 // in the figure.
-func (b *Board) Play(src int, paths []network.Path, r *rng.Source, cfg *Config) (best, firstDrop int) {
+//
+// A non-nil rec is notified once the game is over, with the seated
+// players.
+func (b *Board) Play(src int, paths []network.Path, r *rng.Source, cfg *Config, rec Recorder) (best, firstDrop int) {
 	m := &b.Rep
 	n := m.N
 	cells := m.Cells
@@ -383,6 +390,15 @@ func (b *Board) Play(src int, paths []network.Path, r *rng.Source, cfg *Config) 
 		}
 		m.Known[obs] += known
 		m.ForwardsSum[obs] += fwd
+	}
+
+	if rec != nil {
+		ps := b.inters[:0]
+		for _, x := range inters {
+			ps = append(ps, b.players[x])
+		}
+		b.inters = ps
+		rec.RecordGame(b.players[src], ps, firstDrop)
 	}
 	return best, firstDrop
 }

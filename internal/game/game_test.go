@@ -105,15 +105,15 @@ func TestAccountFitnessEq1(t *testing.T) {
 // game over the single path through every intermediate, then writes the
 // board back to the players. It reports whether the packet was delivered.
 func play(src *Player, inters []*Player, cfg *Config) bool {
-	b, players := seat(src, inters)
+	b := seat(src, inters)
 	firstDrop := playSeated(b, len(inters), cfg)
-	b.Save(players)
+	b.Save()
 	return firstDrop < 0
 }
 
 // seat loads src and inters onto a board (slot 0 is src, slot i the i-th
 // intermediate), stores sized to cover every ID.
-func seat(src *Player, inters []*Player) (*Board, []*Player) {
+func seat(src *Player, inters []*Player) *Board {
 	players := append([]*Player{src}, inters...)
 	size := 0
 	for _, p := range players {
@@ -121,18 +121,22 @@ func seat(src *Player, inters []*Player) (*Board, []*Player) {
 	}
 	var b Board
 	b.Load(players, size)
-	return &b, players
+	return &b
+}
+
+// chain is the single candidate route from slot 0 through slots 1..k.
+func chain(k int) []network.Path {
+	inter := make([]network.NodeID, k)
+	for i := range inter {
+		inter[i] = network.NodeID(i + 1)
+	}
+	return []network.Path{{Src: 0, Dst: network.NodeID(k + 1), Intermediates: inter}}
 }
 
 // playSeated plays slot 0's packet through slots 1..k and returns the
 // first dropper's position.
 func playSeated(b *Board, k int, cfg *Config) int {
-	inter := make([]network.NodeID, k)
-	for i := range inter {
-		inter[i] = network.NodeID(i + 1)
-	}
-	path := network.Path{Src: 0, Dst: network.NodeID(k + 1), Intermediates: inter}
-	_, firstDrop := b.Play(0, []network.Path{path}, nil, cfg)
+	_, firstDrop := b.Play(0, chain(k), nil, cfg, nil)
 	return firstDrop
 }
 
@@ -319,10 +323,10 @@ func decideOnce(t *testing.T, decider *Player, known trust.Counters, cfg *Config
 	t.Helper()
 	decider.Acct.Reset()
 	src := NewNormal(5, strategy.AllForward())
-	b, players := seat(src, []*Player{decider})
+	b := seat(src, []*Player{decider})
 	know(b, 1, 0, known)
 	firstDrop := playSeated(b, 1, cfg)
-	b.Save(players)
+	b.Save()
 	if firstDrop < 0 {
 		return strategy.Forward, decider.Acct.ForwardPayoff
 	}
@@ -367,12 +371,12 @@ func TestDecideActivityBand(t *testing.T) {
 		{16, 4, strategy.Discard}, // HI
 	} {
 		p.Acct.Reset()
-		b, players := seat(src, []*Player{p, other})
+		b := seat(src, []*Player{p, other})
 		know(b, 1, 0, trust.Counters{Requests: tc.srcF, Forwards: tc.srcF})
 		know(b, 1, 2, trust.Counters{Requests: tc.otherF, Forwards: tc.otherF})
 		path := network.Path{Src: 0, Dst: 2, Intermediates: []network.NodeID{1}}
-		_, firstDrop := b.Play(0, []network.Path{path}, nil, cfg)
-		b.Save(players)
+		_, firstDrop := b.Play(0, []network.Path{path}, nil, cfg, nil)
+		b.Save()
 		if got := firstDrop < 0; got != (tc.want == strategy.Forward) {
 			t.Errorf("source pf %d beside %d: forwarded = %v, want %v", tc.srcF, tc.otherF, got, tc.want)
 		}
@@ -419,15 +423,140 @@ func TestResetForGeneration(t *testing.T) {
 	}
 }
 
+type captureRecorder struct {
+	src       *Player
+	nInters   int
+	firstDrop int
+	calls     int
+}
+
+func (c *captureRecorder) RecordGame(src *Player, inters []*Player, firstDrop int) {
+	c.src = src
+	c.nInters = len(inters)
+	c.firstDrop = firstDrop
+	c.calls++
+}
+
+// playRecorded plays one game like play, notifying rec.
+func playRecorded(src *Player, inters []*Player, cfg *Config, rec Recorder) {
+	b := seat(src, inters)
+	b.Play(0, chain(len(inters)), nil, cfg, rec)
+	b.Save()
+}
+
+func TestPlayNotifiesRecorder(t *testing.T) {
+	cfg := defaultCfg()
+	rec := &captureRecorder{}
+	src := NewNormal(0, strategy.AllForward())
+	drop := NewSelfish(1)
+	playRecorded(src, []*Player{drop}, cfg, rec)
+	if rec.calls != 1 || rec.src != src || rec.nInters != 1 || rec.firstDrop != 0 {
+		t.Errorf("recorder saw %+v", rec)
+	}
+	ok := normals(3, strategy.AllForward())
+	playRecorded(ok[0], ok[1:], cfg, rec)
+	if rec.calls != 2 || rec.firstDrop != -1 {
+		t.Errorf("recorder after success: %+v", rec)
+	}
+}
+
+// bestOf seats a source in slot 0 and every intermediate the paths name,
+// gives the source the counters known[i] about slot i+1, and returns the
+// candidate Play picks.
+func bestOf(known []trust.Counters, paths []network.Path) int {
+	cfg := defaultCfg()
+	slots := len(known)
+	for _, p := range paths {
+		for _, x := range p.Intermediates {
+			slots = max(slots, int(x))
+		}
+	}
+	b := seat(NewNormal(0, strategy.AllForward()), normals(slots+1, strategy.AllForward())[1:])
+	for i, c := range known {
+		know(b, 0, i+1, c)
+	}
+	best, _ := b.Play(0, paths, rng.New(1), cfg, nil)
+	return best
+}
+
+func path(inters ...network.NodeID) network.Path {
+	return network.Path{Src: 0, Dst: 99, Intermediates: inters}
+}
+
+// TestPlayRatesPathsByProduct: a route rates the product of its
+// intermediates' forwarding rates as the source knows them, an unknown
+// intermediate 0.5, and an empty route 1 (nothing can drop).
+func TestPlayRatesPathsByProduct(t *testing.T) {
+	known := []trust.Counters{{Requests: 10, Forwards: 9}, {Requests: 10, Forwards: 8}} // slots 1, 2
+	// 0.9 · 0.8 = 0.72 beats 0.9 · 0.5 (slot 3 unknown) = 0.45.
+	if got := bestOf(known, []network.Path{path(1, 3), path(1, 2)}); got != 1 {
+		t.Errorf("picked %d, want the 0.72 route", got)
+	}
+	// 0.45 still beats 0.4 (= 0.8 · 0.5), and loses to the empty route.
+	if got := bestOf(known, []network.Path{path(2, 3), path(1, 3)}); got != 1 {
+		t.Errorf("picked %d, want the 0.45 route", got)
+	}
+	if got := bestOf(known, []network.Path{path(1, 2), path()}); got != 1 {
+		t.Errorf("picked %d, want the empty route", got)
+	}
+}
+
+// TestPlayRatesUnknownAtDefaultRate: intermediates the source never
+// observed count network.UnknownRate, so 1.0 · 0.5 · 0.5 = 0.25.
+func TestPlayRatesUnknownAtDefaultRate(t *testing.T) {
+	known := []trust.Counters{{Requests: 1, Forwards: 1}, {Requests: 2, Forwards: 1}, {}, {Requests: 10, Forwards: 5}, {Requests: 10, Forwards: 6}, {Requests: 10, Forwards: 2}}
+	// Slots 4·5 rate 0.5 · 0.6 = 0.3 > 0.25.
+	if got := bestOf(known, []network.Path{path(1, 2, 3), path(4, 5)}); got != 1 {
+		t.Errorf("picked %d, want the 0.3 route over 0.25", got)
+	}
+	// Slot 6 alone rates 0.2 < 0.25.
+	if got := bestOf(known, []network.Path{path(6), path(1, 2, 3)}); got != 1 {
+		t.Errorf("picked %d, want the 0.25 route over 0.2", got)
+	}
+}
+
+// Property: Play picks a highest-rated route, and extending a route can
+// never raise its rating, so a route never beats its own prefix.
+func TestPlayRatingMonotoneProperty(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + r.Intn(8)
+		known := make([]trust.Counters, k)
+		rating := []float64{1, 1} // full route, prefix
+		for i := range known {
+			f := network.UnknownRate
+			if r.Bool(0.8) {
+				req := uint32(1 + r.Intn(10))
+				known[i] = trust.Counters{Requests: req, Forwards: uint32(r.Intn(int(req) + 1))}
+				f = known[i].Rate()
+			}
+			rating[0] *= f
+			if i < k-1 {
+				rating[1] *= f
+			}
+		}
+		inters := make([]network.NodeID, k)
+		for i := range inters {
+			inters[i] = network.NodeID(i + 1)
+		}
+		if rating[0] > rating[1] {
+			t.Fatalf("trial %d: route rates %v above its prefix %v", trial, rating[0], rating[1])
+		}
+		if got := bestOf(known, []network.Path{path(inters...), path(inters[:k-1]...)}); rating[got] != max(rating[0], rating[1]) {
+			t.Fatalf("trial %d: picked route %d rated %v of %v", trial, got, rating[got], rating)
+		}
+	}
+}
+
 func TestPlayPayoffUsesDecidersTrustLevel(t *testing.T) {
 	cfg := defaultCfg()
 	src := NewNormal(0, strategy.AllForward())
 	inter := NewNormal(1, strategy.AllForward())
 	// inter trusts the source at level 3.
-	b, players := seat(src, []*Player{inter})
+	b := seat(src, []*Player{inter})
 	know(b, 1, 0, trust.Counters{Requests: 10, Forwards: 10})
 	playSeated(b, 1, cfg)
-	b.Save(players)
+	b.Save()
 	if inter.Acct.ForwardPayoff != cfg.Payoffs.Forward[strategy.Trust3] {
 		t.Errorf("forward payoff %v, want trust-3 price %v",
 			inter.Acct.ForwardPayoff, cfg.Payoffs.Forward[strategy.Trust3])
@@ -484,7 +613,7 @@ func TestPlayInvariantsRandomized(t *testing.T) {
 func BenchmarkPlayDeliveredChain(b *testing.B) {
 	cfg := defaultCfg()
 	ps := normals(10, strategy.AllForward())
-	board, _ := seat(ps[0], ps[1:])
+	board := seat(ps[0], ps[1:])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		playSeated(board, 9, cfg)

@@ -159,7 +159,7 @@ func TestCandidatesHopFrequenciesFollowMode(t *testing.T) {
 	}
 }
 
-func TestSelectBestRatedPicksHighestRating(t *testing.T) {
+func TestSelectBestPicksHighestRating(t *testing.T) {
 	r := rng.New(10)
 	for i := 0; i < 100; i++ {
 		if got := SelectBestRated(r, []float64{0.1, 0.9, 0.45}); got != 1 {
@@ -168,7 +168,7 @@ func TestSelectBestRatedPicksHighestRating(t *testing.T) {
 	}
 }
 
-func TestSelectBestRatedUniformTieBreak(t *testing.T) {
+func TestSelectBestUniformTieBreak(t *testing.T) {
 	r := rng.New(11)
 	ratings := []float64{UnknownRate, UnknownRate, UnknownRate} // equal ratings
 	counts := make([]int, 3)
@@ -184,7 +184,7 @@ func TestSelectBestRatedUniformTieBreak(t *testing.T) {
 	}
 }
 
-func TestSelectBestRatedPanicsOnEmpty(t *testing.T) {
+func TestSelectBestPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

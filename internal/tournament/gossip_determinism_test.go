@@ -82,11 +82,12 @@ func TestGossipMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergeSkipsSelfAndNegatives pins the gossip merge on a seated
+// TestMergePositiveAscendingOrder pins the gossip merge on a seated
 // board: merged peers land in the receiver exactly as the source holds
-// them, scaled by the weight, except the receiver itself and peers below
-// the rate filter. Peers outside the tournament merge through the stores.
-func TestMergeSkipsSelfAndNegatives(t *testing.T) {
+// them, scaled by the weight, in ascending ID order, except the receiver
+// itself and peers below the rate filter. Peers outside the tournament
+// merge through the stores.
+func TestMergePositiveAscendingOrder(t *testing.T) {
 	teacher := game.NewNormal(0, strategy.AllForward())
 	student := game.NewNormal(1, strategy.AllForward())
 	for _, id := range []network.NodeID{9, 3, 7, 1} {
@@ -100,14 +101,18 @@ func TestMergeSkipsSelfAndNegatives(t *testing.T) {
 	var sc Scratch
 	gossipRounds([]*game.Player{teacher, student}, cfg, rng.New(1), 1, false, &sc)
 
+	var got []network.NodeID
 	for id := network.NodeID(0); id < 10; id++ {
-		want := uint32(0)
-		if id == 3 || id == 7 || id == 9 { // id 1 is the student itself: skipped
-			want = 1
+		if c := student.Rep.Counters(id); c.Requests > 0 {
+			got = append(got, id)
+			if c.Requests != 1 || c.Forwards != 1 {
+				t.Errorf("student's record of %d = %+v, want 1/1", id, c)
+			}
 		}
-		if c := student.Rep.Counters(id); c.Requests != want || c.Forwards != want {
-			t.Errorf("student's record of %d = %+v, want %d/%d", id, c, want, want)
-		}
+	}
+	want := []network.NodeID{3, 7, 9} // id 1 is the student itself: skipped
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("known peers = %v, want ascending %v", got, want)
 	}
 	if known, fsum := student.Rep.Totals(); known != 3 || fsum != 3 {
 		t.Errorf("student totals = %d known, %d forwards; want 3, 3", known, fsum)

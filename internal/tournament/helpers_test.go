@@ -58,5 +58,5 @@ func gossipRounds(participants []*game.Player, cfg *Config, r *rng.Source, n int
 		}
 		gossip(participants, cfg, r, sc)
 	}
-	sc.board.Save(participants)
+	sc.board.Save()
 }

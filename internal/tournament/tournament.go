@@ -102,14 +102,13 @@ type Recorder interface {
 }
 
 // Scratch holds the reusable per-tournament buffers of Play: the
-// slot-indexed game.Board every round plays on, the recorder's path view
-// and the gossip pool. One Scratch serves any number of sequential
-// PlayWith calls (the evaluation scheme keeps a single Scratch across all
-// tournaments of a generation); it must not be shared between goroutines.
+// slot-indexed game.Board every round plays on and the gossip pool. One
+// Scratch serves any number of sequential PlayWith calls (the evaluation
+// scheme keeps a single Scratch across all tournaments of a generation);
+// it must not be shared between goroutines.
 type Scratch struct {
-	board  game.Board
-	inters []*game.Player
-	pool   []int
+	board game.Board
+	pool  []int
 }
 
 // Play runs one tournament over the given participants: cfg.Rounds rounds,
@@ -149,21 +148,13 @@ func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config,
 				pick := r.Intn(len(paths))
 				paths = paths[pick : pick+1]
 			}
-			best, firstDrop := b.Play(src, paths, r, &cfg.Game)
-			if rec != nil {
-				inters := sc.inters[:0]
-				for _, x := range paths[best].Intermediates {
-					inters = append(inters, participants[x])
-				}
-				sc.inters = inters
-				rec.RecordGame(participants[src], inters, firstDrop)
-			}
+			b.Play(src, paths, r, &cfg.Game, rec)
 		}
 		if cfg.GossipInterval > 0 && (round+1)%cfg.GossipInterval == 0 {
 			gossip(participants, cfg, r, sc)
 		}
 	}
-	b.Save(participants)
+	b.Save()
 }
 
 // gossip performs one round of second-hand reputation exchange on the

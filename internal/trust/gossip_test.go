@@ -73,6 +73,16 @@ func TestMergeInvertedLaundersDroppers(t *testing.T) {
 	}
 }
 
+func TestMergePositiveSkipsSelf(t *testing.T) {
+	teacher := NewStore()
+	observe(teacher, 99, true) // the student itself, seated in slot 0
+	student := NewStore()
+	mergeFrom(student, teacher, 0, 0.5, false)
+	if _, known := rateOf(student, 99); known {
+		t.Error("node imported gossip about itself")
+	}
+}
+
 func TestMergeParticipantColumns(t *testing.T) {
 	// Both stores know each other and node 5; the student's own column
 	// (what the teacher saw of it) must not be imported.

@@ -83,7 +83,7 @@ func TestStoreReset(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
+func TestMeanForwards(t *testing.T) {
 	s := NewStore()
 	// Node 1: 4 forwards; node 2: 0 forwards; node 3: 2 forwards → av = 2.
 	for i := 0; i < 4; i++ {
@@ -92,8 +92,8 @@ func TestTotals(t *testing.T) {
 	observe(s, 2, false)
 	observe(s, 3, true)
 	observe(s, 3, true)
-	if known, fsum := s.Totals(); known != 3 || fsum != 6 {
-		t.Errorf("Totals = %d, %d; want 3, 6", known, fsum)
+	if known, fsum := s.Totals(); known != 3 || fsum != 6 || float64(fsum)/float64(known) != 2 {
+		t.Errorf("Totals = %d, %d; want 3, 6 (mean pf 2)", known, fsum)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
-func TestLevelOfObservedRate(t *testing.T) {
+func TestLevelOf(t *testing.T) {
 	s := NewStore()
 	tab := DefaultTable()
 	// 19/20 forwards → 0.95 → trust 3 (paper's worked example).
@@ -158,7 +158,7 @@ func TestLevelOfObservedRate(t *testing.T) {
 	}
 }
 
-func TestActivity(t *testing.T) {
+func TestActivityOf(t *testing.T) {
 	s := NewStore()
 	if _, known := activityOf(s, 1, DefaultActivityBand); known {
 		t.Error("activity known for unknown source")
