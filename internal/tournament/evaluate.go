@@ -114,15 +114,12 @@ func (es *EvalState) EvaluateWithAdversaries(normals, csn, byz []*game.Player, r
 	// registry-sized capacity across generations, so a reset generation
 	// replays over the same backing arrays with no reallocation.
 	for _, p := range normals {
-		p.Rep.EnsureSize(len(registry))
 		p.ResetForGeneration()
 	}
 	for _, p := range csn {
-		p.Rep.EnsureSize(len(registry))
 		p.ResetForGeneration()
 	}
 	for _, p := range byz {
-		p.Rep.EnsureSize(len(registry))
 		p.ResetForGeneration()
 	}
 

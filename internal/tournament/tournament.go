@@ -114,7 +114,8 @@ type Scratch struct {
 // Play runs one tournament over the given participants: cfg.Rounds rounds,
 // each participant sourcing exactly one packet per round (§4.4 tournament
 // scheme, steps 1–8). registry maps NodeID → player and must cover every
-// participant; gen supplies candidate routes; rec may be nil.
+// participant (every reputation store is sized to it); gen supplies
+// candidate routes; rec may be nil.
 func Play(participants []*game.Player, registry []*game.Player, cfg *Config, gen *network.Generator, r *rng.Source, rec game.Recorder) {
 	var sc Scratch
 	PlayWith(participants, registry, cfg, gen, r, rec, &sc)
