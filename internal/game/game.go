@@ -262,14 +262,17 @@ type Board struct {
 // Load seats the players in slot order, with every reputation store sized
 // to cover NodeIDs 0..size-1 (the registry).
 func (b *Board) Load(players []*Player, size int) {
+	n := len(players)
+	if cap(b.Acct) < n {
+		b.stores = make([]*trust.Store, n)
+		b.ids = make([]network.NodeID, n)
+		b.Strat = make([]strategy.Strategy, n)
+		b.Acct = make([]Account, n)
+	}
 	b.players = players
-	b.stores, b.ids = b.stores[:0], b.ids[:0]
-	b.Strat, b.Acct = b.Strat[:0], b.Acct[:0]
-	for _, p := range players {
-		b.stores = append(b.stores, p.Rep)
-		b.ids = append(b.ids, p.ID)
-		b.Strat = append(b.Strat, p.Strategy)
-		b.Acct = append(b.Acct, p.Acct)
+	b.stores, b.ids, b.Strat, b.Acct = b.stores[:n], b.ids[:n], b.Strat[:n], b.Acct[:n]
+	for i, p := range players {
+		b.stores[i], b.ids[i], b.Strat[i], b.Acct[i] = p.Rep, p.ID, p.Strategy, p.Acct
 	}
 	b.Rep.Load(b.stores, b.ids, size)
 }

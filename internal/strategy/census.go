@@ -11,8 +11,9 @@ import (
 // views of a census.
 //
 // A census is one row per distinct strategy, holding the packed 13-bit
-// genome (Strategy's own representation) and its count, sorted by genome. A genome's numeric
-// order is its Key order, so every view walks the rows in Key order: Top
+// genome (a Strategy's own representation) and its count, sorted by
+// genome. A genome's numeric order is its Key order, so every view walks
+// the rows in Key order: Top
 // breaks ties by Key and the float means sum in the same order on every
 // call. A retained census costs 8 bytes per distinct strategy and no
 // string. The zero Census is empty and ready to use.
