@@ -48,7 +48,7 @@ func (m *Matrix) Merge(dst, src int, minRate, weight float64, invert bool) {
 	n := m.N
 	toRow, fromRow := m.Cells[dst*n:dst*n+n], m.Cells[src*n:src*n+n]
 	for p, c := range fromRow {
-		if p == dst {
+		if c.Requests == 0 || p == dst {
 			continue
 		}
 		k, f := merge(&toRow[p], c, minRate, weight, invert)
@@ -59,12 +59,10 @@ func (m *Matrix) Merge(dst, src int, minRate, weight float64, invert bool) {
 	m.ForwardsSum[dst] += fwd
 }
 
-// merge folds one second-hand record src into dst (see Matrix.Merge) and
-// reports whether dst became known and how much its pf grew.
+// merge folds one known second-hand record src into dst (see
+// Matrix.Merge) and reports whether dst became known and how much its pf
+// grew.
 func merge(dst *Counters, src Counters, minRate, weight float64, invert bool) (known int, addedFwd uint64) {
-	if src.Requests == 0 {
-		return 0, 0
-	}
 	forwards := uint64(src.Forwards)
 	if invert {
 		forwards = uint64(src.Requests) - forwards
