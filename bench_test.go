@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"adhocga/internal/baselines"
-	"adhocga/internal/bitstring"
 	"adhocga/internal/core"
 	"adhocga/internal/experiment"
 	"adhocga/internal/ga"
@@ -179,15 +178,6 @@ func BenchmarkAblationFlatDiscardPayoffs(b *testing.B) {
 	b.ReportMetric(coop*100, "coop%")
 }
 
-// BenchmarkAblationTrustOnlyStrategy (A2) collapses the activity dimension
-// (5-bit trust-only strategies) to measure what §3.2 contributes.
-func BenchmarkAblationTrustOnlyStrategy(b *testing.B) {
-	coop := runAblation(b, 52, func(cfg *core.Config) {
-		cfg.Constraint = core.TrustOnlyConstraint
-	})
-	b.ReportMetric(coop*100, "coop%")
-}
-
 // BenchmarkAblationRandomPathChoice (A3) replaces best-reputation route
 // selection with uniform choice, removing the avoidance channel of §3.1.
 func BenchmarkAblationRandomPathChoice(b *testing.B) {
@@ -216,26 +206,9 @@ func BenchmarkAblationUnknownTrust0(b *testing.B) {
 }
 
 // BenchmarkAblationBaseline (A0) is the unmodified case-3 pipeline at the
-// same seed family, the reference point for A1–A5.
+// same seed family, the reference point for the other ablations.
 func BenchmarkAblationBaseline(b *testing.B) {
 	coop := runAblation(b, 56, nil)
-	b.ReportMetric(coop*100, "coop%")
-}
-
-// BenchmarkAblationUniformCrossover (A7) swaps the paper's one-point
-// crossover for uniform crossover.
-func BenchmarkAblationUniformCrossover(b *testing.B) {
-	coop := runAblation(b, 56, func(cfg *core.Config) {
-		cfg.GA.Crossover = bitstring.UniformCrossoverInto
-	})
-	b.ReportMetric(coop*100, "coop%")
-}
-
-// BenchmarkAblationTwoPointCrossover (A7b) swaps in two-point crossover.
-func BenchmarkAblationTwoPointCrossover(b *testing.B) {
-	coop := runAblation(b, 56, func(cfg *core.Config) {
-		cfg.GA.Crossover = bitstring.RandomTwoPointCrossoverInto
-	})
 	b.ReportMetric(coop*100, "coop%")
 }
 
@@ -415,6 +388,26 @@ func BenchmarkPathraterComparison(b *testing.B) {
 	b.ReportMetric(without*100, "random%")
 }
 
+// benchPathrater runs the §2 watchdog/pathrater scenario: an all-forward
+// population with CSN, once with reputation-rated path choice and once
+// with random path choice, and returns both cooperation levels.
 func benchPathrater() (float64, float64, error) {
-	return baselines.PathraterComparison(30, 12, 300, ShorterPaths(), 58)
+	cfg := baselines.MixConfig{
+		Groups: []baselines.Group{{Profile: baselines.AllCooperate, Count: 30}},
+		CSN:    12,
+		Rounds: 300,
+		Mode:   ShorterPaths(),
+		Game:   game.DefaultConfig(),
+		Seed:   58,
+	}
+	rated, err := baselines.RunMix(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	cfg.PathChoice = tournament.RandomPath
+	random, err := baselines.RunMix(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	return rated.Cooperation, random.Cooperation, nil
 }

@@ -228,7 +228,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	svc := service.New(session, service.Options{
 		KeepaliveInterval: *keepalive,
 		Store:             store,
-		Champions:         archive,
 		Version:           version,
 		Logger:            logger,
 		EnablePprof:       *pprofOn,

@@ -80,3 +80,22 @@ func TestGoStatementsAllowlisted(t *testing.T) {
 		}
 	}
 }
+
+// receiverType returns the type name of a method receiver: T for T, *T,
+// T[P] and *T[P].
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}

@@ -111,9 +111,9 @@ type Subscription struct {
 // moves the cursor past it. When no event is ready yet it returns a wake
 // channel instead: it is closed once an event may be ready (or the
 // subscription was detached), and the caller then calls Next again. After
-// the terminal KindDone event Next returns io.EOF; after an eviction or a
-// detach it returns the subscription's error (see Err). It never blocks
-// beyond the hub's lock.
+// the terminal KindDone event Next returns io.EOF; after a backpressure
+// eviction it returns ErrSlowSubscriber, and after a detach the context's
+// error. It never blocks beyond the hub's lock.
 func (s *Subscription) Next() (Event, <-chan struct{}, error) {
 	h, sub := s.hub, s.sub
 	h.mu.Lock()
@@ -127,7 +127,6 @@ func (s *Subscription) Next() (Event, <-chan struct{}, error) {
 			// the snapshot of what was missed.
 			sub.syncTo = h.start
 			if !sub.initial {
-				sub.resyncs++
 				h.resyncs++
 			}
 		}
@@ -163,23 +162,6 @@ func (s *Subscription) Next() (Event, <-chan struct{}, error) {
 		}
 		return e, nil, nil
 	}
-}
-
-// Err reports how the subscription ended: nil while live or after a
-// complete stream (terminal event delivered), ErrSlowSubscriber after a
-// backpressure eviction, the context's error after a detach.
-func (s *Subscription) Err() error {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return s.sub.err
-}
-
-// Resyncs returns how many times the subscription fell behind the ring and
-// skipped ahead via the snapshot (always 0 for BlockWithDeadline).
-func (s *Subscription) Resyncs() int {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return s.sub.resyncs
 }
 
 // StreamStats is a job hub's observability counters.
@@ -236,7 +218,6 @@ type subscriber struct {
 	syncTo  int  // when > cursor: snapshot the range [cursor, syncTo) then jump
 	initial bool // the pending sync is the live-attach one, not a fall-behind
 	err     error
-	resyncs int
 }
 
 // hub is a job's broadcast core. All mutable state is guarded by mu; the

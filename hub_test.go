@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"iter"
 	"runtime"
 	"testing"
@@ -96,8 +97,8 @@ func TestHubReplayWithinRing(t *testing.T) {
 	if events[10].Kind != KindDone {
 		t.Errorf("last event %+v, want done", events[10])
 	}
-	if err := sub.Err(); err != nil {
-		t.Errorf("complete replay ended with err %v", err)
+	if _, _, err := sub.Next(); err != io.EOF {
+		t.Errorf("complete replay ended with err %v, want io.EOF", err)
 	}
 }
 
@@ -188,13 +189,13 @@ func TestHubLiveSubscriberResyncsInsteadOfStalling(t *testing.T) {
 	if len(events) >= gens+1 {
 		t.Errorf("lapped viewer received all %d events: never resynced?", len(events))
 	}
-	if sub.Resyncs() == 0 {
-		t.Error("lapped viewer reports 0 resyncs")
-	}
-	if err := sub.Err(); err != nil {
-		t.Errorf("resynced viewer ended with err %v", err)
+	if _, _, err := sub.Next(); err != io.EOF {
+		t.Errorf("resynced viewer ended with err %v, want io.EOF", err)
 	}
 	stats := j.StreamStats()
+	if stats.Resyncs == 0 {
+		t.Error("lapped viewer caused 0 resyncs")
+	}
 	if stats.MaxStall != 0 {
 		t.Errorf("producer stalled %v on a DropResync-only hub", stats.MaxStall)
 	}
@@ -256,9 +257,6 @@ func TestHubSlowArchivalSubscriberEvicted(t *testing.T) {
 	if _, _, err := sub.Next(); err != ErrSlowSubscriber {
 		t.Errorf("Next after eviction: err %v, want ErrSlowSubscriber", err)
 	}
-	if err := sub.Err(); err != ErrSlowSubscriber {
-		t.Errorf("Err() = %v, want ErrSlowSubscriber", err)
-	}
 }
 
 func TestHubSubscriberDetachOnContextCancel(t *testing.T) {
@@ -279,9 +277,6 @@ func TestHubSubscriberDetachOnContextCancel(t *testing.T) {
 	<-wake
 	if _, _, err := sub.Next(); err != context.Canceled {
 		t.Errorf("Next after detach: err %v, want context.Canceled", err)
-	}
-	if err := sub.Err(); err != context.Canceled {
-		t.Errorf("Err() = %v, want context.Canceled", err)
 	}
 	// The job is unaffected: emit still works and the stats show the
 	// subscriber gone.
@@ -324,7 +319,7 @@ func TestHubConcurrentSubscribeUnsubscribeEvict(t *testing.T) {
 					}
 				}
 				cancel()
-				_ = sub.Err() // exercised for the race detector, any outcome is legal
+				_, _, _ = sub.Next() // exercised for the race detector, any outcome is legal
 			}
 		}(w)
 	}

@@ -170,7 +170,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		GossipMinRate:  gossipMinRate,
 	}
 	gen := network.NewGenerator(cfg.Mode)
-	tournament.Play(all, registry, tcfg, gen, r, nil)
+	tournament.PlayWith(all, registry, tcfg, gen, r, nil, &tournament.Scratch{})
 
 	res := &MixResult{Groups: make([]GroupStats, len(cfg.Groups))}
 	var normalSent, normalDelivered, csnSent, csnDelivered int
@@ -217,30 +217,4 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		res.CSNDelivery = float64(csnDelivered) / float64(csnSent)
 	}
 	return res, nil
-}
-
-// PathraterComparison runs the §2 watchdog/pathrater scenario: an
-// all-forward population with the given number of CSN, once with
-// reputation-based path choice and once with random path choice. The
-// reported pair of cooperation levels quantifies the throughput gain from
-// route avoidance alone (Marti et al. report +17% with 20 selfish of 50).
-func PathraterComparison(normal, csnCount, rounds int, mode network.PathMode, seed uint64) (withRating, withoutRating float64, err error) {
-	base := MixConfig{
-		Groups: []Group{{Profile: AllCooperate, Count: normal}},
-		CSN:    csnCount,
-		Rounds: rounds,
-		Mode:   mode,
-		Game:   game.DefaultConfig(),
-		Seed:   seed,
-	}
-	rated, err := RunMix(base)
-	if err != nil {
-		return 0, 0, err
-	}
-	base.PathChoice = tournament.RandomPath
-	unrated, err := RunMix(base)
-	if err != nil {
-		return 0, 0, err
-	}
-	return rated.Cooperation, unrated.Cooperation, nil
 }

@@ -27,7 +27,7 @@ func TestStandardProfiles(t *testing.T) {
 	}
 	for _, p := range ps {
 		got, err := ProfileByName(p.Name)
-		if err != nil || !got.Strategy.Equal(p.Strategy) {
+		if err != nil || got.Strategy != p.Strategy {
 			t.Errorf("ProfileByName(%q) mismatch: %v", p.Name, err)
 		}
 	}
@@ -172,11 +172,26 @@ func TestRunMixDeterministic(t *testing.T) {
 func TestPathraterComparison(t *testing.T) {
 	// Route avoidance alone (all-forward population, reputation-rated
 	// paths vs random paths) must improve cooperation in the presence of
-	// CSN — the Marti et al. effect the paper cites (§2).
-	withRating, withoutRating, err := PathraterComparison(30, 12, 200, network.ShorterPaths(), 6)
+	// CSN — the Marti et al. effect the paper cites (§2; +17% with 20
+	// selfish of 50).
+	base := MixConfig{
+		Groups: []Group{{Profile: AllCooperate, Count: 30}},
+		CSN:    12,
+		Rounds: 200,
+		Mode:   network.ShorterPaths(),
+		Game:   game.DefaultConfig(),
+		Seed:   6,
+	}
+	rated, err := RunMix(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base.PathChoice = tournament.RandomPath
+	unrated, err := RunMix(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withRating, withoutRating := rated.Cooperation, unrated.Cooperation
 	if withRating <= withoutRating {
 		t.Errorf("path rating should improve cooperation: %v vs %v", withRating, withoutRating)
 	}

@@ -107,12 +107,6 @@ func (b Bits) Set(i int, v bool) {
 	}
 }
 
-// Flip inverts bit i. It panics if i is out of range.
-func (b Bits) Flip(i int) {
-	b.check(i)
-	b.w[i/64] ^= 1 << (uint64(i) % 64)
-}
-
 func (b Bits) check(i int) {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("bitstring: index %d out of range [0,%d)", i, b.n))
@@ -124,28 +118,6 @@ func (b Bits) Clone() Bits {
 	c := Bits{n: b.n, w: make([]uint64, len(b.w))}
 	copy(c.w, b.w)
 	return c
-}
-
-// Equal reports whether two bit strings have the same length and contents.
-func (b Bits) Equal(o Bits) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.w {
-		if b.w[i] != o.w[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// OneCount returns the number of set bits.
-func (b Bits) OneCount() int {
-	total := 0
-	for _, w := range b.w {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // Hamming returns the number of positions at which b and o differ. It
@@ -176,7 +148,7 @@ func (b Bits) String() string {
 }
 
 // Compact returns a canonical comparable key for the bit string. Two Bits
-// have equal Compact values iff Equal reports true.
+// have equal Compact values iff they have the same length and bits.
 func (b Bits) Compact() string { return b.String() }
 
 // GroupString renders the bits in space-separated groups of the given

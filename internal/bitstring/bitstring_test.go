@@ -18,8 +18,8 @@ func TestNewZero(t *testing.T) {
 			t.Fatalf("bit %d of fresh string is set", i)
 		}
 	}
-	if b.OneCount() != 0 {
-		t.Fatalf("OneCount = %d, want 0", b.OneCount())
+	if b.String() != "0000000000000" {
+		t.Fatalf("New(13) = %s, want all zeros", b)
 	}
 }
 
@@ -40,12 +40,12 @@ func TestSetGetFlip(t *testing.T) {
 	if !b.Get(0) || !b.Get(69) || !b.Get(64) {
 		t.Fatal("Set bits not readable")
 	}
-	if b.OneCount() != 3 {
-		t.Fatalf("OneCount = %d, want 3", b.OneCount())
+	if ones(b) != 3 {
+		t.Fatalf("%d bits set, want 3", ones(b))
 	}
-	b.Flip(64)
+	b.Set(64, !b.Get(64))
 	if b.Get(64) {
-		t.Fatal("Flip did not clear bit 64")
+		t.Fatal("flipping bit 64 did not clear it")
 	}
 	b.Set(0, false)
 	if b.Get(0) {
@@ -124,28 +124,12 @@ func TestGroupString(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	a := MustParse("1010")
 	b := a.Clone()
-	b.Flip(0)
+	b.Set(0, false)
 	if !a.Get(0) {
 		t.Fatal("mutating a clone changed the original")
 	}
-	if a.Equal(b) {
+	if a.String() == b.String() {
 		t.Fatal("clone should differ after flip")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := MustParse("101")
-	b := MustParse("101")
-	c := MustParse("100")
-	d := MustParse("1010")
-	if !a.Equal(b) {
-		t.Error("identical strings not Equal")
-	}
-	if a.Equal(c) {
-		t.Error("different strings Equal")
-	}
-	if a.Equal(d) {
-		t.Error("different lengths Equal")
 	}
 }
 
@@ -190,7 +174,7 @@ func TestRandomCoversBothValues(t *testing.T) {
 	ones := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		ones += Random(r, 13).OneCount()
+		ones += strings.Count(Random(r, 13).String(), "1")
 	}
 	total := trials * 13
 	if ones < total/3 || ones > 2*total/3 {
@@ -204,23 +188,23 @@ func TestStringParseProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		b := Random(r, int(n)%100)
 		p, err := Parse(b.String())
-		return err == nil && p.Equal(b)
+		return err == nil && p.String() == b.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: OneCount(b) + OneCount(^b) == Len.
+// Property: the set bits of b and of its complement add up to Len.
 func TestOneCountComplementProperty(t *testing.T) {
 	r := rng.New(4)
 	f := func(n uint8) bool {
 		b := Random(r, int(n)%100+1)
 		inv := b.Clone()
 		for i := 0; i < inv.Len(); i++ {
-			inv.Flip(i)
+			inv.Set(i, !inv.Get(i))
 		}
-		return b.OneCount()+inv.OneCount() == b.Len()
+		return ones(b)+ones(inv) == b.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

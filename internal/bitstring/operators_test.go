@@ -1,11 +1,15 @@
 package bitstring
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"adhocga/internal/rng"
 )
+
+// ones counts the set bits of b.
+func ones(b Bits) int { return strings.Count(b.String(), "1") }
 
 // children runs a crossover into fresh children of the parents' length.
 func children(a Bits, cross func(c, d Bits)) (Bits, Bits) {
@@ -35,7 +39,7 @@ func TestOnePointCrossoverDegenerateCut(t *testing.T) {
 	b := MustParse("010")
 	for _, cut := range []int{0, 3, -5, 100} {
 		c, d := children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, cut) })
-		if !c.Equal(a) || !d.Equal(b) {
+		if c.String() != a.String() || d.String() != b.String() {
 			t.Errorf("cut %d: children are not parent copies", cut)
 		}
 	}
@@ -51,27 +55,6 @@ func TestCrossoverLengthMismatchPanics(t *testing.T) {
 	children(a, func(c, d Bits) { OnePointCrossoverInto(a, b, c, d, 1) })
 }
 
-func TestTwoPointCrossoverExact(t *testing.T) {
-	a := MustParse("111111")
-	b := MustParse("000000")
-	c, d := children(a, func(c, d Bits) { TwoPointCrossoverInto(a, b, c, d, 2, 4) })
-	if c.String() != "110011" {
-		t.Errorf("c = %s, want 110011", c)
-	}
-	if d.String() != "001100" {
-		t.Errorf("d = %s, want 001100", d)
-	}
-}
-
-func TestTwoPointCrossoverClamps(t *testing.T) {
-	a := MustParse("1111")
-	b := MustParse("0000")
-	c, d := children(a, func(c, d Bits) { TwoPointCrossoverInto(a, b, c, d, -3, 99) })
-	if !c.Equal(b) || !d.Equal(a) {
-		t.Error("full-range two-point crossover should swap entire strings")
-	}
-}
-
 // Property: each child position carries one of the two parent alleles, and
 // the two children are complementary (child1[i]==a[i] iff child2[i]==b[i]).
 func TestCrossoverAlleleProperty(t *testing.T) {
@@ -81,20 +64,16 @@ func TestCrossoverAlleleProperty(t *testing.T) {
 		rr := rng.New(seed)
 		a := Random(rr, length)
 		b := Random(rr, length)
-		for _, op := range []func(r *rng.Source, a, b, c, d Bits){
-			RandomOnePointCrossoverInto, RandomTwoPointCrossoverInto, UniformCrossoverInto,
-		} {
-			c, d := children(a, func(c, d Bits) { op(r, a, b, c, d) })
-			for i := 0; i < length; i++ {
-				fromA := c.Get(i) == a.Get(i)
-				fromB := c.Get(i) == b.Get(i)
-				if !fromA && !fromB {
-					return false
-				}
-				// Complementarity: what c took from a, d must take from b.
-				if (c.Get(i) == a.Get(i)) != (d.Get(i) == b.Get(i)) {
-					return false
-				}
+		c, d := children(a, func(c, d Bits) { RandomOnePointCrossoverInto(r, a, b, c, d) })
+		for i := 0; i < length; i++ {
+			fromA := c.Get(i) == a.Get(i)
+			fromB := c.Get(i) == b.Get(i)
+			if !fromA && !fromB {
+				return false
+			}
+			// Complementarity: what c took from a, d must take from b.
+			if (c.Get(i) == a.Get(i)) != (d.Get(i) == b.Get(i)) {
+				return false
 			}
 		}
 		return true
@@ -113,7 +92,7 @@ func TestCrossoverConservesOnesProperty(t *testing.T) {
 		a := Random(rr, 13)
 		b := Random(rr, 13)
 		c, d := children(a, func(c, d Bits) { RandomOnePointCrossoverInto(r, a, b, c, d) })
-		return a.OneCount()+b.OneCount() == c.OneCount()+d.OneCount()
+		return ones(a)+ones(b) == ones(c)+ones(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -124,7 +103,7 @@ func TestMutateFlipZeroProbability(t *testing.T) {
 	r := rng.New(12)
 	b := Random(r, 13)
 	orig := b.Clone()
-	if flips := b.MutateFlip(r, 0); flips != 0 || !b.Equal(orig) {
+	if flips := b.MutateFlip(r, 0); flips != 0 || b.String() != orig.String() {
 		t.Error("MutateFlip(0) changed the genome")
 	}
 }

@@ -54,26 +54,6 @@ type Config struct {
 	// consumes engine randomness — so enabling checkpoints cannot change
 	// results.
 	CheckpointInterval int
-
-	// Constraint, when non-nil, is applied in place to every genome as it
-	// enters the population (initialization and reproduction). It
-	// restricts the search space for ablations — e.g. forcing the three
-	// activity bits of each trust level to agree turns the 13-bit
-	// strategy into a 5-bit trust-only strategy.
-	Constraint func(bitstring.Bits)
-}
-
-// TrustOnlyConstraint collapses the activity dimension: within each trust
-// level, the MI and HI bits are overwritten by the LO bit, making the
-// strategy depend on trust alone. Used by the A2 ablation benchmark to
-// measure what the activity levels of §3.2 contribute.
-func TrustOnlyConstraint(b bitstring.Bits) {
-	for t := 0; t < strategy.NumTrustLevels; t++ {
-		base := b.Get(t * strategy.NumActivityLevels)
-		for a := 1; a < strategy.NumActivityLevels; a++ {
-			b.Set(t*strategy.NumActivityLevels+a, base)
-		}
-	}
 }
 
 // PaperConfig returns the full §6.1 parameterization for the given
@@ -237,9 +217,6 @@ func New(cfg Config) (*Engine, error) {
 		g := bitstring.New(strategy.Bits)
 		// Identical draws to strategy.Random: one engine word per genome.
 		g.FillRandom(e.r)
-		if cfg.Constraint != nil {
-			cfg.Constraint(g)
-		}
 		e.genomes[i] = ga.Individual{Genome: g}
 		e.normals[i] = game.NewNormal(network.NodeID(i), strategy.New(g))
 	}
@@ -334,8 +311,7 @@ func (e *Engine) EvaluateGeneration(collector *metrics.Collector) error {
 }
 
 // Reproduce replaces the population with the next generation by the §5
-// scheme (selection, crossover, mutation), applying the configured
-// constraint to every offspring. When dynamics are enabled, the
+// scheme (selection, crossover, mutation). When dynamics are enabled, the
 // perturbation barrier fires here after reproduction — churn replaces a
 // seeded fraction of the offspring with naive immigrants under fresh
 // identities, and the rewiring walk may shift the route-length landscape
@@ -348,15 +324,12 @@ func (e *Engine) Reproduce() error {
 	}
 	e.reproParity = 1 - e.reproParity
 	for i := range e.genomes {
-		if e.cfg.Constraint != nil {
-			e.cfg.Constraint(next[i])
-		}
 		e.genomes[i] = ga.Individual{Genome: next[i]}
 	}
 	gen := e.reproductions
 	e.reproductions++
 	if e.dyn != nil && e.dyn.Barrier(gen) {
-		e.dyn.Churn(e.genomes, e.normals, &e.registry, e.cfg.Constraint)
+		e.dyn.Churn(e.genomes, e.normals, &e.registry)
 		if e.dyn.Rewire() {
 			e.gen.SetMode(e.dyn.PathMode())
 		}
@@ -386,9 +359,6 @@ func (e *Engine) SnapshotStrategies() []strategy.Strategy {
 	}
 	return out
 }
-
-// Config returns the engine's validated configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Run executes the configured number of generations and returns the run
 // history. It is deterministic for a given Config (including Seed).

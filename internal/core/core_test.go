@@ -10,7 +10,6 @@ import (
 	"adhocga/internal/game"
 	"adhocga/internal/metrics"
 	"adhocga/internal/network"
-	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
 )
 
@@ -123,7 +122,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 		}
 	}
 	for i := range a.FinalStrategies {
-		if !a.FinalStrategies[i].Equal(b.FinalStrategies[i]) {
+		if a.FinalStrategies[i] != b.FinalStrategies[i] {
 			t.Fatalf("final strategies diverged at %d", i)
 		}
 	}
@@ -149,7 +148,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 	}
 	same := true
 	for i := range a.FinalStrategies {
-		if !a.FinalStrategies[i].Equal(b.FinalStrategies[i]) {
+		if a.FinalStrategies[i] != b.FinalStrategies[i] {
 			same = false
 			break
 		}
@@ -241,30 +240,6 @@ func TestEvolutionIncreasesCooperationWithoutCSN(t *testing.T) {
 	}
 	if late < 0.5 {
 		t.Errorf("late cooperation %v below 0.5; evolution not working", late)
-	}
-}
-
-func TestTrustOnlyConstraint(t *testing.T) {
-	envs := []tournament.Environment{{Name: "A", CSN: 2}}
-	cfg := smallConfig(13, envs, 3)
-	cfg.Constraint = TrustOnlyConstraint
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(context.Background(), discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every surviving strategy must ignore activity: within each trust
-	// level all three decisions agree.
-	for _, s := range res.FinalStrategies {
-		for tl := strategy.TrustLevel(0); tl < strategy.NumTrustLevels; tl++ {
-			sub := s.SubStrategy(tl)
-			if sub != "000" && sub != "111" {
-				t.Fatalf("constrained strategy has mixed sub-strategy %q", sub)
-			}
-		}
 	}
 }
 

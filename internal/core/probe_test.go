@@ -116,7 +116,6 @@ func TestProbeCase4Basin(t *testing.T) {
 				cfg.Eval.PlaysPerEnv = v.L
 				cfg.GA = ga.Config{
 					Selector:      ga.TournamentSelector{Size: v.selSize},
-					Crossover:     cfg.GA.Crossover,
 					CrossoverProb: cfg.GA.CrossoverProb,
 					MutationProb:  cfg.GA.MutationProb,
 				}

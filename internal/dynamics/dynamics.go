@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"math"
 
-	"adhocga/internal/bitstring"
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
 	"adhocga/internal/network"
@@ -208,12 +207,6 @@ func NewModel(cfg Config, r *rng.Source, initialIDs int, initialAlpha float64) (
 	}, nil
 }
 
-// Config returns the model's configuration with defaults applied.
-func (m *Model) Config() Config { return m.cfg }
-
-// Alpha returns the current SP↔LP route-length mix parameter.
-func (m *Model) Alpha() float64 { return m.alpha }
-
 // NewAdversaries builds the Byzantine cohort with consecutive NodeIDs
 // starting at base: free-riders (pinned to AllDiscard), then gossip liars
 // (AllForward — they keep their own reputation spotless), then on-off
@@ -264,13 +257,13 @@ func (m *Model) Barrier(gen int) bool {
 }
 
 // Churn replaces a seeded ChurnRate fraction of the population with naive
-// immigrants: each selected slot gets a fresh random genome (constraint
-// applied when non-nil) and a fresh node identity. registry is updated in
+// immigrants: each selected slot gets a fresh random genome and a fresh
+// node identity. registry is updated in
 // place (grown while the ID space has headroom, nil-ing the departed slot
 // otherwise), and every live reputation store forgets both the departed
 // and the newly issued ID so no stale trust survives the identity change.
 // Returns the number of immigrants introduced.
-func (m *Model) Churn(pop []ga.Individual, players []*game.Player, registry *[]*game.Player, constraint func(bitstring.Bits)) int {
+func (m *Model) Churn(pop []ga.Individual, players []*game.Player, registry *[]*game.Player) int {
 	if m.cfg.ChurnRate <= 0 || len(players) == 0 {
 		return 0
 	}
@@ -295,11 +288,7 @@ func (m *Model) Churn(pop []ga.Individual, players []*game.Player, registry *[]*
 	touched := m.touched[:0]
 	for _, slot := range slots {
 		p := players[slot]
-		g := strategy.Random(m.r).Genome()
-		if constraint != nil {
-			constraint(g)
-		}
-		pop[slot] = ga.Individual{Genome: g}
+		pop[slot] = ga.Individual{Genome: strategy.Random(m.r).Genome()}
 
 		oldID := p.ID
 		newID := m.allocID(oldID)

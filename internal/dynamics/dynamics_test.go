@@ -150,13 +150,13 @@ func TestChurnReplacesGenomesAndIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replaced := m.Churn(pop, players, &registry, nil)
+	replaced := m.Churn(pop, players, &registry)
 	if replaced != 3 {
 		t.Fatalf("replaced %d, want 3 (30%% of %d)", replaced, n)
 	}
 	changedGenomes, changedIDs := 0, 0
 	for i := range pop {
-		if !pop[i].Genome.Equal(before[i]) {
+		if pop[i].Genome.String() != before[i].String() {
 			changedGenomes++
 		}
 		if players[i].ID != network.NodeID(i) {
@@ -191,28 +191,6 @@ func TestChurnReplacesGenomesAndIdentities(t *testing.T) {
 	}
 }
 
-func TestChurnConstraintAppliesToImmigrants(t *testing.T) {
-	const n = 8
-	pop, players, registry := buildPopulation(t, n)
-	allOnes := func(b bitstring.Bits) {
-		for i := 0; i < b.Len(); i++ {
-			b.Set(i, true)
-		}
-	}
-	m, err := NewModel(Config{ChurnRate: 1}, rng.New(3), n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Churn(pop, players, &registry, allOnes); got != n {
-		t.Fatalf("replaced %d, want %d", got, n)
-	}
-	for i := range pop {
-		if pop[i].Genome.OneCount() != pop[i].Genome.Len() {
-			t.Errorf("immigrant %d escaped the constraint: %s", i, pop[i].Genome)
-		}
-	}
-}
-
 func TestChurnForgetsReputationBothWays(t *testing.T) {
 	const n = 6
 	pop, players, registry := buildPopulation(t, n)
@@ -240,7 +218,7 @@ func TestChurnForgetsReputationBothWays(t *testing.T) {
 	}
 	// Headroom 1: identities recycle in place (no fresh IDs, empty free
 	// list → the departing node's own ID is reissued).
-	if got := m.Churn(pop, players, &registry, nil); got != 2 {
+	if got := m.Churn(pop, players, &registry); got != 2 {
 		t.Fatalf("replaced %d, want 2", got)
 	}
 	if len(registry) != n {
@@ -273,7 +251,7 @@ func TestChurnIDRecyclingAfterHeadroom(t *testing.T) {
 	// Headroom 1.5 over 4 IDs caps the space at 6. Churn enough times to
 	// exhaust the fresh IDs and force FIFO recycling.
 	for i := 0; i < 5; i++ {
-		m.Churn(pop, players, &registry, nil)
+		m.Churn(pop, players, &registry)
 	}
 	if len(registry) > 6 {
 		t.Fatalf("registry grew past the headroom cap: %d", len(registry))
@@ -303,7 +281,7 @@ func TestRewireWalkStaysClamped(t *testing.T) {
 		if m.Rewire() {
 			moved++
 		}
-		if a := m.Alpha(); a < 0 || a > 1 {
+		if a := m.alpha; a < 0 || a > 1 {
 			t.Fatalf("alpha %v escaped [0,1]", a)
 		}
 	}
@@ -320,8 +298,8 @@ func TestRewireWalkStaysClamped(t *testing.T) {
 
 func TestRewireStartsAtBaseMode(t *testing.T) {
 	m, _ := NewModel(Config{RewireProb: 0.5}, rng.New(1), 10, 1)
-	if m.Alpha() != 1 {
-		t.Errorf("LP-seeded alpha = %v, want 1", m.Alpha())
+	if m.alpha != 1 {
+		t.Errorf("LP-seeded alpha = %v, want 1", m.alpha)
 	}
 }
 
@@ -333,7 +311,7 @@ func TestModelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			m.Churn(pop, players, &registry, nil)
+			m.Churn(pop, players, &registry)
 			m.Rewire()
 		}
 		ids := make([]network.NodeID, len(players))

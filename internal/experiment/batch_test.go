@@ -136,7 +136,7 @@ func TestRunScenariosSpecOverridesReachEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res[0].Census.Total(); got != 2*30 {
+	if got := censusTotal(res[0].Census); got != 2*30 {
 		t.Errorf("census total %d, want 60 (population override lost)", got)
 	}
 	if len(res[0].CoopMean) != 2 {

@@ -56,8 +56,8 @@ func TestDynamicsGoldenBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			r.Recovery.MeanDip != hexf(t, "0x1.539cc1539cc14p-07") {
 			t.Errorf("GOMAXPROCS %d: Recovery = %+v", procs, r.Recovery)
 		}
-		if r.Census.Total() != 200 {
-			t.Errorf("GOMAXPROCS %d: census total %d", procs, r.Census.Total())
+		if total := censusTotal(r.Census); total != 200 {
+			t.Errorf("GOMAXPROCS %d: census total %d", procs, total)
 		}
 		top := r.Census.Top(1)
 		if len(top) != 1 || top[0].Strategy.Key() != "0000100101110" ||

@@ -82,8 +82,8 @@ func TestRunCaseGoldenBitIdentical(t *testing.T) {
 			res.FromCSN.RejectedBySelfish != 29022 {
 			t.Errorf("FromCSN = %+v", res.FromCSN)
 		}
-		if res.Census.Total() != 300 {
-			t.Errorf("census total %d", res.Census.Total())
+		if censusTotal(res.Census) != 300 {
+			t.Errorf("census total %d", censusTotal(res.Census))
 		}
 		top := res.Census.Top(1)
 		if len(top) != 1 || top[0].Strategy.Key() != "0000101001000" ||

@@ -47,8 +47,8 @@ func TestRunScenariosIslandSummary(t *testing.T) {
 		t.Errorf("champion summary over %d reps, want 2", sum.ChampionFitness.N)
 	}
 	// The serial-shaped aggregate must be fully populated too.
-	if len(res[0].CoopMean) != 2 || res[0].Census.Total() != 80 {
-		t.Errorf("aggregate: %d coop points, census %d", len(res[0].CoopMean), res[0].Census.Total())
+	if len(res[0].CoopMean) != 2 || censusTotal(res[0].Census) != 80 {
+		t.Errorf("aggregate: %d coop points, census %d", len(res[0].CoopMean), censusTotal(res[0].Census))
 	}
 
 	table := IslandTable(res[0])

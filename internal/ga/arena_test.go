@@ -43,7 +43,7 @@ func TestNextGenerationIntoMatchesNextGeneration(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range want {
-					if !got[i].Equal(want[i]) {
+					if got[i].String() != want[i].String() {
 						t.Fatalf("round %d: offspring %d = %s, want %s",
 							round, i, got[i], want[i])
 					}

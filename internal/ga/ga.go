@@ -103,16 +103,9 @@ func sortedByFitness(pop []Individual) []int {
 	return idx
 }
 
-// Crossover is the crossover operator slot of §5 (the paper uses
-// one-point crossover; see bitstring.RandomOnePointCrossoverInto): it
-// combines parents a and b into two children written into the
-// caller-owned vectors c and d.
-type Crossover func(r *rng.Source, a, b, c, d bitstring.Bits)
-
 // Config holds the reproduction parameters of §5.
 type Config struct {
 	Selector      Selector
-	Crossover     Crossover
 	CrossoverProb float64 // paper: 0.9
 	MutationProb  float64 // per-bit flip probability; paper: 0.001
 
@@ -128,7 +121,6 @@ type Config struct {
 func PaperConfig() Config {
 	return Config{
 		Selector:      TournamentSelector{Size: 2},
-		Crossover:     bitstring.RandomOnePointCrossoverInto,
 		CrossoverProb: 0.9,
 		MutationProb:  0.001,
 	}
@@ -138,9 +130,6 @@ func PaperConfig() Config {
 func (c *Config) Validate() error {
 	if c.Selector == nil {
 		return fmt.Errorf("ga: selector not set")
-	}
-	if c.Crossover == nil {
-		return fmt.Errorf("ga: crossover not set")
 	}
 	if c.CrossoverProb < 0 || c.CrossoverProb > 1 {
 		return fmt.Errorf("ga: crossover probability %v outside [0,1]", c.CrossoverProb)
@@ -229,7 +218,7 @@ func NextGenerationInto(pop []Individual, cfg *Config, r *rng.Source, buf *Buffe
 		// Draw order is pinned: the crossover's cut draw (if any), then
 		// the child coin, then the mutation scan.
 		if r.Bool(cfg.CrossoverProb) {
-			cfg.Crossover(r, pa, pb, next[i], buf.spare)
+			bitstring.RandomOnePointCrossoverInto(r, pa, pb, next[i], buf.spare)
 			if r.Bool(0.5) {
 				// The second child is kept: swap the vector headers so it
 				// sits in the slot and the first becomes the spare.

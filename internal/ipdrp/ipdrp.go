@@ -58,9 +58,6 @@ func New(b bitstring.Bits) Strategy {
 	return Strategy{bits: b}
 }
 
-// Random returns a uniformly random strategy.
-func Random(r *rng.Source) Strategy { return Strategy{bits: bitstring.Random(r, Bits)} }
-
 // MustParse parses a 5-character bit string such as "10010".
 func MustParse(s string) Strategy {
 	b := bitstring.MustParse(s)
@@ -90,9 +87,6 @@ func (s Strategy) Next(prevMine, prevOpp Move) Move {
 	}
 	return Defect
 }
-
-// Genome returns a copy of the genome.
-func (s Strategy) Genome() bitstring.Bits { return s.bits.Clone() }
 
 // Key returns the canonical bit string.
 func (s Strategy) Key() string { return s.bits.Compact() }

@@ -195,7 +195,7 @@ func TestKeyUniqueness(t *testing.T) {
 	seen := map[string]bool{}
 	r := rng.New(7)
 	for i := 0; i < 200; i++ {
-		seen[Random(r).Key()] = true
+		seen[New(bitstring.Random(r, Bits)).Key()] = true
 	}
 	// Only 32 distinct 5-bit strategies exist.
 	if len(seen) > 32 {
@@ -212,7 +212,7 @@ func TestCensus(t *testing.T) {
 	if len(census) != 2 {
 		t.Fatalf("%d census entries", len(census))
 	}
-	if !census[0].Strategy.Genome().Equal(MustParse("00000").Genome()) || census[0].Fraction != 0.75 {
+	if census[0].Strategy.Key() != "00000" || census[0].Fraction != 0.75 {
 		t.Errorf("top entry %+v", census[0])
 	}
 	// Fractions sum to 1.

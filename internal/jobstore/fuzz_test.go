@@ -10,7 +10,7 @@ import (
 // FuzzJobRecordCodec fuzzes the WAL record codec from both ends: a record
 // built from fuzzed fields must encode/decode to itself exactly, and any
 // truncation or byte flip of the encoded line must be rejected by
-// DecodeEntry and skipped by Replay — never panic, never half-decode —
+// DecodeEntry and skipped by the WAL scan — never panic, never half-decode —
 // while intact neighbours survive. This is the recovery-safety property
 // the crash/restart harness relies on: whatever a SIGKILL leaves at the
 // WAL tail, reopening the store succeeds.
@@ -33,9 +33,9 @@ func FuzzJobRecordCodec(f *testing.F) {
 			if err == nil {
 				t.Fatal("encoded a record without an id")
 			}
-			// Still exercise Replay on the raw fuzz bytes: arbitrary input
+			// Still exercise the scan on the raw fuzz bytes: arbitrary input
 			// must never panic it.
-			Replay(spec)
+			replay(spec)
 			return
 		}
 		if err != nil {
@@ -73,7 +73,7 @@ func FuzzJobRecordCodec(f *testing.F) {
 		// A WAL image of [intact, torn tail] must recover exactly the
 		// intact entry, counting the tail as skipped.
 		torn := append(append([]byte(nil), line...), line[:len(line)/2]...)
-		entries, skipped := Replay(torn)
+		entries, skipped := replay(torn)
 		if len(entries) != 1 || !reflect.DeepEqual(normalize(*entries[0].Rec), normalize(rec)) {
 			t.Fatalf("replay of torn image recovered %d entries", len(entries))
 		}
@@ -81,10 +81,19 @@ func FuzzJobRecordCodec(f *testing.F) {
 			t.Fatalf("torn tail skipped %d times, want 1", skipped)
 		}
 
-		// And Replay must survive arbitrary garbage.
-		Replay(spec)
-		Replay(append([]byte(walMagic+" "), spec...))
+		// And the scan must survive arbitrary garbage.
+		replay(spec)
+		replay(append([]byte(walMagic+" "), spec...))
 	})
+}
+
+// replay decodes a whole WAL image with the store's own scan, returning
+// the intact entries in order and the number of corrupt lines skipped.
+func replay(data []byte) (entries []Entry, skipped int) {
+	_, skipped, _ = scanLines(bytes.NewReader(data), func(e Entry, _, _ int64) {
+		entries = append(entries, e)
+	})
+	return entries, skipped
 }
 
 // normalize maps a record through its JSON round trip so nil-vs-empty

@@ -130,6 +130,9 @@ type Store interface {
 	Get(id string) (Record, bool, error)
 	List() ([]Record, error)
 	Delete(id string) error
+	// Len returns the number of stored records: a cheap census for
+	// metrics collectors, unlike List, which copies every header.
+	Len() int
 	// Backend names the implementation ("mem", "file") for health
 	// reporting.
 	Backend() string
@@ -202,8 +205,7 @@ func (m *Mem) Delete(id string) error {
 	return nil
 }
 
-// Len returns the number of stored records — a cheap census for metrics
-// collectors, unlike List, which copies every header.
+// Len returns the number of stored records.
 func (m *Mem) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

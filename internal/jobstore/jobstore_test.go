@@ -488,7 +488,7 @@ func TestReplayMixedGoodAndBadLines(t *testing.T) {
 	buf.Write(line)
 	buf.WriteString(walMagic + " 00000000 {\"op\":") // torn tail
 
-	entries, skipped := Replay(buf.Bytes())
+	entries, skipped := replay(buf.Bytes())
 	if len(entries) != 3 {
 		t.Fatalf("replayed %d entries, want 3", len(entries))
 	}

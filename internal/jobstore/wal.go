@@ -131,17 +131,6 @@ func framePayload(line []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Replay decodes a whole WAL image line by line. Corrupt or truncated
-// lines — the torn tail a SIGKILL mid-append leaves behind, or bit rot
-// anywhere else — are counted in skipped and otherwise ignored; recovery
-// never fails on bad data, it just loses the damaged entries.
-func Replay(data []byte) (entries []Entry, skipped int) {
-	_, skipped, _ = scanLines(bytes.NewReader(data), func(e Entry, _, _ int64) {
-		entries = append(entries, e)
-	})
-	return entries, skipped
-}
-
 // scanLines reads a WAL image front to back and calls fn with each intact
 // entry and the offset and length of its line. The length counts the
 // line's newline even on an unterminated final line, because openFile

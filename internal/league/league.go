@@ -164,20 +164,13 @@ type Table struct {
 	Seed    uint64 `json:"seed"`
 }
 
-// Winner returns the name at the top of the standings.
-func (t *Table) Winner() string {
-	if len(t.Standings) == 0 {
-		return ""
-	}
-	return t.Standings[0].Name
-}
-
 // RunContext plays a full round-robin league: every pair of seats meets
 // MatchesPerPair times, each match seating PerSide copies of both
 // strategies plus CSN selfish nodes in one tournament evaluation (the
-// same Evaluate path the GA engine scores generations with), and each
-// side scoring the mean eq. 1 fitness of its players. The side with the
-// higher mean wins the match; exact ties split the point.
+// same EvaluateWithAdversaries path the GA engine scores generations
+// with), and each side scoring the mean eq. 1 fitness of its players.
+// The side with the higher mean wins the match; exact ties split the
+// point.
 //
 // The calling goroutine must hold one of pool's slots (it runs inside a
 // pool task): the matches run through pool.Share, on that goroutine plus
@@ -319,7 +312,8 @@ func playMatch(a, b Seat, cfg Config, seed uint64) (payoffA, payoffB float64, er
 		},
 	}
 	gen := network.NewGenerator(cfg.Mode)
-	if err := tournament.Evaluate(normals, csn, registry, ecfg, gen, rng.New(seed), nil); err != nil {
+	var es tournament.EvalState
+	if err := es.EvaluateWithAdversaries(normals, csn, nil, registry, ecfg, gen, rng.New(seed), nil); err != nil {
 		return 0, 0, fmt.Errorf("league: match %s vs %s: %w", a.Name, b.Name, err)
 	}
 

@@ -172,9 +172,6 @@ func TestLeagueTableShape(t *testing.T) {
 	if table.Seed != cfg.Seed {
 		t.Fatalf("Seed = %d, want %d", table.Seed, cfg.Seed)
 	}
-	if table.Winner() != table.Standings[0].Name {
-		t.Fatalf("Winner() = %q, standings[0] = %q", table.Winner(), table.Standings[0].Name)
-	}
 	var points, h2h float64
 	for i, s := range table.Standings {
 		if s.Played != (n-1)*cfg.MatchesPerPair {

@@ -180,7 +180,7 @@ func TestCollectorAgainstEvaluation(t *testing.T) {
 	}
 	c := NewCollector()
 	gen := network.NewGenerator(cfg.Tournament.Mode)
-	if err := tournament.Evaluate(normals, csn, registry, cfg, gen, rng.New(13), c); err != nil {
+	if err := new(tournament.EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(13), c); err != nil {
 		t.Fatal(err)
 	}
 	// Books: collector's normal games == Σ normal players' Sent;

@@ -42,9 +42,6 @@ func NewGenerator(mode PathMode) *Generator {
 	return &Generator{mode: mode}
 }
 
-// Mode returns the generator's path mode.
-func (g *Generator) Mode() PathMode { return g.mode }
-
 // SetMode swaps the generator's path mode in place, keeping the scratch
 // buffers warm. The dynamics layer calls it at generation barriers when
 // the rewiring walk moves the route-length landscape; it must never be

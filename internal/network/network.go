@@ -41,16 +41,6 @@ func (p Path) String() string {
 	return s + fmt.Sprintf(" -> %d", p.Dst)
 }
 
-// Contains reports whether id appears among the intermediates.
-func (p Path) Contains(id NodeID) bool {
-	for _, n := range p.Intermediates {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
 // MinHops and MaxHops bound the paper's path lengths: "The number of hops
 // from the source node to the destination varies from 2 to 10" (§6.1).
 const (
@@ -210,15 +200,6 @@ func Table3Alternates() AlternatesDist { return table3 }
 // for the given hop count when the engine step yields draw.
 func (d AlternatesDist) count(draw uint64, hops int) int {
 	return d.row(hops).Outcome(draw) + 1
-}
-
-// Prob returns the probability of exactly n alternate paths at the given
-// hop count.
-func (d AlternatesDist) Prob(hops, n int) float64 {
-	if n < 1 || n > MaxAlternatePaths {
-		return 0
-	}
-	return d.row(hops).Prob(n - 1)
 }
 
 func (d AlternatesDist) row(hops int) *rng.Categorical {

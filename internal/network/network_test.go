@@ -7,16 +7,6 @@ import (
 	"adhocga/internal/rng"
 )
 
-func TestPathContains(t *testing.T) {
-	p := Path{Src: 0, Dst: 4, Intermediates: []NodeID{1, 2}}
-	if !p.Contains(1) || !p.Contains(2) {
-		t.Error("Contains missed an intermediate")
-	}
-	if p.Contains(0) || p.Contains(4) {
-		t.Error("Contains should not match src/dst")
-	}
-}
-
 func TestPathString(t *testing.T) {
 	p := Path{Src: 3, Dst: 9, Intermediates: []NodeID{7, 1}}
 	if got := p.String(); got != "3 -> 7 -> 1 -> 9" {
@@ -96,14 +86,11 @@ func TestAlternatePathDistributionMatchesTable3(t *testing.T) {
 	for _, row := range rows {
 		for _, h := range row.hops {
 			for n := 1; n <= 3; n++ {
-				if got := d.Prob(h, n); math.Abs(got-row.p[n-1]) > 1e-12 {
-					t.Errorf("Prob(hops=%d, n=%d) = %v, want %v", h, n, got, row.p[n-1])
+				if got := d.row(h).Prob(n - 1); math.Abs(got-row.p[n-1]) > 1e-12 {
+					t.Errorf("P(hops=%d, n=%d) = %v, want %v", h, n, got, row.p[n-1])
 				}
 			}
 		}
-	}
-	if d.Prob(5, 0) != 0 || d.Prob(5, 4) != 0 {
-		t.Error("out-of-range alternate counts should have probability 0")
 	}
 }
 

@@ -419,9 +419,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns how many values have been observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 func (h *Histogram) name() string { return h.nameStr }
 func (h *Histogram) write(w *bufio.Writer) {
 	header(w, h.nameStr, h.help, "histogram")

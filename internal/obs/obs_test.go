@@ -149,8 +149,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.count.Load() != 5 {
+		t.Fatalf("count = %d, want 5", h.count.Load())
 	}
 	out := render(t, r)
 	for _, want := range []string{
@@ -246,7 +246,7 @@ func TestConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 {
-		t.Fatalf("lost updates: counter=%d hist=%d", c.Value(), h.Count())
+	if c.Value() != 8000 || h.count.Load() != 8000 {
+		t.Fatalf("lost updates: counter=%d hist=%d", c.Value(), h.count.Load())
 	}
 }

@@ -32,14 +32,14 @@ type Categorical struct {
 	lut [256]uint8
 }
 
-// drawBits is the width of the uniform draw Sample decides on: the top 53
+// drawBits is the width of the uniform draw Outcome decides on: the top 53
 // bits of one engine output, the same bits Float64 uses.
 const drawBits = 53
 
 // NewCategorical builds a categorical distribution from non-negative
 // weights. At least one weight must be positive, and their sum finite.
 //
-// Sample's decision is defined by the float scan over
+// Outcome's decision is defined by the float scan over
 // u = float64(x)/2⁵³·total, for the top 53 bits x of one engine output.
 // That u is monotone non-decreasing in x: float64(x) is exact for x < 2⁵³,
 // the division by a power of two is exact, and rounding the product to
@@ -115,9 +115,6 @@ func MustCategorical(weights []float64) *Categorical {
 	return c
 }
 
-// Len returns the number of outcomes.
-func (c *Categorical) Len() int { return len(c.cum) }
-
 // Prob returns the probability of outcome i.
 func (c *Categorical) Prob(i int) float64 {
 	total := c.cum[len(c.cum)-1]
@@ -127,16 +124,11 @@ func (c *Categorical) Prob(i int) float64 {
 	return (c.cum[i] - c.cum[i-1]) / total
 }
 
-// Sample draws one outcome index according to the weights. The draw
-// consumes exactly one engine step and decides identically to
-// s.Float64()*total fed to the linear scan.
-func (c *Categorical) Sample(s *Source) int {
-	return c.Outcome(s.Uint64())
-}
-
-// Outcome returns the outcome Sample picks when the engine step yields
-// draw. Loops that keep the engine in a local Xoshiro decide with it
-// directly; it is small enough to inline.
+// Outcome returns the outcome index, drawn according to the weights, for
+// one engine step that yielded draw (s.Uint64()). It decides identically
+// to Float64()*total of the same step fed to the linear scan. Loops that
+// keep the engine in a local Xoshiro decide with it directly; it is small
+// enough to inline.
 func (c *Categorical) Outcome(draw uint64) int {
 	x := draw >> (64 - drawBits)
 	o := int(c.lut[x>>(drawBits-8)])

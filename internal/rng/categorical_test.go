@@ -44,8 +44,8 @@ func TestCategoricalProb(t *testing.T) {
 			t.Errorf("Prob(%d) = %v, want %v", i, got, w)
 		}
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len() = %d, want 4", c.Len())
+	if len(c.cum) != 4 {
+		t.Errorf("%d outcomes, want 4", len(c.cum))
 	}
 }
 
@@ -53,11 +53,11 @@ func TestCategoricalSampleFrequencies(t *testing.T) {
 	c := MustCategorical([]float64{0.2, 0.3, 0.05, 0.45})
 	s := New(6)
 	const draws = 200000
-	counts := make([]int, c.Len())
+	counts := make([]int, len(c.cum))
 	for i := 0; i < draws; i++ {
-		counts[c.Sample(s)]++
+		counts[c.Outcome(s.Uint64())]++
 	}
-	for i := 0; i < c.Len(); i++ {
+	for i := 0; i < len(c.cum); i++ {
 		got := float64(counts[i]) / draws
 		want := c.Prob(i)
 		if math.Abs(got-want) > 0.005 {
@@ -70,7 +70,7 @@ func TestCategoricalNeverSamplesZeroWeight(t *testing.T) {
 	c := MustCategorical([]float64{0, 1, 0, 2, 0})
 	s := New(9)
 	for i := 0; i < 100000; i++ {
-		v := c.Sample(s)
+		v := c.Outcome(s.Uint64())
 		if v == 0 || v == 2 || v == 4 {
 			t.Fatalf("sampled zero-weight outcome %d", v)
 		}
@@ -81,13 +81,13 @@ func TestCategoricalSingleOutcome(t *testing.T) {
 	c := MustCategorical([]float64{7})
 	s := New(2)
 	for i := 0; i < 100; i++ {
-		if got := c.Sample(s); got != 0 {
-			t.Fatalf("Sample = %d, want 0", got)
+		if got := c.Outcome(s.Uint64()); got != 0 {
+			t.Fatalf("Outcome = %d, want 0", got)
 		}
 	}
 }
 
-// Property: Sample always returns a valid index with positive weight.
+// Property: Outcome of a draw always returns a valid index with positive weight.
 func TestCategoricalSampleProperty(t *testing.T) {
 	s := New(55)
 	f := func(raw []uint8) bool {
@@ -105,7 +105,7 @@ func TestCategoricalSampleProperty(t *testing.T) {
 		}
 		c := MustCategorical(weights)
 		for i := 0; i < 32; i++ {
-			v := c.Sample(s)
+			v := c.Outcome(s.Uint64())
 			if v < 0 || v >= len(weights) || weights[v] == 0 {
 				return false
 			}
@@ -123,7 +123,7 @@ func BenchmarkCategoricalSample(b *testing.B) {
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = c.Sample(s)
+		sink = c.Outcome(s.Uint64())
 	}
 	_ = sink
 }

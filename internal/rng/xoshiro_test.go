@@ -103,7 +103,7 @@ func TestXoshiroMatchesReference(t *testing.T) {
 }
 
 // Source's draws are the value type's steps: Uint64, Uint64n, Intn,
-// Float64, BitMask and Categorical.Sample advance the stream exactly as
+// Float64, BitMask and a Categorical outcome advance the stream exactly as
 // the reference does, and Engine/SetEngine hand the state over intact.
 func TestSourceMatchesReference(t *testing.T) {
 	c := MustCategorical([]float64{0.2, 0.3, 0.3, 0.05, 0.05, 0.05, 0.05})
@@ -130,8 +130,8 @@ func TestSourceMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d: BitMask bit %d diverges from the reference", seed, j)
 				}
 			}
-			if got, want := c.Sample(s), c.scan(scaled(ref.next()>>11, c.cum[len(c.cum)-1])); got != want {
-				t.Fatalf("seed %d: Sample = %d, reference scan %d", seed, got, want)
+			if got, want := c.Outcome(s.Uint64()), c.scan(scaled(ref.next()>>11, c.cum[len(c.cum)-1])); got != want {
+				t.Fatalf("seed %d: Outcome = %d, reference scan %d", seed, got, want)
 			}
 			e := s.Engine()
 			e, _ = e.Next()

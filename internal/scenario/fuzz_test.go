@@ -9,7 +9,7 @@ import (
 
 // FuzzLoad drives the JSON spec decoder with arbitrary bytes: it must
 // never panic, and everything it accepts must validate, survive a
-// Save→Load round trip unchanged, and build (or cleanly refuse to build)
+// save→Load round trip unchanged, and build (or cleanly refuse to build)
 // an engine configuration. CI runs this with a short -fuzztime smoke on
 // top of the checked-in corpus (testdata/fuzz); locally run e.g.
 //
@@ -46,11 +46,11 @@ func FuzzLoad(f *testing.F) {
 				_, _ = s.Config(1)
 			}
 		}
-		// Save→Load round trip: the serialized form decodes to the same
+		// save→Load round trip: the serialized form decodes to the same
 		// specs.
 		var buf bytes.Buffer
-		if err := Save(&buf, specs); err != nil {
-			t.Fatalf("Save rejected loaded specs: %v", err)
+		if err := save(&buf, specs); err != nil {
+			t.Fatalf("saving loaded specs: %v", err)
 		}
 		again, err := Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {

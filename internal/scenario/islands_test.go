@@ -23,7 +23,7 @@ func islandSpec() Spec {
 func TestIslandsJSONRoundTrip(t *testing.T) {
 	in := islandSpec()
 	var buf bytes.Buffer
-	if err := Save(&buf, []Spec{in}); err != nil {
+	if err := save(&buf, []Spec{in}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"islands"`) {
@@ -43,7 +43,7 @@ func TestIslandsBlockOmittedWhenNil(t *testing.T) {
 	s := islandSpec()
 	s.Islands = nil
 	var buf bytes.Buffer
-	if err := Save(&buf, []Spec{s}); err != nil {
+	if err := save(&buf, []Spec{s}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "islands") {

@@ -87,17 +87,3 @@ func FromArg(arg string) ([]Spec, error) {
 	return nil, fmt.Errorf("scenario: %q is neither a spec file, a family, nor a scenario name (families: %s)",
 		arg, familyNames())
 }
-
-// Save writes specs as indented JSON: a bare object for a single spec, an
-// array otherwise — the same shapes Load accepts.
-func Save(w io.Writer, specs []Spec) error {
-	if len(specs) == 0 {
-		return fmt.Errorf("scenario: no specs to save")
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if len(specs) == 1 {
-		return enc.Encode(specs[0])
-	}
-	return enc.Encode(specs)
-}

@@ -123,7 +123,7 @@ func FuzzLeagueBody(f *testing.F) {
 	arch := league.NewMemArchive()
 	session := adhocga.NewSession(adhocga.WithChampionArchive(arch))
 	f.Cleanup(session.Close)
-	s := New(session, Options{Champions: arch})
+	s := New(session, Options{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := s.resolveLeague(body)
 		if err != nil {

@@ -21,13 +21,14 @@ import (
 // filtered by classification category (?category=reciprocal) or source
 // job (?job=job-1).
 func (s *Server) handleChampions(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Champions == nil {
+	archive := s.session.Champions()
+	if archive == nil {
 		httpError(w, http.StatusServiceUnavailable, "no champion archive configured (run adhocd with -champions)")
 		return
 	}
 	q := r.URL.Query()
 	category, job := q.Get("category"), q.Get("job")
-	champs := s.opts.Champions.List()
+	champs := archive.List()
 	out := make([]league.Champion, 0, len(champs))
 	for _, c := range champs {
 		if category != "" && c.Category != category {
@@ -41,19 +42,20 @@ func (s *Server) handleChampions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"champions": out,
 		"count":     len(out),
-		"archive":   s.opts.Champions.Backend(),
+		"archive":   archive.Backend(),
 	})
 }
 
 // handleChampion serves one champion by ID. Champion IDs contain slashes
 // (job/scenario/rep/generation), so the route binds the path remainder.
 func (s *Server) handleChampion(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Champions == nil {
+	archive := s.session.Champions()
+	if archive == nil {
 		httpError(w, http.StatusServiceUnavailable, "no champion archive configured (run adhocd with -champions)")
 		return
 	}
 	id := r.PathValue("id")
-	c, ok := s.opts.Champions.Get(id)
+	c, ok := archive.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no champion %q", id)
 		return
@@ -67,7 +69,7 @@ func (s *Server) handleChampion(w http.ResponseWriter, r *http.Request) {
 // job runs on the session like any other: 202 with the handle, results
 // on GET /v1/jobs/{id} once done.
 func (s *Server) handleLeague(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Champions == nil {
+	if s.session.Champions() == nil {
 		httpError(w, http.StatusServiceUnavailable, "no champion archive configured (run adhocd with -champions)")
 		return
 	}
@@ -93,7 +95,7 @@ func (s *Server) resolveLeague(body []byte) (adhocga.LeagueJobSpec, error) {
 			return spec, fmt.Errorf("body: %w", err)
 		}
 	}
-	return spec, spec.Validate(s.opts.Champions)
+	return spec, spec.Validate(s.session.Champions())
 }
 
 // leagueOf extracts a finished league job's table (nil for every other

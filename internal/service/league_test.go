@@ -28,12 +28,11 @@ const checkpointSpec = `{
   "checkpoints": 2
 }`
 
-// newLeagueServer builds a server whose session and service share a
-// champion archive, over the given store.
+// newLeagueServer builds a server over the given store whose session
+// holds a champion archive.
 func newLeagueServer(t *testing.T, store jobstore.Store, arch *league.Archive) (string, *Server) {
 	t.Helper()
-	srv, s := newDurableServer(t, store, Options{Champions: arch},
-		adhocga.WithChampionArchive(arch))
+	srv, s := newDurableServer(t, store, Options{}, adhocga.WithChampionArchive(arch))
 	return srv.URL, s
 }
 
@@ -167,7 +166,7 @@ func TestChampionsAndLeagueEndToEnd(t *testing.T) {
 	if want := 4 + 3; len(final.League.Seats) != want {
 		t.Fatalf("league seated %d, want %d champions + 3 baselines", len(final.League.Seats), want)
 	}
-	if final.League.Winner() == "" {
+	if final.League.Standings[0].Name == "" {
 		t.Fatal("league has no winner")
 	}
 

@@ -100,7 +100,7 @@ func (s *Server) registerMetrics() {
 		"Matches played by finished league jobs.")
 
 	// Champion archive census, when one is configured.
-	if a := s.opts.Champions; a != nil {
+	if a := s.session.Champions(); a != nil {
 		m.GaugeFunc("adhoc_champions",
 			"Champions currently in the hall-of-fame archive.",
 			func() float64 { return float64(a.Len()) })
@@ -187,11 +187,9 @@ func (s *Server) registerMetrics() {
 			defer s.mu.Unlock()
 			return float64(s.resumed)
 		})
-	if lener, ok := s.store.(interface{ Len() int }); ok {
-		m.GaugeFunc("adhocd_store_records",
-			"Job records currently in the store.",
-			func() float64 { return float64(lener.Len()) })
-	}
+	m.GaugeFunc("adhocd_store_records",
+		"Job records currently in the store.",
+		func() float64 { return float64(s.store.Len()) })
 
 	// WAL backend internals, when the file store is configured.
 	if fs, ok := s.store.(*jobstore.File); ok {

@@ -90,7 +90,6 @@ import (
 	"adhocga"
 	"adhocga/internal/experiment"
 	"adhocga/internal/jobstore"
-	"adhocga/internal/league"
 	"adhocga/internal/obs"
 	"adhocga/internal/runner"
 	"adhocga/internal/scenario"
@@ -133,11 +132,6 @@ type Options struct {
 	// /debug/pprof/ — opt-in because profiles expose internals and cost
 	// CPU while running.
 	EnablePprof bool
-	// Champions is the hall-of-fame archive behind /v1/champions and
-	// /v1/league. It should be the same archive the session was built
-	// with (WithChampionArchive) so checkpointed champions become
-	// queryable. nil disables the league endpoints (503).
-	Champions *league.Archive
 }
 
 // Server routes the v1 API onto a Session. Create with New; it implements

@@ -168,11 +168,11 @@ func (s *Server) newSandbox(rec jobstore.Record) *adhocga.Session {
 		adhocga.WithHubConfig(hub),
 		adhocga.WithPoolSize(s.session.PoolSize()),
 	}
-	if rec.Kind == "league" && s.opts.Champions != nil {
+	if a := s.session.Champions(); rec.Kind == "league" && a != nil {
 		// League seats resolve from the champion archive; sharing it is
 		// safe — replays archive nothing (the sandbox runs no checkpoints)
 		// and Select only reads.
-		sessOpts = append(sessOpts, adhocga.WithChampionArchive(s.opts.Champions))
+		sessOpts = append(sessOpts, adhocga.WithChampionArchive(a))
 	}
 	return adhocga.NewSession(sessOpts...)
 }

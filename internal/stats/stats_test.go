@@ -72,18 +72,14 @@ func TestRunningMatchesBatch(t *testing.T) {
 	if !approx(r.Variance(), Variance(xs), 1e-9) {
 		t.Errorf("running variance %v != batch %v", r.Variance(), Variance(xs))
 	}
-	lo, hi := MinMax(xs)
-	if r.Min() != lo || r.Max() != hi {
-		t.Errorf("running min/max %v/%v != %v/%v", r.Min(), r.Max(), lo, hi)
-	}
-	if r.N() != len(xs) {
-		t.Errorf("N = %d", r.N())
+	if r.n != len(xs) {
+		t.Errorf("n = %d", r.n)
 	}
 }
 
 func TestRunningEmpty(t *testing.T) {
 	var r Running
-	if !math.IsNaN(r.Mean()) || !math.IsNaN(r.Variance()) || !math.IsNaN(r.Min()) {
+	if !math.IsNaN(r.Mean()) || !math.IsNaN(r.Variance()) {
 		t.Error("empty Running should return NaN moments")
 	}
 }
@@ -124,8 +120,8 @@ func TestSeriesAccumulator(t *testing.T) {
 			t.Errorf("mean[%d] = %v, want %v", i, mean[i], want[i])
 		}
 	}
-	if a.Len() != 3 {
-		t.Errorf("Len = %d", a.Len())
+	if len(a.points) != 3 {
+		t.Errorf("%d points", len(a.points))
 	}
 	sd := a.StdDev()
 	if !approx(sd[0], math.Sqrt(2), 1e-12) {

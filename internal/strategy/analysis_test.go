@@ -83,10 +83,7 @@ func TestPaperWinnersAreReciprocal(t *testing.T) {
 
 func TestCategoryCensus(t *testing.T) {
 	c := NewCensus()
-	c.Add(AllForward())
-	c.Add(AllDiscard())
-	c.Add(MustParse("000 000 111 111 1"))
-	c.Add(MustParse("000 000 111 111 1"))
+	c.AddAll([]Strategy{AllForward(), AllDiscard(), MustParse("000 000 111 111 1"), MustParse("000 000 111 111 1")})
 	cats := c.CategoryCensus()
 	if math.Abs(cats[CategoryAltruist]-0.25) > 1e-12 {
 		t.Errorf("altruist share %v", cats[CategoryAltruist])
@@ -101,8 +98,10 @@ func TestCategoryCensus(t *testing.T) {
 
 func TestMeanTrustMonotonicity(t *testing.T) {
 	c := NewCensus()
-	c.Add(MustParse("000 000 111 111 1")) // 1.0
-	c.Add(MustParse("111 000 000 000 0")) // 2/3
+	c.AddAll([]Strategy{
+		MustParse("000 000 111 111 1"), // 1.0
+		MustParse("111 000 000 000 0"), // 2/3
+	})
 	want := (1.0 + 2.0/3.0) / 2
 	if got := c.MeanTrustMonotonicity(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("MeanTrustMonotonicity = %v, want %v", got, want)

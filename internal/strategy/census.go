@@ -34,17 +34,6 @@ func compareRows(a, b censusRow) int { return cmp.Compare(a.g, b.g) }
 // NewCensus returns an empty census.
 func NewCensus() *Census { return &Census{} }
 
-// Add records one strategy occurrence.
-func (c *Census) Add(s Strategy) {
-	r := censusRow{g: s.p, n: 1}
-	if i, found := slices.BinarySearchFunc(c.rows, r, compareRows); found {
-		c.rows[i].n++
-	} else {
-		c.rows = slices.Insert(c.rows, i, r)
-	}
-	c.total++
-}
-
 // AddAll records every strategy in the slice: it appends one row per
 // occurrence, sorts and merges them once, and keeps the rows at exactly
 // their length.
@@ -69,9 +58,6 @@ func (c *Census) AddAll(ss []Strategy) {
 	c.rows = append(make([]censusRow, 0, len(merged)), merged...)
 	c.total += len(ss)
 }
-
-// Total returns the number of occurrences recorded.
-func (c *Census) Total() int { return c.total }
 
 // Entry is one census row: a strategy, its occurrence count, and its
 // frequency among all recorded occurrences.

@@ -123,7 +123,7 @@ func censusPair(genomes []uint16) (*Census, *refCensus) {
 	c, ref := NewCensus(), newRefCensus()
 	for _, g := range genomes {
 		s := genomeStrategy(g)
-		c.Add(s)
+		c.AddAll([]Strategy{s})
 		ref.Add(s)
 	}
 	return c, ref
@@ -134,8 +134,8 @@ func censusPair(genomes []uint16) (*Census, *refCensus) {
 // only to rounding, because the reference sums in map order.
 func assertMatchesReference(t *testing.T, c *Census, ref *refCensus) {
 	t.Helper()
-	if c.Total() != ref.total || len(c.rows) != len(ref.counts) {
-		t.Fatalf("Total/Distinct %d/%d, reference %d/%d", c.Total(), len(c.rows), ref.total, len(ref.counts))
+	if c.total != ref.total || len(c.rows) != len(ref.counts) {
+		t.Fatalf("Total/Distinct %d/%d, reference %d/%d", c.total, len(c.rows), ref.total, len(ref.counts))
 	}
 	for k := 0; k <= len(c.rows)+1; k++ {
 		got, want := c.Top(k), ref.Top(k)
@@ -214,7 +214,7 @@ func TestCensusMeansDeterministic(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 5))
 	c := NewCensus()
 	for range 300 {
-		c.Add(genomeStrategy(uint16(r.IntN(1 << Bits))))
+		c.AddAll([]Strategy{genomeStrategy(uint16(r.IntN(1 << Bits)))})
 	}
 	for name, mean := range map[string]func() float64{
 		"MeanTrustMonotonicity": c.MeanTrustMonotonicity,

@@ -12,18 +12,15 @@ func TestCensusTop(t *testing.T) {
 	c := NewCensus()
 	a := MustParse("000 111 111 111 1")
 	b := MustParse("010 101 101 111 1")
-	for i := 0; i < 3; i++ {
-		c.Add(a)
-	}
-	c.Add(b)
-	if c.Total() != 4 || len(c.rows) != 2 {
-		t.Fatalf("Total=%d Distinct=%d", c.Total(), len(c.rows))
+	c.AddAll([]Strategy{a, a, a, b})
+	if c.total != 4 || len(c.rows) != 2 {
+		t.Fatalf("Total=%d Distinct=%d", c.total, len(c.rows))
 	}
 	top := c.Top(5)
 	if len(top) != 2 {
 		t.Fatalf("Top(5) returned %d entries", len(top))
 	}
-	if !top[0].Strategy.Equal(a) || top[0].Count != 3 {
+	if top[0].Strategy != a || top[0].Count != 3 {
 		t.Errorf("top entry = %v ×%d", top[0].Strategy, top[0].Count)
 	}
 	if math.Abs(top[0].Fraction-0.75) > 1e-12 {
@@ -40,7 +37,7 @@ func TestCensusTop(t *testing.T) {
 func TestCensusTopBounds(t *testing.T) {
 	c := NewCensus()
 	for _, key := range []string{"0000000000000", "1111111111111", "1111111111111", "0101010101010"} {
-		c.Add(MustParse(key))
+		c.AddAll([]Strategy{MustParse(key)})
 	}
 	for _, tc := range []struct{ k, want int }{
 		{-1, 0},
@@ -60,18 +57,19 @@ func TestCensusTopBounds(t *testing.T) {
 // records without NewCensus.
 func TestZeroCensus(t *testing.T) {
 	var c Census
-	if c.Total() != 0 || len(c.rows) != 0 || len(c.Top(3)) != 0 {
-		t.Fatalf("zero census not empty: total %d, distinct %d", c.Total(), len(c.rows))
+	if c.total != 0 || len(c.rows) != 0 || len(c.Top(3)) != 0 {
+		t.Fatalf("zero census not empty: total %d, distinct %d", c.total, len(c.rows))
 	}
-	c.Add(AllForward())
+	c.AddAll([]Strategy{AllForward()})
 	c.AddAll([]Strategy{AllDiscard(), AllForward()})
-	if c.Total() != 3 || len(c.rows) != 2 || c.Top(1)[0].Count != 2 {
-		t.Errorf("zero census after 3 adds: total %d, distinct %d, top %+v", c.Total(), len(c.rows), c.Top(1))
+	if c.total != 3 || len(c.rows) != 2 || c.Top(1)[0].Count != 2 {
+		t.Errorf("zero census after 3 adds: total %d, distinct %d, top %+v", c.total, len(c.rows), c.Top(1))
 	}
 }
 
-// TestCensusAddAllMatchesAdd checks that batched and one-by-one recording
-// build the same rows, and that AddAll keeps them at exactly their length.
+// TestCensusAddAllMatchesAdd checks that batched recording and recording
+// one strategy per AddAll build the same rows, and that AddAll keeps them
+// at exactly their length.
 func TestCensusAddAllMatchesAdd(t *testing.T) {
 	r := rng.New(9)
 	one, batched := NewCensus(), NewCensus()
@@ -79,13 +77,13 @@ func TestCensusAddAllMatchesAdd(t *testing.T) {
 		pop := make([]Strategy, 50)
 		for i := range pop {
 			pop[i] = genomeStrategy(uint16(r.Intn(64)))
-			one.Add(pop[i])
+			one.AddAll([]Strategy{pop[i]})
 		}
 		batched.AddAll(pop)
 	}
 	batched.AddAll(nil)
 	if !slices.Equal(one.rows, batched.rows) || one.total != batched.total {
-		t.Fatalf("AddAll rows %v (total %d), Add rows %v (total %d)", batched.rows, batched.total, one.rows, one.total)
+		t.Fatalf("batched rows %v (total %d), one-by-one rows %v (total %d)", batched.rows, batched.total, one.rows, one.total)
 	}
 	if cap(batched.rows) != len(batched.rows) {
 		t.Errorf("AddAll left %d rows in capacity %d", len(batched.rows), cap(batched.rows))
@@ -94,8 +92,7 @@ func TestCensusAddAllMatchesAdd(t *testing.T) {
 
 func TestCensusTopDeterministicTieBreak(t *testing.T) {
 	c := NewCensus()
-	c.Add(MustParse("1111111111111"))
-	c.Add(MustParse("0000000000000"))
+	c.AddAll([]Strategy{MustParse("1111111111111"), MustParse("0000000000000")})
 	top := c.Top(2)
 	if top[0].Strategy.Key() != "0000000000000" {
 		t.Errorf("tie break should order by key; got %s first", top[0].Strategy.Key())
@@ -106,10 +103,10 @@ func TestCensusSubStrategies(t *testing.T) {
 	c := NewCensus()
 	// 7 strategies with trust3 = 111, 3 with trust3 = 000.
 	for i := 0; i < 7; i++ {
-		c.Add(MustParse("000 000 000 111 1"))
+		c.AddAll([]Strategy{MustParse("000 000 000 111 1")})
 	}
 	for i := 0; i < 3; i++ {
-		c.Add(MustParse("000 000 000 000 1"))
+		c.AddAll([]Strategy{MustParse("000 000 000 000 1")})
 	}
 	subs := c.SubStrategies(Trust3, 0)
 	if len(subs) != 2 {
@@ -127,9 +124,7 @@ func TestCensusSubStrategies(t *testing.T) {
 
 func TestCensusUnknownForwardFraction(t *testing.T) {
 	c := NewCensus()
-	c.Add(MustParse("000 000 000 000 1"))
-	c.Add(MustParse("000 000 000 000 1"))
-	c.Add(MustParse("000 000 000 000 0"))
+	c.AddAll([]Strategy{MustParse("000 000 000 000 1"), MustParse("000 000 000 000 1"), MustParse("000 000 000 000 0")})
 	if got := c.UnknownForwardFraction(); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Errorf("UnknownForwardFraction = %v", got)
 	}
@@ -146,8 +141,8 @@ func TestCensusAddAll(t *testing.T) {
 	}
 	c := NewCensus()
 	c.AddAll(ss)
-	if c.Total() != 50 {
-		t.Errorf("Total = %d", c.Total())
+	if c.total != 50 {
+		t.Errorf("total = %d", c.total)
 	}
 	// Fractions across Top(all) must sum to 1.
 	sum := 0.0
@@ -163,7 +158,7 @@ func TestCensusSubStrategyFractionsSum(t *testing.T) {
 	r := rng.New(2)
 	c := NewCensus()
 	for i := 0; i < 200; i++ {
-		c.Add(Random(r))
+		c.AddAll([]Strategy{Random(r)})
 	}
 	for tl := TrustLevel(0); tl < NumTrustLevels; tl++ {
 		sum := 0.0

@@ -231,9 +231,6 @@ func (s Strategy) Cooperativeness() float64 {
 	return float64(bits.OnesCount16(s.p)) / float64(Bits)
 }
 
-// Equal reports whether two strategies make identical decisions.
-func (s Strategy) Equal(o Strategy) bool { return s == o }
-
 // AllForward returns the fully cooperative strategy (forward in every
 // situation, including unknown sources).
 func AllForward() Strategy { return Strategy{p: 1<<Bits - 1} }

@@ -188,14 +188,14 @@ func TestSubStrategy(t *testing.T) {
 func TestKeyAndEqual(t *testing.T) {
 	a := MustParse("010 101 101 111 1")
 	b := MustParse("0101011011111")
-	if !a.Equal(b) {
+	if a != b {
 		t.Error("grouped and ungrouped parse of same strategy are not Equal")
 	}
 	if a.Key() != b.Key() {
 		t.Error("Keys differ for equal strategies")
 	}
 	c := AllDiscard()
-	if a.Equal(c) || a.Key() == c.Key() {
+	if a == c || a.Key() == c.Key() {
 		t.Error("distinct strategies compare equal")
 	}
 }
@@ -230,7 +230,7 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func() bool {
 		s := Random(r)
 		p, err := Parse(s.String())
-		if err != nil || !p.Equal(s) {
+		if err != nil || p != s {
 			return false
 		}
 		for tl := TrustLevel(0); tl < NumTrustLevels; tl++ {

@@ -71,7 +71,8 @@ func TestEvaluateWithAdversariesRejectsOvercrowding(t *testing.T) {
 }
 
 // TestEvaluateWithEmptyAdversariesBitIdentical pins that an empty cohort
-// replays Evaluate exactly — same RNG consumption, same accounts.
+// replays the pass without one exactly — same RNG consumption, same
+// accounts.
 func TestEvaluateWithEmptyAdversariesBitIdentical(t *testing.T) {
 	build := func() ([]*game.Player, []*game.Player, []*game.Player, *EvalConfig) {
 		r := rng.New(77)
@@ -90,12 +91,12 @@ func TestEvaluateWithEmptyAdversariesBitIdentical(t *testing.T) {
 		return normals, csn, registry, cfg
 	}
 	n1, c1, r1, cfg1 := build()
-	if err := Evaluate(n1, c1, r1, cfg1, network.NewGenerator(cfg1.Tournament.Mode), rng.New(5), nil); err != nil {
+	if err := new(EvalState).EvaluateWithAdversaries(n1, c1, nil, r1, cfg1, network.NewGenerator(cfg1.Tournament.Mode), rng.New(5), nil); err != nil {
 		t.Fatal(err)
 	}
 	n2, c2, r2, cfg2 := build()
 	var es EvalState
-	if err := es.EvaluateWithAdversaries(n2, c2, nil, r2, cfg2, network.NewGenerator(cfg2.Tournament.Mode), rng.New(5), nil); err != nil {
+	if err := es.EvaluateWithAdversaries(n2, c2, []*game.Player{}, r2, cfg2, network.NewGenerator(cfg2.Tournament.Mode), rng.New(5), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range n1 {
@@ -133,7 +134,7 @@ func TestRoundDriverIsCalledEveryRound(t *testing.T) {
 	cfg := testConfig(12)
 	driver := &flipDriver{strat: [2]strategy.Strategy{strategy.AllDiscard(), strategy.AllForward()}, on: 3}
 	cfg.RoundDriver = driver
-	Play(participants, registry, cfg, network.NewGenerator(cfg.Mode), rng.New(9), nil)
+	PlayWith(participants, registry, cfg, network.NewGenerator(cfg.Mode), rng.New(9), nil, &Scratch{})
 	if driver.calls != cfg.Rounds {
 		t.Errorf("driver called %d times over %d rounds", driver.calls, cfg.Rounds)
 	}

@@ -46,7 +46,7 @@ func (c *gameCounter) RecordGame(src *game.Player, inters []*game.Player, firstD
 func (c *gameCounter) BeginEnvironment(index int, env Environment) {}
 
 // TestTournamentRoundZeroAllocs pins the steady-state guarantee one level
-// up from game.Play: a full tournament round — route generation, path
+// up from game.Board.Play: a full tournament round — route generation, path
 // rating, decisions, payoffs, reputation updates — performs zero heap
 // allocations once the scratch buffers and dense stores are warm.
 func TestTournamentRoundZeroAllocs(t *testing.T) {

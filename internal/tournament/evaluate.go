@@ -57,8 +57,8 @@ func (c *EvalConfig) MaxCSN() int {
 // participant roster, and the tournament Scratch. A zero EvalState is
 // ready to use; one warmed by a first pass makes every later pass with
 // the same shapes allocation-free, which is why the engine keeps one
-// EvalState for the lifetime of a run instead of calling the package-level
-// Evaluate. It must not be shared between goroutines.
+// EvalState for the lifetime of a run. It must not be shared between
+// goroutines.
 type EvalState struct {
 	plays        []int
 	unplayed     []int
@@ -69,7 +69,8 @@ type EvalState struct {
 	sc           Scratch
 }
 
-// Evaluate runs the Fig 3 evaluation scheme for one generation:
+// EvaluateWithAdversaries runs the Fig 3 evaluation scheme for one
+// generation:
 //
 //  1. Clear reputation memory and payoff accounts of every player.
 //  2. For each environment i: repeatedly draw Pi = T−Si players uniformly
@@ -83,19 +84,11 @@ type EvalState struct {
 // normals is the evolving population; csn is a pool of at least MaxCSN()
 // selfish players; registry maps NodeID → player for everyone. gen
 // supplies candidate routes for the evaluation's path mode; rec may be
-// nil.
-func Evaluate(normals, csn []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
-	var es EvalState
-	return es.EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, rec)
-}
-
-// EvaluateWithAdversaries is the state-reusing form of Evaluate, with an
-// additional cohort of Byzantine adversaries (internal/dynamics): unlike
-// the per-environment CSN, the byz players take a seat in every
-// tournament of every environment, shrinking the normal seats to
-// T − Si − len(byz). With an empty cohort it is Evaluate, bit for bit;
-// all working buffers come from (and return to) the EvalState, so a warm
-// state runs the whole pass without heap allocation.
+// nil. byz is a cohort of Byzantine adversaries (internal/dynamics), nil
+// for none: unlike the per-environment CSN, the byz players take a seat
+// in every tournament of every environment, shrinking the normal seats to
+// T − Si − len(byz). All working buffers come from (and return to) the
+// EvalState, so a warm state runs the whole pass without heap allocation.
 func (es *EvalState) EvaluateWithAdversaries(normals, csn, byz []*game.Player, registry []*game.Player, cfg *EvalConfig, gen *network.Generator, r *rng.Source, rec Recorder) error {
 	if err := cfg.Validate(len(normals)); err != nil {
 		return err

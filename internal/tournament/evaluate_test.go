@@ -79,7 +79,7 @@ func TestEvaluateEveryPlayerPlaysAtLeastL(t *testing.T) {
 		normals, csn, registry := evalSetup(30, 6, strategy.AllForward())
 		cfg := evalConfig(12, L, 4, []Environment{{Name: "A", CSN: 0}, {Name: "B", CSN: 6}})
 		gen := network.NewGenerator(cfg.Tournament.Mode)
-		if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(5), nil); err != nil {
+		if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(5), nil); err != nil {
 			t.Fatal(err)
 		}
 		// Every player sources Rounds packets per tournament appearance,
@@ -100,7 +100,7 @@ func TestEvaluateTopUpKeepsTournamentsFull(t *testing.T) {
 	cfg := evalConfig(10, 1, 2, []Environment{{Name: "A", CSN: 0}})
 	gen := network.NewGenerator(cfg.Tournament.Mode)
 	rec := &envCounter{}
-	if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(6), rec); err != nil {
+	if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(6), rec); err != nil {
 		t.Fatal(err)
 	}
 	// ceil(25/10) = 3 tournaments × 10 players × 2 rounds = 60 games.
@@ -125,7 +125,7 @@ func TestEvaluateBeginsEnvironmentsInOrder(t *testing.T) {
 	cfg := evalConfig(10, 1, 2, envs)
 	gen := network.NewGenerator(cfg.Tournament.Mode)
 	rec := &envCounter{}
-	if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(7), rec); err != nil {
+	if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(7), rec); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.begins) != 3 {
@@ -145,7 +145,7 @@ func TestEvaluateClearsStateAtStart(t *testing.T) {
 	normals[0].Acct.Events = 99
 	cfg := evalConfig(10, 1, 1, []Environment{{Name: "A", CSN: 0}})
 	gen := network.NewGenerator(cfg.Tournament.Mode)
-	if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(8), nil); err != nil {
+	if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(8), nil); err != nil {
 		t.Fatal(err)
 	}
 	// 99 fake events would survive if the account had not been reset; the
@@ -159,7 +159,7 @@ func TestEvaluateErrorOnTooFewCSN(t *testing.T) {
 	normals, csn, registry := evalSetup(20, 2, strategy.AllForward())
 	cfg := evalConfig(10, 1, 1, []Environment{{Name: "A", CSN: 5}})
 	gen := network.NewGenerator(cfg.Tournament.Mode)
-	if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(9), nil); err == nil {
+	if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(9), nil); err == nil {
 		t.Error("undersized CSN pool accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 		normals, csn, registry := evalSetup(30, 10, strategy.MustParse("010 101 101 111 1"))
 		cfg := evalConfig(15, 1, 5, []Environment{{Name: "A", CSN: 0}, {Name: "B", CSN: 10}})
 		gen := network.NewGenerator(cfg.Tournament.Mode)
-		if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(11), nil); err != nil {
+		if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(11), nil); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]int, len(normals))
@@ -203,7 +203,7 @@ func TestEvaluatePaperShapeSmoke(t *testing.T) {
 		},
 	}
 	gen := network.NewGenerator(cfg.Tournament.Mode)
-	if err := Evaluate(normals, csn, registry, cfg, gen, rng.New(12), nil); err != nil {
+	if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, rng.New(12), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range normals {
@@ -232,7 +232,7 @@ func BenchmarkEvaluatePaperEnvironments(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Evaluate(normals, csn, registry, cfg, gen, r, nil); err != nil {
+		if err := new(EvalState).EvaluateWithAdversaries(normals, csn, nil, registry, cfg, gen, r, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func runGossipTournament(seed uint64) []string {
 		GossipWeight:   0.25,
 		GossipMinRate:  0.5,
 	}
-	Play(participants, registry, cfg, network.NewGenerator(cfg.Mode), r, nil)
+	PlayWith(participants, registry, cfg, network.NewGenerator(cfg.Mode), r, nil, &Scratch{})
 
 	prints := make([]string, len(participants))
 	for i, p := range participants {

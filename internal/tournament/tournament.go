@@ -111,19 +111,13 @@ type Scratch struct {
 	pool  []int
 }
 
-// Play runs one tournament over the given participants: cfg.Rounds rounds,
-// each participant sourcing exactly one packet per round (§4.4 tournament
-// scheme, steps 1–8). registry maps NodeID → player and must cover every
-// participant (every reputation store is sized to it); gen supplies
-// candidate routes; rec may be nil.
-func Play(participants []*game.Player, registry []*game.Player, cfg *Config, gen *network.Generator, r *rng.Source, rec game.Recorder) {
-	var sc Scratch
-	PlayWith(participants, registry, cfg, gen, r, rec, &sc)
-}
-
-// PlayWith is Play with caller-owned scratch buffers, the allocation-free
-// steady-state form: with warm scratch, a full tournament performs zero
-// heap allocations.
+// PlayWith runs one tournament over the given participants: cfg.Rounds
+// rounds, each participant sourcing exactly one packet per round (§4.4
+// tournament scheme, steps 1–8). registry maps NodeID → player and must
+// cover every participant (every reputation store is sized to it); gen
+// supplies candidate routes; rec may be nil. sc is caller-owned scratch,
+// ready to use at its zero value: with warm scratch, a full tournament
+// performs zero heap allocations.
 //
 // The participants are seated on the scratch's game.Board: their
 // counters about each other are gathered into a T×T matrix, every round

@@ -68,7 +68,7 @@ func TestPlayEachPlayerSourcesOncePerRound(t *testing.T) {
 	registry := BuildRegistry(players)
 	cfg := testConfig(rounds)
 	gen := network.NewGenerator(cfg.Mode)
-	Play(players, registry, cfg, gen, rng.New(1), nil)
+	PlayWith(players, registry, cfg, gen, rng.New(1), nil, &Scratch{})
 	for _, p := range players {
 		if p.Acct.Sent != rounds {
 			t.Errorf("player %d sourced %d packets, want %d", p.ID, p.Acct.Sent, rounds)
@@ -81,7 +81,7 @@ func TestPlayAllForwardDeliversEverything(t *testing.T) {
 	registry := BuildRegistry(players)
 	cfg := testConfig(5)
 	gen := network.NewGenerator(cfg.Mode)
-	Play(players, registry, cfg, gen, rng.New(2), nil)
+	PlayWith(players, registry, cfg, gen, rng.New(2), nil, &Scratch{})
 	for _, p := range players {
 		if p.Acct.Delivered != p.Acct.Sent {
 			t.Errorf("player %d delivered %d of %d in an all-forward network",
@@ -101,7 +101,7 @@ func TestPlayAllSelfishDeliversNothing(t *testing.T) {
 	registry := BuildRegistry(players)
 	cfg := testConfig(3)
 	gen := network.NewGenerator(cfg.Mode)
-	Play(players, registry, cfg, gen, rng.New(3), nil)
+	PlayWith(players, registry, cfg, gen, rng.New(3), nil, &Scratch{})
 	for _, p := range players {
 		if p.Acct.Delivered != 0 {
 			t.Errorf("player %d delivered %d packets in an all-selfish network", p.ID, p.Acct.Delivered)
@@ -118,7 +118,7 @@ func TestPlayDeterministicForSeed(t *testing.T) {
 		registry := BuildRegistry(players)
 		cfg := testConfig(10)
 		gen := network.NewGenerator(cfg.Mode)
-		Play(players, registry, cfg, gen, rng.New(42), nil)
+		PlayWith(players, registry, cfg, gen, rng.New(42), nil, &Scratch{})
 		accts := make([]game.Account, len(players))
 		for i, p := range players {
 			accts[i] = p.Acct
@@ -145,7 +145,7 @@ func TestPlayMixedNetworkPunishesSelfish(t *testing.T) {
 	registry := BuildRegistry(normals, csn)
 	cfg := testConfig(150)
 	gen := network.NewGenerator(cfg.Mode)
-	Play(all, registry, cfg, gen, rng.New(7), nil)
+	PlayWith(all, registry, cfg, gen, rng.New(7), nil, &Scratch{})
 
 	normalSent, normalDelivered := 0, 0
 	for _, p := range normals {
@@ -179,7 +179,7 @@ func TestGossipSpreadsPositiveReputation(t *testing.T) {
 		cfg.GossipWeight = 0.25
 		cfg.GossipMinRate = 0.5
 		gen := network.NewGenerator(cfg.Mode)
-		Play(players, registry, cfg, gen, rng.New(31), nil)
+		PlayWith(players, registry, cfg, gen, rng.New(31), nil, &Scratch{})
 		known := 0
 		for _, p := range players {
 			known += knownCount(p)
@@ -251,6 +251,6 @@ func BenchmarkTournament50Players(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Play(players, registry, cfg, gen, r, nil)
+		PlayWith(players, registry, cfg, gen, r, nil, &Scratch{})
 	}
 }

@@ -9,6 +9,7 @@ package adhocga
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -59,9 +60,9 @@ func TestStreamLoadThousandsOfSubscribers(t *testing.T) {
 	// attached the moment the job exists. Every subscriber validates its
 	// own stream (monotonic Seq, terminal done) and reports back.
 	type outcome struct {
-		events, resyncs int
-		err             error
-		ok              bool
+		events int
+		err    error
+		ok     bool
 	}
 	results := make([]outcome, loadSubscribers)
 	var wg sync.WaitGroup
@@ -90,8 +91,7 @@ func TestStreamLoadThousandsOfSubscribers(t *testing.T) {
 						}
 					}
 				}
-				o.resyncs = sub.Resyncs()
-				o.err = sub.Err()
+				_, _, o.err = sub.Next()
 				results[i] = o
 			}(i)
 		}
@@ -99,22 +99,21 @@ func TestStreamLoadThousandsOfSubscribers(t *testing.T) {
 	wg.Wait()
 	stats := loadedJob.StreamStats()
 
-	delivered, resyncs := 0, 0
+	delivered := 0
 	for i, o := range results {
 		if !o.ok {
 			t.Fatalf("subscriber %d saw a non-monotonic stream", i)
 		}
-		if o.err != nil {
-			t.Fatalf("subscriber %d ended with %v", i, o.err)
+		if o.err != io.EOF {
+			t.Fatalf("subscriber %d ended with %v, want io.EOF", i, o.err)
 		}
 		if o.events == 0 {
 			t.Fatalf("subscriber %d received no events (not even done)", i)
 		}
 		delivered += o.events
-		resyncs += o.resyncs
 	}
 	t.Logf("load: %d subscribers, %d events emitted, %d delivered (mean %.1f/sub), %d resyncs",
-		loadSubscribers, stats.Emitted, delivered, float64(delivered)/loadSubscribers, resyncs)
+		loadSubscribers, stats.Emitted, delivered, float64(delivered)/loadSubscribers, stats.Resyncs)
 	t.Logf("wall: bare %v, loaded %v (ratio %.2f)", bare, loaded, float64(loaded)/float64(bare))
 
 	// Producer isolation: live viewers are DropResync, so no append ever

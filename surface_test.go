@@ -2,236 +2,243 @@ package adhocga
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// interfaceMethods are exported method names a root type defines to
-// satisfy an interface (JobSpec, fmt.Stringer, error, json.Marshaler):
-// they are called through the interface, so no caller names them.
-var interfaceMethods = map[string]bool{
-	"Kind":        true,
-	"String":      true,
-	"Error":       true,
-	"MarshalJSON": true,
-}
-
-// TestRootSurfaceHasShippedCallers keeps the root package's exported
-// funcs and methods down to what shipped code uses. Every exported func
-// must be named as adhocga.F by some non-test .go file outside the root
-// package (cmd/, examples/, internal/, bench/, ci/). Every exported
-// method of an exported root type must be selected as .M in such a file
-// whose package imports adhocga; without type information a same-named
-// selection counts. Doc examples and tests do not count as callers.
-func TestRootSurfaceHasShippedCallers(t *testing.T) {
-	if unused := unshipped(t, shippedTree(t), ".", "adhocga", false); len(unused) > 0 {
-		t.Errorf("exported root funcs and methods with no shipped caller (unexport or delete them): %s",
-			strings.Join(unused, ", "))
+// TestFuncsHaveShippedCallers keeps every package down to what shipped
+// code uses. It type-checks every non-test file of the module and of
+// bench/ (a module of its own whose workloads drive the internal
+// packages) and fails on a func or method that no non-test file
+// references outside the func's own body. An exported root func, or an
+// exported method of an exported root type, needs a reference from
+// outside the root package: the library surface exists for its callers.
+// A method is exempt when its receiver implements an interface that
+// declares it (fmt.Stringer, error, jobstore.Store), since it is called
+// through the interface. Tests and doc examples are not callers.
+func TestFuncsHaveShippedCallers(t *testing.T) {
+	tree := checkShippedTree(t)
+	var unused []string
+	for _, fn := range tree.funcs {
+		if tree.referenced(fn) || tree.implementsInterface(fn) {
+			continue
+		}
+		unused = append(unused, fn.FullName())
+	}
+	if len(tree.funcs) == 0 {
+		t.Fatal("found no funcs; the scan is broken")
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("funcs and methods with no shipped caller (delete them):\n\t%s", strings.Join(unused, "\n\t"))
 	}
 }
 
-// kernelPackages are the packages of the evaluation kernel, held to the
-// root package's shipped-caller rule.
-var kernelPackages = []string{
-	"internal/game",
-	"internal/trust",
-	"internal/network",
-	"internal/strategy",
-	"internal/tournament",
-	"internal/ipdrp",
+// shippedTree is the type-checked non-test code of the module and bench/.
+type shippedTree struct {
+	funcs      []*types.Func        // every declared func and method but main and init
+	interfaces []*types.Interface   // every named interface in scope of a package
+	refs       map[*types.Func]bool // referenced outside its own body
+	outside    map[*types.Func]bool // referenced from another package
 }
 
-// TestKernelSurfaceHasShippedCallers applies the root rule to each kernel
-// package, counting calls from inside the package too: every exported func
-// is named as pkg.F by a non-test file that imports the package, or as F
-// by one of the package's own; every exported method is selected as .M
-// by some non-test file. Kernel values reach other packages through
-// fields (a tournament merges gossip through its game.Board's
-// trust.Matrix), so a method selection counts anywhere.
-func TestKernelSurfaceHasShippedCallers(t *testing.T) {
-	tree := shippedTree(t)
-	for _, dir := range kernelPackages {
-		if unused := unshipped(t, tree, dir, "adhocga/"+dir, true); len(unused) > 0 {
-			t.Errorf("%s: exported funcs and methods with no shipped caller (unexport or delete them): %s",
-				dir, strings.Join(unused, ", "))
+// referenced reports whether fn has a shipped caller: any reference, or
+// for an exported root func or method of an exported root type, one from
+// another package.
+func (s *shippedTree) referenced(fn *types.Func) bool {
+	if fn.Pkg().Path() == "adhocga" && fn.Exported() {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil || receiverNamed(recv.Type()).Obj().Exported() {
+			return s.outside[fn]
 		}
 	}
+	return s.refs[fn]
 }
 
-// shippedFile is what the shipped-caller rules need of one non-test file.
-type shippedFile struct {
-	dir      string
-	imports  map[string]string // import path -> local name
-	selected map[string]bool   // every .M selected
-	named    map[string]bool   // every X.M with X an identifier, as "X.M"
-	idents   map[string]bool   // every identifier but declared func names
-	decls    []*ast.FuncDecl
+// implementsInterface reports whether fn is a method that its receiver
+// has to satisfy some interface declaring it.
+func (s *shippedTree) implementsInterface(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named := receiverNamed(recv.Type())
+	for _, iface := range s.interfaces {
+		if !declares(iface, fn.Name()) {
+			continue
+		}
+		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+			return true
+		}
+	}
+	return false
 }
 
-// shippedTree parses every non-test .go file of the module, testdata and
-// hidden directories excluded.
-func shippedTree(t *testing.T) []shippedFile {
+func declares(iface *types.Interface, name string) bool {
+	for i := range iface.NumMethods() {
+		if iface.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// receiverNamed returns the named type of a receiver of type T or *T.
+func receiverNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// checkShippedTree parses the non-test files of every package directory
+// (testdata and hidden directories excluded), type-checks them from
+// source, with the standard library from its export data, and records
+// every reference to a declared func.
+func checkShippedTree(t *testing.T) *shippedTree {
 	t.Helper()
 	fset := token.NewFileSet()
-	var files []shippedFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	files := map[string][]*ast.File{} // import path -> files
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		sf := shippedFile{
-			dir:      filepath.Dir(path),
-			imports:  map[string]string{},
-			selected: map[string]bool{},
-			named:    map[string]bool{},
-			idents:   map[string]bool{},
-		}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			local := p[strings.LastIndexByte(p, '/')+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			sf.imports[p] = local
-		}
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				sf.decls = append(sf.decls, fn)
-			}
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, fn := range sf.decls {
-			declared[fn.Name] = true
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				if !declared[x] {
-					sf.idents[x.Name] = true
-				}
-			case *ast.SelectorExpr:
-				sf.selected[x.Sel.Name] = true
-				if id, ok := x.X.(*ast.Ident); ok {
-					sf.named[id.Name+"."+x.Sel.Name] = true
-				}
-			}
-			return true
-		})
-		files = append(files, sf)
+		// Module paths mirror directories: bench/ is module adhocga/bench.
+		pkg := path.Join("adhocga", filepath.ToSlash(filepath.Dir(p)))
+		files[pkg] = append(files[pkg], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
-}
 
-// unshipped returns the exported funcs and methods declared in dir
-// (import path pkg) that no non-test file of another directory importing
-// pkg names: funcs as local.F, methods as .M. With self set, the
-// package's own files count as callers too (funcs named as F), and a
-// method selection counts in any file. Methods in interfaceMethods are
-// exempt.
-func unshipped(t *testing.T, tree []shippedFile, dir, pkg string, self bool) []string {
-	t.Helper()
-	var funcs, methods []string
-	for _, f := range tree {
-		if f.dir != dir {
+	info := &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}
+	imp := &sourceImporter{
+		fset:  fset,
+		files: files,
+		info:  info,
+		std:   importer.ForCompiler(fset, "gc", nil),
+		pkgs:  map[string]*types.Package{},
+	}
+	paths := make([]string, 0, len(files))
+	for p := range files {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+
+	tree := &shippedTree{refs: map[*types.Func]bool{}, outside: map[*types.Func]bool{}}
+	scopes := map[*types.Package]bool{types.Universe.Lookup("error").Pkg(): false}
+	tree.interfaces = append(tree.interfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, p := range paths {
+		pkg, err := imp.Import(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scopes[pkg] = true
+		for _, dep := range pkg.Imports() {
+			scopes[dep] = true
+		}
+		for _, f := range files[p] {
+			for _, decl := range f.Decls {
+				fd, isFunc := decl.(*ast.FuncDecl)
+				var self *types.Func
+				if isFunc {
+					self = info.Defs[fd.Name].(*types.Func)
+					name := fd.Name.Name
+					if !(fd.Recv == nil && (name == "init" || name == "main" && pkg.Name() == "main")) {
+						tree.funcs = append(tree.funcs, self)
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					fn = fn.Origin()
+					if fn == self {
+						return true
+					}
+					tree.refs[fn] = true
+					if fn.Pkg() != pkg {
+						tree.outside[fn] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for pkg := range scopes {
+		if pkg == nil {
 			continue
 		}
-		for _, fn := range f.decls {
-			if !fn.Name.IsExported() {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			if fn.Recv == nil {
-				funcs = append(funcs, fn.Name.Name)
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
 				continue
 			}
-			recv := receiverType(fn.Recv.List[0].Type)
-			if ast.IsExported(recv) && !interfaceMethods[fn.Name.Name] {
-				methods = append(methods, recv+"."+fn.Name.Name)
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+				tree.interfaces = append(tree.interfaces, iface)
 			}
 		}
 	}
-	if len(funcs)+len(methods) == 0 {
-		t.Fatalf("found no exported funcs or methods in %s; the scan is broken", dir)
-	}
-
-	calledFuncs, calledMethods := map[string]bool{}, map[string]bool{}
-	for _, f := range tree {
-		if self && f.dir == dir {
-			for name := range f.idents {
-				calledFuncs[name] = true
-			}
-		}
-		if self {
-			for name := range f.selected {
-				calledMethods[name] = true
-			}
-		}
-		local, ok := f.imports[pkg]
-		if f.dir == dir || !ok {
-			continue
-		}
-		for name := range f.named {
-			if x, sel, _ := strings.Cut(name, "."); x == local {
-				calledFuncs[sel] = true
-			}
-		}
-		for name := range f.selected {
-			calledMethods[name] = true
-		}
-	}
-
-	var unused []string
-	for _, name := range funcs {
-		if !calledFuncs[name] {
-			unused = append(unused, name)
-		}
-	}
-	for _, m := range methods {
-		if !calledMethods[m[strings.IndexByte(m, '.')+1:]] {
-			unused = append(unused, m)
-		}
-	}
-	sort.Strings(unused)
-	return unused
+	return tree
 }
 
-// receiverType returns the type name of a method receiver: T for T, *T,
-// T[P] and *T[P].
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// sourceImporter type-checks the module's packages from their parsed
+// files and imports the standard library from export data.
+type sourceImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	pkgs  map[string]*types.Package
+}
+
+func (s *sourceImporter) Import(p string) (*types.Package, error) {
+	if pkg, ok := s.pkgs[p]; ok {
+		return pkg, nil
 	}
+	files, ok := s.files[p]
+	if !ok {
+		return s.std.Import(p)
+	}
+	conf := types.Config{Importer: s}
+	pkg, err := conf.Check(p, s.fset, files, s.info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[p] = pkg
+	return pkg, nil
 }
