@@ -11,10 +11,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestFuncsHaveShippedCallers keeps every package down to what shipped
+// The shipped-caller rule keeps every package down to what shipped
 // code uses. It type-checks every non-test file of the module and of
 // bench/ (a module of its own whose workloads drive the internal
 // packages) and fails on a func or method that no non-test file
@@ -23,17 +24,58 @@ import (
 // outside the root package: the library surface exists for its callers.
 // A method is exempt when its receiver implements an interface that
 // declares it (fmt.Stringer, error, jobstore.Store), since it is called
-// through the interface. Tests and doc examples are not callers.
+// through the interface. Tests and doc examples are not callers. The
+// three tests below split the packages between them and share one
+// type-checked tree.
+
+// kernelPackages are the packages of the evaluation kernel.
+var kernelPackages = map[string]bool{
+	"adhocga/internal/game":       true,
+	"adhocga/internal/trust":      true,
+	"adhocga/internal/network":    true,
+	"adhocga/internal/strategy":   true,
+	"adhocga/internal/tournament": true,
+	"adhocga/internal/ipdrp":      true,
+}
+
+// TestRootSurfaceHasShippedCallers applies the rule to the root package.
+func TestRootSurfaceHasShippedCallers(t *testing.T) {
+	checkShippedCallers(t, func(pkg string) bool { return pkg == "adhocga" })
+}
+
+// TestKernelSurfaceHasShippedCallers applies the rule to the kernel
+// packages.
+func TestKernelSurfaceHasShippedCallers(t *testing.T) {
+	checkShippedCallers(t, func(pkg string) bool { return kernelPackages[pkg] })
+}
+
+// TestFuncsHaveShippedCallers applies the rule to every other package,
+// bench/ and the commands included.
 func TestFuncsHaveShippedCallers(t *testing.T) {
-	tree := checkShippedTree(t)
+	checkShippedCallers(t, func(pkg string) bool { return pkg != "adhocga" && !kernelPackages[pkg] })
+}
+
+// checkShippedCallers fails on each func or method with no shipped
+// caller in the packages for which in reports true.
+func checkShippedCallers(t *testing.T, in func(pkg string) bool) {
+	t.Helper()
+	tree, err := loadShippedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked int
 	var unused []string
 	for _, fn := range tree.funcs {
+		if !in(fn.Pkg().Path()) {
+			continue
+		}
+		checked++
 		if tree.referenced(fn) || tree.implementsInterface(fn) {
 			continue
 		}
 		unused = append(unused, fn.FullName())
 	}
-	if len(tree.funcs) == 0 {
+	if checked == 0 {
 		t.Fatal("found no funcs; the scan is broken")
 	}
 	sort.Strings(unused)
@@ -41,6 +83,9 @@ func TestFuncsHaveShippedCallers(t *testing.T) {
 		t.Errorf("funcs and methods with no shipped caller (delete them):\n\t%s", strings.Join(unused, "\n\t"))
 	}
 }
+
+// loadShippedTree type-checks the tree once for all three tests.
+var loadShippedTree = sync.OnceValues(checkShippedTree)
 
 // shippedTree is the type-checked non-test code of the module and bench/.
 type shippedTree struct {
@@ -103,8 +148,7 @@ func receiverNamed(t types.Type) *types.Named {
 // (testdata and hidden directories excluded), type-checks them from
 // source, with the standard library from its export data, and records
 // every reference to a declared func.
-func checkShippedTree(t *testing.T) *shippedTree {
-	t.Helper()
+func checkShippedTree() (*shippedTree, error) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // import path -> files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -131,7 +175,7 @@ func checkShippedTree(t *testing.T) *shippedTree {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
 	info := &types.Info{
@@ -157,7 +201,7 @@ func checkShippedTree(t *testing.T) *shippedTree {
 	for _, p := range paths {
 		pkg, err := imp.Import(p)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		scopes[pkg] = true
 		for _, dep := range pkg.Imports() {
@@ -213,7 +257,7 @@ func checkShippedTree(t *testing.T) *shippedTree {
 			}
 		}
 	}
-	return tree
+	return tree, nil
 }
 
 // sourceImporter type-checks the module's packages from their parsed
